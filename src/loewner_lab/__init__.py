@@ -27,6 +27,7 @@ from . import ball_geometry, carath, cli_reports, disc_functions, extremal_lab, 
 from .errors import (
     DegenerateFunctionalError,
     DomainError,
+    FlowInstabilityError,
     LoewnerLabError,
     NumericalInstabilityError,
     ReducedPrecisionWarning,
@@ -45,6 +46,7 @@ __all__ = [
     "DomainError",
     "UnsupportedError",
     "NumericalInstabilityError",
+    "FlowInstabilityError",
     "DegenerateFunctionalError",
     "ReducedPrecisionWarning",
 ]

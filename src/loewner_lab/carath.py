@@ -5,6 +5,15 @@ expression trees (identity, g(l(z))*z blocks, quadratic monomial terms and
 linear/convex combinations) and black-box evaluators.  All evaluators are
 batched: ``values`` takes an (m, n) array of points.
 
+Polynomial tables and composite trees are not evaluated as written: they are
+lowered once to a ``FlatForm``, a linear part (``w0`` times the identity,
+or a matrix ``lin``), one block of
+g(l(z))*z terms per disc function (weights ``W``, functionals ``Lmat``) and
+monomials grouped by degree, so one evaluation is a few array operations
+however many terms the map has.  Black boxes and other nodes without an
+array form (the radial Koebe factor) stay residual leaves evaluated through
+their own ``values``.  The trees remain the wire format.
+
 ``second_coeff`` extracts the second-order Taylor data at the origin through
 Cauchy integrals discretized as DFTs on circles/2-tori, with a dual-radius
 consistency check.  ``certify_Mg`` tests, by structured and Monte-Carlo
@@ -17,7 +26,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,6 +53,167 @@ _FD_STEP = 1e-5
 
 
 # ---------------------------------------------------------------------------
+# the array form of polynomial and composite maps
+
+
+def _products(Z: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """(m, T) array whose column t is prod_p Z[:, idx[t, p]] (ones for an
+    empty product)."""
+    if idx.shape[1] == 0:
+        return np.ones((Z.shape[0], idx.shape[0]), dtype=complex)
+    out = Z[:, idx[:, 0]]
+    for p in range(1, idx.shape[1]):
+        out = out * Z[:, idx[:, p]]
+    return out
+
+
+def _add(out: Optional[np.ndarray], part: np.ndarray) -> np.ndarray:
+    """out + part, in place; the first part present starts the sum rather
+    than a zero array."""
+    if out is None:
+        return part
+    out += part
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class FlatForm:
+    """A map lowered to arrays:
+
+        w0 * Z  (or Z @ lin.T)  + sum_g (g(Z @ Lmat.T) @ W)[:, None] * Z
+        + monomials(Z) + sum_k w_k leaf_k(Z)
+
+    A linear part that is a multiple of the identity, as in every generator
+    the scans sample, is kept as the scalar ``w0``: an elementwise product
+    is cheaper than a complex matmul at every batch size, and never wakes
+    a multi-threaded BLAS on large certification batches.
+    ``disc`` holds one (g, Lmat (k, n), W (k,)) block per disc function.
+    ``monomials`` holds the terms of degree != 1, one group per degree d:
+    (idx (T, d) variable indices, coef (T,), comp (T,) output components).
+    ``residual`` holds (weight, values, jacobian_batch) of leaves without an
+    array form.  Absent parts are skipped; every temporary is O(m * (n + T)).
+    """
+
+    w0: Optional[complex]
+    lin: Optional[np.ndarray]
+    disc: Tuple[Tuple[df.DiscFunction, np.ndarray, np.ndarray], ...]
+    monomials: Tuple[Tuple[np.ndarray, np.ndarray, Tuple[int, ...]], ...]
+    residual: Tuple[Tuple[complex, Callable, Callable], ...]
+
+    def values(self, Z: np.ndarray) -> np.ndarray:
+        out = None
+        if self.w0 is not None:
+            out = self.w0 * Z
+        elif self.lin is not None:
+            out = Z @ self.lin.T
+        for g, lmat, w in self.disc:
+            out = _add(out, (df._eval_raw(g, Z @ lmat.T) @ w)[:, None] * Z)
+        for idx, coef, comp in self.monomials:
+            terms = _products(Z, idx) * coef
+            if out is None:
+                out = np.zeros_like(Z)
+            # column by column: a scatter matmul would add an (m, n) temporary
+            for t, c in enumerate(comp):
+                out[:, c] += terms[:, t]
+        for w, values, _ in self.residual:
+            # a leaf may hand back an array it still holds: never sum into it
+            out = _add(out, w * values(Z) if w != 1 else np.array(values(Z)))
+        return np.zeros_like(Z) if out is None else out
+
+    def jacobian_batch(self, Z: np.ndarray) -> np.ndarray:
+        m, n = Z.shape
+        J = np.zeros((m, n, n), dtype=complex)
+        if self.w0 is not None:
+            J += self.w0 * np.eye(n)
+        elif self.lin is not None:
+            J += self.lin
+        for g, lmat, w in self.disc:
+            lz = Z @ lmat.T
+            gp = df.derivative(g, lz.ravel()).reshape(lz.shape)
+            J += (df._eval_raw(g, lz) @ w)[:, None, None] * np.eye(n)
+            J += Z[:, :, None] * ((gp * w) @ lmat)[:, None, :]
+        flat = J.reshape(m, n * n)
+        for idx, coef, comp in self.monomials:
+            comp = np.asarray(comp, dtype=int)
+            # d/dz of a product: drop one factor at a time
+            for p in range(idx.shape[1]):
+                part = _products(Z, np.delete(idx, p, axis=1)) * coef
+                flat += part @ np.eye(n * n, dtype=complex)[comp * n + idx[:, p]]
+        for w, _, jacobian in self.residual:
+            J += w * jacobian(Z)
+        return J
+
+
+class _Lowering:
+    """Collects the weighted pieces of a map into the parts of a FlatForm."""
+
+    def __init__(self, dom: bg.BallGeometry):
+        self.dom = dom
+        self.lin = np.zeros((dom.n, dom.n), dtype=complex)
+        self.disc: dict = {}    # g -> [(weight, functional coefficients)]
+        self.terms: dict = {}   # (component, sorted variable indices) -> coefficient
+        self.residual: list = []
+
+    def add_term(self, comp: int, idx: Tuple[int, ...], c: complex) -> None:
+        if len(idx) == 1:
+            self.lin[comp, idx[0]] += c
+        else:
+            self.terms[(comp, idx)] = self.terms.get((comp, idx), 0.0) + c
+
+    def add_table(self, terms: dict, w: complex) -> None:
+        for (comp, exps), c in terms.items():
+            idx = tuple(k for k, e in enumerate(exps) for _ in range(e))
+            self.add_term(comp - 1, idx, w * c)
+
+    def add_map(self, f: "HolMap", w: complex) -> None:
+        if isinstance(f, PolynomialMap):
+            self.add_table(f.terms, w)
+        elif isinstance(f, CompositeMap):
+            self.add_node(f.node, w)
+        else:
+            self.residual.append((w, f.values, f.jacobian_batch))
+
+    def add_node(self, node, w: complex) -> None:
+        if isinstance(node, LinearCombo):
+            for cw, child in zip(node.weights, node.children):
+                self.add_node(child, w * cw)
+        elif isinstance(node, Identity):
+            self.lin += w * np.eye(self.dom.n)
+        elif isinstance(node, DiscMultiple):
+            self.disc.setdefault(node.g, []).append((w, node.functional.coeffs))
+        elif isinstance(node, MonomialShear):
+            self.add_term(node.i - 1, (node.j - 1, node.j - 1), w * node.c)
+        elif isinstance(node, Wrapped):
+            self.add_map(node.map, w)
+        else:
+            # a registered node with its own evaluator, e.g. the radial Koebe factor
+            dom = self.dom
+            self.residual.append((w, lambda Z: node.values(Z, dom),
+                                  lambda Z: node.jacobian_batch(Z, dom)))
+
+    def form(self) -> FlatForm:
+        n = self.dom.n
+        disc = tuple((g, np.array([c for _, c in blocks], dtype=complex).reshape(-1, n),
+                      np.array([w for w, _ in blocks], dtype=complex))
+                     for g, blocks in self.disc.items())
+        by_degree: dict = {}
+        for (comp, idx), c in self.terms.items():
+            if c != 0:
+                by_degree.setdefault(len(idx), []).append((comp, idx, c))
+        monomials = []
+        for d, group in sorted(by_degree.items()):
+            monomials.append((np.array([t[1] for t in group], dtype=int).reshape(len(group), d),
+                              np.array([t[2] for t in group], dtype=complex),
+                              tuple(t[0] for t in group)))
+        lin, w0 = self.lin, complex(self.lin[0, 0])
+        if np.array_equal(lin, w0 * np.eye(n)):  # w0 times the identity, maybe zero
+            lin, w0 = None, (w0 or None)
+        else:
+            w0 = None
+        return FlatForm(w0, lin, disc, tuple(monomials), tuple(self.residual))
+
+
+# ---------------------------------------------------------------------------
 # map representations
 
 
@@ -66,7 +236,9 @@ class HolMap:
 class PolynomialMap(HolMap):
     """Sparse polynomial map: terms[(component, exponents)] = coefficient.
 
-    Components are 1-based, exponents are tuples of length n.
+    Components are 1-based, exponents are tuples of length n.  Evaluation
+    goes through the lowered FlatForm of the table; editing ``terms`` in
+    place re-lowers it on the next evaluation.
     """
 
     def __init__(self, terms: Dict[Tuple[int, Tuple[int, ...]], complex],
@@ -75,33 +247,23 @@ class PolynomialMap(HolMap):
         self.domain = domain
         self.normalized = normalized
         self.label = label
+        self._lowered_terms: Optional[dict] = None
+        self._form: Optional[FlatForm] = None
+
+    @property
+    def form(self) -> FlatForm:
+        if self.terms != self._lowered_terms:
+            self._lowered_terms = dict(self.terms)
+            lowering = _Lowering(self.domain)
+            lowering.add_table(self.terms, 1.0)
+            self._form = lowering.form()
+        return self._form
 
     def values(self, Z):
-        Z = np.asarray(Z, dtype=complex)
-        out = np.zeros_like(Z)
-        for (comp, exps), c in self.terms.items():
-            mon = np.ones(Z.shape[0], dtype=complex)
-            for k, e in enumerate(exps):
-                if e:
-                    mon = mon * Z[:, k] ** e
-            out[:, comp - 1] += c * mon
-        return out
+        return self.form.values(np.asarray(Z, dtype=complex))
 
     def jacobian_batch(self, Z):
-        Z = np.asarray(Z, dtype=complex)
-        m, n = Z.shape
-        J = np.zeros((m, n, n), dtype=complex)
-        for (comp, exps), c in self.terms.items():
-            for k, e in enumerate(exps):
-                if not e:
-                    continue
-                mon = np.full(m, c * e, dtype=complex)
-                for k2, e2 in enumerate(exps):
-                    p = e2 - 1 if k2 == k else e2
-                    if p:
-                        mon = mon * Z[:, k2] ** p
-                J[:, comp - 1, k] += mon
-        return J
+        return self.form.jacobian_batch(np.asarray(Z, dtype=complex))
 
     def coefficient(self, comp: int, exps: Tuple[int, ...]) -> complex:
         """Exact table lookup (the analytic oracle for coefficient tests)."""
@@ -143,19 +305,27 @@ class BlackBoxMap(HolMap):
 
 
 class CompositeMap(HolMap):
-    """Expression-tree map; nodes implement values/jacobian_batch with (Z, dom)."""
+    """Expression-tree map, lowered to a FlatForm at construction.
+
+    The tree (``node``) is kept for ``describe`` and the wire format; maps
+    wrapped in it are read once, so edit a polynomial's terms before
+    wrapping it, not after.
+    """
 
     def __init__(self, node, domain: bg.BallGeometry, normalized: bool = False, label: str = ""):
         self.node = node
         self.domain = domain
         self.normalized = normalized
         self.label = label
+        lowering = _Lowering(domain)
+        lowering.add_node(node, 1.0)
+        self.form = lowering.form()
 
     def values(self, Z):
-        return self.node.values(np.asarray(Z, dtype=complex), self.domain)
+        return self.form.values(np.asarray(Z, dtype=complex))
 
     def jacobian_batch(self, Z):
-        return self.node.jacobian_batch(np.asarray(Z, dtype=complex), self.domain)
+        return self.form.jacobian_batch(np.asarray(Z, dtype=complex))
 
     def describe(self):
         return self.label or self.node.describe()
@@ -171,12 +341,6 @@ def _uncplx(payload: dict) -> complex:
 
 @dataclass(frozen=True)
 class Identity:
-    def values(self, Z, dom):
-        return Z.copy()
-
-    def jacobian_batch(self, Z, dom):
-        return np.broadcast_to(np.eye(dom.n, dtype=complex), (Z.shape[0], dom.n, dom.n)).copy()
-
     def describe(self):
         return "identity"
 
@@ -190,18 +354,6 @@ class DiscMultiple:
 
     g: df.DiscFunction
     functional: bg.LinearFunctional
-
-    def values(self, Z, dom):
-        lz = Z @ np.asarray(self.functional.coeffs, dtype=complex)
-        return df._eval_raw(self.g, lz)[:, None] * Z
-
-    def jacobian_batch(self, Z, dom):
-        coeffs = np.asarray(self.functional.coeffs, dtype=complex)
-        lz = Z @ coeffs
-        gval = df._eval_raw(self.g, lz)
-        gp = df.derivative(self.g, lz)
-        eye = np.eye(dom.n, dtype=complex)
-        return gval[:, None, None] * eye + gp[:, None, None] * (Z[:, :, None] * coeffs[None, None, :])
 
     def describe(self):
         return f"{df.describe(self.g)}(l(z))*z"
@@ -219,16 +371,6 @@ class MonomialShear:
     i: int
     j: int
 
-    def values(self, Z, dom):
-        out = np.zeros_like(Z)
-        out[:, self.i - 1] = self.c * Z[:, self.j - 1] ** 2
-        return out
-
-    def jacobian_batch(self, Z, dom):
-        J = np.zeros((Z.shape[0], dom.n, dom.n), dtype=complex)
-        J[:, self.i - 1, self.j - 1] = 2.0 * self.c * Z[:, self.j - 1]
-        return J
-
     def describe(self):
         return f"{self.c:g}*z_{self.j}^2*e_{self.i}"
 
@@ -241,12 +383,6 @@ class Wrapped:
     """Adapter putting an arbitrary HolMap under a composite node."""
 
     map: HolMap
-
-    def values(self, Z, dom):
-        return self.map.values(Z)
-
-    def jacobian_batch(self, Z, dom):
-        return self.map.jacobian_batch(Z)
 
     def describe(self):
         return self.map.describe()
@@ -262,18 +398,6 @@ class LinearCombo:
 
     weights: Tuple[complex, ...]
     children: Tuple
-
-    def values(self, Z, dom):
-        out = np.zeros_like(np.asarray(Z, dtype=complex))
-        for w, child in zip(self.weights, self.children):
-            out += w * child.values(Z, dom)
-        return out
-
-    def jacobian_batch(self, Z, dom):
-        out = np.zeros((Z.shape[0], dom.n, dom.n), dtype=complex)
-        for w, child in zip(self.weights, self.children):
-            out += w * child.jacobian_batch(Z, dom)
-        return out
 
     def describe(self):
         inner = ", ".join(c.describe() for c in self.children)

@@ -17,6 +17,12 @@ class NumericalInstabilityError(LoewnerLabError, FloatingPointError):
     """Independent internal estimates disagree beyond the acceptable tolerance."""
 
 
+class FlowInstabilityError(NumericalInstabilityError):
+    """The flow integrator failed: the trajectory left the ball or stopped
+    contracting, the step size underflowed, or a parametric limit did not
+    converge within its horizon."""
+
+
 class DegenerateFunctionalError(LoewnerLabError):
     """Support-functional extraction hit a degenerate singular value.
 

@@ -19,7 +19,7 @@ from . import ball_geometry as bg
 from . import carath
 from . import disc_functions as df
 from . import loewner_flow as lf
-from .errors import DomainError, NumericalInstabilityError
+from .errors import DomainError, FlowInstabilityError, NumericalInstabilityError
 
 #: default number of pieces in a sampled generator schedule
 DEFAULT_PIECES = 3
@@ -28,6 +28,8 @@ _ATTAIN_TOL = 1e-8
 #: must sit above the integrator error floor (~1e-8 at ode_tol 1e-9)
 SAMPLER_TOL = 3e-8
 SAMPLER_ODE_TOL = 1e-9
+#: draws per sampled map before a run of flow failures aborts the experiment
+SAMPLE_TRIES = 4
 
 
 @dataclass
@@ -73,24 +75,31 @@ def sample_Sg0(g: df.DiscFunction, dom: bg.BallGeometry, rng: np.random.Generato
     """One random map with parametric representation: the limit of the flow
     of a random piecewise-constant certified schedule.
 
-    The schedule is retained on the returned map as ``provenance``.
-    Non-converged parametric limits trigger a bounded number of resamples.
+    The schedule is retained on the returned map as ``provenance``.  The
+    map is evaluated lazily, so a flow failure (ball exit, step underflow or
+    a non-converged limit) surfaces as ``FlowInstabilityError`` when it is
+    evaluated; ``scan_support`` and ``verify_gprime_bounds`` then discard the
+    draw and resample, up to ``SAMPLE_TRIES`` draws (``_evaluate_sample``).
     """
     if pieces < 1:
         raise DomainError("need at least one schedule piece")
-    probe = np.zeros((1, dom.n), dtype=complex)
-    probe[0, 0] = 0.3
-    for _ in range(4):
-        maps = [carath.random_Mg_member(g, dom, rng, int(rng.integers(1, 4)))
-                for _ in range(pieces)]
-        schedule = lf.make_field(maps, g, dom, dt=dt, certify_n=certify_n, rng=rng)
-        fmap = lf.parametric_holmap(schedule, tol=tol, ode_tol=SAMPLER_ODE_TOL,
-                                    label=f"Sg0_sample[pieces={pieces}]")
+    maps = [carath.random_Mg_member(g, dom, rng, int(rng.integers(1, 4)))
+            for _ in range(pieces)]
+    schedule = lf.make_field(maps, g, dom, dt=dt, certify_n=certify_n, rng=rng)
+    return lf.parametric_holmap(schedule, tol=tol, ode_tol=SAMPLER_ODE_TOL,
+                                label=f"Sg0_sample[pieces={pieces}]")
+
+
+def _evaluate_sample(draw, evaluate):
+    """(map, evaluate(map)) for the first of up to SAMPLE_TRIES draws whose
+    flow does not fail.  Other errors, such as a two-radius coefficient
+    disagreement, propagate at once."""
+    for _ in range(SAMPLE_TRIES):
+        f = draw()
         try:
-            lf.parametric_map(schedule, probe, tol=1e-6, ode_tol=SAMPLER_ODE_TOL)
-        except NumericalInstabilityError:
+            return f, evaluate(f)
+        except FlowInstabilityError:
             continue
-        return fmap
     raise NumericalInstabilityError("parametric sampling failed to converge repeatedly")
 
 
@@ -114,8 +123,9 @@ def scan_support(g: df.DiscFunction, dom: bg.BallGeometry, i: int, j: int, N: in
     entries: List[Tuple[str, float]] = []
 
     for s in range(N):
-        f = sample_Sg0(g, dom, rng, pieces)
-        entries.append((f"{f.describe()}#{s}", float(functional_L(i, j, f).real)))
+        f, value = _evaluate_sample(lambda: sample_Sg0(g, dom, rng, pieces),
+                                    lambda f: functional_L(i, j, f))
+        entries.append((f"{f.describe()}#{s}", float(value.real)))
 
     f_plus = support_map(g, dom, i, j, +1)
     f_minus = support_map(g, dom, i, j, -1)
@@ -158,13 +168,11 @@ def verify_gprime_bounds(g: df.DiscFunction, dom: bg.BallGeometry, N: int,
     requests = [(idx, idx, carath.PURE) for idx in frame]
     requests += [(a, b, carath.MIXED) for a, b in mixed_pairs]
 
-    def record(label, fmap):
-        coeffs = carath.second_coeff_bundle(fmap, requests)
-        for (a, b, kind), val in coeffs.items():
-            entries.append((f"{label}:{kind}({a},{b})", float(abs(val))))
-
     for s in range(N):
-        record(f"sample#{s}", sample_Sg0(g, dom, rng, pieces))
+        _, coeffs = _evaluate_sample(lambda: sample_Sg0(g, dom, rng, pieces),
+                                     lambda f: carath.second_coeff_bundle(f, requests))
+        for (a, b, kind), val in coeffs.items():
+            entries.append((f"sample#{s}:{kind}({a},{b})", float(abs(val))))
 
     e1 = np.zeros(dom.n, dtype=complex)
     e1[0] = 1.0

@@ -21,7 +21,7 @@ import numpy as np
 from . import ball_geometry as bg
 from . import carath
 from . import disc_functions as df
-from .errors import DomainError, NumericalInstabilityError, UnsupportedError
+from .errors import DomainError, FlowInstabilityError, UnsupportedError
 
 _NORM_GROWTH_TOL = 1e-9
 _MIN_STEP = 1e-12
@@ -79,6 +79,15 @@ def make_field(maps: Sequence[carath.HolMap], g: df.DiscFunction, dom: bg.BallGe
 
 @dataclass
 class FlowResult:
+    """Endpoint of a flow or parametric limit.
+
+    ``error_estimate`` is the sum of the accepted steps' relative local
+    error estimates (step doubling), a diagnostic rather than an error
+    bound.  ``flow`` always returns ``converged=True`` and raises
+    ``FlowInstabilityError`` instead of failing; ``parametric_map`` returns
+    ``converged=False`` when its horizon runs out.
+    """
+
     endpoint: np.ndarray
     trajectory: Optional[List[Tuple[float, np.ndarray]]]
     error_estimate: float
@@ -86,8 +95,8 @@ class FlowResult:
     converged: bool
 
 
-def _rk4(h_map: carath.HolMap, y: np.ndarray, dt: float) -> np.ndarray:
-    k1 = -h_map.values(y)
+def _rk4(h_map: carath.HolMap, y: np.ndarray, dt: float, k1: np.ndarray) -> np.ndarray:
+    """One classical RK4 step from y, given its first stage k1 = -h(y)."""
     k2 = -h_map.values(y + 0.5 * dt * k1)
     k3 = -h_map.values(y + 0.5 * dt * k2)
     k4 = -h_map.values(y + dt * k3)
@@ -99,10 +108,16 @@ def _integrate_segment(h_map, dom, y, t0, t1, tol, record, trajectory):
     err_total = 0.0
     norms_prev = np.asarray(bg.norm(dom, y))
     step = min(0.1, t1 - t0)
+    k1 = None
     while t < t1 - 1e-14:
         step = min(step, t1 - t)
-        y_full = _rk4(h_map, y, step)
-        y_half = _rk4(h_map, _rk4(h_map, y, 0.5 * step), 0.5 * step)
+        # the full step and the first half step start at y, and so does a
+        # retry after a rejected step: one first stage serves them all
+        if k1 is None:
+            k1 = -h_map.values(y)
+        y_full = _rk4(h_map, y, step, k1)
+        y_mid = _rk4(h_map, y, 0.5 * step, k1)
+        y_half = _rk4(h_map, y_mid, 0.5 * step, -h_map.values(y_mid))
         # per-row relative error: the flow contracts to 0, so accuracy has to
         # follow the solution scale rather than an absolute floor
         row_scale = np.maximum(np.max(np.abs(y), axis=-1), 1e-30)
@@ -110,11 +125,12 @@ def _integrate_segment(h_map, dom, y, t0, t1, tol, record, trajectory):
         rel = float(np.max(row_err / row_scale))
         if rel <= tol:
             y = y_half + (y_half - y_full) / 15.0
+            k1 = None
             t += step
             err_total += rel
             norms = np.asarray(bg.norm(dom, y))
             if np.any(norms > norms_prev + _NORM_GROWTH_TOL) or np.any(norms >= 1.0):
-                raise NumericalInstabilityError(
+                raise FlowInstabilityError(
                     "trajectory norm increased beyond tolerance (ball exit)"
                 )
             norms_prev = norms
@@ -123,7 +139,7 @@ def _integrate_segment(h_map, dom, y, t0, t1, tol, record, trajectory):
         factor = 0.9 * (tol / max(rel, 1e-300)) ** 0.2
         step *= min(5.0, max(0.2, factor))
         if step < _MIN_STEP:
-            raise NumericalInstabilityError("step size underflow in the flow integrator")
+            raise FlowInstabilityError("step size underflow in the flow integrator")
     return y, err_total
 
 
@@ -134,7 +150,8 @@ def flow(field: HerglotzField, z, s: float, t: float, tol: float = 1e-10,
     Adaptive RK4 with step doubling at relative tolerance ``tol``; schedule
     breakpoints are forced step boundaries.  The trajectory must stay in the
     open ball with nonincreasing norm (up to 1e-9 per step), else the
-    integrator aborts with ``NumericalInstabilityError``.
+    integrator aborts with ``FlowInstabilityError``, as it does on step-size
+    underflow; the result is never ``converged=False``.
     """
     if t < s or s < 0.0:
         raise DomainError("flow needs 0 <= s <= t")
@@ -193,7 +210,8 @@ def parametric_map(field: HerglotzField, z, tol: float = 1e-8, ode_tol: float = 
 def parametric_holmap(field: HerglotzField, tol: float = 1e-8, ode_tol: float = 1e-10,
                       label: str = "") -> carath.BlackBoxMap:
     """The parametric-limit map as a black-box HolMap (normalized by
-    construction); evaluation raises on a non-converged limit."""
+    construction); evaluation raises ``FlowInstabilityError`` on a
+    non-converged limit."""
 
     def fn(Z):
         Z = np.asarray(Z, dtype=complex)
@@ -203,7 +221,7 @@ def parametric_holmap(field: HerglotzField, tol: float = 1e-8, ode_tol: float = 
         if np.any(nonzero):
             res = parametric_map(field, Z[nonzero], tol=tol, ode_tol=ode_tol)
             if not res.converged:
-                raise NumericalInstabilityError("parametric limit did not converge")
+                raise FlowInstabilityError("parametric limit did not converge")
             out[nonzero] = res.endpoint
         return out
 

@@ -4,6 +4,7 @@ import pytest
 from loewner_lab import ball_geometry as bg
 from loewner_lab import carath
 from loewner_lab import disc_functions as df
+from loewner_lab import loewner_flow as lf
 from loewner_lab.errors import (
     DomainError,
     NumericalInstabilityError,
@@ -402,3 +403,92 @@ def test_certified_member_full_scale_coefficient_bound():
     assert cert.passed
     for i, j in [(1, 2), (2, 1)]:
         assert abs(carath.second_coeff(member, i, j, carath.PURE)) <= df.d1(g) + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the lowered array form against the block definitions
+
+
+def reference_values(f, Z):
+    """f(Z) summed block by block from the definitions: w*z for the identity,
+    w*g(l(z))*z for a disc multiple, w*c*z^e*e_i for each term of a
+    polynomial table; other leaves through their own values."""
+
+    def of_node(node, w):
+        if isinstance(node, carath.LinearCombo):
+            return sum(of_node(child, w * cw) for cw, child in zip(node.weights, node.children))
+        if isinstance(node, carath.Identity):
+            return w * Z
+        if isinstance(node, carath.DiscMultiple):
+            lz = Z @ np.asarray(node.functional.coeffs)
+            return w * df.evaluate(node.g, lz)[:, None] * Z
+        if isinstance(node, carath.Wrapped):
+            return of_map(node.map, w)
+        return w * node.values(Z, f.domain)
+
+    def of_map(m, w):
+        if isinstance(m, carath.PolynomialMap):
+            out = np.zeros_like(Z)
+            for (comp, exps), c in m.terms.items():
+                out[:, comp - 1] += w * c * np.prod(Z ** np.array(exps), axis=1)
+            return out
+        if isinstance(m, carath.CompositeMap):
+            return of_node(m.node, w)
+        return w * m.values(Z)
+
+    return of_map(f, 1.0)
+
+
+LOWERING_CASES = [(P2, df.moebius()), (E2, df.starlike_order(0.3)),
+                  (SP, df.strongly_starlike(0.5))]
+LOWERING_IDS = ["polydisc2", "euclidean2", "spectral2"]
+
+
+def lowered_maps(dom, g, rng):
+    i, j = dom.frame_coords[:2] if dom.rank >= 2 else (1, 2)
+    canonical = carath.canonical_field(g, dom, i, j, -1)
+    members = [carath.random_Mg_member(g, dom, rng, 6) for _ in range(3)]
+    cubic = carath.PolynomialMap({(1, (1,) + (0,) * (dom.n - 1)): 1.0,
+                                  (2, (0, 1) + (0,) * (dom.n - 2)): 1.0,
+                                  (1, (2, 1) + (0,) * (dom.n - 2)): 0.3 - 0.2j,
+                                  (2, (0,) * dom.n): 0.05}, dom)
+    return [canonical, *members, cubic,
+            carath.convex_combination([canonical, members[0]], [0.4, 0.6])]
+
+
+@pytest.mark.parametrize("dom,g", LOWERING_CASES, ids=LOWERING_IDS)
+def test_lowered_values_match_block_sums(dom, g):
+    rng = np.random.default_rng(31)
+    Z = np.stack([bg.sample_sphere(dom, rng) * rng.uniform(0.05, 0.7) for _ in range(40)])
+    for f in lowered_maps(dom, g, rng):
+        ref = reference_values(f, Z)
+        assert np.all(np.abs(f.values(Z) - ref) <= 1e-14 * (1.0 + np.abs(ref))), f.describe()
+
+
+@pytest.mark.parametrize("dom,g", LOWERING_CASES, ids=LOWERING_IDS)
+def test_lowered_jacobians_match_black_box_differences(dom, g):
+    rng = np.random.default_rng(32)
+    Z = np.stack([bg.sample_sphere(dom, rng) * rng.uniform(0.05, 0.7) for _ in range(8)])
+    for f in lowered_maps(dom, g, rng):
+        boxed = carath.BlackBoxMap(f.values, dom)
+        assert np.allclose(f.jacobian_batch(Z), boxed.jacobian_batch(Z), atol=1e-8), f.describe()
+
+
+def test_residual_leaves_keep_their_own_evaluators():
+    g = df.moebius()
+    rng = np.random.default_rng(33)
+    member = carath.random_Mg_member(g, P2, rng, 3)
+    boxed = carath.BlackBoxMap(carath.canonical_field(g, P2, 1, 2, +1).values, P2,
+                               normalized=True)
+    radial = lf.unbounded_support_map(g, P2)
+    Z = np.stack([bg.sample_sphere(P2, rng) * rng.uniform(0.05, 0.5) for _ in range(8)])
+    for f in (carath.convex_combination([member, boxed], [0.3, 0.7]), radial):
+        ref = reference_values(f, Z)
+        assert np.all(np.abs(f.values(Z) - ref) <= 1e-14 * (1.0 + np.abs(ref)))
+        fd = carath.BlackBoxMap(f.values, P2).jacobian_batch(Z)
+        assert np.allclose(f.jacobian_batch(Z), fd, atol=1e-6)
+    # the array a leaf hands back (here the input itself) is never summed into
+    echo = carath.Wrapped(carath.BlackBoxMap(lambda Y: Y, P2))
+    twice = carath.CompositeMap(carath.LinearCombo((1.0, 1.0), (echo, echo)), P2)
+    Zc = Z.copy()
+    assert np.array_equal(twice.values(Z), 2.0 * Zc) and np.array_equal(Z, Zc)

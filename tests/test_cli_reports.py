@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +43,28 @@ def test_report_round_trip(tmp_path):
     assert parsed["config"]["seed"] == 7
     assert parsed["payload"] == json.loads(cli.dumps_canonical(env.payload))
     assert "wall_time" not in json.dumps(parsed)
+
+
+# ---------------------------------------------------------------------------
+# golden reports
+
+#: configs and the reports the package wrote for them before generators were
+#: lowered to arrays; a change that alters these bytes must say so in CHANGES.md
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+@pytest.mark.parametrize("name", sorted(p.name[:-len(".config.json")]
+                                        for p in GOLDEN.glob("*.config.json")))
+def test_reports_match_golden_bytes(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    command = name.split("_")[0]
+    assert cli.main([command, "--config", str(GOLDEN / f"{name}.config.json")]) == 0
+    for suffix in (".json", ".csv"):
+        golden = GOLDEN / f"{name}{suffix}"
+        written = tmp_path / f"{command}_report{suffix}"
+        assert written.exists() == golden.exists()
+        if golden.exists():
+            assert written.read_bytes() == golden.read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@ import pytest
 
 from loewner_lab import ball_geometry as bg
 from loewner_lab import carath
+from loewner_lab import cli_reports as cli
 from loewner_lab import disc_functions as df
 from loewner_lab import extremal_lab as el
 from loewner_lab import loewner_flow as lf
-from loewner_lab.errors import DomainError
+from loewner_lab.errors import DomainError, FlowInstabilityError, NumericalInstabilityError
 
 P2 = bg.polydisc(2)
 E2 = bg.euclidean(2)
@@ -128,3 +129,56 @@ def test_bound_report_json():
     blob = report.to_json()
     assert blob["functional"] == {"i": 1, "j": 2, "kind": "pure"}
     assert blob["violations"] == []
+
+
+def expanding_sample(g, dom):
+    """A parametric map whose flow dv/dt = +v leaves the ball."""
+    outward = carath.BlackBoxMap(lambda Z: -Z, dom, normalized=True)
+    return lf.parametric_holmap(lf.autonomous_field(outward, g, dom))
+
+
+@pytest.mark.parametrize("experiment", ["scan", "gprime"])
+def test_flow_failure_of_a_draw_is_resampled(monkeypatch, experiment):
+    draws = []
+    real = el.sample_Sg0
+
+    def sample(g, dom, rng, pieces):
+        draws.append(pieces)
+        return expanding_sample(g, dom) if len(draws) == 1 else real(g, dom, rng, pieces)
+
+    monkeypatch.setattr(el, "sample_Sg0", sample)
+    rng = np.random.default_rng(8)
+    if experiment == "scan":
+        report = el.scan_support(df.moebius(), P2, 1, 2, N=2, rng=rng, pieces=2)
+    else:
+        report = el.verify_gprime_bounds(df.moebius(), P2, N=1, rng=rng, pieces=1)
+    assert report.passed, report.violations
+    assert report.n_samples == len(draws) - 1
+
+
+def test_repeated_flow_failures_abort_the_scan(monkeypatch):
+    monkeypatch.setattr(el, "sample_Sg0", lambda g, dom, rng, pieces: expanding_sample(g, dom))
+    with pytest.raises(NumericalInstabilityError, match="failed to converge repeatedly"):
+        el.scan_support(df.moebius(), P2, 1, 2, N=1, rng=np.random.default_rng(0))
+
+
+def test_two_radius_disagreement_is_not_resampled(monkeypatch, tmp_path):
+    def broken(Z):
+        out = Z.copy()
+        out[:, 0] += np.where(np.abs(Z[:, 1]) > 0.3, Z[:, 1] ** 2, 0.0)
+        return out
+
+    draws = []
+
+    def sample(g, dom, rng, pieces):
+        draws.append(pieces)
+        return carath.BlackBoxMap(broken, dom, normalized=True)
+
+    monkeypatch.setattr(el, "sample_Sg0", sample)
+    with pytest.raises(NumericalInstabilityError) as info:
+        el.scan_support(df.moebius(), P2, 1, 2, N=1, rng=np.random.default_rng(0))
+    assert not isinstance(info.value, FlowInstabilityError)
+    assert len(draws) == 1
+    out = tmp_path / "scan.json"
+    assert cli.main(["scan", "--seed", "1", "--n", "1", "--out", str(out)]) == 3
+    assert cli.parse_report(out)["instability"] is True

@@ -269,6 +269,50 @@ def test_koebe_domain_error():
         lf.koebe_transform(df.moebius(), 1.0)
 
 
+class CountingMap(carath.HolMap):
+    """Delegates to ``inner`` and counts ``values`` calls; the calls numbered
+    in ``spoil`` (from 1) return a perturbed value."""
+
+    def __init__(self, inner, spoil=()):
+        self.inner, self.domain, self.normalized = inner, inner.domain, True
+        self.calls, self.spoil = 0, set(spoil)
+
+    def values(self, Z):
+        self.calls += 1
+        out = self.inner.values(Z)
+        return out + 0.1 if self.calls in self.spoil else out
+
+
+class CallMarks(list):
+    """Trajectory list that notes the RHS call count at each accepted step."""
+
+    def __init__(self, counter):
+        super().__init__()
+        self.counter, self.marks = counter, []
+
+    def append(self, item):
+        super().append(item)
+        self.marks.append(self.counter.calls)
+
+
+def test_step_doubling_shares_the_first_stage():
+    y = np.array([[0.3 + 0.1j, -0.2j]])
+    # one accepted step: k1 once, 3 more stages for the full step, 3 for
+    # the first half step, 4 for the second (12 if k1 were recomputed)
+    plain = CountingMap(carath.identity_map(P2))
+    marks = CallMarks(plain)
+    lf._integrate_segment(plain, P2, y, 0.0, 0.01, 1e-10, True, marks)
+    assert marks.marks == [11]
+    # a spoiled stage of the full step rejects the first attempt; the retry
+    # starts from the same point and keeps k1: 11 + 10 calls to the first
+    # accepted step, then one more step of 11 to the segment end
+    spoiled = CountingMap(carath.identity_map(P2), spoil={2})
+    marks = CallMarks(spoiled)
+    end, _ = lf._integrate_segment(spoiled, P2, y, 0.0, 0.01, 1e-10, True, marks)
+    assert marks.marks == [21, 32]
+    assert np.allclose(end, np.exp(-0.01) * y, rtol=1e-12, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # the unbounded support map
 
