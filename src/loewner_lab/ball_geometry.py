@@ -14,7 +14,7 @@ extreme functionals suffices for membership checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -119,12 +119,19 @@ def from_matrices(m) -> np.ndarray:
     return np.stack([m[..., 0, 0], m[..., 1, 1], m[..., 0, 1], m[..., 1, 0]], axis=-1)
 
 
-def _spectral_norms(z) -> np.ndarray:
-    """Largest singular value of the 2x2 matrix of z, in closed form."""
+def _spectral_norms(z, pointwise: bool = False) -> np.ndarray:
+    """Largest singular value of the 2x2 matrix of z, in closed form.
+
+    On one point ``|det| ** 2`` is a numpy scalar power (libm ``pow``); on a
+    batch it is a multiply, and the two differ in the last bit for about 1
+    value in 1300.  ``pointwise`` makes a batch round every row as the
+    one-point call does.
+    """
     z = np.asarray(z, dtype=complex)
     e = np.sum(np.abs(z) ** 2, axis=-1)
     det = z[..., 0] * z[..., 1] - z[..., 2] * z[..., 3]
-    disc = np.sqrt(np.maximum(e * e - 4.0 * np.abs(det) ** 2, 0.0))
+    det2 = np.float_power(np.abs(det), 2.0) if pointwise else np.abs(det) ** 2
+    disc = np.sqrt(np.maximum(e * e - 4.0 * det2, 0.0))
     return np.sqrt(0.5 * (e + disc))
 
 
@@ -244,23 +251,87 @@ def support_values(dom: BallGeometry, Z, H):
     return np.concatenate(values), np.concatenate(owner)
 
 
-def sample_sphere(dom: BallGeometry, rng: np.random.Generator) -> np.ndarray:
-    """One point of the unit sphere of the domain, deterministic under seed.
+def sample_sphere(dom: BallGeometry, rng: np.random.Generator,
+                  count: Optional[int] = None) -> np.ndarray:
+    """Points of the unit sphere of the domain, deterministic under seed.
+
+    Returns a ``(count, n)`` batch, or one point of shape ``(n,)`` when
+    ``count`` is None.  Stream contract: a batch of k points equals k
+    one-point calls on the same generator bit for bit, and leaves the
+    generator in the same state (PCG64's cached 32-bit half included), so a
+    caller may batch its draws without changing any seeded result.
 
     Polydisc samples put exactly one coordinate on the unit circle and cap
     the others at modulus 0.999, so ties in the sup norm have probability 0.
     """
+    k = 1 if count is None else int(count)
     if dom.kind == EUCLIDEAN:
-        v = rng.standard_normal(dom.n) + 1j * rng.standard_normal(dom.n)
-        return v / np.linalg.norm(v)
-    if dom.kind == POLYDISC:
-        k = int(rng.integers(dom.n))
-        z = _disc_uniform(rng, dom.n, 0.999)
-        z[k] = np.exp(2j * np.pi * rng.random())
-        return z
-    m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    z = from_matrices(m)
-    return z / _spectral_norms(z)
+        draws = rng.standard_normal((k, 2, dom.n))
+        v = draws[:, 0] + 1j * draws[:, 1]
+        # one BLAS ddot per row and part, as np.linalg.norm does on one point
+        # (einsum rounds differently)
+        norms = np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+        out = v / norms[:, None]
+    elif dom.kind == POLYDISC:
+        out = _polydisc_sphere(dom.n, rng, k)
+    else:
+        draws = rng.standard_normal((k, 2, 2, 2))
+        z = from_matrices(draws[:, 0] + 1j * draws[:, 1])
+        out = z / _spectral_norms(z, pointwise=True)[:, None]
+    return out[0] if count is None else out
+
+
+#: PCG64 doubles are (word >> 11) * 2**-53
+_DOUBLE_SCALE = 1.0 / 9007199254740992.0
+
+
+def _polydisc_point(n: int, rng: np.random.Generator) -> np.ndarray:
+    """One polydisc sphere point drawn call by call; ``_polydisc_sphere``
+    reproduces this stream and falls back to it where it cannot."""
+    k = int(rng.integers(n))
+    z = _disc_uniform(rng, n, 0.999)
+    z[k] = np.exp(2j * np.pi * rng.random())
+    return z
+
+
+def _polydisc_sphere(n: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` calls of ``_polydisc_point`` from one block of raw PCG64 words.
+
+    Each point takes its coordinate index from a 32-bit half (Lemire's
+    method, as ``rng.integers``): the low half of a fresh word, whose high
+    half PCG64 caches for the next point, or that cached half.  Then come
+    2n + 1 doubles.  A Lemire rejection (probability about n / 2**32) is
+    replayed call by call after a rewind.
+    """
+    bitgen = rng.bit_generator
+    if count == 0 or not isinstance(bitgen, np.random.PCG64):
+        return np.array([_polydisc_point(n, rng) for _ in range(count)],
+                        dtype=complex).reshape(count, n)
+    saved = bitgen.state
+    fresh = (np.arange(count) + saved["has_uint32"]) % 2 == 0
+    per = 2 * n + 1
+    start = np.arange(count) * per + np.cumsum(fresh) - fresh
+    raw = bitgen.random_raw(int(fresh.sum()) + count * per)
+    low, high = raw[start] & 0xFFFFFFFF, raw[start] >> 32
+    half = np.where(fresh, low, np.roll(high, 1))
+    if not fresh[0]:
+        half[0] = saved["uinteger"]
+    scaled = half * np.uint64(n)
+    rejected = np.flatnonzero((scaled & 0xFFFFFFFF) < (2**32 - n) % n)
+    if rejected.size:
+        r = int(rejected[0])
+        bitgen.state = saved
+        head = _polydisc_sphere(n, rng, r)
+        point = _polydisc_point(n, rng)
+        return np.vstack([head, point, _polydisc_sphere(n, rng, count - r - 1)])
+    state = bitgen.state
+    state["has_uint32"] = int(fresh[-1])
+    state["uinteger"] = int(high[-1] if fresh[-1] else half[-1])
+    bitgen.state = state
+    u = (raw[(start + fresh)[:, None] + np.arange(per)] >> 11) * _DOUBLE_SCALE
+    z = 0.999 * np.sqrt(u[:, :n]) * np.exp(2j * np.pi * u[:, n:2 * n])
+    z[np.arange(count), (scaled >> 32).astype(np.intp)] = np.exp(2j * np.pi * u[:, 2 * n])
+    return z
 
 
 def sample_polydisc_edge(dom: BallGeometry, rng: np.random.Generator) -> np.ndarray:

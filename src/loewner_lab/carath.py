@@ -48,6 +48,10 @@ RADIUS_LADDER = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999)
 #: radii and per-axis phase count of the structured certification tori
 TORUS_RADII = (0.9, 0.99, 0.999)
 TORUS_PHASES = 64
+#: smallest gap between the two singular values of a spectral sphere sample;
+#: it must survive scaling by the smallest ladder radius (0.1) and stay above
+#: the 1e-10 at which ``support_values`` calls a point degenerate
+SPECTRAL_GAP = 1e-8
 
 _FD_STEP = 1e-5
 
@@ -686,20 +690,20 @@ def structured_torus_points(dom: bg.BallGeometry, radii=TORUS_RADII,
 
 
 def _sphere_batch(dom: bg.BallGeometry, rng: np.random.Generator, count: int) -> np.ndarray:
-    out = np.empty((count, dom.n), dtype=complex)
-    for k in range(count):
-        z = bg.sample_sphere(dom, rng)
-        if dom.kind == bg.SPECTRAL2:
-            # avoid near-degenerate top singular values (measure-zero set);
-            # the gap must survive scaling by the smallest ladder radius
-            while True:
-                m = bg.to_matrices(z)
-                s = np.linalg.svd(m, compute_uv=False)
-                if s[0] - s[1] >= 1e-8:
-                    break
-                z = bg.sample_sphere(dom, rng)
-        out[k] = z
-    return out
+    """``count`` sphere samples; spectral samples whose top singular value is
+    within ``SPECTRAL_GAP`` of the other (a measure-zero set) are replaced by
+    the next draw.  Each round draws only as many candidates as are still
+    missing, all of which a one-at-a-time loop would consume too, so the
+    stream is that of the loop."""
+    if dom.kind != bg.SPECTRAL2:
+        return bg.sample_sphere(dom, rng, count)
+    kept = []
+    while count:
+        Z = bg.sample_sphere(dom, rng, count)
+        s = np.linalg.svd(bg.to_matrices(Z), compute_uv=False)
+        kept.append(Z[s[:, 0] - s[:, 1] >= SPECTRAL_GAP])
+        count -= len(kept[-1])
+    return np.concatenate(kept)
 
 
 def certification_points(dom: bg.BallGeometry, N: int, rng: np.random.Generator,
@@ -709,13 +713,11 @@ def certification_points(dom: bg.BallGeometry, N: int, rng: np.random.Generator,
     blocks = []
     if N > 0:
         sphere = _sphere_batch(dom, rng, N)
-        radii = np.array([RADIUS_LADDER[k % len(RADIUS_LADDER)] for k in range(N)])
-        blocks.append(sphere * radii[:, None])
+        blocks.append(sphere * np.resize(RADIUS_LADDER, N)[:, None])
     if dom.kind == bg.POLYDISC and N > 0:
         n_edge = max(N // 10, 8)
         edges = np.stack([bg.sample_polydisc_edge(dom, rng) for _ in range(n_edge)])
-        radii = np.array([RADIUS_LADDER[k % len(RADIUS_LADDER)] for k in range(n_edge)])
-        blocks.append(edges * radii[:, None])
+        blocks.append(edges * np.resize(RADIUS_LADDER, n_edge)[:, None])
     if structured:
         torus = structured_torus_points(dom)
         if torus.size:

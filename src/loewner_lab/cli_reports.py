@@ -229,7 +229,7 @@ def _run_flow_check(config, g, dom, rng):
     c = df.d1(g) * dom.shear_factor
     h = carath.canonical_field(g, dom, config.i, config.j, +1)
     schedule = lf.autonomous_field(h, g, dom)
-    Z = np.stack([bg.sample_sphere(dom, rng) for _ in range(config.N)])
+    Z = bg.sample_sphere(dom, rng, config.N)
     Z *= rng.uniform(0.1, 0.9, config.N)[:, None]
     ii, jj = config.i - 1, config.j - 1
     worst_flow = 0.0

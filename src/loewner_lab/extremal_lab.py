@@ -224,6 +224,6 @@ def verify_shear_commutes(g: df.DiscFunction, dom: bg.BallGeometry,
 
     rng = np.random.default_rng(20250810)
     radii = np.array([0.1 + 0.4 * k / max(samples - 1, 1) for k in range(samples)])
-    Z = np.stack([bg.sample_sphere(dom, rng) for _ in range(samples)]) * radii[:, None]
+    Z = bg.sample_sphere(dom, rng, samples) * radii[:, None]
     gap = lhs_map.values(Z) - rhs_map.values(Z)
     return float(np.max(np.asarray(bg.norm(dom, gap))))

@@ -265,7 +265,7 @@ def check_pde(F: carath.HolMap, field: HerglotzField, samples: int,
     e^t * ||F(z) - DF(z) h(z, t)||.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    Z = np.stack([bg.sample_sphere(field.domain, rng) for _ in range(samples)])
+    Z = bg.sample_sphere(field.domain, rng, samples)
     Z = Z * rng.uniform(0.1, 0.8, samples)[:, None]
     ts = rng.uniform(0.0, field.horizon, samples)
     Fz = F.values(Z)

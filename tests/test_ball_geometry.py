@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from loewner_lab import ball_geometry as bg
+from loewner_lab import carath
 from loewner_lab.errors import DegenerateFunctionalError, DomainError
 
 DOMAINS = [bg.euclidean(2), bg.euclidean(3), bg.polydisc(2), bg.polydisc(3), bg.spectral2()]
@@ -201,6 +202,164 @@ def test_polydisc_sampler_unique_max():
     for _ in range(10000):
         z = bg.sample_sphere(dom, rng)
         assert np.count_nonzero(np.abs(z) > 0.9995) == 1
+
+
+# the stream contract: a batch equals one-point calls bit for bit
+
+
+def reference_point(dom, rng):
+    """The one-point sphere sampler written call by call; batches must
+    reproduce its stream."""
+    if dom.kind == bg.EUCLIDEAN:
+        v = rng.standard_normal(dom.n) + 1j * rng.standard_normal(dom.n)
+        return v / np.linalg.norm(v)
+    if dom.kind == bg.POLYDISC:
+        k = int(rng.integers(dom.n))
+        r = 0.999 * np.sqrt(rng.random(dom.n))
+        z = r * np.exp(2j * np.pi * rng.random(dom.n))
+        z[k] = np.exp(2j * np.pi * rng.random())
+        return z
+    return reference_spectral_unit(
+        bg.from_matrices(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))))
+
+
+def reference_spectral_unit(z):
+    e = np.sum(np.abs(z) ** 2, axis=-1)
+    det = z[..., 0] * z[..., 1] - z[..., 2] * z[..., 3]
+    disc = np.sqrt(np.maximum(e * e - 4.0 * np.abs(det) ** 2, 0.0))
+    return z / np.sqrt(0.5 * (e + disc))
+
+
+def reference_batch(dom, rng, count):
+    return np.array([reference_point(dom, rng) for _ in range(count)],
+                    dtype=complex).reshape(count, dom.n)
+
+
+def twin_generators(seed, cached_half, bit_generator=np.random.PCG64):
+    """Two generators in one state; with ``cached_half`` PCG64 holds the
+    unused 32-bit half of its last word."""
+    pair = [np.random.Generator(bit_generator(seed)) for _ in range(2)]
+    if cached_half:
+        for rng in pair:
+            rng.integers(3)
+    return pair
+
+
+def _plain(state):
+    if isinstance(state, dict):
+        return {k: _plain(v) for k, v in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+def assert_same_stream(ref_rng, rng):
+    assert _plain(ref_rng.bit_generator.state) == _plain(rng.bit_generator.state)
+    assert np.array_equal(ref_rng.random(3), rng.random(3))
+    assert np.array_equal(ref_rng.integers(5, size=3), rng.integers(5, size=3))
+
+
+def assert_bits_equal(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(float), b.view(float))
+
+
+@pytest.mark.parametrize("dom", DOMAINS + [bg.euclidean(1), bg.polydisc(5)],
+                         ids=lambda d: f"{d.kind}{d.n}")
+@pytest.mark.parametrize("cached_half", [False, True])
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 4097])
+def test_sphere_batch_matches_point_loop(dom, cached_half, count):
+    ref_rng, rng = twin_generators(1000 + count, cached_half)
+    assert_bits_equal(reference_batch(dom, ref_rng, count), bg.sample_sphere(dom, rng, count))
+    assert_same_stream(ref_rng, rng)
+
+
+@pytest.mark.parametrize("dom", DOMAINS, ids=lambda d: f"{d.kind}{d.n}")
+def test_single_point_form_is_one_row(dom):
+    ref_rng, rng = twin_generators(17, cached_half=True)
+    for _ in range(3):
+        assert_bits_equal(reference_point(dom, ref_rng), bg.sample_sphere(dom, rng))
+    assert_same_stream(ref_rng, rng)
+
+
+def test_spectral_batch_rounds_rows_as_one_point_calls():
+    # one point squares |det| with libm pow, a batch with a multiply; the
+    # normalized points differ in about 1 row in 10**4, too rare for the
+    # batches above to meet
+    dom = bg.spectral2()
+    draws = np.random.default_rng(37).standard_normal((100_000, 2, 2, 2))
+    batch = bg.sample_sphere(dom, np.random.default_rng(37), 100_000)
+    z = bg.from_matrices(draws[:, 0] + 1j * draws[:, 1])
+    rows = np.flatnonzero(np.any(z / bg.norm(dom, z)[:, None] != batch, axis=1))
+    assert rows.size > 0
+    for k in rows:
+        assert_bits_equal(reference_spectral_unit(z[k]), batch[k])
+
+
+def test_polydisc_batch_on_other_bit_generators():
+    # only PCG64 words are replayed; other generators draw point by point
+    dom = bg.polydisc(3)
+    ref_rng, rng = twin_generators(23, cached_half=True, bit_generator=np.random.MT19937)
+    assert_bits_equal(reference_batch(dom, ref_rng, 50), bg.sample_sphere(dom, rng, 50))
+    assert_same_stream(ref_rng, rng)
+
+
+#: PCG64 (XSL-RR 128/64) multiplier: a step is state * MULT + inc mod 2**128,
+#: and the output mixes the new state
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _set_next_word(rng, word):
+    """Rewind rng's PCG64 state so that its next raw 64-bit word is ``word``."""
+    state = rng.bit_generator.state
+    hi = 0x0123456789ABCDEF
+    rot = hi >> 58
+    lo = hi ^ (((word << rot) | (word >> (64 - rot))) & (2**64 - 1))
+    inc = state["state"]["inc"]
+    state["state"]["state"] = (((hi << 64) | lo) - inc) * pow(_PCG_MULT, -1, 2**128) % 2**128
+    rng.bit_generator.state = state
+
+
+@pytest.mark.parametrize("rejected_at", [0, 1])
+def test_polydisc_batch_replays_lemire_rejection(rejected_at, monkeypatch):
+    # on the tri-disc rng.integers(3) rejects exactly the 32-bit half 0: put
+    # it in the cached half (first point) or in the high half of the first
+    # fresh word (second point)
+    dom = bg.polydisc(3)
+    ref_rng, rng = twin_generators(29, cached_half=False)
+    for gen in (ref_rng, rng):
+        if rejected_at == 0:
+            state = gen.bit_generator.state
+            state["has_uint32"], state["uinteger"] = 1, 0
+            gen.bit_generator.state = state
+        else:
+            _set_next_word(gen, 0x12345678)
+    if rejected_at == 1:
+        probe = np.random.Generator(np.random.PCG64())
+        probe.bit_generator.state = rng.bit_generator.state
+        assert probe.bit_generator.random_raw() == 0x12345678
+    replayed = []
+    point = bg._polydisc_point
+    monkeypatch.setattr(bg, "_polydisc_point", lambda n, r: replayed.append(n) or point(n, r))
+    assert_bits_equal(reference_batch(dom, ref_rng, 6), bg.sample_sphere(dom, rng, 6))
+    assert replayed == [3]
+    assert_same_stream(ref_rng, rng)
+
+
+@pytest.mark.parametrize("gap", [carath.SPECTRAL_GAP, 0.5])
+def test_spectral_gap_resample_keeps_the_stream(gap, monkeypatch):
+    monkeypatch.setattr(carath, "SPECTRAL_GAP", gap)
+    dom = bg.spectral2()
+    ref_rng, rng = twin_generators(31, cached_half=True)
+    expect, resampled = [], 0
+    while len(expect) < 300:
+        z = reference_point(dom, ref_rng)
+        s = np.linalg.svd(bg.to_matrices(z), compute_uv=False)
+        if s[0] - s[1] >= gap:
+            expect.append(z)
+        else:
+            resampled += 1
+    assert (resampled > 30) == (gap == 0.5)
+    assert_bits_equal(np.array(expect), carath._sphere_batch(dom, rng, 300))
+    assert_same_stream(ref_rng, rng)
 
 
 def test_polydisc_edge_sampler():
