@@ -15,7 +15,8 @@ array form (the radial Koebe factor) stay residual leaves evaluated through
 their own ``values``.  The trees remain the wire format.
 
 ``second_coeff`` extracts the second-order Taylor data at the origin through
-Cauchy integrals discretized as DFTs on circles/2-tori, with a dual-radius
+Cauchy integrals discretized as 64-point DFTs on circles (a mixed coefficient
+from the two circles through e_p + e_q and e_p - e_q), with a dual-radius
 consistency check.  ``certify_Mg`` tests, by structured and Monte-Carlo
 sampling, that all supporting values l_z(h(z))/||z|| of a normalized map lie
 in the image g(U).
@@ -495,9 +496,9 @@ def _reconcile(c_main: complex, c_check: complex, what: str) -> complex:
 def second_coeff_bundle(f: HolMap, requests, rho: float = 0.4, rho_check: float = 0.2) -> dict:
     """Extract several second-order coefficients from one batched evaluation.
 
-    ``requests`` is an iterable of (i, j, kind).  All axis circles and
-    2-torus grids go into a single ``values`` call, which matters for
-    black-box maps whose evaluation integrates an ODE.
+    ``requests`` is an iterable of (i, j, kind).  All circles (128 points per
+    pure axis, 256 per mixed pair) go into a single ``values`` call, which
+    matters for black-box maps whose evaluation integrates an ODE.
     """
     requests = list(requests)
     n = f.domain.n
@@ -510,48 +511,42 @@ def second_coeff_bundle(f: HolMap, requests, rho: float = 0.4, rho_check: float 
             raise DomainError("mixed coefficient needs i != j")
 
     radii = (rho, rho_check)
-    m_axis, m_torus = 64, 32
+    m_axis = 64
     theta_axis = 2.0 * np.pi * np.arange(m_axis) / m_axis
-    theta_t = 2.0 * np.pi * np.arange(m_torus) / m_torus
-    A, B = np.meshgrid(theta_t, theta_t, indexing="ij")
-    a, b = A.ravel(), B.ravel()
+    circle = np.exp(1j * theta_axis)
 
     axes = sorted({j for i, j, kind in requests if kind == PURE})
     pairs = sorted({tuple(sorted((i, j))) for i, j, kind in requests if kind == MIXED})
+    # one circle r e^{i theta} u per direction u = e_p + s e_q (e_p if q is None)
+    directions = [(j, None, 1.0) for j in axes]
+    directions += [(p, q, s) for p, q in pairs for s in (1.0, -1.0)]
 
     blocks, layout = [], {}
-    offset = 0
-    for axis in axes:
+    for p, q, s in directions:
         for r in radii:
             Z = np.zeros((m_axis, n), dtype=complex)
-            Z[:, axis - 1] = r * np.exp(1j * theta_axis)
-            layout[("axis", axis, r)] = offset
+            Z[:, p - 1] = r * circle
+            if q is not None:
+                Z[:, q - 1] = s * r * circle
+            layout[(p, q, s, r)] = len(blocks) * m_axis
             blocks.append(Z)
-            offset += m_axis
-    for p, q in pairs:
-        for r in radii:
-            Z = np.zeros((m_torus * m_torus, n), dtype=complex)
-            Z[:, p - 1] = r * np.exp(1j * a)
-            Z[:, q - 1] = r * np.exp(1j * b)
-            layout[("torus", (p, q), r)] = offset
-            blocks.append(Z)
-            offset += m_torus * m_torus
     vals = f.values(np.vstack(blocks))
 
     phase_axis = np.exp(-2j * theta_axis)
-    phase_torus = np.exp(-1j * (a + b))
+
+    def dft(comp, p, q, s, r):
+        k0 = layout[(p, q, s, r)]
+        return complex((vals[k0:k0 + m_axis, comp - 1] * phase_axis).mean() / r**2)
+
     out = {}
     for i, j, kind in requests:
         got = []
         for r in radii:
             if kind == PURE:
-                k0 = layout[("axis", j, r)]
-                block = vals[k0:k0 + m_axis, i - 1]
-                got.append(complex((block * phase_axis).mean() / r**2))
+                got.append(dft(i, j, None, 1.0, r))
             else:
-                k0 = layout[("torus", tuple(sorted((i, j))), r)]
-                block = vals[k0:k0 + m_torus * m_torus, i - 1]
-                got.append(complex((block * phase_torus).mean() / r**2))
+                p, q = sorted((i, j))
+                got.append((dft(i, p, q, 1.0, r) - dft(i, p, q, -1.0, r)) / 2)
         out[(i, j, kind)] = _reconcile(got[0], got[1], f"{kind}({i},{j})")
     return out
 
@@ -563,9 +558,13 @@ def second_coeff(f: HolMap, i: int, j: int, kind: str,
     ``pure`` returns the coefficient of z_j^2 in component i, i.e.
     (1/2) d^2 f_i / d z_j^2 (0), from a 64-point Cauchy DFT on the circle of
     radius ``rho``.  ``mixed`` (i != j) returns the coefficient of z_i z_j in
-    component i, i.e. d^2 f_i / (d z_i d z_j) (0), from a 32x32 double DFT on
-    the 2-torus.  Both are recomputed at ``rho_check``; disagreement beyond
-    1e-8 triggers a ReducedPrecisionWarning, beyond 1e-4 a
+    component i, i.e. d^2 f_i / (d z_i d z_j) (0), from the same DFT on the
+    circles rho e^{i theta} (e_i +- e_j), which lie on the 2-torus
+    |z_i| = |z_j| = rho.  There the degree-2 part of f_i is
+    Q_ii +- Q_ij + Q_jj (Q_ab the coefficient of z_a z_b), so the two DFT
+    values c+ and c- give Q_ij = (c+ - c-) / 2, with no term of degree below
+    66 aliased in.  Both kinds are recomputed at ``rho_check``; disagreement
+    beyond 1e-8 triggers a ReducedPrecisionWarning, beyond 1e-4 a
     NumericalInstabilityError.
     """
     return second_coeff_bundle(f, [(i, j, kind)], rho=rho, rho_check=rho_check)[(i, j, kind)]

@@ -88,6 +88,10 @@ class ExperimentConfig:
                 raise UsageError(f"indices: {exc}") from exc
         if self.N < 0:
             raise UsageError("N: must be nonnegative")
+        # residuals over no points are no evidence (scan, gprime and certify
+        # still check their fixed maps or tori at N = 0)
+        if self.N < 1 and self.experiment in ("flow_check", "shear_commute"):
+            raise UsageError(f"N: {self.experiment} needs at least one sample")
         if self.pieces < 1:
             raise UsageError("pieces: must be positive")
         return g, dom

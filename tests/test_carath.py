@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,77 @@ def test_second_coeff_matches_finite_differences_on_composites():
             fd_pure_coeff(member, i, j), abs=1e-6)
         assert carath.second_coeff(member, i, j, carath.MIXED) == pytest.approx(
             fd_mixed_coeff(member, i, j), abs=1e-6)
+
+
+def torus_points(n, i, j, r, m=32):
+    """The m x m grid on the 2-torus |z_i| = |z_j| = r and its DFT phases."""
+    theta = 2.0 * np.pi * np.arange(m) / m
+    a, b = (t.ravel() for t in np.meshgrid(theta, theta, indexing="ij"))
+    Z = np.zeros((m * m, n), dtype=complex)
+    Z[:, i - 1] = r * np.exp(1j * a)
+    Z[:, j - 1] = r * np.exp(1j * b)
+    return Z, np.exp(-1j * (a + b))
+
+
+def torus_mixed_coeff(f, i, j, r=0.4):
+    """Reference: the z_i z_j coefficient of f_i from a 32x32 double Cauchy
+    DFT on the 2-torus, where terms of degree 34 and up alias in."""
+    Z, phase = torus_points(f.domain.n, i, j, r)
+    return complex((f.values(Z)[:, i - 1] * phase).mean() / r**2)
+
+
+@pytest.mark.parametrize("dom, pairs", [
+    (P2, [(1, 2), (2, 1)]),
+    (P3, [(1, 2), (3, 1), (2, 3)]),
+    (SP, [(1, 2), (2, 1), (1, 3), (4, 3)]),
+    (E2, [(1, 2), (2, 1)]),
+], ids=["polydisc2", "polydisc3", "spectral2", "euclidean2"])
+def test_mixed_coeff_matches_torus_reference(dom, pairs):
+    rng = np.random.default_rng(11)
+    for g in (df.moebius(), df.strongly_starlike(0.5)):
+        for k in (1, 2, 3):
+            member = carath.random_Mg_member(g, dom, rng, k)
+            for i, j in pairs:
+                got = carath.second_coeff(member, i, j, carath.MIXED)
+                assert abs(got - torus_mixed_coeff(member, i, j)) <= 1e-12
+
+
+def test_mixed_coeff_exact_on_cubic_and_quartic_terms():
+    rng = np.random.default_rng(12)
+    terms = {}
+    for comp in (1, 2, 3):
+        for exps in itertools.product(range(5), repeat=3):
+            if 1 <= sum(exps) <= 4:
+                terms[(comp, exps)] = 0.2 * complex(rng.standard_normal(), rng.standard_normal())
+    f = carath.PolynomialMap(terms, P3)
+    for i, j in itertools.permutations((1, 2, 3), 2):
+        got = carath.second_coeff(f, i, j, carath.MIXED)
+        exps = tuple(1 if k in (i - 1, j - 1) else 0 for k in range(3))
+        assert abs(got - f.coefficient(i, exps)) <= 1e-13
+        assert abs(got - torus_mixed_coeff(f, i, j)) <= 1e-12
+
+
+@pytest.mark.parametrize("dom, pair", [
+    (P2, (1, 2)), (P3, (2, 3)), (SP, (1, 2)), (SP, (1, 3)), (SP, (3, 4)), (E2, (1, 2)),
+])
+def test_mixed_coeff_circles_stay_on_the_torus_bound(dom, pair):
+    seen = []
+
+    def record(Z):
+        seen.append(Z.copy())
+        return Z
+
+    f = carath.BlackBoxMap(record, dom, normalized=True)
+    rho = 0.4
+    carath.second_coeff(f, *pair, carath.MIXED, rho=rho)
+    (points,) = seen
+    assert len(points) == 4 * 64
+    torus_max = np.max(bg.norm(dom, torus_points(dom.n, *pair, rho)[0]))
+    assert np.max(bg.norm(dom, points)) <= torus_max * (1 + 1e-15)
+    for r in (rho, 0.2):
+        on_circles = np.isclose(np.abs(points[:, pair[0] - 1]), r)
+        assert on_circles.sum() == 2 * 64
+        assert np.allclose(np.abs(points[on_circles][:, pair[1] - 1]), r, atol=1e-15)
 
 
 def test_second_coeff_instability_detected():

@@ -49,9 +49,10 @@ def test_report_round_trip(tmp_path):
 # golden reports
 
 #: configs and the reports the package wrote for them before generators were
-#: lowered to arrays (scan, gprime) and before sphere sampling was batched
-#: (certify, flow-check); a change that alters these bytes must say so in
-#: CHANGES.md.  A file is named <subcommand>_<label>.
+#: lowered to arrays (scan) and before sphere sampling was batched (certify,
+#: flow-check); the gprime reports were written once mixed coefficients came
+#: from two circles instead of a 2-torus.  A change that alters these bytes
+#: must say so in CHANGES.md.  A file is named <subcommand>_<label>.
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
@@ -163,6 +164,20 @@ def test_cli_certify_exit_codes(tmp_path):
 def test_cli_usage_error_exit_code(tmp_path):
     code = cli.main(["certify"])  # no seed anywhere
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["flow-check", "shear-commute"])
+def test_cli_zero_samples_is_usage_error(command, tmp_path, capsys):
+    code, out = run_cli(tmp_path, "empty", command, "--seed", "1", "--n", "0")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "usage error: N:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_zero_samples_allowed_where_fixed_maps_are_checked():
+    for experiment in ("scan", "gprime", "certify"):
+        cli.ExperimentConfig(experiment=experiment, seed=1, N=0).validate()
 
 
 def test_cli_instability_exit_code(tmp_path, monkeypatch):
