@@ -1,18 +1,16 @@
 """Holomorphic self-maps of the ball and the image-constraint certifier.
 
 Maps come in three representations: sparse polynomial tables, composite
-expression trees (identity, g(l(z))*z blocks, quadratic monomial terms and
-linear/convex combinations) and black-box evaluators.  All evaluators are
-batched: ``values`` takes an (m, n) array of points.
+generators and black-box evaluators.  All evaluators are batched: ``values``
+takes an (m, n) array of points.
 
-Polynomial tables and composite trees are not evaluated as written: they are
-lowered once to a ``FlatForm``, a linear part (``w0`` times the identity,
-or a matrix ``lin``), one block of
-g(l(z))*z terms per disc function (weights ``W``, functionals ``Lmat``) and
-monomials grouped by degree, so one evaluation is a few array operations
-however many terms the map has.  Black boxes and other nodes without an
-array form (the radial Koebe factor) stay residual leaves evaluated through
-their own ``values``.  The trees remain the wire format.
+A composite generator is held as a ``FlatForm``: a linear part (``w0``
+times the identity, or a matrix ``lin``), one block of g(l(z))*z terms per
+disc function (weights ``W``, functionals ``Lmat``) and monomials grouped
+by degree, so one evaluation is a few array operations however many terms
+the map has.  ``identity_map`` and ``disc_multiple_map`` build the forms of
+the building blocks, and ``convex_combination`` sums forms part by part.  A
+polynomial table is evaluated through the form it lowers to.
 
 ``second_coeff`` extracts the second-order Taylor data at the origin through
 Cauchy integrals discretized as 64-point DFTs on circles (a mixed coefficient
@@ -27,7 +25,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,10 +81,10 @@ def _add(out: Optional[np.ndarray], part: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FlatForm:
-    """A map lowered to arrays:
+    """A map as arrays:
 
         w0 * Z  (or Z @ lin.T)  + sum_g (g(Z @ Lmat.T) @ W)[:, None] * Z
-        + monomials(Z) + sum_k w_k leaf_k(Z)
+        + monomials(Z)
 
     A linear part that is a multiple of the identity, as in every generator
     the scans sample, is kept as the scalar ``w0``: an elementwise product
@@ -95,15 +93,13 @@ class FlatForm:
     ``disc`` holds one (g, Lmat (k, n), W (k,)) block per disc function.
     ``monomials`` holds the terms of degree != 1, one group per degree d:
     (idx (T, d) variable indices, coef (T,), comp (T,) output components).
-    ``residual`` holds (weight, values, jacobian_batch) of leaves without an
-    array form.  Absent parts are skipped; every temporary is O(m * (n + T)).
+    Absent parts are skipped; every temporary is O(m * (n + T)).
     """
 
     w0: Optional[complex]
     lin: Optional[np.ndarray]
     disc: Tuple[Tuple[df.DiscFunction, np.ndarray, np.ndarray], ...]
     monomials: Tuple[Tuple[np.ndarray, np.ndarray, Tuple[int, ...]], ...]
-    residual: Tuple[Tuple[complex, Callable, Callable], ...]
 
     def values(self, Z: np.ndarray) -> np.ndarray:
         out = None
@@ -120,9 +116,6 @@ class FlatForm:
             # column by column: a scatter matmul would add an (m, n) temporary
             for t, c in enumerate(comp):
                 out[:, c] += terms[:, t]
-        for w, values, _ in self.residual:
-            # a leaf may hand back an array it still holds: never sum into it
-            out = _add(out, w * values(Z) if w != 1 else np.array(values(Z)))
         return np.zeros_like(Z) if out is None else out
 
     def jacobian_batch(self, Z: np.ndarray) -> np.ndarray:
@@ -144,20 +137,18 @@ class FlatForm:
             for p in range(idx.shape[1]):
                 part = _products(Z, np.delete(idx, p, axis=1)) * coef
                 flat += part @ np.eye(n * n, dtype=complex)[comp * n + idx[:, p]]
-        for w, _, jacobian in self.residual:
-            J += w * jacobian(Z)
         return J
 
 
 class _Lowering:
-    """Collects the weighted pieces of a map into the parts of a FlatForm."""
+    """Sums weighted polynomial tables and forms into the parts of one
+    FlatForm, term by term in the order they are added."""
 
-    def __init__(self, dom: bg.BallGeometry):
-        self.dom = dom
-        self.lin = np.zeros((dom.n, dom.n), dtype=complex)
-        self.disc: dict = {}    # g -> [(weight, functional coefficients)]
+    def __init__(self, n: int):
+        self.n = n
+        self.lin = np.zeros((n, n), dtype=complex)
+        self.disc: dict = {}    # g -> [(functional rows, weights)]
         self.terms: dict = {}   # (component, sorted variable indices) -> coefficient
-        self.residual: list = []
 
     def add_term(self, comp: int, idx: Tuple[int, ...], c: complex) -> None:
         if len(idx) == 1:
@@ -170,36 +161,21 @@ class _Lowering:
             idx = tuple(k for k, e in enumerate(exps) for _ in range(e))
             self.add_term(comp - 1, idx, w * c)
 
-    def add_map(self, f: "HolMap", w: complex) -> None:
-        if isinstance(f, PolynomialMap):
-            self.add_table(f.terms, w)
-        elif isinstance(f, CompositeMap):
-            self.add_node(f.node, w)
-        else:
-            self.residual.append((w, f.values, f.jacobian_batch))
-
-    def add_node(self, node, w: complex) -> None:
-        if isinstance(node, LinearCombo):
-            for cw, child in zip(node.weights, node.children):
-                self.add_node(child, w * cw)
-        elif isinstance(node, Identity):
-            self.lin += w * np.eye(self.dom.n)
-        elif isinstance(node, DiscMultiple):
-            self.disc.setdefault(node.g, []).append((w, node.functional.coeffs))
-        elif isinstance(node, MonomialShear):
-            self.add_term(node.i - 1, (node.j - 1, node.j - 1), w * node.c)
-        elif isinstance(node, Wrapped):
-            self.add_map(node.map, w)
-        else:
-            # a registered node with its own evaluator, e.g. the radial Koebe factor
-            dom = self.dom
-            self.residual.append((w, lambda Z: node.values(Z, dom),
-                                  lambda Z: node.jacobian_batch(Z, dom)))
+    def add_form(self, form: FlatForm, w: complex) -> None:
+        if form.w0 is not None:
+            self.lin += w * form.w0 * np.eye(self.n)
+        elif form.lin is not None:
+            self.lin += w * form.lin
+        for g, lmat, W in form.disc:
+            self.disc.setdefault(g, []).append((lmat, w * W))
+        for idx, coef, comp in form.monomials:
+            for key, c, i in zip(idx.tolist(), coef, comp):
+                self.add_term(i, tuple(key), w * c)
 
     def form(self) -> FlatForm:
-        n = self.dom.n
-        disc = tuple((g, np.array([c for _, c in blocks], dtype=complex).reshape(-1, n),
-                      np.array([w for w, _ in blocks], dtype=complex))
+        n = self.n
+        disc = tuple((g, np.concatenate([lmat for lmat, _ in blocks]),
+                      np.concatenate([w for _, w in blocks]))
                      for g, blocks in self.disc.items())
         by_degree: dict = {}
         for (comp, idx), c in self.terms.items():
@@ -215,7 +191,7 @@ class _Lowering:
             lin, w0 = None, (w0 or None)
         else:
             w0 = None
-        return FlatForm(w0, lin, disc, tuple(monomials), tuple(self.residual))
+        return FlatForm(w0, lin, disc, tuple(monomials))
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +235,7 @@ class PolynomialMap(HolMap):
     def form(self) -> FlatForm:
         if self.terms != self._lowered_terms:
             self._lowered_terms = dict(self.terms)
-            lowering = _Lowering(self.domain)
+            lowering = _Lowering(self.domain.n)
             lowering.add_table(self.terms, 1.0)
             self._form = lowering.form()
         return self._form
@@ -310,21 +286,15 @@ class BlackBoxMap(HolMap):
 
 
 class CompositeMap(HolMap):
-    """Expression-tree map, lowered to a FlatForm at construction.
+    """A generator held as its array form: a combination of the identity,
+    g(l(z))*z blocks and polynomial terms, evaluated through ``form``."""
 
-    The tree (``node``) is kept for ``describe`` and the wire format; maps
-    wrapped in it are read once, so edit a polynomial's terms before
-    wrapping it, not after.
-    """
-
-    def __init__(self, node, domain: bg.BallGeometry, normalized: bool = False, label: str = ""):
-        self.node = node
+    def __init__(self, form: FlatForm, domain: bg.BallGeometry, normalized: bool = False,
+                 label: str = ""):
+        self.form = form
         self.domain = domain
         self.normalized = normalized
         self.label = label
-        lowering = _Lowering(domain)
-        lowering.add_node(node, 1.0)
-        self.form = lowering.form()
 
     def values(self, Z):
         return self.form.values(np.asarray(Z, dtype=complex))
@@ -333,104 +303,40 @@ class CompositeMap(HolMap):
         return self.form.jacobian_batch(np.asarray(Z, dtype=complex))
 
     def describe(self):
-        return self.label or self.node.describe()
-
-
-def _cplx(value: complex) -> dict:
-    return {"re": float(value.real), "im": float(value.imag)}
-
-
-def _uncplx(payload: dict) -> complex:
-    return complex(payload["re"], payload["im"])
-
-
-@dataclass(frozen=True)
-class Identity:
-    def describe(self):
-        return "identity"
-
-    def to_json(self):
-        return {"node": "identity"}
-
-
-@dataclass(frozen=True)
-class DiscMultiple:
-    """z -> g(l(z)) * z for a disc function g and a norm-one functional l."""
-
-    g: df.DiscFunction
-    functional: bg.LinearFunctional
-
-    def describe(self):
-        return f"{df.describe(self.g)}(l(z))*z"
-
-    def to_json(self):
-        return {"node": "disc_multiple", "g": df.to_json(self.g),
-                "coeffs": [_cplx(c) for c in self.functional.coeffs]}
-
-
-@dataclass(frozen=True)
-class MonomialShear:
-    """z -> c * z_j^2 * e_i (1-based indices)."""
-
-    c: complex
-    i: int
-    j: int
-
-    def describe(self):
-        return f"{self.c:g}*z_{self.j}^2*e_{self.i}"
-
-    def to_json(self):
-        return {"node": "monomial_shear", "c": _cplx(self.c), "i": self.i, "j": self.j}
-
-
-@dataclass(frozen=True)
-class Wrapped:
-    """Adapter putting an arbitrary HolMap under a composite node."""
-
-    map: HolMap
-
-    def describe(self):
-        return self.map.describe()
-
-    def to_json(self):
-        return {"node": "wrapped", "map": map_to_json(self.map)}
-
-
-@dataclass(frozen=True)
-class LinearCombo:
-    """Weighted sum of child nodes; covers sums, scalar multiples and convex
-    combinations."""
-
-    weights: Tuple[complex, ...]
-    children: Tuple
-
-    def describe(self):
-        inner = ", ".join(c.describe() for c in self.children)
-        return f"combo[{inner}]"
-
-    def to_json(self):
-        return {"node": "combo", "weights": [_cplx(w) for w in self.weights],
-                "children": [child.to_json() for child in self.children]}
+        return self.label or "composite"
 
 
 def identity_map(dom: bg.BallGeometry) -> CompositeMap:
-    return CompositeMap(Identity(), dom, normalized=True, label="identity")
+    return CompositeMap(FlatForm(1.0 + 0.0j, None, (), ()), dom, normalized=True,
+                        label="identity")
 
 
 def disc_multiple_map(g: df.DiscFunction, functional: bg.LinearFunctional,
                       dom: bg.BallGeometry) -> CompositeMap:
-    node = DiscMultiple(g, functional)
-    return CompositeMap(node, dom, normalized=True, label=node.describe())
+    """z -> g(l(z)) * z for a disc function g and a norm-one functional l."""
+    block = (g, np.array([functional.coeffs], dtype=complex), np.ones(1, dtype=complex))
+    return CompositeMap(FlatForm(None, None, (block,), ()), dom, normalized=True,
+                        label=f"{df.describe(g)}(l(z))*z")
 
 
 def convex_combination(maps: Sequence[HolMap], weights: Sequence[float]) -> CompositeMap:
-    """Convex combination of normalized maps (itself normalized)."""
+    """Convex combination of normalized maps (itself normalized), summed
+    part by part from the maps' array forms."""
     weights = np.asarray(weights, dtype=float)
+    if len(maps) != len(weights):
+        raise DomainError(f"{len(maps)} maps but {len(weights)} weights")
     if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
         raise DomainError("weights must be nonnegative and sum to 1")
     dom = maps[0].domain
-    node = LinearCombo(tuple(complex(w) for w in weights), tuple(Wrapped(m) for m in maps))
-    return CompositeMap(node, dom, normalized=all(m.normalized for m in maps))
+    if any(m.domain != dom for m in maps):
+        raise DomainError("maps of a combination must share one domain")
+    lowering = _Lowering(dom.n)
+    for m, w in zip(maps, weights):
+        if not isinstance(m, (PolynomialMap, CompositeMap)):
+            raise UnsupportedError(f"{m.describe()} has no array form")
+        lowering.add_form(m.form, complex(w))
+    return CompositeMap(lowering.form(), dom, normalized=all(m.normalized for m in maps),
+                        label=f"combo[{', '.join(m.describe() for m in maps)}]")
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +690,7 @@ def random_Mg_member(g: df.DiscFunction, dom: bg.BallGeometry,
     for _ in range(k):
         kind = int(rng.integers(3))
         if kind == 0 or not pairs:
-            blocks.append(Identity())
+            blocks.append(identity_map(dom))
         elif kind == 1:
             while True:
                 u = bg.sample_sphere(dom, rng)
@@ -793,66 +699,16 @@ def random_Mg_member(g: df.DiscFunction, dom: bg.BallGeometry,
                     break
                 except DegenerateFunctionalError:
                     continue
-            blocks.append(DiscMultiple(g, functional))
+            blocks.append(disc_multiple_map(g, functional, dom))
         else:
             i, j = pairs[int(rng.integers(len(pairs)))]
             sign = 1 if rng.random() < 0.5 else -1
-            blocks.append(Wrapped(canonical_field(g, dom, i, j, sign)))
-    weights = tuple(complex(w) for w in rng.dirichlet(np.ones(k)))
-    node = LinearCombo(weights, tuple(blocks))
-    return CompositeMap(node, dom, normalized=True, label=node.describe())
+            blocks.append(canonical_field(g, dom, i, j, sign))
+    return convex_combination(blocks, rng.dirichlet(np.ones(k)))
 
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-#: decoders for composite-node payloads; other modules may register more
-NODE_DECODERS = {}
-
-
-def _decode_node(payload: dict, dom: bg.BallGeometry):
-    kind = payload["node"]
-    if kind == "identity":
-        return Identity()
-    if kind == "disc_multiple":
-        functional = bg.LinearFunctional(tuple(_uncplx(c) for c in payload["coeffs"]))
-        return DiscMultiple(df.from_json(payload["g"]), functional)
-    if kind == "monomial_shear":
-        return MonomialShear(_uncplx(payload["c"]), int(payload["i"]), int(payload["j"]))
-    if kind == "wrapped":
-        return Wrapped(map_from_json(payload["map"], dom))
-    if kind == "combo":
-        children = tuple(_decode_node(c, dom) for c in payload["children"])
-        return LinearCombo(tuple(_uncplx(w) for w in payload["weights"]), children)
-    if kind in NODE_DECODERS:
-        return NODE_DECODERS[kind](payload, dom)
-    raise UnsupportedError(f"unknown composite node {kind!r}")
-
-
-def map_to_json(f: HolMap) -> dict:
-    """Wire format for polynomial and composite maps (black boxes do not
-    serialize)."""
-    if isinstance(f, PolynomialMap):
-        return {"representation": "polynomial", "terms": poly_to_json(f),
-                "normalized": f.normalized, "label": f.label}
-    if isinstance(f, CompositeMap):
-        return {"representation": "composite", "node": f.node.to_json(),
-                "normalized": f.normalized, "label": f.label}
-    raise UnsupportedError(f"{f.describe()} has no serializable representation")
-
-
-def map_from_json(payload: dict, dom: bg.BallGeometry) -> HolMap:
-    rep = payload["representation"]
-    if rep == "polynomial":
-        f = poly_from_json(payload["terms"], dom)
-        f.label = payload.get("label", "")
-        return f
-    if rep == "composite":
-        return CompositeMap(_decode_node(payload["node"], dom), dom,
-                            normalized=bool(payload.get("normalized", False)),
-                            label=payload.get("label", ""))
-    raise UnsupportedError(f"unknown map representation {rep!r}")
 
 
 def poly_to_json(f: PolynomialMap) -> list:

@@ -352,42 +352,36 @@ def growth_constant(g: df.DiscFunction) -> float:
     return best
 
 
-@dataclass(frozen=True)
-class KoebeRadialFactor:
-    """Composite node z -> (b(z_1)/z_1) * z built on the radial transform."""
+class KoebeRadialMap(carath.HolMap):
+    """The normalized map z -> (b(z_1)/z_1) * z built on the radial transform."""
 
-    g: df.DiscFunction
+    def __init__(self, g: df.DiscFunction, domain: bg.BallGeometry):
+        self.g = g
+        self.domain = domain
+        self.normalized = True
 
-    def values(self, Z, dom):
-        factor = _koebe_factor(self.g, Z[:, 0])
-        return factor[:, None] * Z
+    def values(self, Z):
+        Z = np.asarray(Z, dtype=complex)
+        return _koebe_factor(self.g, Z[:, 0])[:, None] * Z
 
-    def jacobian_batch(self, Z, dom):
+    def jacobian_batch(self, Z):
+        Z = np.asarray(Z, dtype=complex)
         zeta = Z[:, 0]
         factor = _koebe_factor(self.g, zeta)
         gv = df._eval_raw(self.g, zeta)
         small = np.abs(zeta) < 1e-6
         safe = np.where(small, 1.0, zeta)
         slope = factor * (1.0 - gv) / (safe * gv)
-        gp0 = df.g_prime0(self.g)
-        slope = np.where(small, -gp0 * factor, slope)
-        eye = np.eye(dom.n, dtype=complex)
-        e1 = np.zeros(dom.n, dtype=complex)
-        e1[0] = 1.0
-        return factor[:, None, None] * eye + slope[:, None, None] * (Z[:, :, None] * e1[None, None, :])
+        slope = np.where(small, -df.g_prime0(self.g) * factor, slope)
+        J = factor[:, None, None] * np.eye(self.domain.n, dtype=complex)
+        J[:, :, 0] += slope[:, None] * Z
+        return J
 
     def describe(self):
         return f"(b(z_1)/z_1)*z for {df.describe(self.g)}"
 
-    def to_json(self):
-        return {"node": "koebe_radial", "g": df.to_json(self.g)}
 
-
-carath.NODE_DECODERS["koebe_radial"] = lambda payload, dom: KoebeRadialFactor(
-    df.from_json(payload["g"]))
-
-
-def unbounded_support_map(g: df.DiscFunction, dom: bg.BallGeometry) -> carath.CompositeMap:
+def unbounded_support_map(g: df.DiscFunction, dom: bg.BallGeometry) -> KoebeRadialMap:
     """The radial map z -> (b(z_1)/z_1) z; it maximizes the diagonal
     second-coefficient functional yet is unbounded near z_1 = 1.
 
@@ -407,19 +401,76 @@ def unbounded_support_map(g: df.DiscFunction, dom: bg.BallGeometry) -> carath.Co
         raise DomainError(
             f"{df.describe(g)} violates the decay hypothesis g(rho) = O(1-rho) as rho -> 1"
         )
-    node = KoebeRadialFactor(g)
-    return carath.CompositeMap(node, dom, normalized=True, label=node.describe())
+    return KoebeRadialMap(g, dom)
 
 
 # ---------------------------------------------------------------------------
-# serialization and trajectory export
+# map and schedule wire formats, trajectory export
+
+
+def _cplx(values) -> list:
+    return [{"re": float(v.real), "im": float(v.imag)} for v in values]
+
+
+def _uncplx(payload: list) -> np.ndarray:
+    return np.array([complex(v["re"], v["im"]) for v in payload], dtype=complex)
+
+
+def map_to_json(f: carath.HolMap) -> dict:
+    """Wire format of polynomial, composite and radial maps: polynomial
+    terms, the arrays of a composite form, or the g of the radial map (black
+    boxes do not serialize)."""
+    if isinstance(f, carath.PolynomialMap):
+        return {"representation": "polynomial", "terms": carath.poly_to_json(f),
+                "normalized": f.normalized, "label": f.label}
+    if isinstance(f, KoebeRadialMap):
+        return {"representation": "koebe_radial", "g": df.to_json(f.g)}
+    if not isinstance(f, carath.CompositeMap):
+        raise UnsupportedError(f"{f.describe()} has no serializable representation")
+    form = f.form
+    return {
+        "representation": "composite",
+        "w0": None if form.w0 is None else _cplx([form.w0])[0],
+        "lin": None if form.lin is None else [_cplx(row) for row in form.lin],
+        "disc": [{"g": df.to_json(g), "functionals": [_cplx(row) for row in lmat],
+                  "weights": _cplx(w)} for g, lmat, w in form.disc],
+        "monomials": [{"indices": idx.tolist(),
+                       "coefficients": _cplx(coef), "components": list(comp)}
+                      for idx, coef, comp in form.monomials],
+        "normalized": f.normalized,
+        "label": f.label,
+    }
+
+
+def map_from_json(payload: dict, dom: bg.BallGeometry) -> carath.HolMap:
+    rep = payload["representation"]
+    if rep == "polynomial":
+        f = carath.poly_from_json(payload["terms"], dom)
+        f.label = payload.get("label", "")
+        return f
+    if rep == "koebe_radial":
+        return KoebeRadialMap(df.from_json(payload["g"]), dom)
+    if rep != "composite":
+        raise UnsupportedError(f"unknown map representation {rep!r}")
+    w0 = payload["w0"]
+    disc = tuple((df.from_json(block["g"]),
+                  np.array([_uncplx(row) for row in block["functionals"]]),
+                  _uncplx(block["weights"])) for block in payload["disc"])
+    monomials = tuple((np.array(group["indices"], dtype=int), _uncplx(group["coefficients"]),
+                       tuple(group["components"])) for group in payload["monomials"])
+    form = carath.FlatForm(None if w0 is None else complex(w0["re"], w0["im"]),
+                           None if payload["lin"] is None
+                           else np.array([_uncplx(row) for row in payload["lin"]]),
+                           disc, monomials)
+    return carath.CompositeMap(form, dom, normalized=bool(payload.get("normalized", False)),
+                               label=payload.get("label", ""))
 
 
 def field_to_json(field: HerglotzField) -> dict:
     """Wire format of a schedule: breakpoints plus map payloads."""
     out = {
         "times": [float(t) for t in field.times],
-        "maps": [carath.map_to_json(m) for m in field.maps],
+        "maps": [map_to_json(m) for m in field.maps],
         "g": df.to_json(field.g),
         "domain": bg.to_json(field.domain),
         "horizon": float(field.horizon),
@@ -431,7 +482,7 @@ def field_to_json(field: HerglotzField) -> dict:
 
 def field_from_json(payload: dict) -> HerglotzField:
     dom = bg.from_json(payload["domain"])
-    maps = tuple(carath.map_from_json(m, dom) for m in payload["maps"])
+    maps = tuple(map_from_json(m, dom) for m in payload["maps"])
     return HerglotzField(
         tuple(float(t) for t in payload["times"]),
         maps,

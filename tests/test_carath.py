@@ -11,6 +11,7 @@ from loewner_lab.errors import (
     DomainError,
     NumericalInstabilityError,
     ReducedPrecisionWarning,
+    UnsupportedError,
 )
 
 P2 = bg.polydisc(2)
@@ -479,37 +480,36 @@ def test_certified_member_full_scale_coefficient_bound():
 
 
 # ---------------------------------------------------------------------------
-# the lowered array form against the block definitions
+# the array form against the block definitions
 
 
-def reference_values(f, Z):
-    """f(Z) summed block by block from the definitions: w*z for the identity,
-    w*g(l(z))*z for a disc multiple, w*c*z^e*e_i for each term of a
-    polynomial table; other leaves through their own values."""
-
-    def of_node(node, w):
-        if isinstance(node, carath.LinearCombo):
-            return sum(of_node(child, w * cw) for cw, child in zip(node.weights, node.children))
-        if isinstance(node, carath.Identity):
-            return w * Z
-        if isinstance(node, carath.DiscMultiple):
-            lz = Z @ np.asarray(node.functional.coeffs)
-            return w * df.evaluate(node.g, lz)[:, None] * Z
-        if isinstance(node, carath.Wrapped):
-            return of_map(node.map, w)
-        return w * node.values(Z, f.domain)
-
-    def of_map(m, w):
-        if isinstance(m, carath.PolynomialMap):
-            out = np.zeros_like(Z)
-            for (comp, exps), c in m.terms.items():
-                out[:, comp - 1] += w * c * np.prod(Z ** np.array(exps), axis=1)
-            return out
-        if isinstance(m, carath.CompositeMap):
-            return of_node(m.node, w)
-        return w * m.values(Z)
-
-    return of_map(f, 1.0)
+def reference_values(f, Z, parts=None):
+    """f(Z) summed term by term from the definitions.  A combination given
+    by its (weight, child) ``parts`` is sum_k w_k * reference(child); a
+    polynomial table adds c*z^e*e_i per term; a composite form adds w0*z (or
+    lin @ z), w*g(l(z))*z per functional row and c*prod(z^e)*e_i per
+    monomial."""
+    if parts is not None:
+        return sum(w * reference_values(child, Z) for w, child in parts)
+    n = Z.shape[1]
+    out = np.zeros_like(Z)
+    if isinstance(f, carath.PolynomialMap):
+        for (comp, exps), c in f.terms.items():
+            out[:, comp - 1] += c * np.prod(Z ** np.array(exps), axis=1)
+        return out
+    form = f.form
+    if form.w0 is not None:
+        out += form.w0 * Z
+    if form.lin is not None:
+        for a, b in itertools.product(range(n), repeat=2):
+            out[:, a] += form.lin[a, b] * Z[:, b]
+    for g, lmat, weights in form.disc:
+        for row, w in zip(lmat, weights):
+            out += w * df.evaluate(g, Z @ row)[:, None] * Z
+    for idx, coef, comp in form.monomials:
+        for vars_, c, i in zip(idx, coef, comp):
+            out[:, i] += c * np.prod(Z ** np.bincount(vars_, minlength=n), axis=1)
+    return out
 
 
 LOWERING_CASES = [(P2, df.moebius()), (E2, df.starlike_order(0.3)),
@@ -518,6 +518,8 @@ LOWERING_IDS = ["polydisc2", "euclidean2", "spectral2"]
 
 
 def lowered_maps(dom, g, rng):
+    """(map, parts) pairs: parts lists a combination's (weight, child)
+    pairs, None for any other map."""
     i, j = dom.frame_coords[:2] if dom.rank >= 2 else (1, 2)
     canonical = carath.canonical_field(g, dom, i, j, -1)
     members = [carath.random_Mg_member(g, dom, rng, 6) for _ in range(3)]
@@ -525,16 +527,23 @@ def lowered_maps(dom, g, rng):
                                   (2, (0, 1) + (0,) * (dom.n - 2)): 1.0,
                                   (1, (2, 1) + (0,) * (dom.n - 2)): 0.3 - 0.2j,
                                   (2, (0,) * dom.n): 0.05}, dom)
-    return [canonical, *members, cubic,
-            carath.convex_combination([canonical, members[0]], [0.4, 0.6])]
+    functional = bg.support_functionals(dom, bg.sample_sphere(dom, rng))[0]
+    blocks = [carath.identity_map(dom), carath.disc_multiple_map(g, functional, dom),
+              canonical, cubic]
+    combos = [([0.4, 0.6], [canonical, members[0]]),
+              ([0.2, 0.5, 0.3], blocks[:3]),
+              ([0.1, 0.6, 0.3], [members[1], cubic, members[2]])]
+    plain = [(f, None) for f in [*blocks, *members]]
+    return plain + [(carath.convex_combination(maps, w), list(zip(w, maps)))
+                    for w, maps in combos]
 
 
 @pytest.mark.parametrize("dom,g", LOWERING_CASES, ids=LOWERING_IDS)
 def test_lowered_values_match_block_sums(dom, g):
     rng = np.random.default_rng(31)
     Z = np.stack([bg.sample_sphere(dom, rng) * rng.uniform(0.05, 0.7) for _ in range(40)])
-    for f in lowered_maps(dom, g, rng):
-        ref = reference_values(f, Z)
+    for f, parts in lowered_maps(dom, g, rng):
+        ref = reference_values(f, Z, parts)
         assert np.all(np.abs(f.values(Z) - ref) <= 1e-14 * (1.0 + np.abs(ref))), f.describe()
 
 
@@ -542,26 +551,51 @@ def test_lowered_values_match_block_sums(dom, g):
 def test_lowered_jacobians_match_black_box_differences(dom, g):
     rng = np.random.default_rng(32)
     Z = np.stack([bg.sample_sphere(dom, rng) * rng.uniform(0.05, 0.7) for _ in range(8)])
-    for f in lowered_maps(dom, g, rng):
+    for f, _ in lowered_maps(dom, g, rng):
         boxed = carath.BlackBoxMap(f.values, dom)
         assert np.allclose(f.jacobian_batch(Z), boxed.jacobian_batch(Z), atol=1e-8), f.describe()
 
 
-def test_residual_leaves_keep_their_own_evaluators():
+def test_combination_label_and_building_blocks():
     g = df.moebius()
-    rng = np.random.default_rng(33)
-    member = carath.random_Mg_member(g, P2, rng, 3)
+    functional = coordinate_functional(P2, 2)
+    canonical = carath.canonical_field(g, P2, 1, 2, +1)
+    mix = carath.convex_combination(
+        [carath.identity_map(P2), carath.disc_multiple_map(g, functional, P2), canonical],
+        [0.25, 0.25, 0.5])
+    assert mix.describe() == f"combo[identity, {df.describe(g)}(l(z))*z, {canonical.describe()}]"
+    assert mix.normalized
+    form = mix.form
+    assert form.w0 == 0.75 and form.lin is None
+    (block_g, lmat, weights), = form.disc
+    assert block_g == g and np.array_equal(lmat, [functional.coeffs])
+    assert np.array_equal(weights, [0.25])
+    (idx, coef, comp), = form.monomials
+    assert idx.tolist() == [[1, 1]] and comp == (0,)
+    assert coef[0] == 0.5 * canonical.coefficient(1, (0, 2))
+
+
+def test_convex_combination_needs_one_weight_per_map():
+    g = df.moebius()
+    a, b, c = (carath.identity_map(P2), carath.canonical_field(g, P2, 1, 2, +1),
+               carath.canonical_field(g, P2, 2, 1, -1))
+    with pytest.raises(DomainError):
+        carath.convex_combination([a, b, c], [0.5, 0.5])
+    with pytest.raises(DomainError):
+        carath.convex_combination([a], [0.5, 0.5])
+
+
+def test_convex_combination_needs_one_domain():
+    with pytest.raises(DomainError):
+        carath.convex_combination([carath.identity_map(P2), carath.identity_map(E2)],
+                                  [0.5, 0.5])
+
+
+def test_convex_combination_needs_array_forms():
+    g = df.moebius()
     boxed = carath.BlackBoxMap(carath.canonical_field(g, P2, 1, 2, +1).values, P2,
                                normalized=True)
-    radial = lf.unbounded_support_map(g, P2)
-    Z = np.stack([bg.sample_sphere(P2, rng) * rng.uniform(0.05, 0.5) for _ in range(8)])
-    for f in (carath.convex_combination([member, boxed], [0.3, 0.7]), radial):
-        ref = reference_values(f, Z)
-        assert np.all(np.abs(f.values(Z) - ref) <= 1e-14 * (1.0 + np.abs(ref)))
-        fd = carath.BlackBoxMap(f.values, P2).jacobian_batch(Z)
-        assert np.allclose(f.jacobian_batch(Z), fd, atol=1e-6)
-    # the array a leaf hands back (here the input itself) is never summed into
-    echo = carath.Wrapped(carath.BlackBoxMap(lambda Y: Y, P2))
-    twice = carath.CompositeMap(carath.LinearCombo((1.0, 1.0), (echo, echo)), P2)
-    Zc = Z.copy()
-    assert np.array_equal(twice.values(Z), 2.0 * Zc) and np.array_equal(Z, Zc)
+    with pytest.raises(UnsupportedError):
+        carath.convex_combination([carath.identity_map(P2), boxed], [0.3, 0.7])
+    with pytest.raises(UnsupportedError):
+        carath.convex_combination([lf.unbounded_support_map(g, P2)], [1.0])

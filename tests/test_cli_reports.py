@@ -51,8 +51,11 @@ def test_report_round_trip(tmp_path):
 #: configs and the reports the package wrote for them before generators were
 #: lowered to arrays (scan) and before sphere sampling was batched (certify,
 #: flow-check); the gprime reports were written once mixed coefficients came
-#: from two circles instead of a 2-torus.  A change that alters these bytes
-#: must say so in CHANGES.md.  A file is named <subcommand>_<label>.
+#: from two circles instead of a 2-torus, and the shear-commute and
+#: unbounded-growth reports before composite generators stopped being node
+#: trees (they pin the sheared random members and the radial map).  A change
+#: that alters these bytes must say so in CHANGES.md.  A file is named
+#: <subcommand>_<label>.
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
 

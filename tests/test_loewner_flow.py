@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -342,6 +344,18 @@ def test_unbounded_support_map_decay_precondition():
             df.DiscFunction(df.CUSTOM, evaluator=lambda z: 1 + 0 * z), E2)
 
 
+def test_radial_map_values_and_jacobian():
+    g = df.moebius()
+    rng = np.random.default_rng(33)
+    radial = lf.unbounded_support_map(g, P2)
+    assert isinstance(radial, lf.KoebeRadialMap) and radial.normalized
+    Z = np.stack([bg.sample_sphere(P2, rng) * rng.uniform(0.05, 0.5) for _ in range(8)])
+    ref = (lf.koebe_transform(g, Z[:, 0]) / Z[:, 0])[:, None] * Z
+    assert np.all(np.abs(radial.values(Z) - ref) <= 1e-14 * (1.0 + np.abs(ref)))
+    fd = carath.BlackBoxMap(radial.values, P2).jacobian_batch(Z)
+    assert np.allclose(radial.jacobian_batch(Z), fd, atol=1e-6)
+
+
 def test_unbounded_support_map_is_starlike():
     g = df.moebius()
     fmap = lf.unbounded_support_map(g, P2)
@@ -402,16 +416,30 @@ def test_field_json_round_trip():
 def test_unbounded_map_json_round_trip():
     g = df.moebius()
     fmap = lf.unbounded_support_map(g, E2)
-    back = carath.map_from_json(carath.map_to_json(fmap), E2)
+    back = lf.map_from_json(lf.map_to_json(fmap), E2)
     Z = np.array([[0.5, 0.2j], [0.0, 0.7]], dtype=complex)
     assert np.allclose(back.values(Z), fmap.values(Z), atol=1e-14)
+
+
+@pytest.mark.parametrize("dom,g", [(bg.polydisc(3), df.moebius()),
+                                   (E2, df.starlike_order(0.3)),
+                                   (bg.spectral2(), df.strongly_starlike(0.5))],
+                         ids=["polydisc3", "euclidean2", "spectral2"])
+def test_member_json_round_trip_is_exact(dom, g):
+    rng = np.random.default_rng(16)
+    Z = bg.sample_sphere(dom, rng, 32) * rng.uniform(0.05, 0.9, 32)[:, None]
+    for k in (1, 3, 6):
+        member = carath.random_Mg_member(g, dom, rng, k)
+        back = lf.map_from_json(json.loads(json.dumps(lf.map_to_json(member))), dom)
+        assert back.describe() == member.describe() and back.normalized
+        assert np.array_equal(back.values(Z), member.values(Z))
 
 
 def test_black_box_does_not_serialize():
     field = identity_field(P2)
     fmap = lf.parametric_holmap(field)
     with pytest.raises(UnsupportedError):
-        carath.map_to_json(fmap)
+        lf.map_to_json(fmap)
 
 
 def test_flow_aborts_on_norm_growth():
