@@ -10,7 +10,8 @@ disc function (weights ``W``, functionals ``Lmat``) and monomials grouped
 by degree, so one evaluation is a few array operations however many terms
 the map has.  ``identity_map`` and ``disc_multiple_map`` build the forms of
 the building blocks, and ``convex_combination`` sums forms part by part.  A
-polynomial table is evaluated through the form it lowers to.
+polynomial table is evaluated through the form it lowers to.  The exact
+degree-2 part of a form is read off its arrays (``FlatForm.quadratic``).
 
 ``second_coeff`` extracts the second-order Taylor data at the origin through
 Cauchy integrals discretized as 64-point DFTs on circles (a mixed coefficient
@@ -138,6 +139,25 @@ class FlatForm:
                 part = _products(Z, np.delete(idx, p, axis=1)) * coef
                 flat += part @ np.eye(n * n, dtype=complex)[comp * n + idx[:, p]]
         return J
+
+    def quadratic(self, n: int) -> np.ndarray:
+        """The degree-2 part as an (n, n, n) array: Q[c, a, b] (a <= b) is the
+        coefficient of z_a z_b in component c.
+
+        Read from the arrays: a disc block adds g'(0) (W @ Lmat).z * z, a
+        degree-2 monomial group adds itself; the linear part, constant terms
+        and terms of degree >= 3 add nothing.
+        """
+        Q = np.zeros((n, n, n), dtype=complex)
+        c, a = np.indices((n, n))
+        for g, lmat, w in self.disc:
+            v = df.g_prime0(g) * (w @ lmat)
+            Q[c, np.minimum(a, c), np.maximum(a, c)] += v[a]
+        for idx, coef, comp in self.monomials:
+            if idx.shape[1] == 2:
+                np.add.at(Q, (np.asarray(comp, dtype=int), idx.min(axis=1), idx.max(axis=1)),
+                          coef)
+        return Q
 
 
 class _Lowering:
@@ -399,15 +419,8 @@ def _reconcile(c_main: complex, c_check: complex, what: str) -> complex:
     return c_main
 
 
-def second_coeff_bundle(f: HolMap, requests, rho: float = 0.4, rho_check: float = 0.2) -> dict:
-    """Extract several second-order coefficients from one batched evaluation.
-
-    ``requests`` is an iterable of (i, j, kind).  All circles (128 points per
-    pure axis, 256 per mixed pair) go into a single ``values`` call, which
-    matters for black-box maps whose evaluation integrates an ODE.
-    """
+def _check_requests(requests, n: int) -> list:
     requests = list(requests)
-    n = f.domain.n
     for i, j, kind in requests:
         if kind not in (PURE, MIXED):
             raise DomainError(f"unknown coefficient kind {kind!r}")
@@ -415,6 +428,29 @@ def second_coeff_bundle(f: HolMap, requests, rho: float = 0.4, rho_check: float 
             raise DomainError(f"indices ({i}, {j}) out of range for n = {n}")
         if kind == MIXED and i == j:
             raise DomainError("mixed coefficient needs i != j")
+    return requests
+
+
+def quadratic_coeffs(Q: np.ndarray, requests) -> dict:
+    """The table ``second_coeff_bundle`` returns, read from a quadratic part
+    Q (see ``FlatForm.quadratic``): pure(i, j) is Q[i, j, j] and mixed(i, j)
+    is Q[i, min(i, j), max(i, j)] (1-based indices)."""
+    out = {}
+    for i, j, kind in _check_requests(requests, Q.shape[0]):
+        a, b = (j, j) if kind == PURE else sorted((i, j))
+        out[(i, j, kind)] = complex(Q[i - 1, a - 1, b - 1])
+    return out
+
+
+def second_coeff_bundle(f: HolMap, requests, rho: float = 0.4, rho_check: float = 0.2) -> dict:
+    """Extract several second-order coefficients from one batched evaluation.
+
+    ``requests`` is an iterable of (i, j, kind).  All circles (128 points per
+    pure axis, 256 per mixed pair) go into a single ``values`` call, which
+    matters for black-box maps whose evaluation integrates an ODE.
+    """
+    n = f.domain.n
+    requests = _check_requests(requests, n)
 
     radii = (rho, rho_check)
     m_axis = 64
@@ -557,6 +593,17 @@ class MgCertificate:
                 "margin": float(self.witness["margin"]),
             }
         return out
+
+    @classmethod
+    def from_json(cls, payload: dict) -> "MgCertificate":
+        witness = payload.get("witness")
+        if witness is not None:
+            witness = {"z": np.array([complex(v["re"], v["im"]) for v in witness["z"]]),
+                       "value": complex(witness["value"]["re"], witness["value"]["im"]),
+                       "margin": float(witness["margin"])}
+        return cls(passed=bool(payload["pass"]), samples_used=int(payload["samples_used"]),
+                   worst_margin=float(payload["worst_margin"]), eps=float(payload["eps"]),
+                   witness=witness, n_indeterminate=int(payload["n_indeterminate"]))
 
 
 def structured_torus_points(dom: bg.BallGeometry, radii=TORUS_RADII,

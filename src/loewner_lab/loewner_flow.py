@@ -207,6 +207,28 @@ def parametric_map(field: HerglotzField, z, tol: float = 1e-8, ode_tol: float = 
     return FlowResult(endpoint, None, err_total, t_cur, converged)
 
 
+def parametric_quadratic(field: HerglotzField) -> np.ndarray:
+    """Exact degree-2 part of the parametric limit f = lim e^t v(., 0, t), as
+    the (n, n, n) array of ``carath.FlatForm.quadratic``.
+
+    With h = z + Q_k(z) on [t_k, t_{k+1}) (the last segment runs to
+    infinity), v = e^{-t} z + w with (e^t w)' = -e^{-t} Q_k(z) + O(|z|^3), so
+
+        Q_f = -sum_k (e^{-t_k} - e^{-t_{k+1}}) Q_k.
+
+    Raises ``UnsupportedError`` if a scheduled map has no array form.
+    """
+    n = field.domain.n
+    decay = np.exp(-np.asarray(field.times))
+    weights = decay - np.append(decay[1:], 0.0)
+    Q = np.zeros((n, n, n), dtype=complex)
+    for w, h in zip(weights, field.maps):
+        if not isinstance(h, (carath.PolynomialMap, carath.CompositeMap)):
+            raise UnsupportedError(f"{h.describe()} has no array form")
+        Q -= w * h.form.quadratic(n)
+    return Q
+
+
 def parametric_holmap(field: HerglotzField, tol: float = 1e-8, ode_tol: float = 1e-10,
                       label: str = "") -> carath.BlackBoxMap:
     """The parametric-limit map as a black-box HolMap (normalized by
@@ -446,6 +468,8 @@ def map_from_json(payload: dict, dom: bg.BallGeometry) -> carath.HolMap:
     rep = payload["representation"]
     if rep == "polynomial":
         f = carath.poly_from_json(payload["terms"], dom)
+        # the flag the map carried; re-deriving it from the table can disagree
+        f.normalized = bool(payload["normalized"])
         f.label = payload.get("label", "")
         return f
     if rep == "koebe_radial":
@@ -483,12 +507,14 @@ def field_to_json(field: HerglotzField) -> dict:
 def field_from_json(payload: dict) -> HerglotzField:
     dom = bg.from_json(payload["domain"])
     maps = tuple(map_from_json(m, dom) for m in payload["maps"])
+    certs = payload.get("certificates")
     return HerglotzField(
         tuple(float(t) for t in payload["times"]),
         maps,
         df.from_json(payload["g"]),
         dom,
         float(payload["horizon"]),
+        None if certs is None else tuple(carath.MgCertificate.from_json(c) for c in certs),
     )
 
 

@@ -206,6 +206,74 @@ def test_mixed_coeff_circles_stay_on_the_torus_bound(dom, pair):
         assert np.allclose(np.abs(points[on_circles][:, pair[1] - 1]), r, atol=1e-15)
 
 
+def quadratic_table(f, Q):
+    """(Q[c, a, b], table coefficient of z_a z_b in component c) for all
+    c and a <= b (0-based), and Q below the diagonal a > b."""
+    n = f.domain.n
+    pairs, below = [], []
+    for c, a, b in itertools.product(range(n), repeat=3):
+        if a > b:
+            below.append(Q[c, a, b])
+            continue
+        exps = [0] * n
+        exps[a] += 1
+        exps[b] += 1
+        pairs.append((Q[c, a, b], f.coefficient(c + 1, tuple(exps))))
+    return pairs, below
+
+
+def all_requests(n):
+    return ([(i, j, carath.PURE) for i in range(1, n + 1) for j in range(1, n + 1)]
+            + [(i, j, carath.MIXED) for i, j in itertools.permutations(range(1, n + 1), 2)])
+
+
+def test_quadratic_part_matches_polynomial_table():
+    rng = np.random.default_rng(13)
+    terms = {}
+    for comp in (1, 2, 3):
+        for exps in itertools.product(range(5), repeat=3):
+            if sum(exps) <= 4:
+                terms[(comp, exps)] = 0.2 * complex(rng.standard_normal(), rng.standard_normal())
+    maps = [carath.PolynomialMap(terms, P3)]
+    for dom in (P2, P3, SP, E2):
+        i, j = dom.frame_coords[:2] if dom.rank >= 2 else (1, 2)
+        for g in (df.moebius(), df.starlike_order(0.75), df.strongly_starlike(0.5)):
+            maps += [carath.canonical_field(g, dom, a, b, sign)
+                     for a, b in ((i, j), (j, i)) for sign in (1, -1)]
+    for f in maps:
+        pairs, below = quadratic_table(f, f.form.quadratic(f.domain.n))
+        assert all(abs(got - want) <= 1e-14 for got, want in pairs), f.describe()
+        assert not np.any(below)
+
+
+@pytest.mark.parametrize("dom,g", [(P2, df.moebius()), (P3, df.moebius()),
+                                   (E2, df.starlike_order(0.3)), (SP, df.strongly_starlike(0.5))],
+                         ids=["polydisc2", "polydisc3", "euclidean2", "spectral2"])
+def test_quadratic_part_matches_second_coeff_bundle(dom, g):
+    rng = np.random.default_rng(17)
+    functional = bg.support_functionals(dom, bg.sample_sphere(dom, rng))[0]
+    disc = carath.disc_multiple_map(g, functional, dom)
+    members = [carath.random_Mg_member(g, dom, rng, k) for k in (1, 3, 6)]
+    i, j = dom.frame_coords[:2] if dom.rank >= 2 else (1, 2)
+    canonical = carath.canonical_field(g, dom, i, j, 1)
+    maps = [carath.identity_map(dom), disc, *members,
+            carath.convex_combination([disc, canonical, members[1]], [0.2, 0.5, 0.3]),
+            carath.convex_combination([members[0], members[2]], [0.6, 0.4])]
+    requests = all_requests(dom.n)
+    for f in maps:
+        exact = carath.quadratic_coeffs(f.form.quadratic(dom.n), requests)
+        dft = carath.second_coeff_bundle(f, requests)
+        assert max(abs(exact[key] - dft[key]) for key in requests) <= 1e-10, f.describe()
+
+
+def test_quadratic_coeffs_validates_requests():
+    Q = np.zeros((2, 2, 2), dtype=complex)
+    with pytest.raises(DomainError):
+        carath.quadratic_coeffs(Q, [(1, 1, carath.MIXED)])
+    with pytest.raises(DomainError):
+        carath.quadratic_coeffs(Q, [(1, 3, carath.PURE)])
+
+
 def test_second_coeff_instability_detected():
     def broken(Z):
         out = Z.copy()

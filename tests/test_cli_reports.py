@@ -48,14 +48,15 @@ def test_report_round_trip(tmp_path):
 # ---------------------------------------------------------------------------
 # golden reports
 
-#: configs and the reports the package wrote for them before generators were
-#: lowered to arrays (scan) and before sphere sampling was batched (certify,
-#: flow-check); the gprime reports were written once mixed coefficients came
-#: from two circles instead of a 2-torus, and the shear-commute and
-#: unbounded-growth reports before composite generators stopped being node
-#: trees (they pin the sheared random members and the radial map).  A change
-#: that alters these bytes must say so in CHANGES.md.  A file is named
-#: <subcommand>_<label>.
+#: configs and the reports the package wrote for them before sphere sampling
+#: was batched (certify, flow-check) and before composite generators stopped
+#: being node trees (shear-commute and unbounded-growth: they pin the sheared
+#: random members and the radial map).  The scan and gprime reports were
+#: written once sampled maps took their second coefficients from the exact
+#: oracle, with every 8th sample flowed as a cross-check (the reports' oracle
+#: fields); scan_polydisc_n9 (N = 9) pins that stride: samples 0 and 8 are
+#: cross-checked, samples 1-7 are not.  A change that alters these bytes must
+#: say so in CHANGES.md.  A file is named <subcommand>_<label>.
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
 

@@ -182,3 +182,38 @@ def test_two_radius_disagreement_is_not_resampled(monkeypatch, tmp_path):
     out = tmp_path / "scan.json"
     assert cli.main(["scan", "--seed", "1", "--n", "1", "--out", str(out)]) == 3
     assert cli.parse_report(out)["instability"] is True
+
+
+def test_only_every_eighth_sample_is_flowed(monkeypatch):
+    flowed = []
+    real = carath.second_coeff_bundle
+
+    def bundle(f, requests, **kwargs):
+        if f.describe().startswith("Sg0_sample"):
+            flowed.append(f)
+        return real(f, requests, **kwargs)
+
+    monkeypatch.setattr(carath, "second_coeff_bundle", bundle)
+    report = el.scan_support(df.moebius(), P2, 1, 2, N=9, rng=np.random.default_rng(9),
+                             pieces=2)
+    assert report.passed, report.violations
+    assert len(flowed) == report.oracle_checks == 2
+    assert 0.0 < report.oracle_gap <= el.ORACLE_TOL
+    blob = report.to_json()
+    assert (blob["oracle_checks"], blob["oracle_gap"]) == (2, report.oracle_gap)
+    flowed.clear()
+    report = el.verify_gprime_bounds(df.moebius(), P2, N=2, rng=np.random.default_rng(9))
+    assert len(flowed) == report.oracle_checks == 1
+    empty = el.scan_support(df.moebius(), P2, 1, 2, N=0, rng=np.random.default_rng(9))
+    assert (empty.oracle_checks, empty.oracle_gap) == (0, 0.0)
+
+
+def test_oracle_disagreement_exits_3(monkeypatch, tmp_path, capsys):
+    real = lf.parametric_quadratic
+    monkeypatch.setattr(lf, "parametric_quadratic", lambda field: real(field) + 1e-6)
+    out = tmp_path / "scan.json"
+    assert cli.main(["scan", "--seed", "1", "--n", "1", "--out", str(out)]) == 3
+    report = cli.parse_report(out)
+    assert report["instability"] is True and report["pass"] is False
+    assert "disagree" in report["payload"]["error"]
+    assert "Traceback" not in capsys.readouterr().err

@@ -6,6 +6,7 @@ import pytest
 from loewner_lab import ball_geometry as bg
 from loewner_lab import carath
 from loewner_lab import disc_functions as df
+from loewner_lab import extremal_lab as el
 from loewner_lab import loewner_flow as lf
 from loewner_lab.errors import DomainError, NumericalInstabilityError, UnsupportedError
 
@@ -181,6 +182,43 @@ def test_parametric_disc_multiple_matches_radial_transform():
 
 # ---------------------------------------------------------------------------
 # starlikeness and the chain equation
+
+
+def test_parametric_quadratic_closed_forms():
+    g = df.starlike_order(0.25)
+    h = carath.canonical_field(g, P2, 1, 2, -1)
+    Q_h = h.form.quadratic(2)
+    assert np.array_equal(lf.parametric_quadratic(lf.autonomous_field(h, g, P2)), -Q_h)
+    # the identity on [0, 0.5) leaves only the tail weight e^{-1/2} to h
+    field = lf.HerglotzField((0.0, 0.5), (carath.identity_map(P2), h), g, P2, 1.0)
+    assert np.allclose(lf.parametric_quadratic(field), -np.exp(-0.5) * Q_h, rtol=1e-15)
+    field = lf.HerglotzField((0.0, 0.5), (h, carath.identity_map(P2)), g, P2, 1.0)
+    assert np.allclose(lf.parametric_quadratic(field), -(1 - np.exp(-0.5)) * Q_h, rtol=1e-15)
+
+
+def test_parametric_quadratic_needs_array_forms():
+    g = df.moebius()
+    boxed = carath.BlackBoxMap(lambda Z: Z, P2, normalized=True)
+    field = lf.HerglotzField((0.0, 0.5), (carath.identity_map(P2), boxed), g, P2, 1.0)
+    with pytest.raises(UnsupportedError):
+        lf.parametric_quadratic(field)
+
+
+@pytest.mark.parametrize("dom,g", [(bg.polydisc(2), df.moebius()), (bg.polydisc(3), df.moebius()),
+                                   (E2, df.starlike_order(0.3)),
+                                   (bg.euclidean(3), df.starlike_order(0.3)),
+                                   (bg.spectral2(), df.strongly_starlike(0.5))],
+                         ids=["polydisc2", "polydisc3", "euclidean2", "euclidean3", "spectral2"])
+def test_parametric_quadratic_matches_sampled_flows(dom, g):
+    coords = dom.frame_coords if dom.rank >= 2 else tuple(range(1, dom.n + 1))
+    requests = [(i, j, carath.PURE) for i in coords for j in coords]
+    requests += [(i, j, carath.MIXED) for i in coords for j in coords if i != j]
+    rng = np.random.default_rng(19)
+    for _ in range(2):
+        f = el.sample_Sg0(g, dom, rng, pieces=3)
+        exact = carath.quadratic_coeffs(lf.parametric_quadratic(f.provenance), requests)
+        ode = carath.second_coeff_bundle(f, requests)
+        assert max(abs(exact[key] - ode[key]) for key in requests) <= 1e-7
 
 
 def test_check_starlike_identity_passes():
@@ -411,6 +449,33 @@ def test_field_json_round_trip():
     res_a = lf.parametric_map(field, Z)
     res_b = lf.parametric_map(back, Z)
     assert np.allclose(res_a.endpoint, res_b.endpoint, atol=1e-12)
+
+
+def test_field_json_round_trip_keeps_certificates():
+    g = df.moebius()
+    rng = np.random.default_rng(18)
+    inflated = carath.canonical_field(g, P2, 1, 2, +1)
+    inflated.terms[(1, (0, 2))] *= 1.5
+    field = lf.make_field([carath.random_Mg_member(g, P2, rng, 2), inflated], g, P2, rng=rng)
+    assert [c.passed for c in field.certificates] == [True, False]
+    back = lf.field_from_json(json.loads(json.dumps(lf.field_to_json(field))))
+    assert back.certificates is not None
+    assert [c.to_json() for c in back.certificates] == [c.to_json() for c in field.certificates]
+    witness, original = back.certificates[1].witness, field.certificates[1].witness
+    assert np.array_equal(witness["z"], original["z"])
+    assert witness["value"] == original["value"] and witness["margin"] == original["margin"]
+
+
+def test_polynomial_json_keeps_the_normalized_flag():
+    identity_terms = {(1, (1, 0)): 1.0, (2, (0, 1)): 1.0}
+    plain = carath.PolynomialMap(identity_terms, P2, normalized=False, label="plain")
+    back = lf.map_from_json(lf.map_to_json(plain), P2)
+    assert back.normalized is False and back.label == "plain"
+    assert back.terms == plain.terms
+    # flagged normalized although Df(0) misses I by 1e-6: the flag is read
+    nearly = carath.PolynomialMap({(1, (1, 0)): 1.0 + 1e-6, (2, (0, 1)): 1.0}, P2,
+                                  normalized=True)
+    assert lf.map_from_json(lf.map_to_json(nearly), P2).normalized is True
 
 
 def test_unbounded_map_json_round_trip():
