@@ -5,16 +5,18 @@ under the sup norm (rank n), and the 2x2 spectral ball (matrices of operator
 norm < 1, rank 2).  Coordinates of the spectral ball follow the basis order
 (E11, E22, E12, E21), so the two frame coordinates are the diagonal entries.
 
-For a nonzero z, ``support_functionals`` returns finitely many norm-one
-functionals l with l(z) = ||z||.  Because l -> l(h(z)) is affine and the
-image regions used by the certification code are convex, testing these
-extreme functionals suffices for membership checks.
+For a batch of nonzero points, ``support_functionals`` returns the
+coefficient rows of finitely many norm-one functionals l per point, with
+l(z) = ||z||, and the point each row belongs to; ``support_values`` applies
+those rows to map values.  Because l -> l(h(z)) is affine and the image
+regions used by the certification code are convex, testing these extreme
+functionals suffices for membership checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -85,17 +87,6 @@ def spectral2() -> BallGeometry:
     return BallGeometry(SPECTRAL2, 4)
 
 
-@dataclass(frozen=True)
-class LinearFunctional:
-    """l(w) = sum_k coeffs_k * w_k, with operator norm 1 by construction."""
-
-    coeffs: tuple
-
-    def __call__(self, w):
-        w = np.asarray(w, dtype=complex)
-        return w @ np.asarray(self.coeffs, dtype=complex)
-
-
 def _check_dim(dom: BallGeometry, z) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     if z.shape[-1] != dom.n:
@@ -147,56 +138,61 @@ def norm(dom: BallGeometry, z):
     return out if out.shape else float(out)
 
 
-def support_functionals(dom: BallGeometry, z) -> List[LinearFunctional]:
-    """Extreme supporting functionals at z != 0.
+def support_functionals(dom: BallGeometry, Z):
+    """Extreme supporting functionals at each row of an (m, n) batch Z.
 
-    Euclidean: the inner product with z/||z||.  Polydisc: one coordinate
-    functional per norm-attaining coordinate.  Spectral ball: coordinate
-    functionals for frame-diagonal points, otherwise the functional built
-    from the top singular pair; a degenerate non-diagonal top singular value
-    raises ``DegenerateFunctionalError`` so the caller can resample.
+    Returns ``(L, owner)``: a (K, n) array of norm-one coefficient rows and
+    the row of ``Z`` each belongs to, with ``L[k] @ Z[owner[k]]`` equal to
+    ``||Z[owner[k]]||``.  Euclidean: conj(z)/||z||, one row per point, in
+    point order.  Polydisc: one coordinate row per norm-attaining coordinate
+    (ties within ``_TIE_TOL``), grouped by coordinate.  Spectral ball:
+    coordinate rows for frame-diagonal points (ties within
+    ``_DEGENERATE_TOL``), then one row u1^H W v1 per other point from its top
+    singular pair; a degenerate top singular value among those raises
+    ``DegenerateFunctionalError`` so the caller can resample.
     """
-    z = _check_dim(dom, z)
-    if z.ndim != 1:
-        raise DomainError("support_functionals takes a single point")
-    nz = norm(dom, z)
-    if nz == 0.0:
+    L, owner, _ = _support_rows(dom, Z)
+    return L, owner
+
+
+def _support_rows(dom: BallGeometry, Z):
+    """``support_functionals`` plus the norms of the rows of Z.  On the
+    spectral ball these come from the diagonal or the SVD, not from the
+    closed form of ``norm``, which loses about half its digits when the two
+    singular values nearly agree (as on the frame tori)."""
+    Z = _check_dim(dom, Z)
+    if Z.ndim != 2:
+        raise DomainError(f"support functionals take an (m, n) batch, got shape {Z.shape}")
+    norms = np.asarray(norm(dom, Z))
+    if np.any(norms == 0.0):
         raise DomainError("support functionals are undefined at z = 0")
-
     if dom.kind == EUCLIDEAN:
-        return [LinearFunctional(tuple(np.conj(z) / nz))]
+        return np.conj(Z) / norms[:, None], np.arange(Z.shape[0]), norms
 
+    absz = np.abs(Z)
     if dom.kind == POLYDISC:
-        out = []
-        for k in range(dom.n):
-            if abs(z[k]) >= nz - _TIE_TOL:
-                coeffs = np.zeros(dom.n, dtype=complex)
-                coeffs[k] = abs(z[k]) / z[k]
-                out.append(LinearFunctional(tuple(coeffs)))
-        return out
-
-    diagonal = abs(z[2]) < 1e-14 and abs(z[3]) < 1e-14
-    if diagonal:
-        out = []
-        for k in (0, 1):
-            if abs(z[k]) >= nz - _DEGENERATE_TOL:
-                coeffs = np.zeros(4, dtype=complex)
-                coeffs[k] = abs(z[k]) / z[k]
-                out.append(LinearFunctional(tuple(coeffs)))
-        return out
-    u, s, vh = np.linalg.svd(to_matrices(z))
-    if s[0] - s[1] < _DEGENERATE_TOL:
-        raise DegenerateFunctionalError("degenerate top singular value; resample")
-    u1 = u[:, 0]
-    v1 = np.conj(vh[0, :])
-    # l(w) = u1^H W v1 in the (E11, E22, E12, E21) coordinates
-    coeffs = (
-        np.conj(u1[0]) * v1[0],
-        np.conj(u1[1]) * v1[1],
-        np.conj(u1[0]) * v1[1],
-        np.conj(u1[1]) * v1[0],
-    )
-    return [LinearFunctional(coeffs)]
+        attains = absz >= norms[:, None] - _TIE_TOL
+        generic = np.empty(0, dtype=np.intp)
+    else:
+        diagonal = (absz[:, 2] < 1e-14) & (absz[:, 3] < 1e-14)
+        norms = np.where(diagonal, absz[:, :2].max(axis=1), norms)
+        attains = diagonal[:, None] & (absz[:, :2] >= norms[:, None] - _DEGENERATE_TOL)
+        generic = np.flatnonzero(~diagonal)
+    # coordinate rows, grouped by coordinate and in point order within a group
+    coord, owner = np.nonzero(attains.T)
+    L = np.zeros((coord.size + generic.size, dom.n), dtype=complex)
+    L[np.arange(coord.size), coord] = absz[owner, coord] / Z[owner, coord]
+    if generic.size:
+        u, s, vh = np.linalg.svd(to_matrices(Z[generic]))
+        if np.any(s[:, 0] - s[:, 1] < _DEGENERATE_TOL):
+            raise DegenerateFunctionalError("degenerate top singular value; resample")
+        norms[generic] = s[:, 0]
+        u1, v1 = np.conj(u[:, :, 0]), np.conj(vh[:, 0, :])
+        # l(w) = u1^H W v1 in the (E11, E22, E12, E21) coordinates
+        L[coord.size:] = u1[:, [0, 1, 0, 1]]
+        L[coord.size:] *= v1[:, [0, 1, 1, 0]]
+        owner = np.concatenate([owner, generic])
+    return L, owner, norms
 
 
 def support_values(dom: BallGeometry, Z, H):
@@ -204,51 +200,13 @@ def support_values(dom: BallGeometry, Z, H):
 
     ``Z`` and ``H`` are (m, n) arrays of points and of map values at those
     points.  Returns ``(values, owner)`` where ``owner[k]`` is the row of
-    ``Z`` that produced ``values[k]``; points with several extreme
-    functionals contribute several values.  Degenerate non-diagonal spectral
-    points raise ``DegenerateFunctionalError``.
+    ``Z`` that produced ``values[k]``, in the row order of
+    ``support_functionals``; points with several extreme functionals
+    contribute several values.
     """
-    Z = _check_dim(dom, Z)
+    L, owner, norms = _support_rows(dom, Z)
     H = np.asarray(H, dtype=complex)
-    norms = np.asarray(norm(dom, Z))
-    if np.any(norms == 0.0):
-        raise DomainError("support values are undefined at z = 0")
-
-    if dom.kind == EUCLIDEAN:
-        vals = np.sum(H * np.conj(Z), axis=-1) / norms**2
-        return vals, np.arange(Z.shape[0])
-
-    if dom.kind == POLYDISC:
-        values, owner = [], []
-        absz = np.abs(Z)
-        for k in range(dom.n):
-            mask = absz[:, k] >= norms - _TIE_TOL
-            if np.any(mask):
-                values.append(np.conj(Z[mask, k]) * H[mask, k] / norms[mask] ** 2)
-                owner.append(np.nonzero(mask)[0])
-        return np.concatenate(values), np.concatenate(owner)
-
-    values, owner = [], []
-    diagonal = (np.abs(Z[:, 2]) < 1e-14) & (np.abs(Z[:, 3]) < 1e-14)
-    if np.any(diagonal):
-        absz = np.abs(Z)
-        for k in (0, 1):
-            mask = diagonal & (absz[:, k] >= norms - _DEGENERATE_TOL)
-            if np.any(mask):
-                values.append(np.conj(Z[mask, k]) * H[mask, k] / (absz[mask, k] * norms[mask]))
-                owner.append(np.nonzero(mask)[0])
-    generic = ~diagonal
-    if np.any(generic):
-        idx = np.nonzero(generic)[0]
-        u, s, vh = np.linalg.svd(to_matrices(Z[idx]))
-        if np.any(s[:, 0] - s[:, 1] < _DEGENERATE_TOL):
-            raise DegenerateFunctionalError("degenerate top singular value in batch")
-        u1 = u[:, :, 0]
-        v1 = np.conj(vh[:, 0, :])
-        hv = np.einsum("mij,mj->mi", to_matrices(H[idx]), v1)
-        values.append(np.einsum("mi,mi->m", np.conj(u1), hv) / s[:, 0])
-        owner.append(idx)
-    return np.concatenate(values), np.concatenate(owner)
+    return np.einsum("kn,kn->k", L, H[owner]) / norms[owner], owner
 
 
 def sample_sphere(dom: BallGeometry, rng: np.random.Generator,

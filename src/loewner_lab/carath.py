@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,7 +51,7 @@ TORUS_RADII = (0.9, 0.99, 0.999)
 TORUS_PHASES = 64
 #: smallest gap between the two singular values of a spectral sphere sample;
 #: it must survive scaling by the smallest ladder radius (0.1) and stay above
-#: the 1e-10 at which ``support_values`` calls a point degenerate
+#: the 1e-10 at which ``bg.support_functionals`` calls a point degenerate
 SPECTRAL_GAP = 1e-8
 
 _FD_STEP = 1e-5
@@ -237,28 +238,20 @@ class HolMap:
 class PolynomialMap(HolMap):
     """Sparse polynomial map: terms[(component, exponents)] = coefficient.
 
-    Components are 1-based, exponents are tuples of length n.  Evaluation
-    goes through the lowered FlatForm of the table; editing ``terms`` in
-    place re-lowers it on the next evaluation.
+    Components are 1-based, exponents are tuples of length n.  The table is
+    read-only and lowered once to the FlatForm it is evaluated through;
+    ``scale_term`` makes a new map with one coefficient scaled.
     """
 
     def __init__(self, terms: Dict[Tuple[int, Tuple[int, ...]], complex],
                  domain: bg.BallGeometry, normalized: bool = False, label: str = ""):
-        self.terms = {key: complex(c) for key, c in terms.items() if c != 0}
+        self.terms = MappingProxyType({key: complex(c) for key, c in terms.items() if c != 0})
         self.domain = domain
         self.normalized = normalized
         self.label = label
-        self._lowered_terms: Optional[dict] = None
-        self._form: Optional[FlatForm] = None
-
-    @property
-    def form(self) -> FlatForm:
-        if self.terms != self._lowered_terms:
-            self._lowered_terms = dict(self.terms)
-            lowering = _Lowering(self.domain.n)
-            lowering.add_table(self.terms, 1.0)
-            self._form = lowering.form()
-        return self._form
+        lowering = _Lowering(domain.n)
+        lowering.add_table(self.terms, 1.0)
+        self.form = lowering.form()
 
     def values(self, Z):
         return self.form.values(np.asarray(Z, dtype=complex))
@@ -331,10 +324,10 @@ def identity_map(dom: bg.BallGeometry) -> CompositeMap:
                         label="identity")
 
 
-def disc_multiple_map(g: df.DiscFunction, functional: bg.LinearFunctional,
-                      dom: bg.BallGeometry) -> CompositeMap:
-    """z -> g(l(z)) * z for a disc function g and a norm-one functional l."""
-    block = (g, np.array([functional.coeffs], dtype=complex), np.ones(1, dtype=complex))
+def disc_multiple_map(g: df.DiscFunction, coeffs, dom: bg.BallGeometry) -> CompositeMap:
+    """z -> g(l(z)) * z for a disc function g and the norm-one functional
+    l(z) = coeffs . z (a length-n coefficient row)."""
+    block = (g, np.array([coeffs], dtype=complex), np.ones(1, dtype=complex))
     return CompositeMap(FlatForm(None, None, (block,), ()), dom, normalized=True,
                         label=f"{df.describe(g)}(l(z))*z")
 
@@ -372,11 +365,6 @@ def evaluate(f: HolMap, z):
         raise DomainError("point outside the open unit ball")
     out = f.values(Z)
     return out[0] if single else out
-
-
-def jacobian(f: HolMap, z) -> np.ndarray:
-    z = np.asarray(z, dtype=complex)
-    return f.jacobian_batch(z[None, :])[0]
 
 
 def assert_normalized(f: HolMap, tol_value: float = 1e-12, tol_jac: float = 1e-8):
@@ -534,6 +522,20 @@ def shear(h: HolMap, i: int, j: int) -> PolynomialMap:
     terms[(i, exps)] = terms.get((i, exps), 0.0) + c
     label = f"shear_{i}{j}[{h.describe()}]"
     return PolynomialMap(terms, h.domain, normalized=h.normalized, label=label)
+
+
+def scale_term(f: PolynomialMap, comp: int, exps: Tuple[int, ...],
+               factor: float) -> PolynomialMap:
+    """A copy of the polynomial map f with the coefficient of
+    (comp, exps) multiplied by ``factor``; a normalized f stays normalized
+    unless a linear term is scaled."""
+    key = (comp, tuple(exps))
+    if key not in f.terms:
+        raise DomainError(f"{f.describe()} has no term {key}")
+    terms = dict(f.terms)
+    terms[key] *= factor
+    return PolynomialMap(terms, f.domain, normalized=f.normalized and sum(key[1]) != 1,
+                         label=f.label)
 
 
 def canonical_field(g: df.DiscFunction, dom: bg.BallGeometry, i: int, j: int,
@@ -742,11 +744,11 @@ def random_Mg_member(g: df.DiscFunction, dom: bg.BallGeometry,
             while True:
                 u = bg.sample_sphere(dom, rng)
                 try:
-                    functional = bg.support_functionals(dom, u)[0]
+                    coeffs = bg.support_functionals(dom, u[None])[0][0]
                     break
                 except DegenerateFunctionalError:
                     continue
-            blocks.append(disc_multiple_map(g, functional, dom))
+            blocks.append(disc_multiple_map(g, coeffs, dom))
         else:
             i, j = pairs[int(rng.integers(len(pairs)))]
             sign = 1 if rng.random() < 0.5 else -1

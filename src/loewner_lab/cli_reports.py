@@ -222,7 +222,7 @@ def _run_certify(config, g, dom, rng):
     h = carath.canonical_field(g, dom, config.i, config.j, config.sign)
     if config.coefficient_scale != 1.0:
         exps = tuple(2 if k == config.j - 1 else 0 for k in range(dom.n))
-        h.terms[(config.i, exps)] *= config.coefficient_scale
+        h = carath.scale_term(h, config.i, exps, config.coefficient_scale)
         h.label += f"*scale{config.coefficient_scale:g}"
     cert = carath.certify_Mg(h, g, dom, config.N, eps=config.eps, rng=rng)
     return ({"map": h.describe(), "certificate": cert.to_json()}, cert.passed,

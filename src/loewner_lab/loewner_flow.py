@@ -53,9 +53,6 @@ class HerglotzField:
     def segment(self, t: float) -> int:
         return max(bisect_right(self.times, t) - 1, 0)
 
-    def field_values(self, Z: np.ndarray, t: float) -> np.ndarray:
-        return self.maps[self.segment(t)].values(Z)
-
 
 def autonomous_field(h: carath.HolMap, g: df.DiscFunction, dom: bg.BallGeometry,
                      horizon: float = 1.0,
@@ -81,16 +78,13 @@ def make_field(maps: Sequence[carath.HolMap], g: df.DiscFunction, dom: bg.BallGe
 class FlowResult:
     """Endpoint of a flow or parametric limit.
 
-    ``error_estimate`` is the sum of the accepted steps' relative local
-    error estimates (step doubling), a diagnostic rather than an error
-    bound.  ``flow`` always returns ``converged=True`` and raises
+    ``flow`` always returns ``converged=True`` and raises
     ``FlowInstabilityError`` instead of failing; ``parametric_map`` returns
     ``converged=False`` when its horizon runs out.
     """
 
     endpoint: np.ndarray
     trajectory: Optional[List[Tuple[float, np.ndarray]]]
-    error_estimate: float
     horizon_used: float
     converged: bool
 
@@ -105,7 +99,6 @@ def _rk4(h_map: carath.HolMap, y: np.ndarray, dt: float, k1: np.ndarray) -> np.n
 
 def _integrate_segment(h_map, dom, y, t0, t1, tol, record, trajectory):
     t = t0
-    err_total = 0.0
     norms_prev = np.asarray(bg.norm(dom, y))
     step = min(0.1, t1 - t0)
     k1 = None
@@ -127,7 +120,6 @@ def _integrate_segment(h_map, dom, y, t0, t1, tol, record, trajectory):
             y = y_half + (y_half - y_full) / 15.0
             k1 = None
             t += step
-            err_total += rel
             norms = np.asarray(bg.norm(dom, y))
             if np.any(norms > norms_prev + _NORM_GROWTH_TOL) or np.any(norms >= 1.0):
                 raise FlowInstabilityError(
@@ -140,7 +132,7 @@ def _integrate_segment(h_map, dom, y, t0, t1, tol, record, trajectory):
         step *= min(5.0, max(0.2, factor))
         if step < _MIN_STEP:
             raise FlowInstabilityError("step size underflow in the flow integrator")
-    return y, err_total
+    return y
 
 
 def flow(field: HerglotzField, z, s: float, t: float, tol: float = 1e-10,
@@ -164,14 +156,11 @@ def flow(field: HerglotzField, z, s: float, t: float, tol: float = 1e-10,
     cuts = [tau for tau in field.times if s < tau < t]
     bounds = [s, *cuts, t]
     trajectory: List[Tuple[float, np.ndarray]] = [(s, y.copy())] if record_trajectory else []
-    err_total = 0.0
     for a, b in zip(bounds, bounds[1:]):
         h_map = field.maps[field.segment(a)]
-        y, err = _integrate_segment(h_map, field.domain, y, a, b, tol,
-                                    record_trajectory, trajectory)
-        err_total += err
+        y = _integrate_segment(h_map, field.domain, y, a, b, tol, record_trajectory, trajectory)
     endpoint = y[0] if single else y
-    return FlowResult(endpoint, trajectory or None, err_total, t, True)
+    return FlowResult(endpoint, trajectory or None, t, True)
 
 
 def parametric_map(field: HerglotzField, z, tol: float = 1e-8, ode_tol: float = 1e-10,
@@ -189,14 +178,11 @@ def parametric_map(field: HerglotzField, z, tol: float = 1e-8, ode_tol: float = 
         raise DomainError("initial point outside the open unit ball")
     prev = None
     est = y
-    err_total = 0.0
     t_cur = 0.0
     converged = False
     while t_cur < horizon - 1e-12:
         t_next = min(t_cur + checkpoint, horizon)
-        res = flow(field, y, t_cur, t_next, tol=ode_tol)
-        y = res.endpoint
-        err_total += res.error_estimate
+        y = flow(field, y, t_cur, t_next, tol=ode_tol).endpoint
         t_cur = t_next
         est = math.exp(t_cur) * y
         if prev is not None and float(np.max(np.abs(est - prev))) < tol:
@@ -204,7 +190,7 @@ def parametric_map(field: HerglotzField, z, tol: float = 1e-8, ode_tol: float = 
             break
         prev = est
     endpoint = est[0] if single else est
-    return FlowResult(endpoint, None, err_total, t_cur, converged)
+    return FlowResult(endpoint, None, t_cur, converged)
 
 
 def parametric_quadratic(field: HerglotzField) -> np.ndarray:

@@ -86,9 +86,8 @@ def test_criterion_3_certification(dom):
             h = carath.canonical_field(g, dom, 1, 2, sign)
             cert = carath.certify_Mg(h, g, dom, 10**4, rng=rng)
             assert cert.passed, cert.witness
-        inflated = carath.canonical_field(g, dom, 1, 2, +1)
-        key = (1, tuple(2 if k == 1 else 0 for k in range(dom.n)))
-        inflated.terms[key] *= 1.05
+        inflated = carath.scale_term(carath.canonical_field(g, dom, 1, 2, +1), 1,
+                                     tuple(2 if k == 1 else 0 for k in range(dom.n)), 1.05)
         cert = carath.certify_Mg(inflated, g, dom, 10**4, rng=rng)
         assert not cert.passed
         z = cert.witness["z"]
@@ -134,7 +133,7 @@ def test_criterion_5_sharp_bound_polydisc():
         assert report.theoretical_bound == pytest.approx(1.0)
         assert report.empirical_max <= 1.0 + 1e-6
         F = el.support_map(df.moebius(), P2, 1, 2, +1)
-        assert el.functional_L(1, 2, F).real == pytest.approx(1.0, abs=1e-8)
+        assert carath.second_coeff(F, 1, 2, carath.PURE).real == pytest.approx(1.0, abs=1e-8)
 
 
 def test_criterion_6_euclidean_factor():
@@ -147,7 +146,8 @@ def test_criterion_6_euclidean_factor():
         assert not report.violations, report.violations
         assert report.theoretical_bound == pytest.approx(factor * df.d1(g), abs=1e-12)
         F = el.support_map(g, E2, 1, 2, +1)
-        assert el.functional_L(1, 2, F).real == pytest.approx(factor * df.d1(g), abs=1e-8)
+        assert (carath.second_coeff(F, 1, 2, carath.PURE).real
+                == pytest.approx(factor * df.d1(g), abs=1e-8))
 
         h = carath.canonical_field(g, E2, 1, 2, +1)
         cert = carath.certify_Mg(h, g, E2, 10**4, rng=rng)

@@ -107,73 +107,133 @@ def test_frame_coordinate_bound():
 
 def test_polydisc_single_max_coordinate():
     dom = bg.polydisc(2)
-    funcs = bg.support_functionals(dom, np.array([0.9, 0.3], dtype=complex))
-    assert len(funcs) == 1
+    L, owner = bg.support_functionals(dom, np.array([[0.9, 0.3]], dtype=complex))
+    assert L.shape == (1, 2) and owner.tolist() == [0]
     w = np.array([1.0 + 2.0j, -5.0], dtype=complex)
-    assert funcs[0](w) == pytest.approx(w[0])
+    assert L[0] @ w == pytest.approx(w[0])
 
 
 def test_euclidean_inner_product_functional():
     dom = bg.euclidean(2)
-    e1 = np.array([1.0, 0.0], dtype=complex)
-    funcs = bg.support_functionals(dom, e1)
-    assert len(funcs) == 1
+    e1 = np.array([[1.0, 0.0]], dtype=complex)
+    L, owner = bg.support_functionals(dom, e1)
+    assert L.shape == (1, 2) and owner.tolist() == [0]
     w = np.array([0.3 + 0.1j, 9.0], dtype=complex)
-    assert funcs[0](w) == pytest.approx(w[0])
+    assert L[0] @ w == pytest.approx(w[0])
 
 
 def test_spectral_diagonal_functional():
     dom = bg.spectral2()
-    z = np.array([0.2, 0.7, 0.0, 0.0], dtype=complex)
-    funcs = bg.support_functionals(dom, z)
-    assert len(funcs) == 1
+    z = np.array([[0.2, 0.7, 0.0, 0.0]], dtype=complex)
+    L, owner = bg.support_functionals(dom, z)
+    assert L.shape == (1, 4) and owner.tolist() == [0]
     w = np.array([1.0, 2.0 - 1.0j, 3.0, 4.0], dtype=complex)
-    assert funcs[0](w) == pytest.approx(w[1])
+    assert L[0] @ w == pytest.approx(w[1])
+
+
+def unitaries(rng, count):
+    draws = rng.standard_normal((count, 2, 2)) + 1j * rng.standard_normal((count, 2, 2))
+    return np.linalg.qr(draws)[0]
+
+
+def tie_points(dom, rng, count):
+    """Points at or near a tie of the norm: polydisc points with two
+    coordinates of equal modulus; on the spectral ball, diagonal points with
+    equal diagonal moduli and non-diagonal points whose singular values are
+    1 and 1 - 1e-6; none for the Euclidean ball."""
+    if dom.kind == bg.POLYDISC:
+        return np.stack([bg.sample_polydisc_edge(dom, rng) for _ in range(count)])
+    if dom.kind == bg.SPECTRAL2:
+        phases = np.exp(2j * np.pi * rng.random((count, 2)))
+        near = unitaries(rng, count) @ np.diag([1.0, 1.0 - 1e-6]) @ unitaries(rng, count)
+        return np.vstack([np.hstack([phases, np.zeros((count, 2))]), bg.from_matrices(near)])
+    return np.empty((0, dom.n), dtype=complex)
 
 
 def test_functional_contracts_on_random_points():
     rng = np.random.default_rng(3)
     for dom in DOMAINS:
-        for _ in range(40):
-            z = bg.sample_sphere(dom, rng) * 0.8
-            try:
-                funcs = bg.support_functionals(dom, z)
-            except DegenerateFunctionalError:
-                continue
-            nz = bg.norm(dom, z)
-            w = rng.standard_normal((1000, dom.n)) + 1j * rng.standard_normal((1000, dom.n))
-            nw = np.asarray(bg.norm(dom, w))
-            for l in funcs:
-                assert abs(l(z) - nz) <= 1e-12 * max(1.0, nz)
-                assert np.all(np.abs(l(w)) <= nw * (1.0 + 1e-12))
+        Z = np.vstack([bg.sample_sphere(dom, rng, 40), tie_points(dom, rng, 5)])
+        Z *= rng.uniform(0.1, 0.99, len(Z))[:, None]
+        L, owner = bg.support_functionals(dom, Z)
+        assert np.array_equal(np.unique(owner), np.arange(len(Z)))
+        # the SVD, not the closed form of bg.norm: near-equal singular values
+        # cost the closed form about half its digits
+        if dom.kind == bg.SPECTRAL2:
+            nz = np.linalg.svd(bg.to_matrices(Z), compute_uv=False)[owner, 0]
+        else:
+            nz = np.asarray(bg.norm(dom, Z))[owner]
+        assert np.max(np.abs(np.einsum("kn,kn->k", L, Z[owner]) - nz)) <= 1e-12
+        w = rng.standard_normal((1000, dom.n)) + 1j * rng.standard_normal((1000, dom.n))
+        nw = np.asarray(bg.norm(dom, w))
+        assert np.all(np.abs(w @ L.T) <= nw[:, None] * (1.0 + 1e-12))
 
 
 def test_spectral_degenerate_cases():
     dom = bg.spectral2()
     # diagonal with equal moduli: both coordinate functionals
-    z = np.array([0.5, 0.5j, 0.0, 0.0], dtype=complex)
-    funcs = bg.support_functionals(dom, z)
-    assert len(funcs) == 2
+    z = np.array([[0.5, 0.5j, 0.0, 0.0]], dtype=complex)
+    L, owner = bg.support_functionals(dom, z)
+    assert owner.tolist() == [0, 0]
+    assert np.array_equal(np.abs(L), np.array([[1, 0, 0, 0], [0, 1, 0, 0]]))
     # antidiagonal permutation matrix: degenerate but not diagonal
-    z = np.array([0.0, 0.0, 1.0, 1.0], dtype=complex)
+    z = np.array([[0.0, 0.0, 1.0, 1.0]], dtype=complex)
     with pytest.raises(DegenerateFunctionalError):
         bg.support_functionals(dom, z)
 
 
-def test_support_values_match_per_point_functionals():
+def test_support_functionals_reject_a_point_and_a_zero_row():
+    for dom in DOMAINS:
+        z = np.full(dom.n, 0.1, dtype=complex)
+        with pytest.raises(DomainError):
+            bg.support_functionals(dom, z)
+        with pytest.raises(DomainError):
+            bg.support_functionals(dom, np.stack([z, np.zeros(dom.n)]))
+
+
+def reference_support_values(dom, Z, H):
+    """Support values written geometry by geometry, independently of the
+    functional rows: Euclidean <h, z>/||z||^2; polydisc conj(z_k) h_k/||z||^2
+    per attaining coordinate k, grouped by coordinate; spectral ball
+    conj(z_k) h_k/|z_k|^2 per attaining coordinate of a diagonal point (its
+    norm is the larger diagonal modulus), then u1^H H v1 / s1 from the SVD of
+    the others.  Returns (values, owner) in that row order."""
+    norms = np.asarray(bg.norm(dom, Z))
+    if dom.kind == bg.EUCLIDEAN:
+        return np.sum(H * np.conj(Z), axis=-1) / norms**2, np.arange(len(Z))
+    values, owner = [], []
+    absz = np.abs(Z)
+    if dom.kind == bg.POLYDISC:
+        for k in range(dom.n):
+            mask = absz[:, k] >= norms - 1e-12
+            values.append(np.conj(Z[mask, k]) * H[mask, k] / norms[mask] ** 2)
+            owner.append(np.nonzero(mask)[0])
+        return np.concatenate(values), np.concatenate(owner)
+    diagonal = (absz[:, 2] < 1e-14) & (absz[:, 3] < 1e-14)
+    top = np.maximum(absz[:, 0], absz[:, 1])
+    for k in (0, 1):
+        mask = diagonal & (absz[:, k] >= top - 1e-10)
+        values.append(np.conj(Z[mask, k]) * H[mask, k] / absz[mask, k] ** 2)
+        owner.append(np.nonzero(mask)[0])
+    idx = np.nonzero(~diagonal)[0]
+    u, s, vh = np.linalg.svd(bg.to_matrices(Z[idx]))
+    hv = np.einsum("mij,mj->mi", bg.to_matrices(H[idx]), np.conj(vh[:, 0, :]))
+    values.append(np.einsum("mi,mi->m", np.conj(u[:, :, 0]), hv) / s[:, 0])
+    owner.append(idx)
+    return np.concatenate(values), np.concatenate(owner)
+
+
+def test_support_values_match_reference_formulas():
     rng = np.random.default_rng(4)
     for dom in DOMAINS:
-        Z, H = [], []
-        for _ in range(50):
-            Z.append(bg.sample_sphere(dom, rng) * rng.uniform(0.2, 0.99))
-            H.append(rng.standard_normal(dom.n) + 1j * rng.standard_normal(dom.n))
-        Z, H = np.array(Z), np.array(H)
+        Z = np.vstack([bg.sample_sphere(dom, rng, 50), tie_points(dom, rng, 10)])
+        Z *= rng.uniform(0.2, 0.99, len(Z))[:, None]
+        Z = Z[rng.permutation(len(Z))]
+        H = rng.standard_normal(Z.shape) + 1j * rng.standard_normal(Z.shape)
         vals, owner = bg.support_values(dom, Z, H)
-        for value, k in zip(vals, owner):
-            funcs = bg.support_functionals(dom, Z[k])
-            nz = bg.norm(dom, Z[k])
-            options = [l(H[k]) / nz for l in funcs]
-            assert min(abs(value - opt) for opt in options) < 1e-10
+        ref_vals, ref_owner = reference_support_values(dom, Z, H)
+        assert np.array_equal(owner, ref_owner)
+        assert np.max(np.abs(vals - ref_vals)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

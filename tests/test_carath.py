@@ -46,7 +46,7 @@ def fd_mixed_coeff(f, i, j, h=1e-4):
 def coordinate_functional(dom, k):
     coeffs = np.zeros(dom.n, dtype=complex)
     coeffs[k - 1] = 1.0
-    return bg.LinearFunctional(tuple(coeffs))
+    return coeffs
 
 
 def h_disc_multiple(g, dom, k=2):
@@ -251,7 +251,7 @@ def test_quadratic_part_matches_polynomial_table():
                          ids=["polydisc2", "polydisc3", "euclidean2", "spectral2"])
 def test_quadratic_part_matches_second_coeff_bundle(dom, g):
     rng = np.random.default_rng(17)
-    functional = bg.support_functionals(dom, bg.sample_sphere(dom, rng))[0]
+    functional = bg.support_functionals(dom, bg.sample_sphere(dom, rng, 1))[0][0]
     disc = carath.disc_multiple_map(g, functional, dom)
     members = [carath.random_Mg_member(g, dom, rng, k) for k in (1, 3, 6)]
     i, j = dom.frame_coords[:2] if dom.rank >= 2 else (1, 2)
@@ -385,8 +385,7 @@ def test_certify_canonical_fields_pass(dom):
 def test_certify_inflated_field_fails_on_torus():
     rng = np.random.default_rng(4)
     g = df.moebius()
-    h = carath.canonical_field(g, P2, 1, 2, +1)
-    h.terms[(1, (0, 2))] *= 1.1
+    h = carath.scale_term(carath.canonical_field(g, P2, 1, 2, +1), 1, (0, 2), 1.1)
     cert = carath.certify_Mg(h, g, P2, 500, rng=rng)
     assert not cert.passed
     assert cert.worst_margin < 0
@@ -505,11 +504,35 @@ def test_polynomial_json_round_trip():
     assert back.normalized
 
 
+def test_polynomial_table_is_read_only():
+    f = carath.canonical_field(df.moebius(), P2, 1, 2, +1)
+    with pytest.raises(TypeError):
+        f.terms[(1, (0, 2))] = 2.0
+    assert f.coefficient(1, (0, 2)) == df.d1(df.moebius())
+
+
+def test_scale_term_returns_a_scaled_copy():
+    g = df.moebius()
+    f = carath.canonical_field(g, P2, 1, 2, +1)
+    Z = np.array([[0.3 + 0.1j, -0.4j], [0.2, 0.5]], dtype=complex)
+    before = f.values(Z)
+    h = carath.scale_term(f, 1, (0, 2), 1.5)
+    assert np.array_equal(f.values(Z), before)
+    assert h.coefficient(1, (0, 2)) == 1.5 * f.coefficient(1, (0, 2))
+    assert h.normalized and h.label == f.label
+    expect = before.copy()
+    expect[:, 0] += 0.5 * f.coefficient(1, (0, 2)) * Z[:, 1] ** 2
+    assert np.allclose(h.values(Z), expect, rtol=0, atol=1e-15)
+    # scaling a linear term leaves Df(0) != I
+    assert not carath.scale_term(f, 1, (1, 0), 2.0).normalized
+    with pytest.raises(DomainError):
+        carath.scale_term(f, 2, (2, 0), 2.0)
+
+
 def test_certificate_json():
     rng = np.random.default_rng(11)
     g = df.moebius()
-    h = carath.canonical_field(g, P2, 1, 2, +1)
-    h.terms[(1, (0, 2))] *= 1.1
+    h = carath.scale_term(carath.canonical_field(g, P2, 1, 2, +1), 1, (0, 2), 1.1)
     cert = carath.certify_Mg(h, g, P2, 200, rng=rng)
     blob = cert.to_json()
     assert blob["pass"] is False
@@ -528,12 +551,12 @@ def test_disc_multiple_support_values_equal_g_of_l():
     # for h(z) = g(l_u(z)) z every supporting value is exactly g(l_u(z))
     g = df.strongly_starlike(0.7)
     rng = np.random.default_rng(13)
-    u = bg.sample_sphere(P2, rng)
-    functional = bg.support_functionals(P2, u)[0]
+    u = bg.sample_sphere(P2, rng, 1)
+    functional = bg.support_functionals(P2, u)[0][0]
     h = carath.disc_multiple_map(g, functional, P2)
     Z = np.stack([bg.sample_sphere(P2, rng) * rng.uniform(0.1, 0.99) for _ in range(200)])
     vals, owner = bg.support_values(P2, Z, h.values(Z))
-    lz = Z[owner] @ np.asarray(functional.coeffs)
+    lz = Z[owner] @ functional
     assert np.max(np.abs(vals - df.evaluate(g, lz))) < 1e-12
 
 
@@ -595,7 +618,7 @@ def lowered_maps(dom, g, rng):
                                   (2, (0, 1) + (0,) * (dom.n - 2)): 1.0,
                                   (1, (2, 1) + (0,) * (dom.n - 2)): 0.3 - 0.2j,
                                   (2, (0,) * dom.n): 0.05}, dom)
-    functional = bg.support_functionals(dom, bg.sample_sphere(dom, rng))[0]
+    functional = bg.support_functionals(dom, bg.sample_sphere(dom, rng, 1))[0][0]
     blocks = [carath.identity_map(dom), carath.disc_multiple_map(g, functional, dom),
               canonical, cubic]
     combos = [([0.4, 0.6], [canonical, members[0]]),
@@ -636,7 +659,7 @@ def test_combination_label_and_building_blocks():
     form = mix.form
     assert form.w0 == 0.75 and form.lin is None
     (block_g, lmat, weights), = form.disc
-    assert block_g == g and np.array_equal(lmat, [functional.coeffs])
+    assert block_g == g and np.array_equal(lmat, [functional])
     assert np.array_equal(weights, [0.25])
     (idx, coef, comp), = form.monomials
     assert idx.tolist() == [[1, 1]] and comp == (0,)

@@ -55,8 +55,13 @@ def test_report_round_trip(tmp_path):
 #: written once sampled maps took their second coefficients from the exact
 #: oracle, with every 8th sample flowed as a cross-check (the reports' oracle
 #: fields); scan_polydisc_n9 (N = 9) pins that stride: samples 0 and 8 are
-#: cross-checked, samples 1-7 are not.  A change that alters these bytes must
-#: say so in CHANGES.md.  A file is named <subcommand>_<label>.
+#: cross-checked, samples 1-7 are not.  certify_polydisc and the three
+#: certify_*_inflated reports were rewritten, and scan_polydisc_n9 with them,
+#: once support values became the functional rows of
+#: ``ball_geometry.support_functionals`` applied to the map values: values and
+#: margins moved in the last bits, and a witness may be another of the
+#: violations tied with it up to rounding.  A change that alters these bytes
+#: must say so in CHANGES.md.  A file is named <subcommand>_<label>.
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
