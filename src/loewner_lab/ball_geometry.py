@@ -110,20 +110,25 @@ def from_matrices(m) -> np.ndarray:
     return np.stack([m[..., 0, 0], m[..., 1, 1], m[..., 0, 1], m[..., 1, 0]], axis=-1)
 
 
-def _spectral_norms(z, pointwise: bool = False) -> np.ndarray:
-    """Largest singular value of the 2x2 matrix of z, in closed form.
+def _spectral_norms(z) -> np.ndarray:
+    """Largest singular value of the 2x2 matrix [[a, c], [d, b]] of z.
 
-    On one point ``|det| ** 2`` is a numpy scalar power (libm ``pow``); on a
-    batch it is a multiply, and the two differ in the last bit for about 1
-    value in 1300.  ``pointwise`` makes a batch round every row as the
-    one-point call does.
+    With p = |a|^2 + |c|^2, q = |d|^2 + |b|^2 and r = a conj(d) + c conj(b)
+    (the Gram matrix of the rows), s_1^2 = (p + q + sqrt((p - q)^2 + 4|r|^2))
+    / 2 sums nonnegative terms only, so it keeps full precision when the
+    singular values nearly agree.  Only real products and sums appear (numpy
+    rounds complex products differently in a batch), so a point rounds alone
+    as it does inside a batch.
     """
     z = np.asarray(z, dtype=complex)
-    e = np.sum(np.abs(z) ** 2, axis=-1)
-    det = z[..., 0] * z[..., 1] - z[..., 2] * z[..., 3]
-    det2 = np.float_power(np.abs(det), 2.0) if pointwise else np.abs(det) ** 2
-    disc = np.sqrt(np.maximum(e * e - 4.0 * det2, 0.0))
-    return np.sqrt(0.5 * (e + disc))
+    xa, xb, xc, xd = np.moveaxis(z.real, -1, 0)
+    ya, yb, yc, yd = np.moveaxis(z.imag, -1, 0)
+    p = (xa * xa + ya * ya) + (xc * xc + yc * yc)
+    q = (xd * xd + yd * yd) + (xb * xb + yb * yb)
+    re = xa * xd + ya * yd + xc * xb + yc * yb
+    im = ya * xd - xa * yd + yc * xb - xc * yb
+    disc = np.sqrt((p - q) * (p - q) + 4.0 * (re * re + im * im))
+    return np.sqrt(0.5 * (p + q + disc))
 
 
 def norm(dom: BallGeometry, z):
@@ -157,9 +162,8 @@ def support_functionals(dom: BallGeometry, Z):
 
 def _support_rows(dom: BallGeometry, Z):
     """``support_functionals`` plus the norms of the rows of Z.  On the
-    spectral ball these come from the diagonal or the SVD, not from the
-    closed form of ``norm``, which loses about half its digits when the two
-    singular values nearly agree (as on the frame tori)."""
+    spectral ball these come from the diagonal or the SVD, the same numbers
+    the functional rows are built from."""
     Z = _check_dim(dom, Z)
     if Z.ndim != 2:
         raise DomainError(f"support functionals take an (m, n) batch, got shape {Z.shape}")
@@ -235,7 +239,7 @@ def sample_sphere(dom: BallGeometry, rng: np.random.Generator,
     else:
         draws = rng.standard_normal((k, 2, 2, 2))
         z = from_matrices(draws[:, 0] + 1j * draws[:, 1])
-        out = z / _spectral_norms(z, pointwise=True)[:, None]
+        out = z / _spectral_norms(z)[:, None]
     return out[0] if count is None else out
 
 

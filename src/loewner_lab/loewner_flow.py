@@ -5,7 +5,11 @@ Time-dependent generator schedules are piecewise constant: measurability is
 then trivial, breakpoints integrate exactly (they are forced step
 boundaries), and convex combinations inside each segment already give a rich
 sampling family.  The integrator is classical RK4 with step doubling and
-local extrapolation, controlled at a relative tolerance.
+local extrapolation, controlled at a relative tolerance.  It integrates
+u = e^{tau - t0} v from each segment start t0, with du/dtau = u - e^{tau - t0}
+h(e^{t0 - tau} u) (an integrating factor, Lawson 1967): for a normalized h the
+linear part cancels exactly, the right-hand side decays like e^{-tau}|u|^2,
+and the steps grow in the tail instead of following the decay of v.
 """
 
 from __future__ import annotations
@@ -89,58 +93,71 @@ class FlowResult:
     converged: bool
 
 
-def _rk4(h_map: carath.HolMap, y: np.ndarray, dt: float, k1: np.ndarray) -> np.ndarray:
-    """One classical RK4 step from y, given its first stage k1 = -h(y)."""
-    k2 = -h_map.values(y + 0.5 * dt * k1)
-    k3 = -h_map.values(y + 0.5 * dt * k2)
-    k4 = -h_map.values(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rhs(h_map: carath.HolMap, s: float, u: np.ndarray) -> np.ndarray:
+    """du/ds = u - e^s h(e^{-s} u) for u = e^s v; dividing by e^{-s} (not
+    multiplying by e^s) returns most rows of h = id to u exactly."""
+    decay = math.exp(-s)
+    return u - h_map.values(decay * u) / decay
+
+
+def _rk4(h_map: carath.HolMap, s: float, u: np.ndarray, ds: float,
+         k1: np.ndarray) -> np.ndarray:
+    """One classical RK4 step of du/ds from (s, u), given its first stage k1."""
+    k2 = _rhs(h_map, s + 0.5 * ds, u + 0.5 * ds * k1)
+    k3 = _rhs(h_map, s + 0.5 * ds, u + 0.5 * ds * k2)
+    k4 = _rhs(h_map, s + ds, u + ds * k3)
+    return u + (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _integrate_segment(h_map, dom, y, t0, t1, tol, record, trajectory):
-    t = t0
+    """Flow y from t0 to t1 under one generator, in u = e^{tau - t0} v."""
+    s, u = 0.0, y
     norms_prev = np.asarray(bg.norm(dom, y))
     step = min(0.1, t1 - t0)
     k1 = None
-    while t < t1 - 1e-14:
-        step = min(step, t1 - t)
-        # the full step and the first half step start at y, and so does a
+    while s < t1 - t0 - 1e-14:
+        step = min(step, t1 - t0 - s)
+        # the full step and the first half step start at u, and so does a
         # retry after a rejected step: one first stage serves them all
         if k1 is None:
-            k1 = -h_map.values(y)
-        y_full = _rk4(h_map, y, step, k1)
-        y_mid = _rk4(h_map, y, 0.5 * step, k1)
-        y_half = _rk4(h_map, y_mid, 0.5 * step, -h_map.values(y_mid))
-        # per-row relative error: the flow contracts to 0, so accuracy has to
-        # follow the solution scale rather than an absolute floor
-        row_scale = np.maximum(np.max(np.abs(y), axis=-1), 1e-30)
-        row_err = np.max(np.abs(y_half - y_full), axis=-1) / 15.0
+            k1 = _rhs(h_map, s, u)
+        u_full = _rk4(h_map, s, u, step, k1)
+        u_mid = _rk4(h_map, s, u, 0.5 * step, k1)
+        s_mid = s + 0.5 * step
+        u_half = _rk4(h_map, s_mid, u_mid, 0.5 * step, _rhs(h_map, s_mid, u_mid))
+        # per-row relative error: |u| = e^s |v|, so this is the relative
+        # error of v, which contracts to 0
+        row_scale = np.maximum(np.max(np.abs(u), axis=-1), 1e-30)
+        row_err = np.max(np.abs(u_half - u_full), axis=-1) / 15.0
         rel = float(np.max(row_err / row_scale))
         if rel <= tol:
-            y = y_half + (y_half - y_full) / 15.0
+            u = u_half + (u_half - u_full) / 15.0
             k1 = None
-            t += step
-            norms = np.asarray(bg.norm(dom, y))
+            s += step
+            v = math.exp(-s) * u
+            norms = np.asarray(bg.norm(dom, v))
             if np.any(norms > norms_prev + _NORM_GROWTH_TOL) or np.any(norms >= 1.0):
                 raise FlowInstabilityError(
                     "trajectory norm increased beyond tolerance (ball exit)"
                 )
             norms_prev = norms
             if record:
-                trajectory.append((t, y.copy()))
+                trajectory.append((t0 + s, v))
         factor = 0.9 * (tol / max(rel, 1e-300)) ** 0.2
         step *= min(5.0, max(0.2, factor))
         if step < _MIN_STEP:
             raise FlowInstabilityError("step size underflow in the flow integrator")
-    return y
+    return math.exp(t0 - t1) * u
 
 
 def flow(field: HerglotzField, z, s: float, t: float, tol: float = 1e-10,
          record_trajectory: bool = False) -> FlowResult:
     """Solution v(z, s, t) of dv/dtau = -h(v, tau), v(z, s, s) = z.
 
-    Adaptive RK4 with step doubling at relative tolerance ``tol``; schedule
-    breakpoints are forced step boundaries.  The trajectory must stay in the
+    Adaptive RK4 with step doubling at relative tolerance ``tol``, applied to
+    u = e^{tau - t0} v on each segment [t0, t1] (so the linear part of h is
+    exact); schedule breakpoints are forced step boundaries.  A recorded
+    trajectory holds v at every accepted step.  The trajectory must stay in the
     open ball with nonincreasing norm (up to 1e-9 per step), else the
     integrator aborts with ``FlowInstabilityError``, as it does on step-size
     underflow; the result is never ``converged=False``.

@@ -60,8 +60,12 @@ def test_report_round_trip(tmp_path):
 #: once support values became the functional rows of
 #: ``ball_geometry.support_functionals`` applied to the map values: values and
 #: margins moved in the last bits, and a witness may be another of the
-#: violations tied with it up to rounding.  A change that alters these bytes
-#: must say so in CHANGES.md.  A file is named <subcommand>_<label>.
+#: violations tied with it up to rounding.  flow-check, shear-commute and
+#: every scan and gprime report were rewritten once the flow integrated
+#: u = e^t v (smaller residuals and oracle gaps) and the canonical and sharp
+#: maps took their exact coefficients, with the new ``canonical_gap`` field
+#: recording their cross-check through the flow.  A change that alters these
+#: bytes must say so in CHANGES.md.  A file is named <subcommand>_<label>.
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
 

@@ -223,3 +223,35 @@ def test_oracle_disagreement_exits_3(monkeypatch, tmp_path, capsys):
     assert report["instability"] is True and report["pass"] is False
     assert "disagree" in report["payload"]["error"]
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["scan", "gprime"])
+def test_canonical_oracle_disagreement_exits_3_without_samples(command, monkeypatch, tmp_path,
+                                                               capsys):
+    # at N = 0 only the canonical and sharp parametric maps are scored: their
+    # exact values are still cross-checked through the flow
+    real = lf.parametric_quadratic
+    monkeypatch.setattr(lf, "parametric_quadratic", lambda field: real(field) + 1e-6)
+    out = tmp_path / "report.json"
+    assert cli.main([command, "--seed", "1", "--n", "0", "--out", str(out)]) == 3
+    report = cli.parse_report(out)
+    assert report["instability"] is True and report["pass"] is False
+    assert "parametric[" in report["payload"]["error"]
+    assert "disagree" in report["payload"]["error"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dom", [P2, E2, SP], ids=lambda d: d.kind)
+def test_canonical_maps_are_scored_exactly_and_cross_checked(dom):
+    g = df.moebius()
+    scan = el.scan_support(g, dom, 1, 2, N=0, rng=np.random.default_rng(3))
+    assert (scan.oracle_checks, scan.oracle_gap) == (0, 0.0)
+    assert 0.0 < scan.canonical_gap <= 1e-9
+    assert scan.to_json()["canonical_gap"] == scan.canonical_gap
+    # parametric[h-] scores its exact value, which equals F_12+'s exactly, so
+    # the closed-form map (entered first) stays the attainer
+    assert scan.attaining_map_id.startswith("F_12")
+    assert scan.empirical_max == pytest.approx(scan.theoretical_bound, abs=1e-12)
+    gprime = el.verify_gprime_bounds(g, dom, N=0, rng=np.random.default_rng(3))
+    assert 0.0 < gprime.canonical_gap <= 1e-9
+    assert gprime.attaining_map_id == "parametric[g(z1)z]:pure(1,1)"

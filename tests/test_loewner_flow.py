@@ -8,7 +8,8 @@ from loewner_lab import carath
 from loewner_lab import disc_functions as df
 from loewner_lab import extremal_lab as el
 from loewner_lab import loewner_flow as lf
-from loewner_lab.errors import DomainError, NumericalInstabilityError, UnsupportedError
+from loewner_lab.errors import (DomainError, FlowInstabilityError, NumericalInstabilityError,
+                                UnsupportedError)
 
 P2 = bg.polydisc(2)
 E2 = bg.euclidean(2)
@@ -129,6 +130,45 @@ def test_flow_tolerance_scaling():
     assert errors[1e-10] < 1e-10
     assert 10.0 < errors[1e-6] / errors[1e-8] < 1000.0
     assert 10.0 < errors[1e-8] / errors[1e-10] < 1000.0
+
+
+def test_flow_identity_field_is_exact_in_few_steps():
+    # in u = e^t v the identity field has du/dt = 0: the step grows x5 per
+    # accepted step, and the result is e^-t z up to rounding
+    rng = np.random.default_rng(12)
+    for dom in (P2, E2, bg.spectral2()):
+        Z = bg.sample_sphere(dom, rng, 50) * rng.uniform(0.1, 0.9, 50)[:, None]
+        res = lf.flow(identity_field(dom), Z, 0.0, 10.0, record_trajectory=True)
+        expect = np.exp(-10.0) * Z
+        assert np.max(np.abs(res.endpoint - expect) / np.abs(expect)) <= 1e-15
+        assert len(res.trajectory) - 1 <= 10
+
+
+def test_flow_and_limit_match_the_flow_check_closed_forms():
+    # the closed forms of the flow-check experiment, on its point set
+    g = df.moebius()
+    c = df.d1(g)
+    field = shear_field(g, P2)
+    rng = np.random.default_rng(13)
+    Z = bg.sample_sphere(P2, rng, 64) * rng.uniform(0.1, 0.9, 64)[:, None]
+    for t in (0.5, 2.0, 10.0):
+        got = lf.flow(field, Z, 0.0, t).endpoint
+        assert np.max(np.abs(got - shear_flow_closed_form(c, Z, t))) <= 1e-12
+    Zs = Z * (0.7 * 0.999 / np.asarray(bg.norm(P2, Z)))[:, None]
+    res = lf.parametric_map(field, Zs)
+    assert res.converged
+    expect = Zs.copy()
+    expect[:, 0] -= c * Zs[:, 1] ** 2
+    assert np.max(np.abs(res.endpoint - expect)) <= 1e-10
+
+
+def test_flow_leaving_the_ball_raises_flow_instability():
+    # h = -z pushes every point outward; the check on v = e^-s u catches it
+    g = df.moebius()
+    outward = carath.BlackBoxMap(lambda Z: -Z, P2, normalized=True)
+    field = lf.autonomous_field(outward, g, P2)
+    with pytest.raises(FlowInstabilityError, match="ball exit"):
+        lf.flow(field, np.array([[0.5, 0.2j]]), 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +388,17 @@ def test_step_doubling_shares_the_first_stage():
     end = lf._integrate_segment(spoiled, P2, y, 0.0, 0.01, 1e-10, True, marks)
     assert marks.marks == [21, 32]
     assert np.allclose(end, np.exp(-0.01) * y, rtol=1e-12, atol=0)
+
+
+def test_canonical_parametric_map_rhs_call_budget():
+    # about 800 RHS calls in u = e^t v; integrating v itself took 6900,
+    # because the step followed the e^-t decay of v to the horizon
+    g = df.moebius()
+    h = CountingMap(carath.canonical_field(g, P2, 1, 2, +1))
+    rng = np.random.default_rng(14)
+    Z = bg.sample_sphere(P2, rng, 128) * 0.7
+    assert lf.parametric_map(lf.autonomous_field(h, g, P2), Z).converged
+    assert h.calls <= 2000
 
 
 # ---------------------------------------------------------------------------
