@@ -54,6 +54,9 @@ TORUS_PHASES = 64
 #: the 1e-10 at which ``bg.support_functionals`` calls a point degenerate
 SPECTRAL_GAP = 1e-8
 
+#: radii of the Cauchy DFT circles: the value, then the consistency check
+DFT_RADII = (0.4, 0.2)
+
 _FD_STEP = 1e-5
 
 
@@ -430,7 +433,7 @@ def quadratic_coeffs(Q: np.ndarray, requests) -> dict:
     return out
 
 
-def second_coeff_bundle(f: HolMap, requests, rho: float = 0.4, rho_check: float = 0.2) -> dict:
+def second_coeff_bundle(f: HolMap, requests) -> dict:
     """Extract several second-order coefficients from one batched evaluation.
 
     ``requests`` is an iterable of (i, j, kind).  All circles (128 points per
@@ -440,7 +443,6 @@ def second_coeff_bundle(f: HolMap, requests, rho: float = 0.4, rho_check: float 
     n = f.domain.n
     requests = _check_requests(requests, n)
 
-    radii = (rho, rho_check)
     m_axis = 64
     theta_axis = 2.0 * np.pi * np.arange(m_axis) / m_axis
     circle = np.exp(1j * theta_axis)
@@ -453,7 +455,7 @@ def second_coeff_bundle(f: HolMap, requests, rho: float = 0.4, rho_check: float 
 
     blocks, layout = [], {}
     for p, q, s in directions:
-        for r in radii:
+        for r in DFT_RADII:
             Z = np.zeros((m_axis, n), dtype=complex)
             Z[:, p - 1] = r * circle
             if q is not None:
@@ -471,7 +473,7 @@ def second_coeff_bundle(f: HolMap, requests, rho: float = 0.4, rho_check: float 
     out = {}
     for i, j, kind in requests:
         got = []
-        for r in radii:
+        for r in DFT_RADII:
             if kind == PURE:
                 got.append(dft(i, j, None, 1.0, r))
             else:
@@ -481,23 +483,22 @@ def second_coeff_bundle(f: HolMap, requests, rho: float = 0.4, rho_check: float 
     return out
 
 
-def second_coeff(f: HolMap, i: int, j: int, kind: str,
-                 rho: float = 0.4, rho_check: float = 0.2) -> complex:
+def second_coeff(f: HolMap, i: int, j: int, kind: str) -> complex:
     """Second-order Taylor data of f at 0.
 
     ``pure`` returns the coefficient of z_j^2 in component i, i.e.
     (1/2) d^2 f_i / d z_j^2 (0), from a 64-point Cauchy DFT on the circle of
-    radius ``rho``.  ``mixed`` (i != j) returns the coefficient of z_i z_j in
-    component i, i.e. d^2 f_i / (d z_i d z_j) (0), from the same DFT on the
-    circles rho e^{i theta} (e_i +- e_j), which lie on the 2-torus
+    radius rho = DFT_RADII[0].  ``mixed`` (i != j) returns the coefficient of
+    z_i z_j in component i, i.e. d^2 f_i / (d z_i d z_j) (0), from the same
+    DFT on the circles rho e^{i theta} (e_i +- e_j), which lie on the 2-torus
     |z_i| = |z_j| = rho.  There the degree-2 part of f_i is
     Q_ii +- Q_ij + Q_jj (Q_ab the coefficient of z_a z_b), so the two DFT
     values c+ and c- give Q_ij = (c+ - c-) / 2, with no term of degree below
-    66 aliased in.  Both kinds are recomputed at ``rho_check``; disagreement
+    66 aliased in.  Both kinds are recomputed at DFT_RADII[1]; disagreement
     beyond 1e-8 triggers a ReducedPrecisionWarning, beyond 1e-4 a
     NumericalInstabilityError.
     """
-    return second_coeff_bundle(f, [(i, j, kind)], rho=rho, rho_check=rho_check)[(i, j, kind)]
+    return second_coeff_bundle(f, [(i, j, kind)])[(i, j, kind)]
 
 
 def shear(h: HolMap, i: int, j: int) -> PolynomialMap:

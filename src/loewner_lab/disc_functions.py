@@ -6,8 +6,8 @@ almost-starlike maps onto shifted half-planes, and the strongly-starlike power
 maps onto sectors.  Each family carries exact formulas for the derivative at
 the origin, the distance ``d1`` from 1 to the image boundary, and membership
 of a point in the image via the inverse map.  A ``custom`` family accepts
-pointwise/boundary evaluators and falls back to boundary-grid scans with
-golden-section refinement and polyline winding numbers.
+pointwise/boundary evaluators and falls back to boundary-grid scans refined
+by zooming around the best grid points, and polyline winding numbers.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import optimize
 
 from .errors import DomainError, NumericalInstabilityError, UnsupportedError
 
@@ -37,6 +36,9 @@ INDETERMINATE = "indeterminate"
 
 #: number of boundary/radial grid points used by the numeric scans
 GRID_SIZE = 4096
+#: zoom passes and points per pass of the grid-minimum refinement
+_ZOOMS = 6
+_ZOOM_POINTS = 65
 
 
 @dataclass(frozen=True)
@@ -101,18 +103,19 @@ def strongly_starlike(alpha: float) -> DiscFunction:
 # evaluation
 
 
+def _beta(g: DiscFunction) -> float:
+    """1 - 2 alpha; moebius is starlike of order 0 and shares its formulas."""
+    return 1.0 - 2.0 * (g.alpha or 0.0)
+
+
 def _eval_raw(g: DiscFunction, zeta):
     """Evaluate g without domain checks (the formulas extend past |z| = 1)."""
     z = np.asarray(zeta, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if g.family == MOEBIUS:
-            return (1.0 - z) / (1.0 + z)
-        if g.family == STARLIKE_ORDER:
-            beta = 1.0 - 2.0 * g.alpha
-            return (1.0 - z) / (1.0 + beta * z)
+        if g.family in (MOEBIUS, STARLIKE_ORDER):
+            return (1.0 - z) / (1.0 + _beta(g) * z)
         if g.family == ALMOST_STARLIKE:
-            beta = 1.0 - 2.0 * g.alpha
-            return (1.0 - beta * z) / (1.0 + z)
+            return (1.0 - _beta(g) * z) / (1.0 + z)
         if g.family == STRONGLY_STARLIKE:
             # principal branch; (1-z)/(1+z) has positive real part on the
             # disc, so the principal log never crosses its cut there
@@ -134,14 +137,11 @@ def derivative(g: DiscFunction, zeta):
     """g'(zeta); analytic for the catalog, Cauchy circle for custom."""
     z = np.asarray(zeta, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if g.family == MOEBIUS:
-            out = -2.0 / (1.0 + z) ** 2
-        elif g.family == STARLIKE_ORDER:
-            beta = 1.0 - 2.0 * g.alpha
+        if g.family in (MOEBIUS, STARLIKE_ORDER):
+            beta = _beta(g)
             out = -(1.0 + beta) / (1.0 + beta * z) ** 2
         elif g.family == ALMOST_STARLIKE:
-            beta = 1.0 - 2.0 * g.alpha
-            out = -(beta + 1.0) / (1.0 + z) ** 2
+            out = -(_beta(g) + 1.0) / (1.0 + z) ** 2
         elif g.family == STRONGLY_STARLIKE:
             out = _eval_raw(g, z) * g.alpha * (-2.0) / (1.0 - z * z)
         else:
@@ -167,10 +167,8 @@ def g_prime0(g: DiscFunction) -> complex:
     Cauchy integral on the circle of radius 0.25 and cross-checked against a
     fourth-order central difference with step 1e-5.
     """
-    if g.family == MOEBIUS:
-        return -2.0 + 0.0j
-    if g.family in (STARLIKE_ORDER, ALMOST_STARLIKE):
-        return complex(-2.0 * (1.0 - g.alpha))
+    if g.family in (MOEBIUS, STARLIKE_ORDER, ALMOST_STARLIKE):
+        return complex(-2.0 * (1.0 - (g.alpha or 0.0)))
     if g.family == STRONGLY_STARLIKE:
         return complex(-2.0 * g.alpha)
     rho, m = 0.25, 64
@@ -200,13 +198,33 @@ def _boundary_values(g: DiscFunction, theta):
     return np.asarray(g.boundary(np.asarray(theta, dtype=float)), dtype=complex)
 
 
-def _golden_refine(fun, xa, xb, xc):
-    """Golden-section minimum of fun over a validated bracket, else fun(xb)."""
-    fa, fb, fc = fun(xa), fun(xb), fun(xc)
-    if not (fb < fa and fb < fc):
-        return fb
-    xmin, fval, _ = optimize.golden(fun, brack=(xa, xb, xc), tol=1e-12, full_output=True)
-    return min(fb, fval)
+def _grid_minimum(objective, grid, periodic: bool = False) -> float:
+    """Smallest value of a vectorized ``objective`` (non-finite values skipped).
+
+    The grid minimum is refined around the three best finite grid points:
+    each of ``_ZOOMS`` passes evaluates ``_ZOOM_POINTS`` points spanning one
+    spacing on either side of the current best point, then shrinks the
+    spacing to that of the pass.  Brackets stay inside [grid[0], grid[-1]]
+    unless the variable is ``periodic`` (an angle), where they wrap.
+    """
+    def finite(x):
+        out = objective(x)
+        return np.where(np.isfinite(out), out, np.inf)
+
+    vals = finite(grid)
+    best = float(np.min(vals))
+    for idx in np.argsort(vals)[:3]:
+        if not np.isfinite(vals[idx]):
+            continue
+        x, half = grid[idx], grid[1] - grid[0]
+        for _ in range(_ZOOMS):
+            xs = np.linspace(x - half, x + half, _ZOOM_POINTS)
+            if not periodic:
+                xs = np.clip(xs, grid[0], grid[-1])
+            v = finite(xs)
+            k = int(np.argmin(v))
+            x, half, best = xs[k], 2.0 * half / (_ZOOM_POINTS - 1), min(best, float(v[k]))
+    return best
 
 
 def d1(g: DiscFunction) -> float:
@@ -216,10 +234,9 @@ def d1(g: DiscFunction) -> float:
     starlike of order a; 1-a for almost starlike; sin(a*pi/2) for strongly
     starlike).  Custom functions go through the boundary-grid scan.
     """
-    if g.family == MOEBIUS:
-        return 1.0
-    if g.family == STARLIKE_ORDER:
-        return 1.0 if g.alpha <= 0.5 else (1.0 - g.alpha) / g.alpha
+    if g.family in (MOEBIUS, STARLIKE_ORDER):
+        alpha = g.alpha or 0.0
+        return 1.0 if alpha <= 0.5 else (1.0 - alpha) / alpha
     if g.family == ALMOST_STARLIKE:
         return 1.0 - g.alpha
     if g.family == STRONGLY_STARLIKE:
@@ -228,65 +245,32 @@ def d1(g: DiscFunction) -> float:
 
 
 def d1_grid(g: DiscFunction, n_grid: int = GRID_SIZE) -> float:
-    """Numeric boundary distance: grid scan of |g(e^{i theta}) - 1| plus
-    golden-section refinement around the three best grid points.
+    """Numeric boundary distance: grid scan of |g(e^{i theta}) - 1| refined
+    around the three best grid points (``_grid_minimum``).
 
     Poles / infinite boundary points cannot be nearest points to 1 and are
     skipped.
     """
     theta = 2.0 * np.pi * np.arange(n_grid) / n_grid
-    vals = _boundary_values(g, theta)
-    dist = np.abs(vals - 1.0)
-    dist[~np.isfinite(dist)] = np.inf
-
-    def objective(t):
-        v = _boundary_values(g, np.atleast_1d(t))[0]
-        d = abs(v - 1.0)
-        return d if np.isfinite(d) else 1e300
-
-    step = 2.0 * np.pi / n_grid
-    best = float(np.min(dist))
-    for idx in np.argsort(dist)[:3]:
-        t0 = theta[idx]
-        if not np.isfinite(dist[idx]):
-            continue
-        best = min(best, _golden_refine(objective, t0 - step, t0, t0 + step))
-    return best
+    return _grid_minimum(lambda t: np.abs(_boundary_values(g, t) - 1.0), theta, periodic=True)
 
 
 def _a0_objective(g: DiscFunction, rho):
     rho = np.asarray(rho, dtype=float)
     right = np.abs(1.0 - _eval_raw(g, rho.astype(complex)))
     left = np.abs(_eval_raw(g, -rho.astype(complex)) - 1.0)
-    out = np.minimum(right, left) / rho
-    out[~np.isfinite(out)] = np.inf
-    return out
+    return np.minimum(right, left) / rho
 
 
 def a0(g: DiscFunction, n_grid: int = GRID_SIZE) -> float:
     """Radial infimum over rho in (0,1) of min(|1-g(rho)|, |g(-rho)-1|)/rho.
 
-    The scan combines a dense grid with golden-section refinement, the
+    The scan combines a refined grid minimum (``_grid_minimum``), the
     rho -> 0 limit |g'(0)|, and a linear-in-(1-rho) extrapolation of the
     rho -> 1 endpoint (the objective extends continuously whenever g does).
     """
     grid = np.linspace(1e-6, 1.0 - 1e-6, n_grid)
-    vals = _a0_objective(g, grid)
-
-    def objective(r):
-        if not 0.0 < r < 1.0:
-            return 1e300
-        v = _a0_objective(g, np.atleast_1d(r))[0]
-        return v if np.isfinite(v) else 1e300
-
-    step = grid[1] - grid[0]
-    candidates = [float(np.min(vals)), abs(g_prime0(g))]
-    for idx in np.argsort(vals)[:3]:
-        if not np.isfinite(vals[idx]):
-            continue
-        r0 = grid[idx]
-        candidates.append(_golden_refine(objective, max(r0 - step, 1e-9), r0, min(r0 + step, 1.0 - 1e-9)))
-
+    candidates = [_grid_minimum(lambda r: _a0_objective(g, r), grid), abs(g_prime0(g))]
     tail = _a0_objective(g, 1.0 - np.power(10.0, -np.arange(2.0, 7.0)))
     if np.all(np.isfinite(tail)):
         f5, f6 = tail[-2], tail[-1]
@@ -308,14 +292,10 @@ def inverse_radius(g: DiscFunction, w):
     """
     w = np.asarray(w, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if g.family == MOEBIUS:
-            r = np.abs((1.0 - w) / (1.0 + w))
-        elif g.family == STARLIKE_ORDER:
-            beta = 1.0 - 2.0 * g.alpha
-            r = np.abs((1.0 - w) / (1.0 + beta * w))
+        if g.family in (MOEBIUS, STARLIKE_ORDER):
+            r = np.abs((1.0 - w) / (1.0 + _beta(g) * w))
         elif g.family == ALMOST_STARLIKE:
-            beta = 1.0 - 2.0 * g.alpha
-            r = np.abs((1.0 - w) / (w + beta))
+            r = np.abs((1.0 - w) / (w + _beta(g)))
         elif g.family == STRONGLY_STARLIKE:
             phi = np.abs(np.angle(w))
             r = 2.0 + phi

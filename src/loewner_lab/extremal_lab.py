@@ -83,8 +83,7 @@ class BoundReport:
 
 
 def sample_Sg0(g: df.DiscFunction, dom: bg.BallGeometry, rng: np.random.Generator,
-               pieces: int, dt: float = 0.5, certify_n: int = 160,
-               tol: float = SAMPLER_TOL) -> carath.BlackBoxMap:
+               pieces: int) -> carath.BlackBoxMap:
     """One random map with parametric representation: the limit of the flow
     of a random piecewise-constant certified schedule.
 
@@ -102,8 +101,8 @@ def sample_Sg0(g: df.DiscFunction, dom: bg.BallGeometry, rng: np.random.Generato
         raise DomainError("need at least one schedule piece")
     maps = [carath.random_Mg_member(g, dom, rng, int(rng.integers(1, 4)))
             for _ in range(pieces)]
-    schedule = lf.make_field(maps, g, dom, dt=dt, certify_n=certify_n, rng=rng)
-    return lf.parametric_holmap(schedule, tol=tol, ode_tol=SAMPLER_ODE_TOL,
+    schedule = lf.make_field(maps, g, dom, rng=rng)
+    return lf.parametric_holmap(schedule, tol=SAMPLER_TOL, ode_tol=SAMPLER_ODE_TOL,
                                 label=f"Sg0_sample[pieces={pieces}]")
 
 
@@ -169,10 +168,11 @@ def scan_support(g: df.DiscFunction, dom: bg.BallGeometry, i: int, j: int, N: in
     factor * d1(g) within coefficient-extraction tolerance.
 
     A sample's value is exact (``_sample_coeffs``); every
-    ``ORACLE_STRIDE``-th sample is also flowed, and the report records the
-    number of these cross-checks and their largest gap.  So are the
-    parametric maps of the canonical fields, always cross-checked
-    (``canonical_gap``); the closed-form maps go through the DFT.
+    ``ORACLE_STRIDE``-th sample is also flowed and checked on every pure
+    coefficient (a, j) of its e_j circle, and the report records the number
+    of these cross-checks and their largest gap.  So are the parametric maps
+    of the canonical fields, always cross-checked (``canonical_gap``); the
+    closed-form maps go through the DFT.
 
     What the scan shows is that the code is right, not that the theorem is.
     The quadratic part of a sampled map is minus a convex combination of its
@@ -185,10 +185,12 @@ def scan_support(g: df.DiscFunction, dom: bg.BallGeometry, i: int, j: int, N: in
     bound = dom.shear_factor * df.d1(g)
     entries: List[Tuple[str, float]] = []
     requests = [(i, j, carath.PURE)]
+    # (i, j) alone is identically 0 on draws with no z_j^2 term in component i
+    axis = [(a, j, carath.PURE) for a in range(1, dom.n + 1)]
     gaps = []
 
     for s in range(N):
-        f, coeffs, gap = _sample_coeffs(lambda: sample_Sg0(g, dom, rng, pieces), requests,
+        f, coeffs, gap = _sample_coeffs(lambda: sample_Sg0(g, dom, rng, pieces), axis,
                                         s % ORACLE_STRIDE == 0)
         if gap is not None:
             gaps.append(gap)

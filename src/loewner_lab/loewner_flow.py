@@ -29,6 +29,15 @@ from .errors import DomainError, FlowInstabilityError, UnsupportedError
 
 _NORM_GROWTH_TOL = 1e-9
 _MIN_STEP = 1e-12
+#: longest segment ``flow`` integrates in one piece: the factor e^{-s} of
+#: u = e^s v must stay a normal double (it underflows past s ~ 708)
+MAX_SEGMENT = 700.0
+#: length and certification sample count of each ``make_field`` segment
+SEGMENT_DT = 0.5
+SEGMENT_CERTIFY_N = 160
+#: ``parametric_map`` compares e^t v at every CHECKPOINT up to HORIZON
+CHECKPOINT = 5.0
+HORIZON = 40.0
 
 
 @dataclass(frozen=True)
@@ -66,16 +75,17 @@ def autonomous_field(h: carath.HolMap, g: df.DiscFunction, dom: bg.BallGeometry,
 
 
 def make_field(maps: Sequence[carath.HolMap], g: df.DiscFunction, dom: bg.BallGeometry,
-               dt: float = 0.5, certify_n: int = 160,
                rng: Optional[np.random.Generator] = None) -> HerglotzField:
-    """Schedule the given generators on consecutive intervals of length dt,
-    attaching a quick sampling certificate to each segment."""
+    """Schedule the given generators on consecutive intervals of length
+    SEGMENT_DT, attaching a quick sampling certificate (SEGMENT_CERTIFY_N
+    points) to each segment."""
     rng = np.random.default_rng(0) if rng is None else rng
     certs = tuple(
-        carath.certify_Mg(m, g, dom, certify_n, rng=rng, structured=False) for m in maps
+        carath.certify_Mg(m, g, dom, SEGMENT_CERTIFY_N, rng=rng, structured=False)
+        for m in maps
     )
-    times = tuple(dt * k for k in range(len(maps)))
-    return HerglotzField(times, tuple(maps), g, dom, dt * len(maps), certs)
+    times = tuple(SEGMENT_DT * k for k in range(len(maps)))
+    return HerglotzField(times, tuple(maps), g, dom, SEGMENT_DT * len(maps), certs)
 
 
 @dataclass
@@ -160,7 +170,9 @@ def flow(field: HerglotzField, z, s: float, t: float, tol: float = 1e-10,
     trajectory holds v at every accepted step.  The trajectory must stay in the
     open ball with nonincreasing norm (up to 1e-9 per step), else the
     integrator aborts with ``FlowInstabilityError``, as it does on step-size
-    underflow; the result is never ``converged=False``.
+    underflow; the result is never ``converged=False``.  A segment (a piece
+    of [s, t] between breakpoints) longer than MAX_SEGMENT raises
+    ``DomainError`` before any step.
     """
     if t < s or s < 0.0:
         raise DomainError("flow needs 0 <= s <= t")
@@ -172,6 +184,10 @@ def flow(field: HerglotzField, z, s: float, t: float, tol: float = 1e-10,
 
     cuts = [tau for tau in field.times if s < tau < t]
     bounds = [s, *cuts, t]
+    longest = max(b - a for a, b in zip(bounds, bounds[1:]))
+    if longest > MAX_SEGMENT:
+        raise DomainError(f"flow segment of length {longest:g} exceeds the limit "
+                          f"{MAX_SEGMENT:g} (e^-s must stay a normal double); flow in shorter calls")
     trajectory: List[Tuple[float, np.ndarray]] = [(s, y.copy())] if record_trajectory else []
     for a, b in zip(bounds, bounds[1:]):
         h_map = field.maps[field.segment(a)]
@@ -180,13 +196,14 @@ def flow(field: HerglotzField, z, s: float, t: float, tol: float = 1e-10,
     return FlowResult(endpoint, trajectory or None, t, True)
 
 
-def parametric_map(field: HerglotzField, z, tol: float = 1e-8, ode_tol: float = 1e-10,
-                   horizon: float = 40.0, checkpoint: float = 5.0) -> FlowResult:
+def parametric_map(field: HerglotzField, z, tol: float = 1e-8,
+                   ode_tol: float = 1e-10) -> FlowResult:
     """Limit e^t v(z, 0, t) of the flow, evaluated at checkpoints t = 5, 10, ...
+    (multiples of CHECKPOINT).
 
     Convergence is declared when successive checkpoint values differ by less
-    than ``tol``; the horizon caps at 40 and a miss returns converged=False
-    with the best estimate.
+    than ``tol``; the horizon caps at HORIZON = 40 and a miss returns
+    converged=False with the best estimate.
     """
     z = np.asarray(z, dtype=complex)
     single = z.ndim == 1
@@ -197,8 +214,8 @@ def parametric_map(field: HerglotzField, z, tol: float = 1e-8, ode_tol: float = 
     est = y
     t_cur = 0.0
     converged = False
-    while t_cur < horizon - 1e-12:
-        t_next = min(t_cur + checkpoint, horizon)
+    while t_cur < HORIZON - 1e-12:
+        t_next = min(t_cur + CHECKPOINT, HORIZON)
         y = flow(field, y, t_cur, t_next, tol=ode_tol).endpoint
         t_cur = t_next
         est = math.exp(t_cur) * y
@@ -365,16 +382,8 @@ def growth_constant(g: df.DiscFunction) -> float:
     """Largest C with 1/(rho g(rho)) >= C/(1-rho) on (1/2, 1), i.e. the
     infimum of (1-rho)/(rho g(rho)) there."""
     rho = np.linspace(0.5 + 1e-9, 1.0 - 1e-12, 4001)
-    vals = (1.0 - rho) / (rho * df._eval_raw(g, rho.astype(complex)).real)
-    idx = int(np.argmin(vals))
-    best = float(vals[idx])
-    if 0 < idx < len(rho) - 1:
-        refine = df._golden_refine(
-            lambda r: float((1.0 - r) / (r * df._eval_raw(g, complex(r)).real)),
-            rho[idx - 1], rho[idx], rho[idx + 1],
-        )
-        best = min(best, refine)
-    return best
+    return df._grid_minimum(
+        lambda r: (1.0 - r) / (r * df._eval_raw(g, r.astype(complex)).real), rho)
 
 
 class KoebeRadialMap(carath.HolMap):

@@ -1,9 +1,11 @@
 """Acceptance suite: every criterion runs at its stated tolerance and prints
 one PASS/FAIL line.  Budgets are wall-clock upper bounds, not targets."""
 
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ P2 = bg.polydisc(2)
 P3 = bg.polydisc(3)
 SP = bg.spectral2()
 E2 = bg.euclidean(2)
+#: the CLI subprocesses import the package from this tree, installed or not
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class Criterion:
@@ -223,7 +227,7 @@ def test_criterion_10_cli_reproducibility(tmp_path):
             for _ in range(2):
                 proc = subprocess.run(
                     [sys.executable, "-m", "loewner_lab", *args, "--out", str(out)],
-                    capture_output=True, text=True)
+                    capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
                 assert proc.returncode == 0, proc.stderr
                 runs.append(out.read_bytes())
             assert runs[0] == runs[1], f"{name} runs differ"

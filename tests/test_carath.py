@@ -194,13 +194,13 @@ def test_mixed_coeff_circles_stay_on_the_torus_bound(dom, pair):
         return Z
 
     f = carath.BlackBoxMap(record, dom, normalized=True)
-    rho = 0.4
-    carath.second_coeff(f, *pair, carath.MIXED, rho=rho)
+    rho, rho_check = carath.DFT_RADII
+    carath.second_coeff(f, *pair, carath.MIXED)
     (points,) = seen
     assert len(points) == 4 * 64
     torus_max = np.max(bg.norm(dom, torus_points(dom.n, *pair, rho)[0]))
     assert np.max(bg.norm(dom, points)) <= torus_max * (1 + 1e-15)
-    for r in (rho, 0.2):
+    for r in (rho, rho_check):
         on_circles = np.isclose(np.abs(points[:, pair[0] - 1]), r)
         assert on_circles.sum() == 2 * 64
         assert np.allclose(np.abs(points[on_circles][:, pair[1] - 1]), r, atol=1e-15)

@@ -64,8 +64,11 @@ def test_report_round_trip(tmp_path):
 #: every scan and gprime report were rewritten once the flow integrated
 #: u = e^t v (smaller residuals and oracle gaps) and the canonical and sharp
 #: maps took their exact coefficients, with the new ``canonical_gap`` field
-#: recording their cross-check through the flow.  A change that alters these
-#: bytes must say so in CHANGES.md.  A file is named <subcommand>_<label>.
+#: recording their cross-check through the flow.  scan_polydisc and
+#: scan_polydisc_n9 were rewritten (``oracle_gap`` only) once a scan's
+#: cross-check covered every component of the e_j circle, not (i, j) alone.
+#: A change that alters these bytes must say so in CHANGES.md.  A file is
+#: named <subcommand>_<label>.
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
 

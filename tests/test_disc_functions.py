@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,6 +122,29 @@ def test_d1_closed_forms():
 def test_d1_grid_matches_closed_forms():
     for g in catalog_members():
         assert df.d1_grid(g) == pytest.approx(df.d1(g), abs=1e-9)
+
+
+def test_grid_minimum_refines_inside_the_grid_and_wraps_angles():
+    grid = np.linspace(0.5, 1.0, 101)
+    # a minimum between grid points is found to rounding ...
+    assert df._grid_minimum(lambda x: (x - 0.7123456789) ** 2 + 2.0, grid) == 2.0
+    # ... and a non-periodic bracket never leaves [grid[0], grid[-1]]
+    assert df._grid_minimum(lambda x: x, grid) == 0.5
+    # the nearest boundary point sits at theta = -1e-4, between the last grid
+    # angle and 2 pi: only a bracket that wraps across theta = 0 reaches it
+    g = df.DiscFunction(df.CUSTOM, evaluator=lambda z: 1.5 + z,
+                        boundary=lambda th: 2.5 - np.cos(th + 1e-4) + 0j)
+    assert df.d1_grid(g) == pytest.approx(0.5, abs=1e-15)
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, loewner_lab; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_d1_grid_needs_boundary_for_custom():

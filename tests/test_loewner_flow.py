@@ -171,6 +171,19 @@ def test_flow_leaving_the_ball_raises_flow_instability():
         lf.flow(field, np.array([[0.5, 0.2j]]), 0.0, 1.0)
 
 
+def test_flow_rejects_a_segment_past_the_underflow_limit():
+    # e^-s underflows past s ~ 708: the flow refuses before it integrates,
+    # and the same span still flows in two calls
+    field = shear_field(df.moebius(), P2)
+    z = np.array([0.3, 0.2j])
+    with pytest.raises(DomainError, match="limit 700"):
+        lf.flow(field, z, 0.0, 720.0)
+    with np.errstate(over="raise", invalid="raise"):
+        half = lf.flow(field, z, 0.0, 360.0).endpoint
+        assert np.all(np.isfinite(lf.flow(field, half, 360.0, 720.0).endpoint))
+    assert np.max(np.abs(lf.flow(field, z, 0.0, lf.MAX_SEGMENT).endpoint)) < 1e-300
+
+
 # ---------------------------------------------------------------------------
 # parametric limits
 
