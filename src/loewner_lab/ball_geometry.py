@@ -94,41 +94,93 @@ def _check_dim(dom: BallGeometry, z) -> np.ndarray:
     return z
 
 
-def to_matrices(z) -> np.ndarray:
-    """Spectral-ball coordinates -> stacked 2x2 matrices [[z1, z3], [z4, z2]]."""
-    z = np.asarray(z, dtype=complex)
-    m = np.empty(z.shape[:-1] + (2, 2), dtype=complex)
-    m[..., 0, 0] = z[..., 0]
-    m[..., 1, 1] = z[..., 1]
-    m[..., 0, 1] = z[..., 2]
-    m[..., 1, 0] = z[..., 3]
-    return m
-
-
 def from_matrices(m) -> np.ndarray:
+    """Stacked 2x2 matrices [[z1, z3], [z4, z2]] -> spectral-ball coordinates."""
     m = np.asarray(m, dtype=complex)
     return np.stack([m[..., 0, 0], m[..., 1, 1], m[..., 0, 1], m[..., 1, 0]], axis=-1)
 
 
-def _spectral_norms(z) -> np.ndarray:
-    """Largest singular value of the 2x2 matrix [[a, c], [d, b]] of z.
+# The spectral ball in closed form.  Only real products and sums appear
+# (numpy rounds complex products differently in a batch), so a point rounds
+# alone as it does inside a batch.
 
-    With p = |a|^2 + |c|^2, q = |d|^2 + |b|^2 and r = a conj(d) + c conj(b)
-    (the Gram matrix of the rows), s_1^2 = (p + q + sqrt((p - q)^2 + 4|r|^2))
-    / 2 sums nonnegative terms only, so it keeps full precision when the
-    singular values nearly agree.  Only real products and sums appear (numpy
-    rounds complex products differently in a batch), so a point rounds alone
-    as it does inside a batch.
-    """
+
+def _parts(z):
+    """Real and imaginary parts of the matrix entries (a, b, c, d) of z."""
     z = np.asarray(z, dtype=complex)
-    xa, xb, xc, xd = np.moveaxis(z.real, -1, 0)
-    ya, yb, yc, yd = np.moveaxis(z.imag, -1, 0)
+    return np.moveaxis(z.real, -1, 0), np.moveaxis(z.imag, -1, 0)
+
+
+def _conj_mul(xr, xi, yr, yi):
+    """conj(x) * y from real and imaginary parts."""
+    return xr * yr + xi * yi, xr * yi - xi * yr
+
+
+def _row_gram(z):
+    """Row Gram matrix [[p, r], [conj(r), q]] of the 2x2 matrix [[a, c], [d, b]]
+    of z: p = |a|^2 + |c|^2, q = |d|^2 + |b|^2, r = a conj(d) + c conj(b) =
+    re + i im.  Returns ``p, q, re, im, disc`` with disc = sqrt((p - q)^2 +
+    4|r|^2) = lambda_1 - lambda_2, a sum of nonnegative terms."""
+    (xa, xb, xc, xd), (ya, yb, yc, yd) = _parts(z)
     p = (xa * xa + ya * ya) + (xc * xc + yc * yc)
     q = (xd * xd + yd * yd) + (xb * xb + yb * yb)
     re = xa * xd + ya * yd + xc * xb + yc * yb
     im = ya * xd - xa * yd + yc * xb - xc * yb
     disc = np.sqrt((p - q) * (p - q) + 4.0 * (re * re + im * im))
+    return p, q, re, im, disc
+
+
+def _spectral_norms(z) -> np.ndarray:
+    """Largest singular value s1 = sqrt((p + q + disc) / 2) of each z
+    (``_row_gram``): no cancellation when the singular values nearly agree."""
+    p, q, _, _, disc = _row_gram(z)
     return np.sqrt(0.5 * (p + q + disc))
+
+
+def spectral_gap(z) -> np.ndarray:
+    """s1 - s2 of each nonzero spectral-ball point (``_singular_gap``)."""
+    p, q, _, _, disc = _row_gram(z)
+    return _singular_gap(z, np.sqrt(0.5 * (p + q + disc)), disc)
+
+
+def _singular_gap(z, s1, disc) -> np.ndarray:
+    """s1 - s2 = disc / (s1 + s2) with s2 = |det| / s1, so that no
+    difference of nearby numbers is taken."""
+    (xa, xb, xc, xd), (ya, yb, yc, yd) = _parts(z)
+    det_re = (xa * xb - ya * yb) - (xc * xd - yc * yd)
+    det_im = (xa * yb + ya * xb) - (xc * yd + yc * xd)
+    s2 = np.sqrt(det_re * det_re + det_im * det_im) / s1
+    return disc / (s1 + s2)
+
+
+def _top_functionals(z, s1) -> np.ndarray:
+    """Rows of l(W) = u1^H W v1 from the top singular pair of each z (norms
+    ``s1``); a gap s1 - s2 below ``_DEGENERATE_TOL`` raises
+    ``DegenerateFunctionalError`` before any division by it.
+
+    u1 is the top eigenvector of the row Gram matrix: (lambda_1 - q, conj(r))
+    when p >= q, else (r, lambda_1 - p), so its large entry is a sum of
+    nonnegative terms; then v1 = M^H u1 / s1."""
+    p, q, re, im, disc = _row_gram(z)
+    if np.any(_singular_gap(z, s1, disc) < _DEGENERATE_TOL):
+        raise DegenerateFunctionalError("degenerate top singular value; resample")
+    (xa, xb, xc, xd), (ya, yb, yc, yd) = _parts(z)
+    top = 0.5 * (np.abs(p - q) + disc)
+    first = p >= q
+    size = np.sqrt(top * top + (re * re + im * im))
+    u = ((np.where(first, top, re) / size, np.where(first, 0.0, im) / size),
+         (np.where(first, re, top) / size, np.where(first, -im, 0.0) / size))
+    # M^H u1 = (conj(a) u0 + conj(d) u1, conj(c) u0 + conj(b) u1)
+    v = []
+    for (xr, xi), (yr, yi) in (((xa, ya), (xd, yd)), ((xc, yc), (xb, yb))):
+        r0, i0 = _conj_mul(xr, xi, *u[0])
+        r1, i1 = _conj_mul(yr, yi, *u[1])
+        v.append(((r0 + r1) / s1, (i0 + i1) / s1))
+    # (E11, E22, E12, E21) coordinates: conj(u0) v0, conj(u1) v1, conj(u0) v1, conj(u1) v0
+    L = np.empty(top.shape + (4,), dtype=complex)
+    for k, (i, j) in enumerate(((0, 0), (1, 1), (0, 1), (1, 0))):
+        L.real[..., k], L.imag[..., k] = _conj_mul(*u[i], *v[j])
+    return L
 
 
 def norm(dom: BallGeometry, z):
@@ -153,17 +205,18 @@ def support_functionals(dom: BallGeometry, Z):
     (ties within ``_TIE_TOL``), grouped by coordinate.  Spectral ball:
     coordinate rows for frame-diagonal points (ties within
     ``_DEGENERATE_TOL``), then one row u1^H W v1 per other point from its top
-    singular pair; a degenerate top singular value among those raises
-    ``DegenerateFunctionalError`` so the caller can resample.
+    singular pair in closed form (``_top_functionals``); a gap s1 - s2 below
+    ``_DEGENERATE_TOL`` among those raises ``DegenerateFunctionalError`` so
+    the caller can resample.
     """
     L, owner, _ = _support_rows(dom, Z)
     return L, owner
 
 
 def _support_rows(dom: BallGeometry, Z):
-    """``support_functionals`` plus the norms of the rows of Z.  On the
-    spectral ball these come from the diagonal or the SVD, the same numbers
-    the functional rows are built from."""
+    """``support_functionals`` plus the norms of the rows of Z: ``norm``'s
+    own values, except that a frame-diagonal spectral point takes its larger
+    diagonal modulus, the number its coordinate rows are built from."""
     Z = _check_dim(dom, Z)
     if Z.ndim != 2:
         raise DomainError(f"support functionals take an (m, n) batch, got shape {Z.shape}")
@@ -187,14 +240,7 @@ def _support_rows(dom: BallGeometry, Z):
     L = np.zeros((coord.size + generic.size, dom.n), dtype=complex)
     L[np.arange(coord.size), coord] = absz[owner, coord] / Z[owner, coord]
     if generic.size:
-        u, s, vh = np.linalg.svd(to_matrices(Z[generic]))
-        if np.any(s[:, 0] - s[:, 1] < _DEGENERATE_TOL):
-            raise DegenerateFunctionalError("degenerate top singular value; resample")
-        norms[generic] = s[:, 0]
-        u1, v1 = np.conj(u[:, :, 0]), np.conj(vh[:, 0, :])
-        # l(w) = u1^H W v1 in the (E11, E22, E12, E21) coordinates
-        L[coord.size:] = u1[:, [0, 1, 0, 1]]
-        L[coord.size:] *= v1[:, [0, 1, 1, 0]]
+        L[coord.size:] = _top_functionals(Z[generic], norms[generic])
         owner = np.concatenate([owner, generic])
     return L, owner, norms
 
@@ -235,7 +281,7 @@ def sample_sphere(dom: BallGeometry, rng: np.random.Generator,
         norms = np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
         out = v / norms[:, None]
     elif dom.kind == POLYDISC:
-        out = _polydisc_sphere(dom.n, rng, k)
+        out = _replay(dom.n, rng, k, (dom.n,), 2 * dom.n + 1, _sphere_points, _polydisc_point)
     else:
         draws = rng.standard_normal((k, 2, 2, 2))
         z = from_matrices(draws[:, 0] + 1j * draws[:, 1])
@@ -248,63 +294,115 @@ _DOUBLE_SCALE = 1.0 / 9007199254740992.0
 
 
 def _polydisc_point(n: int, rng: np.random.Generator) -> np.ndarray:
-    """One polydisc sphere point drawn call by call; ``_polydisc_sphere``
-    reproduces this stream and falls back to it where it cannot."""
+    """One polydisc sphere point drawn call by call; ``sample_sphere``
+    replays this stream (``_replay``) and falls back to it where it cannot."""
     k = int(rng.integers(n))
     z = _disc_uniform(rng, n, 0.999)
     z[k] = np.exp(2j * np.pi * rng.random())
     return z
 
 
-def _polydisc_sphere(n: int, rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` calls of ``_polydisc_point`` from one block of raw PCG64 words.
+def _edge_point(n: int, rng: np.random.Generator) -> np.ndarray:
+    """One polydisc edge point drawn call by call; ``sample_polydisc_edge``
+    replays this stream (``_replay``) and falls back to it where it cannot."""
+    i, j = rng.choice(n, size=2, replace=False)
+    z = _disc_uniform(rng, n, 0.999)
+    z[i] = np.exp(2j * np.pi * rng.random())
+    z[j] = np.exp(2j * np.pi * rng.random())
+    return z
 
-    Each point takes its coordinate index from a 32-bit half (Lemire's
-    method, as ``rng.integers``): the low half of a fresh word, whose high
-    half PCG64 caches for the next point, or that cached half.  Then come
-    2n + 1 doubles.  A Lemire rejection (probability about n / 2**32) is
-    replayed call by call after a rewind.
+
+def _disc_batch(n: int, u: np.ndarray) -> np.ndarray:
+    """``_disc_uniform(rng, n, 0.999)`` from its 2n doubles, a row per call."""
+    return 0.999 * np.sqrt(u[:, :n]) * np.exp(2j * np.pi * u[:, n:2 * n])
+
+
+def _sphere_points(n: int, values: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``_polydisc_point`` from its draws: the index, then 2n + 1 doubles."""
+    z = _disc_batch(n, u)
+    z[np.arange(len(z)), values[:, 0]] = np.exp(2j * np.pi * u[:, 2 * n])
+    return z
+
+
+def _edge_bounds(n: int) -> tuple:
+    """Bounded draws of ``rng.choice(n, 2, replace=False)``: Floyd's
+    algorithm draws on [0, n - 2] (none when n = 2) and on [0, n - 1], then
+    one shuffle draw on [0, 1]."""
+    return ((n - 1,) if n > 2 else ()) + (n, 2)
+
+
+def _edge_points(n: int, values: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``_edge_point`` from its draws (``_edge_bounds``, then 2n + 2 doubles).
+    Floyd's second index becomes n - 1 when it repeats the first; a shuffle
+    draw of 0 swaps the two."""
+    first = values[:, 0] if n > 2 else np.zeros(len(values), dtype=np.intp)
+    second = np.where(values[:, -2] == first, n - 1, values[:, -2])
+    swap = values[:, -1] == 0
+    i, j = np.where(swap, second, first), np.where(swap, first, second)
+    z = _disc_batch(n, u)
+    rows = np.arange(len(z))
+    z[rows, i] = np.exp(2j * np.pi * u[:, 2 * n])
+    z[rows, j] = np.exp(2j * np.pi * u[:, 2 * n + 1])
+    return z
+
+
+def _replay(n: int, rng: np.random.Generator, count: int, bounds: tuple,
+            n_doubles: int, points, point) -> np.ndarray:
+    """``count`` calls of ``point(n, rng)`` from one block of raw PCG64 words.
+
+    Each call draws one value on [0, b) for each b in ``bounds`` (Lemire's
+    method, as ``rng.integers(b)``), then ``n_doubles`` doubles;
+    ``points(n, values, doubles)`` builds the batch from those draws.  A
+    bounded draw takes a 32-bit half: the low half of a fresh word, whose
+    high half PCG64 caches for the next draw, or that cached half.  A Lemire
+    rejection (probability about b / 2**32 per draw) is replayed call by call
+    after a rewind; other bit generators are drawn call by call throughout.
     """
     bitgen = rng.bit_generator
     if count == 0 or not isinstance(bitgen, np.random.PCG64):
-        return np.array([_polydisc_point(n, rng) for _ in range(count)],
+        return np.array([point(n, rng) for _ in range(count)],
                         dtype=complex).reshape(count, n)
     saved = bitgen.state
-    fresh = (np.arange(count) + saved["has_uint32"]) % 2 == 0
-    per = 2 * n + 1
-    start = np.arange(count) * per + np.cumsum(fresh) - fresh
-    raw = bitgen.random_raw(int(fresh.sum()) + count * per)
+    per = len(bounds)
+    fresh = (np.arange(count * per) + saved["has_uint32"]) % 2 == 0
+    words = np.cumsum(fresh)  # fresh words up to and including each half
+    start = words - fresh + np.arange(count * per) // per * n_doubles
+    raw = bitgen.random_raw(int(words[-1]) + count * n_doubles)
     low, high = raw[start] & 0xFFFFFFFF, raw[start] >> 32
     half = np.where(fresh, low, np.roll(high, 1))
     if not fresh[0]:
         half[0] = saved["uinteger"]
-    scaled = half * np.uint64(n)
-    rejected = np.flatnonzero((scaled & 0xFFFFFFFF) < (2**32 - n) % n)
+    bound = np.tile(np.asarray(bounds, dtype=np.uint64), count)
+    scaled = half * bound
+    rejected = np.flatnonzero((scaled & 0xFFFFFFFF) < (2**32 - bound) % bound)
     if rejected.size:
-        r = int(rejected[0])
+        r = int(rejected[0]) // per
         bitgen.state = saved
-        head = _polydisc_sphere(n, rng, r)
-        point = _polydisc_point(n, rng)
-        return np.vstack([head, point, _polydisc_sphere(n, rng, count - r - 1)])
+        head = _replay(n, rng, r, bounds, n_doubles, points, point)
+        one = point(n, rng)
+        tail = _replay(n, rng, count - r - 1, bounds, n_doubles, points, point)
+        return np.vstack([head, one, tail])
     state = bitgen.state
     state["has_uint32"] = int(fresh[-1])
     state["uinteger"] = int(high[-1] if fresh[-1] else half[-1])
     bitgen.state = state
-    u = (raw[(start + fresh)[:, None] + np.arange(per)] >> 11) * _DOUBLE_SCALE
-    z = 0.999 * np.sqrt(u[:, :n]) * np.exp(2j * np.pi * u[:, n:2 * n])
-    z[np.arange(count), (scaled >> 32).astype(np.intp)] = np.exp(2j * np.pi * u[:, 2 * n])
-    return z
+    first = words[per - 1::per] + np.arange(count) * n_doubles
+    u = (raw[first[:, None] + np.arange(n_doubles)] >> 11) * _DOUBLE_SCALE
+    return points(n, (scaled >> 32).astype(np.intp).reshape(count, per), u)
 
 
-def sample_polydisc_edge(dom: BallGeometry, rng: np.random.Generator) -> np.ndarray:
-    """Polydisc sphere point with two coordinates of modulus 1 (tie stress)."""
+def sample_polydisc_edge(dom: BallGeometry, rng: np.random.Generator,
+                         count: Optional[int] = None) -> np.ndarray:
+    """Polydisc sphere points with two coordinates of modulus 1 (tie stress).
+
+    Returns a ``(count, n)`` batch, or one point of shape ``(n,)`` when
+    ``count`` is None, under the stream contract of ``sample_sphere``.
+    """
     if dom.kind != POLYDISC:
         raise DomainError("edge sampler is specific to the polydisc")
-    i, j = rng.choice(dom.n, size=2, replace=False)
-    z = _disc_uniform(rng, dom.n, 0.999)
-    z[i] = np.exp(2j * np.pi * rng.random())
-    z[j] = np.exp(2j * np.pi * rng.random())
-    return z
+    k = 1 if count is None else int(count)
+    out = _replay(dom.n, rng, k, _edge_bounds(dom.n), 2 * dom.n + 2, _edge_points, _edge_point)
+    return out[0] if count is None else out
 
 
 def _disc_uniform(rng, n, radius):

@@ -18,7 +18,11 @@ Cauchy integrals discretized as 64-point DFTs on circles (a mixed coefficient
 from the two circles through e_p + e_q and e_p - e_q), with a dual-radius
 consistency check.  ``certify_Mg`` tests, by structured and Monte-Carlo
 sampling, that all supporting values l_z(h(z))/||z|| of a normalized map lie
-in the image g(U).
+in the image g(U).  Its points (``certification_points``) are batches drawn
+under the samplers' stream contract: sphere samples on a radius ladder, the
+polydisc edge samples in one call, and the frame tori.  The functionals come
+from ``ball_geometry.support_functionals``, in closed form on every
+geometry; no step calls LAPACK's SVD.
 """
 
 from __future__ import annotations
@@ -646,17 +650,16 @@ def structured_torus_points(dom: bg.BallGeometry, radii=TORUS_RADII,
 
 def _sphere_batch(dom: bg.BallGeometry, rng: np.random.Generator, count: int) -> np.ndarray:
     """``count`` sphere samples; spectral samples whose top singular value is
-    within ``SPECTRAL_GAP`` of the other (a measure-zero set) are replaced by
-    the next draw.  Each round draws only as many candidates as are still
-    missing, all of which a one-at-a-time loop would consume too, so the
-    stream is that of the loop."""
+    within ``SPECTRAL_GAP`` of the other (a measure-zero set; the gap is the
+    closed form ``bg.spectral_gap``) are replaced by the next draw.  Each
+    round draws only as many candidates as are still missing, all of which a
+    one-at-a-time loop would consume too, so the stream is that of the loop."""
     if dom.kind != bg.SPECTRAL2:
         return bg.sample_sphere(dom, rng, count)
     kept = []
     while count:
         Z = bg.sample_sphere(dom, rng, count)
-        s = np.linalg.svd(bg.to_matrices(Z), compute_uv=False)
-        kept.append(Z[s[:, 0] - s[:, 1] >= SPECTRAL_GAP])
+        kept.append(Z[bg.spectral_gap(Z) >= SPECTRAL_GAP])
         count -= len(kept[-1])
     return np.concatenate(kept)
 
@@ -664,14 +667,15 @@ def _sphere_batch(dom: bg.BallGeometry, rng: np.random.Generator, count: int) ->
 def certification_points(dom: bg.BallGeometry, N: int, rng: np.random.Generator,
                          structured: bool = True) -> np.ndarray:
     """Sample points for a certification run: N sphere samples scaled onto the
-    radius ladder, polydisc edge samples, and (optionally) structured tori."""
+    radius ladder, then on the polydisc one batch of max(N // 10, 8) edge
+    samples on the same ladder, and (optionally) structured tori."""
     blocks = []
     if N > 0:
         sphere = _sphere_batch(dom, rng, N)
         blocks.append(sphere * np.resize(RADIUS_LADDER, N)[:, None])
     if dom.kind == bg.POLYDISC and N > 0:
         n_edge = max(N // 10, 8)
-        edges = np.stack([bg.sample_polydisc_edge(dom, rng) for _ in range(n_edge)])
+        edges = bg.sample_polydisc_edge(dom, rng, n_edge)
         blocks.append(edges * np.resize(RADIUS_LADDER, n_edge)[:, None])
     if structured:
         torus = structured_torus_points(dom)

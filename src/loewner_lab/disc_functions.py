@@ -255,11 +255,26 @@ def d1_grid(g: DiscFunction, n_grid: int = GRID_SIZE) -> float:
     return _grid_minimum(lambda t: np.abs(_boundary_values(g, t) - 1.0), theta, periodic=True)
 
 
+def _radial_gaps(g: DiscFunction, rho):
+    """1 - g(rho) and g(-rho) - 1, in closed forms without cancellation for
+    the catalog (both tend to 0 with rho)."""
+    if g.family in (MOEBIUS, STARLIKE_ORDER):
+        beta = _beta(g)
+        return (1.0 + beta) * rho / (1.0 + beta * rho), (1.0 + beta) * rho / (1.0 - beta * rho)
+    if g.family == ALMOST_STARLIKE:
+        beta = _beta(g)
+        return (1.0 + beta) * rho / (1.0 + rho), (1.0 + beta) * rho / (1.0 - rho)
+    if g.family == STRONGLY_STARLIKE:
+        log_ratio = np.log1p(-rho) - np.log1p(rho)
+        return -np.expm1(g.alpha * log_ratio), np.expm1(-g.alpha * log_ratio)
+    return 1.0 - _eval_raw(g, rho.astype(complex)), _eval_raw(g, -rho.astype(complex)) - 1.0
+
+
 def _a0_objective(g: DiscFunction, rho):
     rho = np.asarray(rho, dtype=float)
-    right = np.abs(1.0 - _eval_raw(g, rho.astype(complex)))
-    left = np.abs(_eval_raw(g, -rho.astype(complex)) - 1.0)
-    return np.minimum(right, left) / rho
+    with np.errstate(divide="ignore", invalid="ignore"):
+        right, left = _radial_gaps(g, rho)
+    return np.minimum(np.abs(right), np.abs(left)) / rho
 
 
 def a0(g: DiscFunction, n_grid: int = GRID_SIZE) -> float:

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,10 +9,21 @@ from loewner_lab.errors import DegenerateFunctionalError, DomainError
 DOMAINS = [bg.euclidean(2), bg.euclidean(3), bg.polydisc(2), bg.polydisc(3), bg.spectral2()]
 
 
+def to_matrices(z):
+    """Spectral-ball coordinates -> stacked 2x2 matrices [[z1, z3], [z4, z2]]."""
+    z = np.asarray(z, dtype=complex)
+    m = np.empty(z.shape[:-1] + (2, 2), dtype=complex)
+    m[..., 0, 0] = z[..., 0]
+    m[..., 1, 1] = z[..., 1]
+    m[..., 0, 1] = z[..., 2]
+    m[..., 1, 0] = z[..., 3]
+    return m
+
+
 def spectral_norm_oracle(z, rng, starts=1000, iters=120):
     """Variational characterization: maximize |u^H Z v| over unit pairs,
     refined by power iteration.  Uses only matrix-vector products."""
-    m = bg.to_matrices(z)
+    m = to_matrices(z)
     best, best_pair = -1.0, None
     for _ in range(starts):
         u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -157,7 +169,7 @@ def tie_points(dom, rng, count):
     equal diagonal moduli and non-diagonal points whose singular values are
     1 and 1 - 1e-6; none for the Euclidean ball."""
     if dom.kind == bg.POLYDISC:
-        return np.stack([bg.sample_polydisc_edge(dom, rng) for _ in range(count)])
+        return bg.sample_polydisc_edge(dom, rng, count)
     if dom.kind == bg.SPECTRAL2:
         phases = np.exp(2j * np.pi * rng.random((count, 2)))
         near = unitaries(rng, count) @ np.diag([1.0, 1.0 - 1e-6]) @ unitaries(rng, count)
@@ -174,7 +186,7 @@ def test_functional_contracts_on_random_points():
         assert np.array_equal(np.unique(owner), np.arange(len(Z)))
         # the SVD, independent of the closed form of bg.norm
         if dom.kind == bg.SPECTRAL2:
-            nz = np.linalg.svd(bg.to_matrices(Z), compute_uv=False)[owner, 0]
+            nz = np.linalg.svd(to_matrices(Z), compute_uv=False)[owner, 0]
         else:
             nz = np.asarray(bg.norm(dom, Z))[owner]
         assert np.max(np.abs(np.einsum("kn,kn->k", L, Z[owner]) - nz)) <= 1e-12
@@ -190,10 +202,61 @@ def test_spectral_degenerate_cases():
     L, owner = bg.support_functionals(dom, z)
     assert owner.tolist() == [0, 0]
     assert np.array_equal(np.abs(L), np.array([[1, 0, 0, 0], [0, 1, 0, 0]]))
-    # antidiagonal permutation matrix: degenerate but not diagonal
+    # antidiagonal permutation matrix: degenerate but not diagonal; the gap
+    # test comes before any division by it (a 0/0 would raise here)
     z = np.array([[0.0, 0.0, 1.0, 1.0]], dtype=complex)
-    with pytest.raises(DegenerateFunctionalError):
+    with np.errstate(all="raise"), pytest.raises(DegenerateFunctionalError):
         bg.support_functionals(dom, z)
+
+
+def test_spectral_rows_round_a_point_as_in_a_batch():
+    # the closed-form top pair uses real products only: a point alone gives
+    # the functional row and the norm it gets inside a batch, bit for bit
+    dom = bg.spectral2()
+    rng = np.random.default_rng(43)
+    Z = bg.sample_sphere(dom, rng, 5000) * rng.uniform(0.1, 0.99, 5000)[:, None]
+    L, owner, norms = bg._support_rows(dom, Z)
+    assert np.array_equal(owner, np.arange(len(Z)))
+    for k in range(0, len(Z), 53):
+        L1, _, norm1 = bg._support_rows(dom, Z[k:k + 1])
+        assert_bits_equal(L1[0], L[k])
+        assert norm1[0] == norms[k] == bg.norm(dom, Z[k])
+
+
+@pytest.mark.parametrize("gap", [1e-2, 1e-6, 1e-9, 0.0])
+def test_spectral_gap_against_a_50_digit_reference(gap):
+    # disc / (s1 + s2) takes no difference of nearby numbers: the gap keeps
+    # its absolute accuracy down to exact ties, closer than LAPACK's s1 - s2
+    rng = np.random.default_rng(53)
+    m = unitaries(rng, 30) @ np.diag([1.0, 1.0 - gap]) @ unitaries(rng, 30)
+    with mpmath.workdps(50):
+        exact = np.array([float(abs(s[0] - s[1])) for s in
+                          (mpmath.svd_c(mpmath.matrix(mm.tolist()), compute_uv=False) for mm in m)])
+    error = np.max(np.abs(bg.spectral_gap(bg.from_matrices(m)) - exact))
+    lapack = np.linalg.svd(m, compute_uv=False)
+    assert error <= 2e-16
+    assert error <= np.max(np.abs(lapack[:, 0] - lapack[:, 1] - exact))
+
+
+def test_spectral_top_pair_branches_meet_at_equal_row_norms():
+    # u1 is (lambda_1 - q, conj(r)) when p >= q and (r, lambda_1 - p) when
+    # p < q; with d = conj(c) and b = conj(a) the row norms p and q agree
+    # bit for bit, and scaling the first row by 1 -+ 1e-9 crosses over
+    dom = bg.spectral2()
+    rng = np.random.default_rng(47)
+    a, c = (rng.standard_normal(20) + 1j * rng.standard_normal(20) for _ in range(2))
+    rows = {}
+    for label, scale in (("below", 1.0 - 1e-9), ("equal", 1.0), ("above", 1.0 + 1e-9)):
+        Z = np.stack([scale * a, np.conj(a), scale * c, np.conj(c)], axis=-1)
+        p, q, _, _, _ = bg._row_gram(Z)
+        assert np.all({"below": p < q, "equal": p == q, "above": p > q}[label])
+        L, _ = bg.support_functionals(dom, Z)
+        u, _, vh = np.linalg.svd(to_matrices(Z))
+        lapack = np.conj(u[:, [0, 1, 0, 1], 0]) * np.conj(vh[:, 0, [0, 1, 1, 0]])
+        assert np.max(np.abs(L - lapack)) <= 1e-13
+        rows[label] = L
+    assert np.max(np.abs(rows["below"] - rows["equal"])) <= 1e-8
+    assert np.max(np.abs(rows["above"] - rows["equal"])) <= 1e-8
 
 
 def test_support_functionals_reject_a_point_and_a_zero_row():
@@ -230,24 +293,46 @@ def reference_support_values(dom, Z, H):
         values.append(np.conj(Z[mask, k]) * H[mask, k] / absz[mask, k] ** 2)
         owner.append(np.nonzero(mask)[0])
     idx = np.nonzero(~diagonal)[0]
-    u, s, vh = np.linalg.svd(bg.to_matrices(Z[idx]))
-    hv = np.einsum("mij,mj->mi", bg.to_matrices(H[idx]), np.conj(vh[:, 0, :]))
+    u, s, vh = np.linalg.svd(to_matrices(Z[idx]))
+    hv = np.einsum("mij,mj->mi", to_matrices(H[idx]), np.conj(vh[:, 0, :]))
     values.append(np.einsum("mi,mi->m", np.conj(u[:, :, 0]), hv) / s[:, 0])
     owner.append(idx)
     return np.concatenate(values), np.concatenate(owner)
 
 
+def exact_top_value(z, h):
+    """u1^H H v1 / s1 of the matrices of z and h from a 50-digit SVD."""
+    with mpmath.workdps(50):
+        u, s, vh = mpmath.svd_c(mpmath.matrix(to_matrices(z).tolist()))
+        k = 0 if s[0] >= s[1] else 1
+        value = (u[:, k].H * mpmath.matrix(to_matrices(h).tolist()) * vh[k, :].H)[0] / s[k]
+        return complex(value)
+
+
 def test_support_values_match_reference_formulas():
+    # near-degenerate spectral rows (singular values 1 and 1 - 1e-6) lose
+    # digits in any double-precision method: there the closed form must be
+    # at least as close as LAPACK to a 50-digit reference
     rng = np.random.default_rng(4)
     for dom in DOMAINS:
         Z = np.vstack([bg.sample_sphere(dom, rng, 50), tie_points(dom, rng, 10)])
+        near = np.zeros(len(Z), dtype=bool)
+        if dom.kind == bg.SPECTRAL2:
+            near[-10:] = True
         Z *= rng.uniform(0.2, 0.99, len(Z))[:, None]
-        Z = Z[rng.permutation(len(Z))]
+        perm = rng.permutation(len(Z))
+        Z, near = Z[perm], near[perm]
         H = rng.standard_normal(Z.shape) + 1j * rng.standard_normal(Z.shape)
         vals, owner = bg.support_values(dom, Z, H)
         ref_vals, ref_owner = reference_support_values(dom, Z, H)
         assert np.array_equal(owner, ref_owner)
-        assert np.max(np.abs(vals - ref_vals)) < 1e-12
+        close = near[owner]
+        assert np.max(np.abs(vals - ref_vals)[~close]) < 1e-12
+        if close.any():
+            exact = np.array([exact_top_value(Z[k], H[k]) for k in owner[close]])
+            error = np.max(np.abs(vals[close] - exact))
+            assert error <= np.max(np.abs(ref_vals[close] - exact))
+            assert error < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -387,14 +472,18 @@ def test_polydisc_batch_on_other_bit_generators():
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _set_next_word(rng, word):
-    """Rewind rng's PCG64 state so that its next raw 64-bit word is ``word``."""
+def _set_next_word(rng, word, ahead=0):
+    """Rewind rng's PCG64 state so that the raw 64-bit word drawn after
+    ``ahead`` others is ``word``."""
     state = rng.bit_generator.state
     hi = 0x0123456789ABCDEF
     rot = hi >> 58
     lo = hi ^ (((word << rot) | (word >> (64 - rot))) & (2**64 - 1))
     inc = state["state"]["inc"]
-    state["state"]["state"] = (((hi << 64) | lo) - inc) * pow(_PCG_MULT, -1, 2**128) % 2**128
+    pcg = (hi << 64) | lo
+    for _ in range(ahead + 1):
+        pcg = (pcg - inc) * pow(_PCG_MULT, -1, 2**128) % 2**128
+    state["state"]["state"] = pcg
     rng.bit_generator.state = state
 
 
@@ -432,7 +521,7 @@ def test_spectral_gap_resample_keeps_the_stream(gap, monkeypatch):
     expect, resampled = [], 0
     while len(expect) < 300:
         z = reference_point(dom, ref_rng)
-        s = np.linalg.svd(bg.to_matrices(z), compute_uv=False)
+        s = np.linalg.svd(to_matrices(z), compute_uv=False)
         if s[0] - s[1] >= gap:
             expect.append(z)
         else:
@@ -445,11 +534,90 @@ def test_spectral_gap_resample_keeps_the_stream(gap, monkeypatch):
 def test_polydisc_edge_sampler():
     dom = bg.polydisc(3)
     rng = np.random.default_rng(7)
-    for _ in range(100):
-        z = bg.sample_polydisc_edge(dom, rng)
-        assert np.count_nonzero(np.abs(np.abs(z) - 1.0) < 1e-14) == 2
+    z = bg.sample_polydisc_edge(dom, rng, 100)
+    assert np.all(np.count_nonzero(np.abs(np.abs(z) - 1.0) < 1e-14, axis=1) == 2)
+    assert bg.sample_polydisc_edge(dom, rng).shape == (3,)
     with pytest.raises(DomainError):
         bg.sample_polydisc_edge(bg.euclidean(2), rng)
+
+
+def reference_edge_batch(dom, rng, count):
+    """Edge points drawn call by call, as the one-point sampler was written."""
+    out = []
+    for _ in range(count):
+        i, j = rng.choice(dom.n, size=2, replace=False)
+        r = 0.999 * np.sqrt(rng.random(dom.n))
+        z = r * np.exp(2j * np.pi * rng.random(dom.n))
+        z[i] = np.exp(2j * np.pi * rng.random())
+        z[j] = np.exp(2j * np.pi * rng.random())
+        out.append(z)
+    return np.array(out, dtype=complex).reshape(count, dom.n)
+
+
+EDGE_DOMAINS = [bg.polydisc(2), bg.polydisc(3), bg.polydisc(5)]
+
+
+@pytest.mark.parametrize("dom", EDGE_DOMAINS, ids=lambda d: f"{d.kind}{d.n}")
+@pytest.mark.parametrize("cached_half", [False, True])
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 1001])
+def test_edge_batch_matches_point_loop(dom, cached_half, count):
+    ref_rng, rng = twin_generators(2000 + count, cached_half)
+    assert_bits_equal(reference_edge_batch(dom, ref_rng, count),
+                      bg.sample_polydisc_edge(dom, rng, count))
+    assert_same_stream(ref_rng, rng)
+
+
+def test_edge_batch_on_other_bit_generators():
+    dom = bg.polydisc(3)
+    ref_rng, rng = twin_generators(23, cached_half=True, bit_generator=np.random.MT19937)
+    assert_bits_equal(reference_edge_batch(dom, ref_rng, 50), bg.sample_polydisc_edge(dom, rng, 50))
+    assert_same_stream(ref_rng, rng)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_edge_batch_takes_floyds_collision_branch(n):
+    # rng.choice(n, 2, replace=False) is Floyd's algorithm: a first index on
+    # [0, n - 2] (0 without a draw when n = 2), a second on [0, n - 1] that
+    # becomes n - 1 when it repeats the first, then a swap draw on [0, 1];
+    # the probe reads the stream that way and must end where the sampler does
+    dom = bg.polydisc(n)
+    probe, ref_rng, rng = (np.random.default_rng(41) for _ in range(3))
+    collisions = 0
+    for _ in range(60):
+        first = int(probe.integers(n - 1)) if n > 2 else 0
+        collisions += int(probe.integers(n)) == first
+        probe.integers(2)
+        probe.random(2 * n + 2)
+    assert collisions > 0
+    assert_bits_equal(reference_edge_batch(dom, ref_rng, 60), bg.sample_polydisc_edge(dom, rng, 60))
+    assert _plain(probe.bit_generator.state) == _plain(rng.bit_generator.state)
+    assert_same_stream(ref_rng, rng)
+
+
+@pytest.mark.parametrize("cached_half, ahead, word, rejected_at", [
+    (False, 0, 0x12345678, 0),          # high half of the first word: Floyd's draw on [0, 2]
+    (True, 0, 0xABCDEF0100000000, 0),   # low half of the first fresh word
+    (False, 10, 0xABCDEF0100000000, 1),  # point 0 takes 2 half words and 8 doubles
+])
+def test_edge_batch_replays_lemire_rejection(cached_half, ahead, word, rejected_at, monkeypatch):
+    # on the tri-disc a draw on [0, 2] rejects exactly the 32-bit half 0;
+    # the draws on [0, 1] never reject
+    dom = bg.polydisc(3)
+    ref_rng, rng = twin_generators(37, cached_half)
+    for gen in (ref_rng, rng):
+        _set_next_word(gen, word, ahead)
+    replayed = []
+    point = bg._edge_point
+    monkeypatch.setattr(bg, "_edge_point", lambda n, r: replayed.append(n) or point(n, r))
+    for k, expect in ((rejected_at, []), (rejected_at + 1, [3])):
+        probe = np.random.Generator(np.random.PCG64())
+        probe.bit_generator.state = rng.bit_generator.state
+        bg.sample_polydisc_edge(dom, probe, k)
+        assert replayed == expect
+        replayed.clear()
+    assert_bits_equal(reference_edge_batch(dom, ref_rng, 6), bg.sample_polydisc_edge(dom, rng, 6))
+    assert replayed == [3]
+    assert_same_stream(ref_rng, rng)
 
 
 def test_json_round_trip():

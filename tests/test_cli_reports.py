@@ -2,8 +2,10 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from loewner_lab import ball_geometry as bg
 from loewner_lab import cli_reports as cli
 from loewner_lab.errors import NumericalInstabilityError
 
@@ -86,6 +88,24 @@ def test_reports_match_golden_bytes(name, tmp_path, monkeypatch):
         assert written.exists() == golden.exists()
         if golden.exists():
             assert written.read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["certify_spectral2", "certify_polydisc"])
+def test_certify_points_need_no_svd_and_one_edge_batch(name, tmp_path, monkeypatch):
+    # spectral singular pairs are closed forms, and the polydisc edge points
+    # come from one batched sampler call; the report keeps its golden bytes
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    calls = []
+    edge = bg.sample_polydisc_edge
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    monkeypatch.setattr(bg, "sample_polydisc_edge",
+                        lambda *args, **kwargs: calls.append(args) or edge(*args, **kwargs))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["certify", "--config", str(GOLDEN / f"{name}.config.json")]) == 0
+    assert (tmp_path / "certify_report.json").read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+    assert len(calls) == (1 if name == "certify_polydisc" else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,24 @@ def test_a0_dominates_d1_on_alpha_grid():
             assert df.a0(g) >= df.d1(g) - 1e-9
 
 
+def test_a0_radial_gaps_are_closed_forms_without_cancellation():
+    # 1 - g(rho) and g(-rho) - 1 agree with g's own values where nothing
+    # cancels, and keep their digits near rho = 0 where g(rho) - 1 cannot
+    rho = np.array([1e-6, 1e-3, 0.3, 0.9, 1.0 - 1e-6])
+    catalog = [df.moebius()] + [family(a) for a in (0.05, 0.5, 0.95) for family in
+                                (df.starlike_order, df.almost_starlike, df.strongly_starlike)]
+    for g in catalog:
+        right, left = df._radial_gaps(g, rho)
+        assert np.allclose(right, 1.0 - df._eval_raw(g, rho), rtol=1e-9, atol=1e-15)
+        assert np.allclose(left, df._eval_raw(g, -rho) - 1.0, rtol=1e-9, atol=1e-15)
+        slope = abs(df.g_prime0(g))
+        assert np.allclose(np.abs(df._radial_gaps(g, np.array([1e-12]))), slope * 1e-12,
+                           rtol=1e-11)
+    # g = 1 - z: the objective is exactly 1, and so is a0 (it read
+    # 0.99999999989506 when the gaps were differences)
+    assert abs(df.a0(df.starlike_order(0.5)) - 1.0) <= 1e-15
+
+
 def test_starlike_order_zero_coincides_with_moebius():
     g0 = df.starlike_order(0.0)
     z = 0.8 * np.exp(2j * np.pi * np.linspace(0, 1, 64, endpoint=False))
