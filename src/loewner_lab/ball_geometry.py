@@ -130,17 +130,18 @@ def _row_gram(z):
     return p, q, re, im, disc
 
 
-def _spectral_norms(z) -> np.ndarray:
-    """Largest singular value s1 = sqrt((p + q + disc) / 2) of each z
-    (``_row_gram``): no cancellation when the singular values nearly agree."""
-    p, q, _, _, disc = _row_gram(z)
+def _top_singular(gram) -> np.ndarray:
+    """Largest singular value s1 = sqrt((p + q + disc) / 2) from the parts
+    ``_row_gram`` returns: no cancellation when the singular values nearly
+    agree."""
+    p, q, _, _, disc = gram
     return np.sqrt(0.5 * (p + q + disc))
 
 
 def spectral_gap(z) -> np.ndarray:
     """s1 - s2 of each nonzero spectral-ball point (``_singular_gap``)."""
-    p, q, _, _, disc = _row_gram(z)
-    return _singular_gap(z, np.sqrt(0.5 * (p + q + disc)), disc)
+    gram = _row_gram(z)
+    return _singular_gap(z, _top_singular(gram), gram[4])
 
 
 def _singular_gap(z, s1, disc) -> np.ndarray:
@@ -153,15 +154,16 @@ def _singular_gap(z, s1, disc) -> np.ndarray:
     return disc / (s1 + s2)
 
 
-def _top_functionals(z, s1) -> np.ndarray:
+def _top_functionals(z, s1, gram) -> np.ndarray:
     """Rows of l(W) = u1^H W v1 from the top singular pair of each z (norms
-    ``s1``); a gap s1 - s2 below ``_DEGENERATE_TOL`` raises
-    ``DegenerateFunctionalError`` before any division by it.
+    ``s1``, row Gram parts ``gram`` from ``_row_gram``); a gap s1 - s2 below
+    ``_DEGENERATE_TOL`` raises ``DegenerateFunctionalError`` before any
+    division by it.
 
     u1 is the top eigenvector of the row Gram matrix: (lambda_1 - q, conj(r))
     when p >= q, else (r, lambda_1 - p), so its large entry is a sum of
     nonnegative terms; then v1 = M^H u1 / s1."""
-    p, q, re, im, disc = _row_gram(z)
+    p, q, re, im, disc = gram
     if np.any(_singular_gap(z, s1, disc) < _DEGENERATE_TOL):
         raise DegenerateFunctionalError("degenerate top singular value; resample")
     (xa, xb, xc, xd), (ya, yb, yc, yd) = _parts(z)
@@ -191,7 +193,7 @@ def norm(dom: BallGeometry, z):
     elif dom.kind == POLYDISC:
         out = np.max(np.abs(z), axis=-1)
     else:
-        out = _spectral_norms(z)
+        out = _top_singular(_row_gram(z))
     return out if out.shape else float(out)
 
 
@@ -220,7 +222,11 @@ def _support_rows(dom: BallGeometry, Z):
     Z = _check_dim(dom, Z)
     if Z.ndim != 2:
         raise DomainError(f"support functionals take an (m, n) batch, got shape {Z.shape}")
-    norms = np.asarray(norm(dom, Z))
+    if dom.kind == SPECTRAL2:
+        gram = _row_gram(Z)
+        norms = _top_singular(gram)
+    else:
+        norms = np.asarray(norm(dom, Z))
     if np.any(norms == 0.0):
         raise DomainError("support functionals are undefined at z = 0")
     if dom.kind == EUCLIDEAN:
@@ -235,12 +241,13 @@ def _support_rows(dom: BallGeometry, Z):
         norms = np.where(diagonal, absz[:, :2].max(axis=1), norms)
         attains = diagonal[:, None] & (absz[:, :2] >= norms[:, None] - _DEGENERATE_TOL)
         generic = np.flatnonzero(~diagonal)
+        gram = [part[generic] for part in gram]
     # coordinate rows, grouped by coordinate and in point order within a group
     coord, owner = np.nonzero(attains.T)
     L = np.zeros((coord.size + generic.size, dom.n), dtype=complex)
     L[np.arange(coord.size), coord] = absz[owner, coord] / Z[owner, coord]
     if generic.size:
-        L[coord.size:] = _top_functionals(Z[generic], norms[generic])
+        L[coord.size:] = _top_functionals(Z[generic], norms[generic], gram)
         owner = np.concatenate([owner, generic])
     return L, owner, norms
 
@@ -264,10 +271,8 @@ def sample_sphere(dom: BallGeometry, rng: np.random.Generator,
     """Points of the unit sphere of the domain, deterministic under seed.
 
     Returns a ``(count, n)`` batch, or one point of shape ``(n,)`` when
-    ``count`` is None.  Stream contract: a batch of k points equals k
-    one-point calls on the same generator bit for bit, and leaves the
-    generator in the same state (PCG64's cached 32-bit half included), so a
-    caller may batch its draws without changing any seeded result.
+    ``count`` is None.  The same seed gives the same batch, and a one-point
+    draw is a batch of one.
 
     Polydisc samples put exactly one coordinate on the unit circle and cap
     the others at modulus 0.999, so ties in the sup norm have probability 0.
@@ -281,114 +286,32 @@ def sample_sphere(dom: BallGeometry, rng: np.random.Generator,
         norms = np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
         out = v / norms[:, None]
     elif dom.kind == POLYDISC:
-        out = _replay(dom.n, rng, k, (dom.n,), 2 * dom.n + 1, _sphere_points, _polydisc_point)
+        out = _polydisc_points(dom.n, rng, k, 1)
     else:
         draws = rng.standard_normal((k, 2, 2, 2))
         z = from_matrices(draws[:, 0] + 1j * draws[:, 1])
-        out = z / _spectral_norms(z)[:, None]
+        out = z / _top_singular(_row_gram(z))[:, None]
     return out[0] if count is None else out
 
 
-#: PCG64 doubles are (word >> 11) * 2**-53
-_DOUBLE_SCALE = 1.0 / 9007199254740992.0
+def _polydisc_points(n: int, rng: np.random.Generator, count: int,
+                     on_circle: int) -> np.ndarray:
+    """``count`` points uniform in the polydisc of radius 0.999, with
+    ``on_circle`` (1 or 2) distinct coordinates moved to the unit circle.
 
-
-def _polydisc_point(n: int, rng: np.random.Generator) -> np.ndarray:
-    """One polydisc sphere point drawn call by call; ``sample_sphere``
-    replays this stream (``_replay``) and falls back to it where it cannot."""
-    k = int(rng.integers(n))
-    z = _disc_uniform(rng, n, 0.999)
-    z[k] = np.exp(2j * np.pi * rng.random())
+    Draws the indices first (for two, the second is the first plus a
+    uniform shift on [1, n - 1], so every ordered pair is equally likely),
+    then one (count, 2n + on_circle) block of doubles whose rows hold n
+    radii, n phases and the phases of the unit-circle coordinates."""
+    index = [rng.integers(n, size=count)]
+    if on_circle == 2:
+        index.append((index[0] + rng.integers(1, n, size=count)) % n)
+    u = rng.random((count, 2 * n + on_circle))
+    z = 0.999 * np.sqrt(u[:, :n]) * np.exp(2j * np.pi * u[:, n:2 * n])
+    rows = np.arange(count)
+    for c, k in enumerate(index):
+        z[rows, k] = np.exp(2j * np.pi * u[:, 2 * n + c])
     return z
-
-
-def _edge_point(n: int, rng: np.random.Generator) -> np.ndarray:
-    """One polydisc edge point drawn call by call; ``sample_polydisc_edge``
-    replays this stream (``_replay``) and falls back to it where it cannot."""
-    i, j = rng.choice(n, size=2, replace=False)
-    z = _disc_uniform(rng, n, 0.999)
-    z[i] = np.exp(2j * np.pi * rng.random())
-    z[j] = np.exp(2j * np.pi * rng.random())
-    return z
-
-
-def _disc_batch(n: int, u: np.ndarray) -> np.ndarray:
-    """``_disc_uniform(rng, n, 0.999)`` from its 2n doubles, a row per call."""
-    return 0.999 * np.sqrt(u[:, :n]) * np.exp(2j * np.pi * u[:, n:2 * n])
-
-
-def _sphere_points(n: int, values: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``_polydisc_point`` from its draws: the index, then 2n + 1 doubles."""
-    z = _disc_batch(n, u)
-    z[np.arange(len(z)), values[:, 0]] = np.exp(2j * np.pi * u[:, 2 * n])
-    return z
-
-
-def _edge_bounds(n: int) -> tuple:
-    """Bounded draws of ``rng.choice(n, 2, replace=False)``: Floyd's
-    algorithm draws on [0, n - 2] (none when n = 2) and on [0, n - 1], then
-    one shuffle draw on [0, 1]."""
-    return ((n - 1,) if n > 2 else ()) + (n, 2)
-
-
-def _edge_points(n: int, values: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``_edge_point`` from its draws (``_edge_bounds``, then 2n + 2 doubles).
-    Floyd's second index becomes n - 1 when it repeats the first; a shuffle
-    draw of 0 swaps the two."""
-    first = values[:, 0] if n > 2 else np.zeros(len(values), dtype=np.intp)
-    second = np.where(values[:, -2] == first, n - 1, values[:, -2])
-    swap = values[:, -1] == 0
-    i, j = np.where(swap, second, first), np.where(swap, first, second)
-    z = _disc_batch(n, u)
-    rows = np.arange(len(z))
-    z[rows, i] = np.exp(2j * np.pi * u[:, 2 * n])
-    z[rows, j] = np.exp(2j * np.pi * u[:, 2 * n + 1])
-    return z
-
-
-def _replay(n: int, rng: np.random.Generator, count: int, bounds: tuple,
-            n_doubles: int, points, point) -> np.ndarray:
-    """``count`` calls of ``point(n, rng)`` from one block of raw PCG64 words.
-
-    Each call draws one value on [0, b) for each b in ``bounds`` (Lemire's
-    method, as ``rng.integers(b)``), then ``n_doubles`` doubles;
-    ``points(n, values, doubles)`` builds the batch from those draws.  A
-    bounded draw takes a 32-bit half: the low half of a fresh word, whose
-    high half PCG64 caches for the next draw, or that cached half.  A Lemire
-    rejection (probability about b / 2**32 per draw) is replayed call by call
-    after a rewind; other bit generators are drawn call by call throughout.
-    """
-    bitgen = rng.bit_generator
-    if count == 0 or not isinstance(bitgen, np.random.PCG64):
-        return np.array([point(n, rng) for _ in range(count)],
-                        dtype=complex).reshape(count, n)
-    saved = bitgen.state
-    per = len(bounds)
-    fresh = (np.arange(count * per) + saved["has_uint32"]) % 2 == 0
-    words = np.cumsum(fresh)  # fresh words up to and including each half
-    start = words - fresh + np.arange(count * per) // per * n_doubles
-    raw = bitgen.random_raw(int(words[-1]) + count * n_doubles)
-    low, high = raw[start] & 0xFFFFFFFF, raw[start] >> 32
-    half = np.where(fresh, low, np.roll(high, 1))
-    if not fresh[0]:
-        half[0] = saved["uinteger"]
-    bound = np.tile(np.asarray(bounds, dtype=np.uint64), count)
-    scaled = half * bound
-    rejected = np.flatnonzero((scaled & 0xFFFFFFFF) < (2**32 - bound) % bound)
-    if rejected.size:
-        r = int(rejected[0]) // per
-        bitgen.state = saved
-        head = _replay(n, rng, r, bounds, n_doubles, points, point)
-        one = point(n, rng)
-        tail = _replay(n, rng, count - r - 1, bounds, n_doubles, points, point)
-        return np.vstack([head, one, tail])
-    state = bitgen.state
-    state["has_uint32"] = int(fresh[-1])
-    state["uinteger"] = int(high[-1] if fresh[-1] else half[-1])
-    bitgen.state = state
-    first = words[per - 1::per] + np.arange(count) * n_doubles
-    u = (raw[first[:, None] + np.arange(n_doubles)] >> 11) * _DOUBLE_SCALE
-    return points(n, (scaled >> 32).astype(np.intp).reshape(count, per), u)
 
 
 def sample_polydisc_edge(dom: BallGeometry, rng: np.random.Generator,
@@ -396,18 +319,13 @@ def sample_polydisc_edge(dom: BallGeometry, rng: np.random.Generator,
     """Polydisc sphere points with two coordinates of modulus 1 (tie stress).
 
     Returns a ``(count, n)`` batch, or one point of shape ``(n,)`` when
-    ``count`` is None, under the stream contract of ``sample_sphere``.
+    ``count`` is None; as for ``sample_sphere``, the same seed gives the
+    same batch and a one-point draw is a batch of one.
     """
     if dom.kind != POLYDISC:
         raise DomainError("edge sampler is specific to the polydisc")
-    k = 1 if count is None else int(count)
-    out = _replay(dom.n, rng, k, _edge_bounds(dom.n), 2 * dom.n + 2, _edge_points, _edge_point)
+    out = _polydisc_points(dom.n, rng, 1 if count is None else int(count), 2)
     return out[0] if count is None else out
-
-
-def _disc_uniform(rng, n, radius):
-    r = radius * np.sqrt(rng.random(n))
-    return r * np.exp(2j * np.pi * rng.random(n))
 
 
 def to_json(dom: BallGeometry) -> dict:

@@ -18,11 +18,11 @@ Cauchy integrals discretized as 64-point DFTs on circles (a mixed coefficient
 from the two circles through e_p + e_q and e_p - e_q), with a dual-radius
 consistency check.  ``certify_Mg`` tests, by structured and Monte-Carlo
 sampling, that all supporting values l_z(h(z))/||z|| of a normalized map lie
-in the image g(U).  Its points (``certification_points``) are batches drawn
-under the samplers' stream contract: sphere samples on a radius ladder, the
-polydisc edge samples in one call, and the frame tori.  The functionals come
-from ``ball_geometry.support_functionals``, in closed form on every
-geometry; no step calls LAPACK's SVD.
+in the image g(U).  Its points (``certification_points``) are seeded
+batches: sphere samples on a radius ladder, the polydisc edge samples in one
+call, and the frame tori.  The functionals come from
+``ball_geometry.support_functionals``, in closed form on every geometry; no
+step calls LAPACK's SVD.
 """
 
 from __future__ import annotations
@@ -652,8 +652,8 @@ def _sphere_batch(dom: bg.BallGeometry, rng: np.random.Generator, count: int) ->
     """``count`` sphere samples; spectral samples whose top singular value is
     within ``SPECTRAL_GAP`` of the other (a measure-zero set; the gap is the
     closed form ``bg.spectral_gap``) are replaced by the next draw.  Each
-    round draws only as many candidates as are still missing, all of which a
-    one-at-a-time loop would consume too, so the stream is that of the loop."""
+    round draws only as many candidates as are still missing; the same seed
+    gives the same batch."""
     if dom.kind != bg.SPECTRAL2:
         return bg.sample_sphere(dom, rng, count)
     kept = []

@@ -14,7 +14,6 @@ and the steps grow in the tail instead of following the decay of v.
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -528,17 +527,3 @@ def field_from_json(payload: dict) -> HerglotzField:
         float(payload["horizon"]),
         None if certs is None else tuple(carath.MgCertificate.from_json(c) for c in certs),
     )
-
-
-def trajectory_to_csv(result: FlowResult, path) -> None:
-    """Write a recorded single-point trajectory as CSV rows
-    (t, re_1, im_1, ..., re_n, im_n)."""
-    if result.trajectory is None:
-        raise UnsupportedError("flow result carries no recorded trajectory")
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        n = result.trajectory[0][1].shape[-1]
-        writer.writerow(["t"] + [f"{part}_{k+1}" for k in range(n) for part in ("re", "im")])
-        for t, y in result.trajectory:
-            row = np.atleast_2d(y)[0]
-            writer.writerow([f"{t:.17g}"] + [f"{val:.17g}" for z in row for val in (z.real, z.imag)])

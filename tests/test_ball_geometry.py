@@ -1,3 +1,6 @@
+import inspect
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -223,6 +226,19 @@ def test_spectral_rows_round_a_point_as_in_a_batch():
         assert norm1[0] == norms[k] == bg.norm(dom, Z[k])
 
 
+def test_spectral_support_values_take_one_gram_evaluation(monkeypatch):
+    # the norms and the top pairs share one row Gram evaluation
+    dom = bg.spectral2()
+    rng = np.random.default_rng(59)
+    Z = np.vstack([bg.sample_sphere(dom, rng, 200), tie_points(dom, rng, 5)[:5]])
+    calls = []
+    gram = bg._row_gram
+    monkeypatch.setattr(bg, "_row_gram", lambda z: calls.append(len(z)) or gram(z))
+    values, _ = bg.support_values(dom, Z, Z)
+    assert calls == [len(Z)]
+    assert np.allclose(values, 1.0, rtol=0, atol=1e-12) and len(values) == len(Z) + 5
+
+
 @pytest.mark.parametrize("gap", [1e-2, 1e-6, 1e-9, 0.0])
 def test_spectral_gap_against_a_50_digit_reference(gap):
     # disc / (s1 + s2) takes no difference of nearby numbers: the gap keeps
@@ -363,23 +379,37 @@ def test_polydisc_sampler_unique_max():
         assert np.count_nonzero(np.abs(z) > 0.9995) == 1
 
 
-# the stream contract: a batch equals one-point calls bit for bit
+# the sampler contract: the same seed gives the same batch, and a one-point
+# draw is a batch of one.  Euclidean and spectral batches draw their normals
+# in one block, so they equal one-point calls bit for bit; a polydisc batch
+# draws all its indices first, then one block of doubles.
 
 
 def reference_point(dom, rng):
-    """The one-point sphere sampler written call by call; batches must
-    reproduce its stream."""
+    """The one-point sphere sampler written call by call."""
     if dom.kind == bg.EUCLIDEAN:
         v = rng.standard_normal(dom.n) + 1j * rng.standard_normal(dom.n)
         return v / np.linalg.norm(v)
     if dom.kind == bg.POLYDISC:
-        k = int(rng.integers(dom.n))
-        r = 0.999 * np.sqrt(rng.random(dom.n))
-        z = r * np.exp(2j * np.pi * rng.random(dom.n))
-        z[k] = np.exp(2j * np.pi * rng.random())
-        return z
+        return reference_polydisc(dom.n, rng, 1, 1)[0]
     return reference_spectral_unit(
         bg.from_matrices(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))))
+
+
+def reference_polydisc(n, rng, count, on_circle):
+    """Polydisc points built row by row from the declared draws: the index
+    of every point (for edges, then a shift on [1, n - 1] to the second
+    index), then a (count, 2n + on_circle) block of doubles holding n radii,
+    n phases and the unit-circle phases."""
+    first = rng.integers(n, size=count)
+    index = [first] if on_circle == 1 else [first, (first + rng.integers(1, n, size=count)) % n]
+    u = rng.random((count, 2 * n + on_circle))
+    out = np.empty((count, n), dtype=complex)
+    for row, d in enumerate(u):
+        out[row] = 0.999 * np.sqrt(d[:n]) * np.exp(2j * np.pi * d[n:2 * n])
+        for c, k in enumerate(index):
+            out[row, k[row]] = np.exp(2j * np.pi * d[2 * n + c])
+    return out
 
 
 def reference_spectral_unit(z):
@@ -395,6 +425,8 @@ def reference_spectral_unit(z):
 
 
 def reference_batch(dom, rng, count):
+    if dom.kind == bg.POLYDISC:
+        return reference_polydisc(dom.n, rng, count, 1)
     return np.array([reference_point(dom, rng) for _ in range(count)],
                     dtype=complex).reshape(count, dom.n)
 
@@ -460,56 +492,10 @@ def test_spectral_norm_rounds_a_point_as_in_a_batch():
 
 
 def test_polydisc_batch_on_other_bit_generators():
-    # only PCG64 words are replayed; other generators draw point by point
+    # every bit generator takes the same native path
     dom = bg.polydisc(3)
     ref_rng, rng = twin_generators(23, cached_half=True, bit_generator=np.random.MT19937)
     assert_bits_equal(reference_batch(dom, ref_rng, 50), bg.sample_sphere(dom, rng, 50))
-    assert_same_stream(ref_rng, rng)
-
-
-#: PCG64 (XSL-RR 128/64) multiplier: a step is state * MULT + inc mod 2**128,
-#: and the output mixes the new state
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _set_next_word(rng, word, ahead=0):
-    """Rewind rng's PCG64 state so that the raw 64-bit word drawn after
-    ``ahead`` others is ``word``."""
-    state = rng.bit_generator.state
-    hi = 0x0123456789ABCDEF
-    rot = hi >> 58
-    lo = hi ^ (((word << rot) | (word >> (64 - rot))) & (2**64 - 1))
-    inc = state["state"]["inc"]
-    pcg = (hi << 64) | lo
-    for _ in range(ahead + 1):
-        pcg = (pcg - inc) * pow(_PCG_MULT, -1, 2**128) % 2**128
-    state["state"]["state"] = pcg
-    rng.bit_generator.state = state
-
-
-@pytest.mark.parametrize("rejected_at", [0, 1])
-def test_polydisc_batch_replays_lemire_rejection(rejected_at, monkeypatch):
-    # on the tri-disc rng.integers(3) rejects exactly the 32-bit half 0: put
-    # it in the cached half (first point) or in the high half of the first
-    # fresh word (second point)
-    dom = bg.polydisc(3)
-    ref_rng, rng = twin_generators(29, cached_half=False)
-    for gen in (ref_rng, rng):
-        if rejected_at == 0:
-            state = gen.bit_generator.state
-            state["has_uint32"], state["uinteger"] = 1, 0
-            gen.bit_generator.state = state
-        else:
-            _set_next_word(gen, 0x12345678)
-    if rejected_at == 1:
-        probe = np.random.Generator(np.random.PCG64())
-        probe.bit_generator.state = rng.bit_generator.state
-        assert probe.bit_generator.random_raw() == 0x12345678
-    replayed = []
-    point = bg._polydisc_point
-    monkeypatch.setattr(bg, "_polydisc_point", lambda n, r: replayed.append(n) or point(n, r))
-    assert_bits_equal(reference_batch(dom, ref_rng, 6), bg.sample_sphere(dom, rng, 6))
-    assert replayed == [3]
     assert_same_stream(ref_rng, rng)
 
 
@@ -541,19 +527,6 @@ def test_polydisc_edge_sampler():
         bg.sample_polydisc_edge(bg.euclidean(2), rng)
 
 
-def reference_edge_batch(dom, rng, count):
-    """Edge points drawn call by call, as the one-point sampler was written."""
-    out = []
-    for _ in range(count):
-        i, j = rng.choice(dom.n, size=2, replace=False)
-        r = 0.999 * np.sqrt(rng.random(dom.n))
-        z = r * np.exp(2j * np.pi * rng.random(dom.n))
-        z[i] = np.exp(2j * np.pi * rng.random())
-        z[j] = np.exp(2j * np.pi * rng.random())
-        out.append(z)
-    return np.array(out, dtype=complex).reshape(count, dom.n)
-
-
 EDGE_DOMAINS = [bg.polydisc(2), bg.polydisc(3), bg.polydisc(5)]
 
 
@@ -562,7 +535,7 @@ EDGE_DOMAINS = [bg.polydisc(2), bg.polydisc(3), bg.polydisc(5)]
 @pytest.mark.parametrize("count", [0, 1, 2, 3, 1001])
 def test_edge_batch_matches_point_loop(dom, cached_half, count):
     ref_rng, rng = twin_generators(2000 + count, cached_half)
-    assert_bits_equal(reference_edge_batch(dom, ref_rng, count),
+    assert_bits_equal(reference_polydisc(dom.n, ref_rng, count, 2),
                       bg.sample_polydisc_edge(dom, rng, count))
     assert_same_stream(ref_rng, rng)
 
@@ -570,54 +543,80 @@ def test_edge_batch_matches_point_loop(dom, cached_half, count):
 def test_edge_batch_on_other_bit_generators():
     dom = bg.polydisc(3)
     ref_rng, rng = twin_generators(23, cached_half=True, bit_generator=np.random.MT19937)
-    assert_bits_equal(reference_edge_batch(dom, ref_rng, 50), bg.sample_polydisc_edge(dom, rng, 50))
+    assert_bits_equal(reference_polydisc(dom.n, ref_rng, 50, 2), bg.sample_polydisc_edge(dom, rng, 50))
     assert_same_stream(ref_rng, rng)
+
+
+POLYDISC_SAMPLERS = {"sphere": (bg.sample_sphere, 1), "edge": (bg.sample_polydisc_edge, 2)}
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
-def test_edge_batch_takes_floyds_collision_branch(n):
-    # rng.choice(n, 2, replace=False) is Floyd's algorithm: a first index on
-    # [0, n - 2] (0 without a draw when n = 2), a second on [0, n - 1] that
-    # becomes n - 1 when it repeats the first, then a swap draw on [0, 1];
-    # the probe reads the stream that way and must end where the sampler does
+@pytest.mark.parametrize("sampler", sorted(POLYDISC_SAMPLERS))
+@pytest.mark.parametrize("count", [0, 1, 2, 4097])
+def test_polydisc_samplers_repeat_under_a_seed(n, sampler, count):
+    sample, _ = POLYDISC_SAMPLERS[sampler]
     dom = bg.polydisc(n)
-    probe, ref_rng, rng = (np.random.default_rng(41) for _ in range(3))
-    collisions = 0
-    for _ in range(60):
-        first = int(probe.integers(n - 1)) if n > 2 else 0
-        collisions += int(probe.integers(n)) == first
-        probe.integers(2)
-        probe.random(2 * n + 2)
-    assert collisions > 0
-    assert_bits_equal(reference_edge_batch(dom, ref_rng, 60), bg.sample_polydisc_edge(dom, rng, 60))
-    assert _plain(probe.bit_generator.state) == _plain(rng.bit_generator.state)
-    assert_same_stream(ref_rng, rng)
+    a = sample(dom, np.random.default_rng(61), count)
+    assert a.shape == (count, n)
+    assert_bits_equal(a, sample(dom, np.random.default_rng(61), count))
+    point = sample(dom, np.random.default_rng(61))
+    assert point.shape == (n,)
+    assert_bits_equal(point, sample(dom, np.random.default_rng(61), 1)[0])
 
 
-@pytest.mark.parametrize("cached_half, ahead, word, rejected_at", [
-    (False, 0, 0x12345678, 0),          # high half of the first word: Floyd's draw on [0, 2]
-    (True, 0, 0xABCDEF0100000000, 0),   # low half of the first fresh word
-    (False, 10, 0xABCDEF0100000000, 1),  # point 0 takes 2 half words and 8 doubles
-])
-def test_edge_batch_replays_lemire_rejection(cached_half, ahead, word, rejected_at, monkeypatch):
-    # on the tri-disc a draw on [0, 2] rejects exactly the 32-bit half 0;
-    # the draws on [0, 1] never reject
-    dom = bg.polydisc(3)
-    ref_rng, rng = twin_generators(37, cached_half)
-    for gen in (ref_rng, rng):
-        _set_next_word(gen, word, ahead)
-    replayed = []
-    point = bg._edge_point
-    monkeypatch.setattr(bg, "_edge_point", lambda n, r: replayed.append(n) or point(n, r))
-    for k, expect in ((rejected_at, []), (rejected_at + 1, [3])):
-        probe = np.random.Generator(np.random.PCG64())
-        probe.bit_generator.state = rng.bit_generator.state
-        bg.sample_polydisc_edge(dom, probe, k)
-        assert replayed == expect
-        replayed.clear()
-    assert_bits_equal(reference_edge_batch(dom, ref_rng, 6), bg.sample_polydisc_edge(dom, rng, 6))
-    assert replayed == [3]
-    assert_same_stream(ref_rng, rng)
+#: chi-square 0.1% critical values by degrees of freedom
+CHI2_999 = {1: 10.828, 2: 13.816, 4: 18.467, 9: 27.877}
+
+
+def chi_square(observed):
+    expected = observed.sum() / observed.size
+    return float(np.sum((observed - expected) ** 2) / expected)
+
+
+def ks_uniform(x):
+    """Kolmogorov-Smirnov distance of a sample from the uniform law on [0, 1]."""
+    x = np.sort(x)
+    k = np.arange(1, x.size + 1)
+    return max(np.max(k / x.size - x), np.max(x - (k - 1) / x.size))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("sampler", sorted(POLYDISC_SAMPLERS))
+def test_polydisc_samplers_are_uniform(n, sampler):
+    # exactly on_circle coordinates of modulus 1, drawn uniformly among the
+    # coordinates (the points do not show the order of an edge pair, so the
+    # pair is counted unordered); phases uniform on the circle, the other
+    # squared moduli uniform on [0, 0.999^2]
+    sample, on_circle = POLYDISC_SAMPLERS[sampler]
+    N = 20_000
+    z = sample(bg.polydisc(n), np.random.default_rng(67 + n), N)
+    circle = np.abs(np.abs(z) - 1.0) < 1e-14
+    assert np.all(circle.sum(axis=1) == on_circle)
+    assert np.all(np.abs(z[~circle]) <= 0.999)
+    cells = np.unique(np.nonzero(circle)[1].reshape(N, on_circle), axis=0, return_counts=True)[1]
+    assert cells.size == math.comb(n, on_circle)
+    assert chi_square(cells) <= CHI2_999.get(cells.size - 1, 0.0)
+    critical = 1.95 / np.sqrt(N)
+    for k in range(n):
+        assert ks_uniform(np.angle(z[:, k]) / (2 * np.pi) % 1.0) < critical
+        inside = np.abs(z[~circle[:, k], k]) ** 2 / 0.999 ** 2
+        if inside.size:  # none on the bi-disc edge
+            assert ks_uniform(inside) < 1.95 / np.sqrt(inside.size)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937, np.random.Philox])
+def test_certification_points_take_one_path_for_every_bit_generator(bit_generator, monkeypatch):
+    calls = []
+    for name in ("sample_sphere", "sample_polydisc_edge"):
+        sampler = getattr(bg, name)
+        monkeypatch.setattr(bg, name, lambda *args, _s=sampler, _n=name, **kwargs:
+                            calls.append(_n) or _s(*args, **kwargs))
+    rng = np.random.Generator(bit_generator(71))
+    Z = carath.certification_points(bg.polydisc(3), 2000, rng)
+    assert sorted(calls) == ["sample_polydisc_edge", "sample_sphere"]
+    assert Z.shape == (2000 + 200 + carath.structured_torus_points(bg.polydisc(3)).shape[0], 3)
+    source = inspect.getsource(bg)
+    assert "random_raw" not in source and "bit_generator" not in source
 
 
 def test_json_round_trip():

@@ -69,6 +69,9 @@ def test_report_round_trip(tmp_path):
 #: recording their cross-check through the flow.  scan_polydisc and
 #: scan_polydisc_n9 were rewritten (``oracle_gap`` only) once a scan's
 #: cross-check covered every component of the e_j circle, not (i, j) alone.
+#: flow-check_polydisc and shear-commute_polydisc were rewritten once polydisc
+#: batches were drawn natively (all indices, then one block of doubles), which
+#: moved their sampled points; their residuals stay far below the thresholds.
 #: A change that alters these bytes must say so in CHANGES.md.  A file is
 #: named <subcommand>_<label>.
 GOLDEN = Path(__file__).parent / "data" / "golden"

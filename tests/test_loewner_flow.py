@@ -485,16 +485,6 @@ def test_make_field_certifies_segments():
     assert all(c.passed for c in field.certificates)
 
 
-def test_trajectory_csv_export(tmp_path):
-    field = identity_field(P2)
-    res = lf.flow(field, np.array([0.5, 0.25j]), 0.0, 1.0, record_trajectory=True)
-    out = tmp_path / "traj.csv"
-    lf.trajectory_to_csv(res, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "t,re_1,im_1,re_2,im_2"
-    assert len(lines) > 3
-
-
 def test_field_json_round_trip():
     g = df.starlike_order(0.25)
     rng = np.random.default_rng(15)
