@@ -4,12 +4,14 @@ and chain checks, and the radial transform b with zeta*b'/b = 1/g.
 Time-dependent generator schedules are piecewise constant: measurability is
 then trivial, breakpoints integrate exactly (they are forced step
 boundaries), and convex combinations inside each segment already give a rich
-sampling family.  The integrator is classical RK4 with step doubling and
-local extrapolation, controlled at a relative tolerance.  It integrates
-u = e^{tau - t0} v from each segment start t0, with du/dtau = u - e^{tau - t0}
-h(e^{t0 - tau} u) (an integrating factor, Lawson 1967): for a normalized h the
-linear part cancels exactly, the right-hand side decays like e^{-tau}|u|^2,
-and the steps grow in the tail instead of following the decay of v.
+sampling family.  The integrator is the embedded Dormand-Prince 8(5,3) pair
+(DOP853), controlled at a relative tolerance, with the step size carried
+across breakpoints and across the checkpoints of a parametric limit.  It
+integrates u = e^{tau - t0} v from each segment start t0, with
+du/dtau = u - e^{tau - t0} h(e^{t0 - tau} u) (an integrating factor, Lawson
+1967): for a normalized h the linear part cancels exactly, the right-hand
+side decays like e^{-tau}|u|^2, and the steps grow in the tail instead of
+following the decay of v.
 """
 
 from __future__ import annotations
@@ -34,9 +36,42 @@ MAX_SEGMENT = 700.0
 #: length and certification sample count of each ``make_field`` segment
 SEGMENT_DT = 0.5
 SEGMENT_CERTIFY_N = 160
+#: step size the first attempt of a flow tries unless the caller carries one
+FIRST_STEP = 0.1
 #: ``parametric_map`` compares e^t v at every CHECKPOINT up to HORIZON
 CHECKPOINT = 5.0
 HORIZON = 40.0
+
+#: Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner, Solving ODEs I, sec.
+#: II.10; Prince & Dormand 1981): nodes c, stage rows a (row i holds
+#: a[i, :i]), 8th-order weights b, and the 5th- and 3rd-order error rows
+_DOP_C = np.array([0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+    0.2816496580927726, 1 / 3, 0.25, 4 / 13, 0.6512820512820513, 0.6, 6 / 7, 1.0])
+_DOP_A = [np.array(row) for row in ([], [0.05260015195876773],
+    [0.0197250569845379, 0.0591751709536137],
+    [0.02958758547680685, 0.0, 0.08876275643042054],
+    [0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792],
+    [0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242],
+    [0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125],
+    [0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023],
+    [0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+     20.154067550477894, -43.48988418106996],
+    [0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+     15.279233632882423, -33.28821096898486, -0.020331201708508627],
+    [-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+     -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196],
+    [2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+     27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+     0.6433927460157636])]
+_DOP_B = np.array([0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+    0.04471061572777259])
+_DOP_E = np.array([
+    [0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+     1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+     -0.022355307863886294],
+    _DOP_B - np.array([31 / 127, 0, 0, 0, 0, 0, 0, 0, 1 - 31 / 127 - 3 / 136, 0, 0, 3 / 136])])
 
 
 @dataclass(frozen=True)
@@ -93,56 +128,60 @@ class FlowResult:
 
     ``flow`` always returns ``converged=True`` and raises
     ``FlowInstabilityError`` instead of failing; ``parametric_map`` returns
-    ``converged=False`` when its horizon runs out.
+    ``converged=False`` when its horizon runs out.  ``next_step`` is the step
+    size the integrator would try next.
     """
 
     endpoint: np.ndarray
     trajectory: Optional[List[Tuple[float, np.ndarray]]]
     horizon_used: float
     converged: bool
+    next_step: float
 
 
 def _rhs(h_map: carath.HolMap, s: float, u: np.ndarray) -> np.ndarray:
-    """du/ds = u - e^s h(e^{-s} u) for u = e^s v; dividing by e^{-s} (not
-    multiplying by e^s) returns most rows of h = id to u exactly."""
+    """du/ds = (x - h(x)) / e^{-s} at x = e^{-s} u, for u = e^s v; rows of
+    h = id give exactly 0."""
     decay = math.exp(-s)
-    return u - h_map.values(decay * u) / decay
+    x = decay * u
+    return (x - h_map.values(x)) / decay
 
 
-def _rk4(h_map: carath.HolMap, s: float, u: np.ndarray, ds: float,
-         k1: np.ndarray) -> np.ndarray:
-    """One classical RK4 step of du/ds from (s, u), given its first stage k1."""
-    k2 = _rhs(h_map, s + 0.5 * ds, u + 0.5 * ds * k1)
-    k3 = _rhs(h_map, s + 0.5 * ds, u + 0.5 * ds * k2)
-    k4 = _rhs(h_map, s + ds, u + ds * k3)
-    return u + (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _stage_sum(a: np.ndarray, K: np.ndarray, shape) -> np.ndarray:
+    """sum_i a_i k_i for a real coefficient row (or rows) over the first stages
+    of the flat stage array K, viewed as reals."""
+    return (a @ K[:a.shape[-1]].view(float)).view(complex).reshape(shape)
 
 
-def _integrate_segment(h_map, dom, y, t0, t1, tol, record, trajectory):
-    """Flow y from t0 to t1 under one generator, in u = e^{tau - t0} v."""
+def _integrate_segment(h_map, dom, y, t0, t1, tol, record, trajectory, step):
+    """Flow y from t0 to t1 under one generator, in u = e^{tau - t0} v,
+    trying ``step`` first; returns v(t1) and the controller's next step."""
     s, u = 0.0, y
     norms_prev = np.asarray(bg.norm(dom, y))
-    step = min(0.1, t1 - t0)
-    k1 = None
+    K = np.empty((12, u.size), dtype=complex)
+    need_first = True
     while s < t1 - t0 - 1e-14:
-        step = min(step, t1 - t0 - s)
-        # the full step and the first half step start at u, and so does a
-        # retry after a rejected step: one first stage serves them all
-        if k1 is None:
-            k1 = _rhs(h_map, s, u)
-        u_full = _rk4(h_map, s, u, step, k1)
-        u_mid = _rk4(h_map, s, u, 0.5 * step, k1)
-        s_mid = s + 0.5 * step
-        u_half = _rk4(h_map, s_mid, u_mid, 0.5 * step, _rhs(h_map, s_mid, u_mid))
+        ds = min(step, t1 - t0 - s)
+        # an accepted step ends at the next step's first stage, and a
+        # rejected attempt keeps its own
+        if need_first:
+            K[0] = _rhs(h_map, s, u).ravel()
+            need_first = False
+        for i in range(1, 12):
+            K[i] = _rhs(h_map, s + _DOP_C[i] * ds,
+                        u + ds * _stage_sum(_DOP_A[i], K, u.shape)).ravel()
         # per-row relative error: |u| = e^s |v|, so this is the relative
-        # error of v, which contracts to 0
+        # error of v, which contracts to 0; DOP853 damps the 5th-order
+        # estimate by the 3rd-order one, e5^2 / sqrt(e5^2 + 0.01 e3^2)
         row_scale = np.maximum(np.max(np.abs(u), axis=-1), 1e-30)
-        row_err = np.max(np.abs(u_half - u_full), axis=-1) / 15.0
-        rel = float(np.max(row_err / row_scale))
+        e5, e3 = np.max(np.abs(_stage_sum(_DOP_E, K, (2, *u.shape))), axis=-1) / row_scale
+        denom = np.sqrt(e5 * e5 + 0.01 * e3 * e3)
+        rel = ds * float(np.max(np.divide(e5 * e5, denom, out=np.zeros_like(e5),
+                                          where=denom > 0)))
         if rel <= tol:
-            u = u_half + (u_half - u_full) / 15.0
-            k1 = None
-            s += step
+            u = u + ds * _stage_sum(_DOP_B, K, u.shape)
+            need_first = True
+            s += ds
             v = math.exp(-s) * u
             norms = np.asarray(bg.norm(dom, v))
             if np.any(norms > norms_prev + _NORM_GROWTH_TOL) or np.any(norms >= 1.0):
@@ -152,26 +191,29 @@ def _integrate_segment(h_map, dom, y, t0, t1, tol, record, trajectory):
             norms_prev = norms
             if record:
                 trajectory.append((t0 + s, v))
-        factor = 0.9 * (tol / max(rel, 1e-300)) ** 0.2
-        step *= min(5.0, max(0.2, factor))
+        factor = 0.9 * (tol / max(rel, 1e-300)) ** 0.125
+        step = ds * min(5.0, max(0.2, factor))
         if step < _MIN_STEP:
             raise FlowInstabilityError("step size underflow in the flow integrator")
-    return math.exp(t0 - t1) * u
+    return math.exp(t0 - t1) * u, step
 
 
 def flow(field: HerglotzField, z, s: float, t: float, tol: float = 1e-10,
-         record_trajectory: bool = False) -> FlowResult:
+         record_trajectory: bool = False, first_step: float = FIRST_STEP) -> FlowResult:
     """Solution v(z, s, t) of dv/dtau = -h(v, tau), v(z, s, s) = z.
 
-    Adaptive RK4 with step doubling at relative tolerance ``tol``, applied to
+    Adaptive Dormand-Prince 8(5,3) at relative tolerance ``tol``, applied to
     u = e^{tau - t0} v on each segment [t0, t1] (so the linear part of h is
-    exact); schedule breakpoints are forced step boundaries.  A recorded
-    trajectory holds v at every accepted step.  The trajectory must stay in the
-    open ball with nonincreasing norm (up to 1e-9 per step), else the
-    integrator aborts with ``FlowInstabilityError``, as it does on step-size
-    underflow; the result is never ``converged=False``.  A segment (a piece
-    of [s, t] between breakpoints) longer than MAX_SEGMENT raises
-    ``DomainError`` before any step.
+    exact); schedule breakpoints are forced step boundaries.  The first
+    attempt tries ``first_step``; the result's ``next_step`` is the
+    controller's proposal after the last accepted step, which a continued
+    flow passes back in.  A recorded trajectory holds v at every accepted
+    step.  The trajectory must stay in the open ball with nonincreasing norm
+    (up to 1e-9 per step), else the integrator aborts with
+    ``FlowInstabilityError``, as it does on step-size underflow; the result
+    is never ``converged=False``.  A segment (a piece of [s, t] between
+    breakpoints) longer than MAX_SEGMENT raises ``DomainError`` before any
+    step.
     """
     if t < s or s < 0.0:
         raise DomainError("flow needs 0 <= s <= t")
@@ -188,11 +230,13 @@ def flow(field: HerglotzField, z, s: float, t: float, tol: float = 1e-10,
         raise DomainError(f"flow segment of length {longest:g} exceeds the limit "
                           f"{MAX_SEGMENT:g} (e^-s must stay a normal double); flow in shorter calls")
     trajectory: List[Tuple[float, np.ndarray]] = [(s, y.copy())] if record_trajectory else []
+    step = first_step
     for a, b in zip(bounds, bounds[1:]):
         h_map = field.maps[field.segment(a)]
-        y = _integrate_segment(h_map, field.domain, y, a, b, tol, record_trajectory, trajectory)
+        y, step = _integrate_segment(h_map, field.domain, y, a, b, tol,
+                                     record_trajectory, trajectory, step)
     endpoint = y[0] if single else y
-    return FlowResult(endpoint, trajectory or None, t, True)
+    return FlowResult(endpoint, trajectory or None, t, True, step)
 
 
 def parametric_map(field: HerglotzField, z, tol: float = 1e-8,
@@ -200,8 +244,9 @@ def parametric_map(field: HerglotzField, z, tol: float = 1e-8,
     """Limit e^t v(z, 0, t) of the flow, evaluated at checkpoints t = 5, 10, ...
     (multiples of CHECKPOINT).
 
-    Convergence is declared when successive checkpoint values differ by less
-    than ``tol``; the horizon caps at HORIZON = 40 and a miss returns
+    Each checkpoint flow starts from the step size the previous one ended
+    with.  Convergence is declared when successive checkpoint values differ
+    by less than ``tol``; the horizon caps at HORIZON = 40 and a miss returns
     converged=False with the best estimate.
     """
     z = np.asarray(z, dtype=complex)
@@ -212,10 +257,12 @@ def parametric_map(field: HerglotzField, z, tol: float = 1e-8,
     prev = None
     est = y
     t_cur = 0.0
+    step = FIRST_STEP
     converged = False
     while t_cur < HORIZON - 1e-12:
         t_next = min(t_cur + CHECKPOINT, HORIZON)
-        y = flow(field, y, t_cur, t_next, tol=ode_tol).endpoint
+        res = flow(field, y, t_cur, t_next, tol=ode_tol, first_step=step)
+        y, step = res.endpoint, res.next_step
         t_cur = t_next
         est = math.exp(t_cur) * y
         if prev is not None and float(np.max(np.abs(est - prev))) < tol:
@@ -223,7 +270,7 @@ def parametric_map(field: HerglotzField, z, tol: float = 1e-8,
             break
         prev = est
     endpoint = est[0] if single else est
-    return FlowResult(endpoint, None, t_cur, converged)
+    return FlowResult(endpoint, None, t_cur, converged, step)
 
 
 def parametric_quadratic(field: HerglotzField) -> np.ndarray:

@@ -385,33 +385,81 @@ class CallMarks(list):
         self.marks.append(self.counter.calls)
 
 
-def test_step_doubling_shares_the_first_stage():
+def test_dop853_accounting_reuses_the_accepted_stage():
     y = np.array([[0.3 + 0.1j, -0.2j]])
-    # one accepted step: k1 once, 3 more stages for the full step, 3 for
-    # the first half step, 4 for the second (12 if k1 were recomputed)
+    # one accepted step: the first stage and 11 more
     plain = CountingMap(carath.identity_map(P2))
     marks = CallMarks(plain)
-    lf._integrate_segment(plain, P2, y, 0.0, 0.01, 1e-10, True, marks)
-    assert marks.marks == [11]
-    # a spoiled stage of the full step rejects the first attempt; the retry
-    # starts from the same point and keeps k1: 11 + 10 calls to the first
-    # accepted step, then one more step of 11 to the segment end
-    spoiled = CountingMap(carath.identity_map(P2), spoil={2})
+    lf._integrate_segment(plain, P2, y, 0.0, 0.01, 1e-10, True, marks, 0.1)
+    assert marks.marks == [12]
+    # a spoiled sixth stage (the first one the error rows weigh after the
+    # first) rejects the first attempt; the retry starts from the same point
+    # and keeps its first stage: 12 + 11 calls to the first accepted step,
+    # then one evaluation at the accepted point, which is the first stage of
+    # the step to the segment end, and its 11 stages
+    spoiled = CountingMap(carath.identity_map(P2), spoil={6})
     marks = CallMarks(spoiled)
-    end = lf._integrate_segment(spoiled, P2, y, 0.0, 0.01, 1e-10, True, marks)
-    assert marks.marks == [21, 32]
+    end, _ = lf._integrate_segment(spoiled, P2, y, 0.0, 0.01, 1e-10, True, marks, 0.1)
+    assert marks.marks == [23, 35]
     assert np.allclose(end, np.exp(-0.01) * y, rtol=1e-12, atol=0)
 
 
+def test_flow_carries_the_step_across_calls_and_breakpoints():
+    # h = id is exact in u = e^t v, so every step is accepted and grows x5
+    field = identity_field(P2)
+    y = np.array([[0.3 + 0.1j, -0.2j]])
+    res = lf.flow(field, y, 0.0, 0.01, first_step=0.1)
+    assert res.next_step == pytest.approx(0.05)
+    # a continued call tries the carried step first: one step of 0.05
+    cont = lf.flow(field, res.endpoint, 0.01, 0.06, record_trajectory=True,
+                   first_step=res.next_step)
+    assert [t for t, _ in cont.trajectory] == pytest.approx([0.01, 0.06])
+    # across a breakpoint the step goes on from the last proposal (0.1, 0.5
+    # and the 0.1 clipped at 0.7 propose 0.5), not from 0.1
+    ident = carath.identity_map(P2)
+    piecewise = lf.HerglotzField((0.0, 0.7), (ident, ident), df.moebius(), P2, horizon=1.4)
+    res = lf.flow(piecewise, y, 0.0, 1.4, record_trajectory=True)
+    assert [t for t, _ in res.trajectory] == pytest.approx([0.0, 0.1, 0.6, 0.7, 1.2, 1.4])
+
+
+def test_dop853_tableau_conditions():
+    # the order conditions the inlined constants must meet, without scipy
+    c, b = lf._DOP_C, lf._DOP_B
+    assert np.sum(b) == pytest.approx(1.0, abs=1e-14)
+    for i in range(1, 12):
+        assert np.sum(lf._DOP_A[i]) == pytest.approx(c[i], abs=1e-13)
+    for k in range(8):
+        assert np.sum(b * c ** k) == pytest.approx(1.0 / (k + 1), abs=1e-14)
+    assert np.allclose(np.sum(lf._DOP_E, axis=1), 0.0, atol=1e-14)
+
+
+def test_dop853_step_is_eighth_order():
+    # one fixed step on u' = lam u has local error O(h^9): halving h must cut
+    # it at least 2^8-fold
+    lam = -1.0 + 2.0j
+
+    def step_error(h):
+        K = np.zeros(12, complex)
+        K[0] = lam
+        for i in range(1, 12):
+            K[i] = lam * (1.0 + h * (lf._DOP_A[i] @ K[:i]))
+        return abs(1.0 + h * (lf._DOP_B @ K) - np.exp(lam * h))
+
+    assert step_error(0.4) / step_error(0.2) >= 2 ** 8
+    assert step_error(0.2) / step_error(0.1) >= 2 ** 8
+
+
 def test_canonical_parametric_map_rhs_call_budget():
-    # about 800 RHS calls in u = e^t v; integrating v itself took 6900,
-    # because the step followed the e^-t decay of v to the horizon
+    # about 260 RHS calls with DOP853 and the step carried across the
+    # checkpoints; step-doubling RK4 took 802, and integrating v itself
+    # instead of u = e^t v took 6900, because the step followed the e^-t
+    # decay of v to the horizon
     g = df.moebius()
     h = CountingMap(carath.canonical_field(g, P2, 1, 2, +1))
     rng = np.random.default_rng(14)
     Z = bg.sample_sphere(P2, rng, 128) * 0.7
     assert lf.parametric_map(lf.autonomous_field(h, g, P2), Z).converged
-    assert h.calls <= 2000
+    assert h.calls <= 350
 
 
 # ---------------------------------------------------------------------------
