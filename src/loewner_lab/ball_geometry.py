@@ -211,27 +211,34 @@ def support_functionals(dom: BallGeometry, Z):
     ``_DEGENERATE_TOL`` among those raises ``DegenerateFunctionalError`` so
     the caller can resample.
     """
-    L, owner, _ = _support_rows(dom, Z)
+    Z, norms, coord, owner, phase, generic, gram = _attaining(dom, Z)
+    if coord is None:
+        return np.conj(Z) / norms[:, None], np.arange(Z.shape[0])
+    L = np.zeros((coord.size + generic.size, dom.n), dtype=complex)
+    L[np.arange(coord.size), coord] = phase
+    if generic.size:
+        L[coord.size:] = _top_functionals(Z[generic], norms[generic], gram)
+        owner = np.concatenate([owner, generic])
     return L, owner
 
 
-def _support_rows(dom: BallGeometry, Z):
-    """``support_functionals`` plus the norms of the rows of Z: ``norm``'s
-    own values, except that a frame-diagonal spectral point takes its larger
-    diagonal modulus, the number its coordinate rows are built from."""
+def _attaining(dom: BallGeometry, Z):
+    """Shared prologue of ``support_functionals`` and ``support_values``:
+    ``(Z, norms, coord, owner, phase, generic, gram)``.  ``norms`` are
+    ``norm``'s, except that a frame-diagonal spectral point takes its larger
+    diagonal modulus.  Coordinate row k is ``phase[k]`` = |z_c|/z_c at
+    c = ``coord[k]`` of point ``owner[k]``, grouped by coordinate; the
+    ``generic`` spectral points take top-pair rows from their ``gram`` parts.
+    The Euclidean ball has neither (all five None)."""
     Z = _check_dim(dom, Z)
     if Z.ndim != 2:
         raise DomainError(f"support functionals take an (m, n) batch, got shape {Z.shape}")
-    if dom.kind == SPECTRAL2:
-        gram = _row_gram(Z)
-        norms = _top_singular(gram)
-    else:
-        norms = np.asarray(norm(dom, Z))
+    gram = _row_gram(Z) if dom.kind == SPECTRAL2 else None
+    norms = np.asarray(norm(dom, Z)) if gram is None else _top_singular(gram)
     if np.any(norms == 0.0):
         raise DomainError("support functionals are undefined at z = 0")
     if dom.kind == EUCLIDEAN:
-        return np.conj(Z) / norms[:, None], np.arange(Z.shape[0]), norms
-
+        return Z, norms, None, None, None, None, None
     absz = np.abs(Z)
     if dom.kind == POLYDISC:
         attains = absz >= norms[:, None] - _TIE_TOL
@@ -242,14 +249,8 @@ def _support_rows(dom: BallGeometry, Z):
         attains = diagonal[:, None] & (absz[:, :2] >= norms[:, None] - _DEGENERATE_TOL)
         generic = np.flatnonzero(~diagonal)
         gram = [part[generic] for part in gram]
-    # coordinate rows, grouped by coordinate and in point order within a group
     coord, owner = np.nonzero(attains.T)
-    L = np.zeros((coord.size + generic.size, dom.n), dtype=complex)
-    L[np.arange(coord.size), coord] = absz[owner, coord] / Z[owner, coord]
-    if generic.size:
-        L[coord.size:] = _top_functionals(Z[generic], norms[generic], gram)
-        owner = np.concatenate([owner, generic])
-    return L, owner, norms
+    return Z, norms, coord, owner, absz[owner, coord] / Z[owner, coord], generic, gram
 
 
 def support_values(dom: BallGeometry, Z, H):
@@ -259,11 +260,19 @@ def support_values(dom: BallGeometry, Z, H):
     points.  Returns ``(values, owner)`` where ``owner[k]`` is the row of
     ``Z`` that produced ``values[k]``, in the row order of
     ``support_functionals``; points with several extreme functionals
-    contribute several values.
+    contribute several values.  Only generic spectral points build rows; a
+    coordinate row is a gather of H (einsum rounds as a dense row would).
     """
-    L, owner, norms = _support_rows(dom, Z)
+    Z, norms, coord, owner, phase, generic, gram = _attaining(dom, Z)
     H = np.asarray(H, dtype=complex)
-    return np.einsum("kn,kn->k", L, H[owner]) / norms[owner], owner
+    if coord is None:
+        return np.einsum("kn,kn->k", np.conj(Z) / norms[:, None], H) / norms, np.arange(len(Z))
+    values = np.einsum("k,k->k", phase, H[owner, coord]) / norms[owner]
+    if generic.size:
+        L = _top_functionals(Z[generic], norms[generic], gram)
+        values = np.concatenate([values, np.einsum("kn,kn->k", L, H[generic]) / norms[generic]])
+        owner = np.concatenate([owner, generic])
+    return values, owner
 
 
 def sample_sphere(dom: BallGeometry, rng: np.random.Generator,

@@ -312,12 +312,13 @@ def inverse_radius(g: DiscFunction, w):
         elif g.family == ALMOST_STARLIKE:
             r = np.abs((1.0 - w) / (w + _beta(g)))
         elif g.family == STRONGLY_STARLIKE:
-            phi = np.abs(np.angle(w))
-            r = 2.0 + phi
+            # u = w^{1/alpha} = a + ib in real arithmetic; |1 - u| / |1 + u| is
+            # unchanged by u -> 1/conj(u), which keeps the power from overflowing
+            mod, phi = np.abs(w), np.abs(np.angle(w))
+            m = mod ** np.where(mod > 1.0, -1.0 / g.alpha, 1.0 / g.alpha)
+            a, b = m * np.cos(phi / g.alpha), m * np.sin(phi / g.alpha)
             safe = phi <= min(g.alpha * np.pi, np.pi) * (1.0 + 1e-14)
-            u = np.exp(np.log(np.where(w == 0, 1.0, w)) / g.alpha)
-            ru = np.abs((1.0 - u) / (1.0 + u))
-            r = np.where(safe, ru, r)
+            r = np.where(safe, np.hypot(1.0 - a, b) / np.hypot(1.0 + a, b), 2.0 + phi)
             r = np.where(w == 0, 1.0, r)
         elif g.inverse is not None:
             r = np.abs(np.asarray(g.inverse(w), dtype=complex))

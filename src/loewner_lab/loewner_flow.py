@@ -157,6 +157,8 @@ def _integrate_segment(h_map, dom, y, t0, t1, tol, record, trajectory, step):
     """Flow y from t0 to t1 under one generator, in u = e^{tau - t0} v,
     trying ``step`` first; returns v(t1) and the controller's next step."""
     s, u = 0.0, y
+    if not u.size:
+        return u, step
     norms_prev = np.asarray(bg.norm(dom, y))
     K = np.empty((12, u.size), dtype=complex)
     need_first = True
@@ -213,7 +215,7 @@ def flow(field: HerglotzField, z, s: float, t: float, tol: float = 1e-10,
     ``FlowInstabilityError``, as it does on step-size underflow; the result
     is never ``converged=False``.  A segment (a piece of [s, t] between
     breakpoints) longer than MAX_SEGMENT raises ``DomainError`` before any
-    step.
+    step.  An empty (0, n) batch returns at once, ``next_step = first_step``.
     """
     if t < s or s < 0.0:
         raise DomainError("flow needs 0 <= s <= t")
@@ -247,13 +249,15 @@ def parametric_map(field: HerglotzField, z, tol: float = 1e-8,
     Each checkpoint flow starts from the step size the previous one ended
     with.  Convergence is declared when successive checkpoint values differ
     by less than ``tol``; the horizon caps at HORIZON = 40 and a miss returns
-    converged=False with the best estimate.
+    converged=False with the best estimate; an empty (0, n) batch converges at 0.
     """
     z = np.asarray(z, dtype=complex)
     single = z.ndim == 1
     y = z[None, :].copy() if single else z.copy()
     if np.any(np.asarray(bg.norm(field.domain, y)) >= 1.0):
         raise DomainError("initial point outside the open unit ball")
+    if not y.size:
+        return FlowResult(y, None, 0.0, True, FIRST_STEP)
     prev = None
     est = y
     t_cur = 0.0
@@ -342,7 +346,7 @@ def check_starlike_chain(F: carath.HolMap, g: df.DiscFunction, dom: bg.BallGeome
             witness={"z": Z[k], "value": complex(dets[k]), "margin": -np.inf},
         )
     H = np.linalg.solve(J, vals[..., None])[..., 0]
-    return carath.certify_values(lambda _: H, g, dom, Z, eps=eps)
+    return carath.certify_values(H, g, dom, Z, eps=eps)
 
 
 def check_pde(F: carath.HolMap, field: HerglotzField, samples: int,

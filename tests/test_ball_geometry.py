@@ -218,10 +218,12 @@ def test_spectral_rows_round_a_point_as_in_a_batch():
     dom = bg.spectral2()
     rng = np.random.default_rng(43)
     Z = bg.sample_sphere(dom, rng, 5000) * rng.uniform(0.1, 0.99, 5000)[:, None]
-    L, owner, norms = bg._support_rows(dom, Z)
+    L, owner = bg.support_functionals(dom, Z)
+    norms = bg._attaining(dom, Z)[1]
     assert np.array_equal(owner, np.arange(len(Z)))
     for k in range(0, len(Z), 53):
-        L1, _, norm1 = bg._support_rows(dom, Z[k:k + 1])
+        L1, _ = bg.support_functionals(dom, Z[k:k + 1])
+        norm1 = bg._attaining(dom, Z[k:k + 1])[1]
         assert_bits_equal(L1[0], L[k])
         assert norm1[0] == norms[k] == bg.norm(dom, Z[k])
 

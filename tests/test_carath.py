@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -398,6 +399,100 @@ def test_certify_requires_normalized():
     h = carath.BlackBoxMap(lambda Z: Z, P2, normalized=False)
     with pytest.raises(DomainError):
         carath.certify_Mg(h, df.moebius(), P2, 10)
+
+
+def test_certify_values_rejects_an_empty_point_set_and_missing_values():
+    Z = np.zeros((0, 2), dtype=complex)
+    with pytest.raises(DomainError):
+        carath.certify_values(Z, df.moebius(), P2, Z)
+    Z = carath.certification_points(P2, 20, np.random.default_rng(5))
+    with pytest.raises(DomainError):
+        carath.certify_values(Z[:-1], df.moebius(), P2, Z)
+
+
+CERTIFY_CASES = [(P3, df.moebius()), (E2, df.starlike_order(0.3)),
+                 (SP, df.strongly_starlike(0.5))]
+CERTIFY_IDS = ["polydisc3", "euclidean2", "spectral2"]
+
+
+def certify_fields(g, dom):
+    """The canonical fields of both signs and the +1 field with its quadratic
+    term scaled by 1.05, as the certify experiment builds them."""
+    fields = [carath.canonical_field(g, dom, 1, 2, sign) for sign in (1, -1)]
+    exps = tuple(2 if k == 1 else 0 for k in range(dom.n))
+    return fields + [carath.scale_term(fields[0], 1, exps, 1.05)]
+
+
+def certificate_bits(cert):
+    out = [cert.passed, cert.samples_used, cert.n_indeterminate,
+           np.float64(cert.worst_margin).tobytes()]
+    if cert.witness is not None:
+        w = cert.witness
+        out += [np.asarray(w["z"]).tobytes(), np.complex128(w["value"]).tobytes(),
+                np.float64(w["margin"]).tobytes()]
+    return out
+
+
+@pytest.mark.parametrize("dom,g", CERTIFY_CASES, ids=CERTIFY_IDS)
+def test_certify_blocks_do_not_change_the_certificate(monkeypatch, dom, g):
+    # sphere and edge samples, then a coarse set of the frame (or weighted)
+    # tori, where the inflated field fails: its witness lies in the last blocks
+    rng = np.random.default_rng(71)
+    Z = np.vstack([carath.certification_points(dom, 400, rng, structured=False),
+                   carath.structured_torus_points(dom, phases=8)])
+    failed_late = False
+    for h in certify_fields(g, dom):
+        H = h.values(Z)
+        monkeypatch.setattr(carath, "CERTIFY_BLOCK", len(Z))
+        whole = carath.certify_values(H, g, dom, Z)
+        for block in (1, 7, 4096):
+            monkeypatch.setattr(carath, "CERTIFY_BLOCK", block)
+            cert = carath.certify_values(H, g, dom, Z)
+            assert certificate_bits(cert) == certificate_bits(whole), (h.describe(), block)
+        if not whole.passed:
+            row = np.flatnonzero(np.all(Z == whole.witness["z"], axis=1))[0]
+            failed_late |= row >= 7
+    assert failed_late
+
+
+@pytest.mark.parametrize("dom,g", CERTIFY_CASES, ids=CERTIFY_IDS)
+def test_certify_witness_past_the_first_blocks(monkeypatch, dom, g):
+    # 9 000 sphere samples come first, so the torus witness of the inflated
+    # field lies past the first block at 4096 rows and at the default size
+    rng = np.random.default_rng(73)
+    Z = np.vstack([carath.certification_points(dom, 9000, rng, structured=False),
+                   carath.structured_torus_points(dom, phases=16)])
+    H = certify_fields(g, dom)[2].values(Z)
+    monkeypatch.setattr(carath, "CERTIFY_BLOCK", len(Z))
+    whole = carath.certify_values(H, g, dom, Z)
+    assert not whole.passed
+    assert np.flatnonzero(np.all(Z == whole.witness["z"], axis=1))[0] >= 8192
+    for block in (4096, 8192):
+        monkeypatch.setattr(carath, "CERTIFY_BLOCK", block)
+        assert certificate_bits(carath.certify_values(H, g, dom, Z)) == certificate_bits(whole)
+
+
+def traced_peak(fn):
+    """Peak of the numpy and Python allocations traced while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_certify_values_peak_memory_stays_within_a_few_blocks(monkeypatch):
+    # the 80 864-point polydisc(3) set of a certify run peaks at 1.8 MB in
+    # blocks, and at 9.3 MB when it is taken as one block
+    dom, g = P3, df.moebius()
+    Z = carath.certification_points(dom, 40_000, np.random.default_rng(1))
+    assert len(Z) == 80_864
+    H = certify_fields(g, dom)[2].values(Z)
+    bound = 4 * 2**20
+    assert traced_peak(lambda: carath.certify_values(H, g, dom, Z)) <= bound
+    monkeypatch.setattr(carath, "CERTIFY_BLOCK", len(Z))
+    assert traced_peak(lambda: carath.certify_values(H, g, dom, Z)) > bound
 
 
 def test_random_members_certify():

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -265,6 +266,73 @@ def test_membership_property_moebius(r, phi):
     # the moebius image is the right half-plane
     w = complex(df.evaluate(df.moebius(), r * np.exp(1j * phi)))
     assert w.real > 0
+
+
+SECTOR_ALPHAS = (0.3, 0.5, 0.77, 1.0)
+
+
+def old_sector_radius(alpha, w):
+    """The sector inverse through the complex log and exp, as the catalog
+    computed it before the real-arithmetic form: the oracle for the codes."""
+    w = np.asarray(w, dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        phi = np.abs(np.angle(w))
+        safe = phi <= min(alpha * np.pi, np.pi) * (1.0 + 1e-14)
+        u = np.exp(np.log(np.where(w == 0, 1.0, w)) / alpha)
+        r = np.where(safe, np.abs((1.0 - u) / (1.0 + u)), 2.0 + phi)
+        r = np.where(w == 0, 1.0, r)
+    return np.where(np.isnan(r), np.inf, r)
+
+
+def exact_sector_radius(alpha, w):
+    """|1 - u| / |1 + u| with u = w^(1/alpha) on the principal branch, to 50 digits."""
+    with mpmath.workdps(50):
+        u = mpmath.power(mpmath.mpc(w.real, w.imag), 1 / mpmath.mpf(alpha))
+        return float(abs(1 - u) / abs(1 + u))
+
+
+@pytest.mark.parametrize("alpha", SECTOR_ALPHAS)
+def test_sector_inverse_radius_against_a_50_digit_reference(alpha):
+    # random points of the sector, both sides of its edge |arg w| = alpha pi/2,
+    # and moduli down to 1e-300 and up to 1e300 (where w^(1/alpha) overflows)
+    rng = np.random.default_rng(61)
+    edge = alpha * np.pi / 2.0
+    w = np.exp(rng.uniform(-4.0, 4.0, 200) + 1j * rng.uniform(-edge, edge, 200))
+    mod = np.exp(rng.uniform(-3.0, 3.0, 16))
+    at_edge = np.concatenate([mod * np.exp(1j * s * (edge + d))
+                              for s in (1, -1) for d in (1e-12, -1e-12)])
+    tiny_huge = np.array([1e-300, 1e300]) * np.exp(0.7j * edge)
+    w = np.concatenate([w, at_edge, tiny_huge, [1e-300, 1e300]])
+    exact = np.array([exact_sector_radius(alpha, x) for x in w])
+    assert np.max(np.abs(df.inverse_radius(df.strongly_starlike(alpha), w) - exact) / exact) <= 1e-14
+
+
+@pytest.mark.parametrize("alpha", SECTOR_ALPHAS)
+def test_sector_inverse_radius_at_zero_and_on_the_negative_axis(alpha):
+    g = df.strongly_starlike(alpha)
+    assert df.inverse_radius(g, 0.0) == 1.0
+    negative = -np.array([1e-3, 0.5, 2.0, 1e3])
+    r = df.inverse_radius(g, negative)
+    codes = df.classify(g, negative, 1e-9)
+    if alpha < 1.0:
+        # outside the sector: the surrogate radius 2 + pi
+        assert np.all(r == 2.0 + np.pi) and np.all(codes == -1)
+    else:
+        # the right half-plane: the preimage of -x is (1 + x) / (1 - x)
+        assert np.allclose(r, np.abs((1.0 - negative) / (1.0 + negative)), rtol=1e-14, atol=0)
+    # the lower side of the cut (imaginary part -0.0) gets the same verdicts
+    assert np.array_equal(codes, df.classify(g, np.conj(negative + 0j), 1e-9))
+
+
+@pytest.mark.parametrize("alpha", SECTOR_ALPHAS)
+def test_sector_codes_match_the_complex_log_formula(alpha):
+    rng = np.random.default_rng(67)
+    w = (rng.standard_normal(100_000) + 1j * rng.standard_normal(100_000)) * np.exp(
+        rng.uniform(-3.0, 3.0, 100_000))
+    scale, eps = np.maximum(1.0, np.abs(w)), 1e-9
+    old = old_sector_radius(alpha, w)
+    expect = np.where(old < 1.0 - eps * scale, 1, np.where(old > 1.0 + eps * scale, -1, 0))
+    assert np.array_equal(df.classify(df.strongly_starlike(alpha), w, eps), expect)
 
 
 # ---------------------------------------------------------------------------

@@ -422,6 +422,18 @@ def test_flow_carries_the_step_across_calls_and_breakpoints():
     assert [t for t, _ in res.trajectory] == pytest.approx([0.0, 0.1, 0.6, 0.7, 1.2, 1.4])
 
 
+def test_flow_and_limit_of_an_empty_batch_are_empty():
+    # a (0, n) batch takes no step: the endpoint is empty and the step that
+    # was passed in comes back as the next one
+    field = shear_field(df.moebius(), P2)
+    empty = np.zeros((0, 2), dtype=complex)
+    res = lf.flow(field, empty, 0.0, 3.0, first_step=0.03)
+    assert res.endpoint.shape == (0, 2) and res.converged and res.next_step == 0.03
+    limit = lf.parametric_map(field, empty)
+    assert limit.endpoint.shape == (0, 2) and limit.converged
+    assert limit.next_step == lf.FIRST_STEP
+
+
 def test_dop853_tableau_conditions():
     # the order conditions the inlined constants must meet, without scipy
     c, b = lf._DOP_C, lf._DOP_B
