@@ -18,15 +18,20 @@ Cauchy integrals discretized as 64-point DFTs on circles (a mixed coefficient
 from the two circles through e_p + e_q and e_p - e_q), with a dual-radius
 consistency check.  ``certify_Mg`` tests, by structured and Monte-Carlo
 sampling, that all supporting values l_z(h(z))/||z|| of a normalized map lie
-in the image g(U).  Its points (``certification_points``) are seeded
-batches: sphere samples on a radius ladder, the polydisc edge samples in one
-call, and the frame tori.  Support values come from
-``ball_geometry.support_values`` block by block, in closed form on every
-geometry; no step calls LAPACK's SVD.
+in the image g(U).  It streams its points (``certification_blocks``) in
+blocks of ``CERTIFY_BLOCK`` rows: seeded sphere samples on a radius ladder,
+the polydisc edge samples, then the frame tori, which are built once per
+geometry.  Each block is drawn, evaluated by ``h.values`` and certified
+before the next is drawn, and the rows do not depend on the block size
+(``certification_points`` is their concatenation).  ``certify_values``
+folds given values the same way.  Support values come from
+``ball_geometry.support_values``, in closed form on every geometry; no step
+calls LAPACK's SVD.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -57,9 +62,11 @@ TORUS_PHASES = 64
 #: it must survive scaling by the smallest ladder radius (0.1) and stay above
 #: the 1e-10 at which ``bg.support_functionals`` calls a point degenerate
 SPECTRAL_GAP = 1e-8
-#: rows of (Z, H) that ``certify_values`` takes at once, so its temporaries stay
-#: cache-sized: the three N = 40 000 sets took 48-52 ms at 4096-16384 rows, 57 ms
-#: at 2048 and 32768, 69 ms in one block (medians of 30 runs on a 2-core Xeon)
+#: rows that certification draws, evaluates and certifies at once (the blocks of
+#: ``certification_blocks``, and the slices ``certify_values`` takes), so its
+#: temporaries stay cache-sized: the three N = 40 000 sets took 48-52 ms at
+#: 4096-16384 rows, 57 ms at 2048 and 32768, 69 ms in one block (medians of 30
+#: runs on a 2-core Xeon, support values and verdicts only)
 CERTIFY_BLOCK = 8192
 
 #: radii of the Cauchy DFT circles: the value, then the consistency check
@@ -617,14 +624,16 @@ class MgCertificate:
                    witness=witness, n_indeterminate=int(payload["n_indeterminate"]))
 
 
-def structured_torus_points(dom: bg.BallGeometry, radii=TORUS_RADII,
+@functools.lru_cache(maxsize=None)
+def structured_torus_points(dom: bg.BallGeometry, radii: Tuple[float, ...] = TORUS_RADII,
                             phases: int = TORUS_PHASES) -> np.ndarray:
     """Deterministic sample tori where the quadratic fields are extremal.
 
     Rank >= 2 domains get the frame 2-tori |z_i| = |z_j| = rho.  The
     Euclidean ball gets, per ordered pair (i, j), the weighted torus
     |z_i| = rho/sqrt(3), |z_j| = rho*sqrt(2/3): the maximizer of |z_i||z_j|^2
-    on its unit sphere.
+    on its unit sphere.  Built once per argument set (``radii`` a tuple) and
+    returned read-only.
     """
     theta = 2.0 * np.pi * np.arange(phases) / phases
     A, B = np.meshgrid(theta, theta, indexing="ij")
@@ -647,73 +656,117 @@ def structured_torus_points(dom: bg.BallGeometry, radii=TORUS_RADII,
                 Z[:, i] = rho * ea
                 Z[:, j] = rho * eb
                 blocks.append(Z)
-    if not blocks:
-        return np.empty((0, dom.n), dtype=complex)
-    return np.vstack(blocks)
+    out = np.vstack(blocks) if blocks else np.empty((0, dom.n), dtype=complex)
+    out.flags.writeable = False
+    return out
 
 
-def _sphere_batch(dom: bg.BallGeometry, rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` sphere samples; spectral samples whose top singular value is
-    within ``SPECTRAL_GAP`` of the other (a measure-zero set; the gap is the
-    closed form ``bg.spectral_gap``) are replaced by the next draw.  Each
-    round draws only as many candidates as are still missing; the same seed
-    gives the same batch."""
-    if dom.kind != bg.SPECTRAL2:
-        return bg.sample_sphere(dom, rng, count)
-    kept = []
-    while count:
-        Z = bg.sample_sphere(dom, rng, count)
-        kept.append(Z[bg.spectral_gap(Z) >= SPECTRAL_GAP])
-        count -= len(kept[-1])
-    return kept[0] if len(kept) == 1 else np.concatenate(kept)
+def _sphere_blocks(dom: bg.BallGeometry, rng: np.random.Generator, count: int):
+    """``count`` sphere samples in blocks of at most ``CERTIFY_BLOCK`` rows.
+    Spectral samples whose top singular value is within ``SPECTRAL_GAP`` of
+    the other (a measure-zero set; the gap is the closed form
+    ``bg.spectral_gap``) are dropped and replaced after the round: each round
+    draws, block by block, only as many candidates as are still missing, so
+    the same seed gives the same points and stream whatever the block size."""
+    while count > 0:
+        kept = 0
+        for Z in bg.sphere_blocks(dom, rng, count, CERTIFY_BLOCK):
+            if dom.kind == bg.SPECTRAL2:
+                Z = Z[bg.spectral_gap(Z) >= SPECTRAL_GAP]
+            kept += len(Z)
+            yield Z
+        count -= kept
+
+
+def _on_ladder(blocks):
+    """The blocks with row k of their concatenation scaled by
+    ``RADIUS_LADDER[k % 11]``, in place."""
+    ladder, start = np.asarray(RADIUS_LADDER), 0
+    for Z in blocks:
+        Z *= ladder[np.arange(start, start + len(Z)) % ladder.size][:, None]
+        start += len(Z)
+        yield Z
+
+
+def certification_blocks(dom: bg.BallGeometry, N: int, rng: np.random.Generator,
+                         structured: bool = True):
+    """The points of a certification run, drawn and yielded in blocks of at
+    most ``CERTIFY_BLOCK`` rows: N sphere samples scaled onto the radius
+    ladder, then on the polydisc max(N // 10, 8) edge samples on the same
+    ladder, and (optionally) the structured tori.  The rows, and the state
+    ``rng`` is left in, do not depend on the block size."""
+    if N > 0:
+        yield from _on_ladder(_sphere_blocks(dom, rng, N))
+        if dom.kind == bg.POLYDISC:
+            yield from _on_ladder(bg.polydisc_edge_blocks(dom, rng, max(N // 10, 8),
+                                                          CERTIFY_BLOCK))
+    if structured:
+        torus = structured_torus_points(dom)
+        for start in range(0, len(torus), CERTIFY_BLOCK):
+            yield torus[start:start + CERTIFY_BLOCK]
 
 
 def certification_points(dom: bg.BallGeometry, N: int, rng: np.random.Generator,
                          structured: bool = True) -> np.ndarray:
-    """Sample points for a certification run: N sphere samples scaled onto the
-    radius ladder, then on the polydisc one batch of max(N // 10, 8) edge
-    samples on the same ladder, and (optionally) structured tori."""
-    blocks = []
-    if N > 0:
-        sphere = _sphere_batch(dom, rng, N)
-        blocks.append(sphere * np.resize(RADIUS_LADDER, N)[:, None])
-    if dom.kind == bg.POLYDISC and N > 0:
-        n_edge = max(N // 10, 8)
-        edges = bg.sample_polydisc_edge(dom, rng, n_edge)
-        blocks.append(edges * np.resize(RADIUS_LADDER, n_edge)[:, None])
-    if structured:
-        torus = structured_torus_points(dom)
-        if torus.size:
-            blocks.append(torus)
+    """All points of ``certification_blocks`` as one array."""
+    blocks = list(certification_blocks(dom, N, rng, structured=structured))
     if not blocks:
         raise DomainError("no certification points requested (N = 0, no structure)")
-    return np.vstack(blocks)
+    return np.concatenate(blocks)
+
+
+def _certify_blocks(blocks, g: df.DiscFunction, dom: bg.BallGeometry,
+                    eps: float) -> MgCertificate:
+    """The certificate over an iterable of (Z, H) blocks, H = h(Z) row-wise:
+    every support value l_z(h(z))/||z|| must lie in g(U).  The witness is
+    the failing value of least margin at the earliest row of the stream
+    (its first such functional), so no verdict depends on the blocking."""
+    lows, failures, indeterminate, used = [], [], 0, 0
+    for Z, H in blocks:
+        if len(Z):
+            low, failure, unsure = _block_verdict(Z, H, g, dom, eps)
+            lows.append(low)
+            if failure:
+                failures.append(failure)
+            indeterminate += unsure
+            used += len(Z)
+    if not used:
+        raise DomainError("certification needs a nonempty point set")
+    witness = failures[int(np.argmin([w["margin"] for w in failures]))] if failures else None
+    return MgCertificate(passed=not failures, samples_used=used, eps=eps, witness=witness,
+                         worst_margin=float(lows[int(np.argmin(lows))]),
+                         n_indeterminate=indeterminate)
+
+
+def _block_verdict(Z, H, g: df.DiscFunction, dom: bg.BallGeometry, eps: float):
+    """(lowest margin, failure or None, indeterminate count) of one block;
+    the failure is the failing value of least margin at its earliest row.  A
+    non-finite support value fails with margin -inf, so it is the witness."""
+    vals, owner = bg.support_values(dom, Z, H)
+    codes = df.classify(g, vals, eps)
+    margins = np.asarray(df.boundary_margin(g, vals), dtype=float)
+    broken = ~np.isfinite(vals)
+    if broken.any():
+        codes = np.where(broken, -1, codes)
+        margins[broken] = -np.inf
+    failure, failing = None, codes == -1
+    if failing.any():
+        worst = np.flatnonzero(failing & (margins == margins[failing].min()))
+        bad = worst[np.argmin(owner[worst])]
+        failure = {"z": Z[owner[bad]].copy(), "value": complex(vals[bad]),
+                   "margin": float(margins[bad])}
+    return margins.min(), failure, int(np.count_nonzero(codes == 0))
 
 
 def certify_values(H, g: df.DiscFunction, dom: bg.BallGeometry,
                    Z: np.ndarray, eps: float = 1e-9) -> MgCertificate:
     """Core certifier: check l_z(h(z))/||z|| in g(U) over the point set Z,
     given the map values H = h(Z) row-wise.  Works through (Z, H) in blocks
-    of CERTIFY_BLOCK rows; the witness is the first failing minimum in block
-    order."""
+    of CERTIFY_BLOCK rows with the fold of ``certify_Mg`` (``_certify_blocks``)."""
     if len(Z) == 0 or np.shape(H) != np.shape(Z):
         raise DomainError("certification needs a nonempty point set Z and one value per point")
-    lows, failures, indeterminate = [], [], 0
-    for start in range(0, len(Z), CERTIFY_BLOCK):
-        rows = slice(start, start + CERTIFY_BLOCK)
-        vals, owner = bg.support_values(dom, Z[rows], H[rows])
-        codes = df.classify(g, vals, eps)
-        margins = np.asarray(df.boundary_margin(g, vals), dtype=float)
-        lows.append(margins[np.argmin(margins)])
-        indeterminate += int(np.count_nonzero(codes == 0))
-        if np.any(codes == -1):
-            bad = int(np.argmin(np.where(codes == -1, margins, np.inf)))
-            failures.append({"z": Z[start + owner[bad]], "value": complex(vals[bad]),
-                             "margin": float(margins[bad])})
-    witness = failures[int(np.argmin([w["margin"] for w in failures]))] if failures else None
-    return MgCertificate(passed=not failures, samples_used=len(Z), eps=eps, witness=witness,
-                         worst_margin=float(lows[int(np.argmin(lows))]),
-                         n_indeterminate=indeterminate)
+    rows = [slice(start, start + CERTIFY_BLOCK) for start in range(0, len(Z), CERTIFY_BLOCK)]
+    return _certify_blocks(((Z[r], H[r]) for r in rows), g, dom, eps)
 
 
 def certify_Mg(h: HolMap, g: df.DiscFunction, dom: bg.BallGeometry, N: int,
@@ -722,14 +775,17 @@ def certify_Mg(h: HolMap, g: df.DiscFunction, dom: bg.BallGeometry, N: int,
     """Sampling certificate that the normalized map h generates values inside
     g(U) for every extreme supporting functional.
 
-    Indeterminate verdicts (values within eps of the boundary in the
-    inverse-map metric) are recorded but do not fail the certificate.
+    Streams ``certification_blocks``: each block is drawn, evaluated by
+    ``h.values`` and certified before the next is drawn, so no step holds
+    the whole point set.  Indeterminate verdicts (values within eps of the
+    boundary in the inverse-map metric) are recorded but do not fail the
+    certificate.
     """
     if not h.normalized:
         raise DomainError("certification needs a normalized map")
     rng = np.random.default_rng(0) if rng is None else rng
-    Z = certification_points(dom, N, rng, structured=structured)
-    return certify_values(h.values(Z), g, dom, Z, eps=eps)
+    blocks = certification_blocks(dom, N, rng, structured=structured)
+    return _certify_blocks(((Z, h.values(Z)) for Z in blocks), g, dom, eps)
 
 
 def random_Mg_member(g: df.DiscFunction, dom: bg.BallGeometry,

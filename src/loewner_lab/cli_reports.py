@@ -94,7 +94,18 @@ class ExperimentConfig:
             raise UsageError(f"N: {self.experiment} needs at least one sample")
         if self.pieces < 1:
             raise UsageError("pieces: must be positive")
+        for name in ("eps", "tolerance"):
+            if not (_is_real(getattr(self, name)) and 0 < getattr(self, name) < math.inf):
+                raise UsageError(f"{name}: must be finite and positive")
+        if not (_is_real(self.sign) and self.sign in (1, -1)):
+            raise UsageError("sign: must be +1 or -1")
+        if not (_is_real(self.coefficient_scale) and math.isfinite(self.coefficient_scale)):
+            raise UsageError("coefficient_scale: must be finite")
         return g, dom
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass

@@ -401,8 +401,8 @@ def _winding_inside(poly, w):
 
 def classify(g: DiscFunction, w, eps: float):
     """Vectorized membership verdicts: +1 inside, -1 outside, 0 indeterminate."""
-    if eps <= 0:
-        raise DomainError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise DomainError("eps must be finite and positive")
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     scale = np.maximum(1.0, np.abs(w))
     if g.is_catalog or g.inverse is not None:

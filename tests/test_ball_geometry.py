@@ -502,8 +502,11 @@ def test_polydisc_batch_on_other_bit_generators():
 
 
 @pytest.mark.parametrize("gap", [carath.SPECTRAL_GAP, 0.5])
-def test_spectral_gap_resample_keeps_the_stream(gap, monkeypatch):
+@pytest.mark.parametrize("block", [7, carath.CERTIFY_BLOCK])
+def test_spectral_gap_resample_keeps_the_stream(gap, block, monkeypatch):
+    # rejections in many blocks of the first round, then the redraw rounds
     monkeypatch.setattr(carath, "SPECTRAL_GAP", gap)
+    monkeypatch.setattr(carath, "CERTIFY_BLOCK", block)
     dom = bg.spectral2()
     ref_rng, rng = twin_generators(31, cached_half=True)
     expect, resampled = [], 0
@@ -515,7 +518,7 @@ def test_spectral_gap_resample_keeps_the_stream(gap, monkeypatch):
         else:
             resampled += 1
     assert (resampled > 30) == (gap == 0.5)
-    assert_bits_equal(np.array(expect), carath._sphere_batch(dom, rng, 300))
+    assert_bits_equal(np.array(expect), np.concatenate(list(carath._sphere_blocks(dom, rng, 300))))
     assert_same_stream(ref_rng, rng)
 
 
@@ -606,17 +609,41 @@ def test_polydisc_samplers_are_uniform(n, sampler):
             assert ks_uniform(inside) < 1.95 / np.sqrt(inside.size)
 
 
+class CountingGenerator:
+    """A Generator that records the name of every draw made on it."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, []
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.draws.append(name)
+            return method(*args, **kwargs)
+
+        return counted
+
+
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937, np.random.Philox])
 def test_certification_points_take_one_path_for_every_bit_generator(bit_generator, monkeypatch):
+    # one block generator per source; its polydisc indices are one integer
+    # draw whatever the block size, and its doubles one draw per block
     calls = []
-    for name in ("sample_sphere", "sample_polydisc_edge"):
+    for name in ("sphere_blocks", "polydisc_edge_blocks"):
         sampler = getattr(bg, name)
         monkeypatch.setattr(bg, name, lambda *args, _s=sampler, _n=name, **kwargs:
                             calls.append(_n) or _s(*args, **kwargs))
-    rng = np.random.Generator(bit_generator(71))
+    monkeypatch.setattr(carath, "CERTIFY_BLOCK", 500)
+    rng = CountingGenerator(np.random.Generator(bit_generator(71)))
     Z = carath.certification_points(bg.polydisc(3), 2000, rng)
-    assert sorted(calls) == ["sample_polydisc_edge", "sample_sphere"]
+    assert calls == ["sphere_blocks", "polydisc_edge_blocks"]
+    assert rng.draws == ["integers"] + ["random"] * 4 + ["integers"] * 2 + ["random"]
     assert Z.shape == (2000 + 200 + carath.structured_torus_points(bg.polydisc(3)).shape[0], 3)
+    monkeypatch.setattr(carath, "CERTIFY_BLOCK", len(Z))
+    ref_rng = np.random.Generator(bit_generator(71))
+    assert_bits_equal(carath.certification_points(bg.polydisc(3), 2000, ref_rng), Z)
+    assert_same_stream(ref_rng, rng.rng)
     source = inspect.getsource(bg)
     assert "random_raw" not in source and "bit_generator" not in source
 

@@ -495,6 +495,85 @@ def test_certify_values_peak_memory_stays_within_a_few_blocks(monkeypatch):
     assert traced_peak(lambda: carath.certify_values(H, g, dom, Z)) > bound
 
 
+def two_step_certificate(h, g, dom, N, rng):
+    """The whole-set reference: every point drawn, then every value."""
+    Z = carath.certification_points(dom, N, rng)
+    return carath.certify_values(h.values(Z), g, dom, Z)
+
+
+def assert_streamed_matches_reference(h, g, dom, N, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    cert = carath.certify_Mg(h, g, dom, N, rng=rng)
+    assert certificate_bits(cert) == certificate_bits(two_step_certificate(h, g, dom, N, ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return cert
+
+
+def coarse_tori(monkeypatch):
+    # the 8-phase tori keep the one-row blocks few; both paths take them
+    tori = carath.structured_torus_points
+    monkeypatch.setattr(carath, "structured_torus_points", lambda dom: tori(dom, phases=8))
+
+
+@pytest.mark.parametrize("dom,g", CERTIFY_CASES, ids=CERTIFY_IDS)
+@pytest.mark.parametrize("block,N", [(1, 300), (7, 300), (4096, 9001), (None, 9001)])
+def test_streamed_certificate_matches_the_two_step_reference(monkeypatch, dom, g, block, N):
+    # N is no multiple of the block; None keeps the default block
+    if block is not None:
+        monkeypatch.setattr(carath, "CERTIFY_BLOCK", block)
+    if block is not None and block < 100:
+        coarse_tori(monkeypatch)
+    verdicts = [assert_streamed_matches_reference(h, g, dom, N, 83).passed
+                for h in certify_fields(g, dom)]
+    assert verdicts == [True, True, False]
+
+
+@pytest.mark.parametrize("block,N", [(7, 300), (4096, 9001)])
+def test_streamed_spectral_certificate_with_rejections_in_many_blocks(monkeypatch, block, N):
+    # a raised gap rejects about one candidate in ten, in most blocks of the
+    # first round; the ladder position carries across blocks and rejections
+    monkeypatch.setattr(carath, "SPECTRAL_GAP", 0.5)
+    monkeypatch.setattr(carath, "CERTIFY_BLOCK", block)
+    coarse_tori(monkeypatch)
+    sizes = [len(Z) for Z in carath._sphere_blocks(SP, np.random.default_rng(89), N)]
+    assert sum(sizes) == N
+    assert sum(size < block for size in sizes[:-(-N // block)]) >= 2
+    for h in certify_fields(df.strongly_starlike(0.5), SP):
+        assert_streamed_matches_reference(h, df.strongly_starlike(0.5), SP, N, 89)
+
+
+@pytest.mark.parametrize("scale", [np.nan, np.inf])
+@pytest.mark.parametrize("dom,g", CERTIFY_CASES, ids=CERTIFY_IDS)
+def test_non_finite_support_values_fail_the_certificate(dom, g, scale):
+    # the field's quadratic coefficient is NaN or inf: the earliest point
+    # with a non-finite support value is the witness, with margin -inf
+    exps = tuple(2 if k == 1 else 0 for k in range(dom.n))
+    h = carath.scale_term(certify_fields(g, dom)[0], 1, exps, scale)
+    cert = assert_streamed_matches_reference(h, g, dom, 500, 7)
+    assert not cert.passed and cert.worst_margin == -np.inf
+    assert cert.witness["margin"] == -np.inf and not np.isfinite(cert.witness["value"])
+    Z = carath.certification_points(dom, 500, np.random.default_rng(7))
+    vals, owner = bg.support_values(dom, Z, h.values(Z))
+    row = owner[~np.isfinite(vals)].min()
+    assert np.array_equal(cert.witness["z"], Z[row])
+    first = np.flatnonzero(~np.isfinite(vals) & (owner == row))[0]
+    assert np.array_equal(cert.witness["value"], vals[first], equal_nan=True)
+
+
+def test_certify_Mg_peak_memory_stays_within_a_few_blocks():
+    # the bound is the one of certify_values above, fixed before measuring;
+    # the streamed polydisc(3) run at N = 40 000 holds a few blocks, the
+    # whole-set path holds the 80 864 points, their values and the draws
+    dom, g = P3, df.moebius()
+    h = certify_fields(g, dom)[2]
+    carath.structured_torus_points(dom)  # built once per geometry, before measuring
+    bound = 4 * 2**20
+    assert traced_peak(lambda: carath.certify_Mg(h, g, dom, 40_000,
+                                                 rng=np.random.default_rng(1))) <= bound
+    assert traced_peak(lambda: two_step_certificate(h, g, dom, 40_000,
+                                                    np.random.default_rng(1))) > bound
+
+
 def test_random_members_certify():
     g = df.starlike_order(0.25)
     rng = np.random.default_rng(5)

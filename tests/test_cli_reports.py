@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,8 @@ import pytest
 from loewner_lab import ball_geometry as bg
 from loewner_lab import cli_reports as cli
 from loewner_lab.errors import NumericalInstabilityError
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(tmp_path, name, *args):
@@ -95,20 +99,22 @@ def test_reports_match_golden_bytes(name, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", ["certify_spectral2", "certify_polydisc"])
 def test_certify_points_need_no_svd_and_one_edge_batch(name, tmp_path, monkeypatch):
-    # spectral singular pairs are closed forms, and the polydisc edge points
-    # come from one batched sampler call; the report keeps its golden bytes
+    # spectral singular pairs are closed forms, and the sphere and polydisc
+    # edge points each come from one block generator (one batched draw per
+    # source, taken block by block); the report keeps its golden bytes
     def no_svd(*args, **kwargs):
         raise AssertionError("np.linalg.svd called")
 
     calls = []
-    edge = bg.sample_polydisc_edge
     monkeypatch.setattr(np.linalg, "svd", no_svd)
-    monkeypatch.setattr(bg, "sample_polydisc_edge",
-                        lambda *args, **kwargs: calls.append(args) or edge(*args, **kwargs))
+    for sampler in ("sphere_blocks", "polydisc_edge_blocks"):
+        monkeypatch.setattr(bg, sampler, lambda *args, _s=getattr(bg, sampler), _n=sampler,
+                            **kwargs: calls.append(_n) or _s(*args, **kwargs))
     monkeypatch.chdir(tmp_path)
     assert cli.main(["certify", "--config", str(GOLDEN / f"{name}.config.json")]) == 0
     assert (tmp_path / "certify_report.json").read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
-    assert len(calls) == (1 if name == "certify_polydisc" else 0)
+    assert calls == ["sphere_blocks"] + (["polydisc_edge_blocks"] if name == "certify_polydisc"
+                                         else [])
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +218,47 @@ def test_cli_zero_samples_is_usage_error(command, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "usage error: N:" in err and "Traceback" not in err
     assert not out.exists()
+
+
+BAD_NUMBERS = [("--eps", "0", "eps"), ("--eps", "-1e-9", "eps"), ("--eps", "nan", "eps"),
+               ("--eps", "inf", "eps"), ("--tolerance", "nan", "tolerance"),
+               ("--tolerance", "0", "tolerance"), ("--sign", "0", "sign"),
+               ("--sign", "2", "sign"), ("--coefficient-scale", "nan", "coefficient_scale"),
+               ("--coefficient-scale", "inf", "coefficient_scale")]
+
+
+@pytest.mark.parametrize("flag,value,field", BAD_NUMBERS,
+                         ids=[f"{flag[2:]}={value}" for flag, value, _ in BAD_NUMBERS])
+def test_cli_bad_numbers_are_usage_errors(flag, value, field, tmp_path, capsys):
+    # exit 1 means a failed certificate, so a bad number must not reach the
+    # certifier: neither a DomainError traceback nor a NaN verdict
+    code, out = run_cli(tmp_path, "bad", "certify", "--seed", "7", "--n", "200", f"{flag}={value}")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"usage error: {field}:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field,value", [("eps", "1e-9"), ("tolerance", None), ("sign", True),
+                                         ("coefficient_scale", [1.05])])
+def test_config_file_numbers_of_the_wrong_type_are_usage_errors(field, value, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "certify", "seed": 7, "N": 20, field: value}))
+    with pytest.raises(cli.UsageError, match=field):
+        cli.config_from_args(cli._build_parser().parse_args(
+            ["certify", "--config", str(cfg)])).validate()
+
+
+def test_cli_bad_number_in_a_fresh_process(tmp_path):
+    # the process itself: exit code 2 and no traceback on stderr
+    proc = subprocess.run([sys.executable, "-m", "loewner_lab", "certify", "--seed", "7",
+                           "--n", "2000", "--coefficient-scale", "nan"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120,
+                          env={"PYTHONPATH": str(SRC), "LOEWNER_LAB_THREADS": "1"})
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "usage error: coefficient_scale:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "certify_report.json").exists()
 
 
 def test_zero_samples_allowed_where_fixed_maps_are_checked():

@@ -228,6 +228,13 @@ def test_contains_image_points():
         assert np.all(codes == 1)
 
 
+@pytest.mark.parametrize("eps", [0.0, -1e-9, math.nan, math.inf])
+def test_classify_rejects_an_eps_that_is_not_finite_and_positive(eps):
+    # a NaN eps made every comparison false, so every value read indeterminate
+    with pytest.raises(DomainError, match="eps"):
+        df.classify(df.moebius(), np.array([0.5, -0.5]), eps)
+
+
 def test_image_convexity_midpoints():
     rng = np.random.default_rng(11)
     for g in catalog_members():
