@@ -20,11 +20,12 @@ consistency check.  ``certify_Mg`` tests, by structured and Monte-Carlo
 sampling, that all supporting values l_z(h(z))/||z|| of a normalized map lie
 in the image g(U).  It streams its points (``certification_blocks``) in
 blocks of ``CERTIFY_BLOCK`` rows: seeded sphere samples on a radius ladder,
-the polydisc edge samples, then the frame tori, which are built once per
-geometry.  Each block is drawn, evaluated by ``h.values`` and certified
-before the next is drawn, and the rows do not depend on the block size
-(``certification_points`` is their concatenation).  ``certify_values``
-folds given values the same way.  Support values come from
+the polydisc edge samples, then the frame tori, one torus at a time from a
+phase grid built once.  Each block is drawn, evaluated by ``h.values`` and
+certified before the next is drawn, and neither the rows nor the
+certificate depend on the block size (``certification_points`` is the
+concatenation of the blocks).  ``certify_values`` folds given values the
+same way.  Support values come from
 ``ball_geometry.support_values``, in closed form on every geometry; no step
 calls LAPACK's SVD.
 """
@@ -624,41 +625,50 @@ class MgCertificate:
                    witness=witness, n_indeterminate=int(payload["n_indeterminate"]))
 
 
-@functools.lru_cache(maxsize=None)
-def structured_torus_points(dom: bg.BallGeometry, radii: Tuple[float, ...] = TORUS_RADII,
+def structured_torus_points(dom: bg.BallGeometry, radii=TORUS_RADII,
                             phases: int = TORUS_PHASES) -> np.ndarray:
-    """Deterministic sample tori where the quadratic fields are extremal.
+    """Deterministic sample tori where the quadratic fields are extremal, as
+    one array (the blocks of ``_torus_blocks``).
 
     Rank >= 2 domains get the frame 2-tori |z_i| = |z_j| = rho.  The
     Euclidean ball gets, per ordered pair (i, j), the weighted torus
     |z_i| = rho/sqrt(3), |z_j| = rho*sqrt(2/3): the maximizer of |z_i||z_j|^2
-    on its unit sphere.  Built once per argument set (``radii`` a tuple) and
-    returned read-only.
+    on its unit sphere.
     """
-    theta = 2.0 * np.pi * np.arange(phases) / phases
-    A, B = np.meshgrid(theta, theta, indexing="ij")
-    ea, eb = np.exp(1j * A.ravel()), np.exp(1j * B.ravel())
-    blocks = []
+    blocks = list(_torus_blocks(dom, radii, phases))
+    return np.concatenate(blocks) if blocks else np.empty((0, dom.n), dtype=complex)
+
+
+def _torus_blocks(dom: bg.BallGeometry, radii=TORUS_RADII, phases: int = TORUS_PHASES):
+    """One (phases**2, n) block per radius and coordinate pair, built as it
+    is taken from the phase grid of ``_torus_phases``."""
+    ea, eb = _torus_phases(phases)
     if dom.kind == bg.EUCLIDEAN:
         w1, w2 = 1.0 / np.sqrt(3.0), np.sqrt(2.0 / 3.0)
-        pairs = [(i, j) for i in range(dom.n) for j in range(dom.n) if i != j]
-        for rho in radii:
-            for i, j in pairs:
-                Z = np.zeros((ea.size, dom.n), dtype=complex)
-                Z[:, i] = rho * w1 * ea
-                Z[:, j] = rho * w2 * eb
-                blocks.append(Z)
+        pairs = list(itertools.permutations(range(dom.n), 2))
     else:
-        frame = [k - 1 for k in dom.frame_coords]
-        for rho in radii:
-            for i, j in itertools.combinations(frame, 2):
-                Z = np.zeros((ea.size, dom.n), dtype=complex)
-                Z[:, i] = rho * ea
-                Z[:, j] = rho * eb
-                blocks.append(Z)
-    out = np.vstack(blocks) if blocks else np.empty((0, dom.n), dtype=complex)
-    out.flags.writeable = False
-    return out
+        w1 = w2 = 1.0
+        pairs = list(itertools.combinations([k - 1 for k in dom.frame_coords], 2))
+    for rho in radii:
+        for i, j in pairs:
+            Z = np.zeros((ea.size, dom.n), dtype=complex)
+            Z[:, i] = rho * w1 * ea
+            Z[:, j] = rho * w2 * eb
+            yield Z
+
+
+@functools.lru_cache(maxsize=None)
+def _torus_phases(phases: int):
+    """(e^{i a}, e^{i b}) over the grid of ``phases``**2 angle pairs (a, b),
+    a major; built once per phase count (128 kB at 64 phases) and read-only,
+    so no certification run rebuilds them and no torus point set stays
+    resident between runs."""
+    theta = 2.0 * np.pi * np.arange(phases) / phases
+    A, B = np.meshgrid(theta, theta, indexing="ij")
+    grid = np.exp(1j * A.ravel()), np.exp(1j * B.ravel())
+    for part in grid:
+        part.flags.writeable = False
+    return grid
 
 
 def _sphere_blocks(dom: bg.BallGeometry, rng: np.random.Generator, count: int):
@@ -701,9 +711,9 @@ def certification_blocks(dom: bg.BallGeometry, N: int, rng: np.random.Generator,
             yield from _on_ladder(bg.polydisc_edge_blocks(dom, rng, max(N // 10, 8),
                                                           CERTIFY_BLOCK))
     if structured:
-        torus = structured_torus_points(dom)
-        for start in range(0, len(torus), CERTIFY_BLOCK):
-            yield torus[start:start + CERTIFY_BLOCK]
+        for torus in _torus_blocks(dom):
+            for start in range(0, len(torus), CERTIFY_BLOCK):
+                yield torus[start:start + CERTIFY_BLOCK]
 
 
 def certification_points(dom: bg.BallGeometry, N: int, rng: np.random.Generator,

@@ -511,8 +511,8 @@ def assert_streamed_matches_reference(h, g, dom, N, seed):
 
 def coarse_tori(monkeypatch):
     # the 8-phase tori keep the one-row blocks few; both paths take them
-    tori = carath.structured_torus_points
-    monkeypatch.setattr(carath, "structured_torus_points", lambda dom: tori(dom, phases=8))
+    tori = carath._torus_blocks
+    monkeypatch.setattr(carath, "_torus_blocks", lambda dom: tori(dom, phases=8))
 
 
 @pytest.mark.parametrize("dom,g", CERTIFY_CASES, ids=CERTIFY_IDS)
@@ -566,7 +566,7 @@ def test_certify_Mg_peak_memory_stays_within_a_few_blocks():
     # whole-set path holds the 80 864 points, their values and the draws
     dom, g = P3, df.moebius()
     h = certify_fields(g, dom)[2]
-    carath.structured_torus_points(dom)  # built once per geometry, before measuring
+    carath._torus_phases(carath.TORUS_PHASES)  # built once, before measuring
     bound = 4 * 2**20
     assert traced_peak(lambda: carath.certify_Mg(h, g, dom, 40_000,
                                                  rng=np.random.default_rng(1))) <= bound
