@@ -296,9 +296,7 @@ def sample_sphere(dom: BallGeometry, rng: np.random.Generator,
     Polydisc samples put exactly one coordinate on the unit circle and cap
     the others at modulus 0.999, so ties in the sup norm have probability 0.
     """
-    k = 1 if count is None else int(count)
-    out = _one_block(sphere_blocks(dom, rng, k, max(k, 1)), dom.n)
-    return out[0] if count is None else out
+    return _one_block(sphere_blocks, dom, rng, count)
 
 
 def sphere_blocks(dom: BallGeometry, rng: np.random.Generator, count: int, block: int):
@@ -333,10 +331,13 @@ def _unit_rows(dom: BallGeometry, draws: np.ndarray) -> np.ndarray:
     return z / _top_singular(_row_gram(z))[:, None]
 
 
-def _one_block(blocks, n: int) -> np.ndarray:
-    """The only batch of a draw taken in one block; (0, n) for no rows."""
-    blocks = list(blocks)
-    return blocks[0] if blocks else np.empty((0, n), dtype=complex)
+def _one_block(blocks, dom: BallGeometry, rng: np.random.Generator, count: Optional[int]):
+    """A block sampler taken in one block: ``count`` rows (an empty (0, n)
+    batch for none), or one point when ``count`` is None."""
+    k = 1 if count is None else int(count)
+    batches = list(blocks(dom, rng, k, max(k, 1)))
+    out = batches[0] if batches else np.empty((0, dom.n), dtype=complex)
+    return out[0] if count is None else out
 
 
 def _polydisc_blocks(n: int, rng: np.random.Generator, count: int, on_circle: int,
@@ -378,9 +379,7 @@ def sample_polydisc_edge(dom: BallGeometry, rng: np.random.Generator,
     same batch and a one-point draw is a batch of one.  This is
     ``polydisc_edge_blocks`` taken in one block.
     """
-    k = 1 if count is None else int(count)
-    out = _one_block(polydisc_edge_blocks(dom, rng, k, max(k, 1)), dom.n)
-    return out[0] if count is None else out
+    return _one_block(polydisc_edge_blocks, dom, rng, count)
 
 
 def polydisc_edge_blocks(dom: BallGeometry, rng: np.random.Generator, count: int, block: int):

@@ -502,24 +502,26 @@ def test_polydisc_batch_on_other_bit_generators():
 
 
 @pytest.mark.parametrize("gap", [carath.SPECTRAL_GAP, 0.5])
-@pytest.mark.parametrize("block", [7, carath.CERTIFY_BLOCK])
-def test_spectral_gap_resample_keeps_the_stream(gap, block, monkeypatch):
-    # rejections in many blocks of the first round, then the redraw rounds
+def test_spectral_gap_resample_keeps_the_stream(gap, monkeypatch):
+    # in one block and in blocks of 7 rows: rejections in many blocks of the
+    # first round, then the redraw rounds
     monkeypatch.setattr(carath, "SPECTRAL_GAP", gap)
-    monkeypatch.setattr(carath, "CERTIFY_BLOCK", block)
     dom = bg.spectral2()
-    ref_rng, rng = twin_generators(31, cached_half=True)
-    expect, resampled = [], 0
-    while len(expect) < 300:
-        z = reference_point(dom, ref_rng)
-        s = np.linalg.svd(to_matrices(z), compute_uv=False)
-        if s[0] - s[1] >= gap:
-            expect.append(z)
-        else:
-            resampled += 1
-    assert (resampled > 30) == (gap == 0.5)
-    assert_bits_equal(np.array(expect), np.concatenate(list(carath._sphere_blocks(dom, rng, 300))))
-    assert_same_stream(ref_rng, rng)
+    for block in (carath.CERTIFY_BLOCK, 7):
+        monkeypatch.setattr(carath, "CERTIFY_BLOCK", block)
+        ref_rng, rng = twin_generators(31, cached_half=True)
+        expect, resampled = [], 0
+        while len(expect) < 300:
+            z = reference_point(dom, ref_rng)
+            s = np.linalg.svd(to_matrices(z), compute_uv=False)
+            if s[0] - s[1] >= gap:
+                expect.append(z)
+            else:
+                resampled += 1
+        assert (resampled > 30) == (gap == 0.5)
+        assert_bits_equal(np.array(expect),
+                          np.concatenate(list(carath._sphere_blocks(dom, rng, 300))))
+        assert_same_stream(ref_rng, rng)
 
 
 def test_polydisc_edge_sampler():

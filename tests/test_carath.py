@@ -501,10 +501,14 @@ def two_step_certificate(h, g, dom, N, rng):
     return carath.certify_values(h.values(Z), g, dom, Z)
 
 
-def assert_streamed_matches_reference(h, g, dom, N, seed):
+def assert_streamed_matches_reference(monkeypatch, h, g, dom, N, seed):
+    # the reference draws and folds every set in one block
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     cert = carath.certify_Mg(h, g, dom, N, rng=rng)
-    assert certificate_bits(cert) == certificate_bits(two_step_certificate(h, g, dom, N, ref_rng))
+    with monkeypatch.context() as patch:
+        patch.setattr(carath, "CERTIFY_BLOCK", 2**40)
+        reference = two_step_certificate(h, g, dom, N, ref_rng)
+    assert certificate_bits(cert) == certificate_bits(reference)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     return cert
 
@@ -523,7 +527,7 @@ def test_streamed_certificate_matches_the_two_step_reference(monkeypatch, dom, g
         monkeypatch.setattr(carath, "CERTIFY_BLOCK", block)
     if block is not None and block < 100:
         coarse_tori(monkeypatch)
-    verdicts = [assert_streamed_matches_reference(h, g, dom, N, 83).passed
+    verdicts = [assert_streamed_matches_reference(monkeypatch, h, g, dom, N, 83).passed
                 for h in certify_fields(g, dom)]
     assert verdicts == [True, True, False]
 
@@ -539,17 +543,17 @@ def test_streamed_spectral_certificate_with_rejections_in_many_blocks(monkeypatc
     assert sum(sizes) == N
     assert sum(size < block for size in sizes[:-(-N // block)]) >= 2
     for h in certify_fields(df.strongly_starlike(0.5), SP):
-        assert_streamed_matches_reference(h, df.strongly_starlike(0.5), SP, N, 89)
+        assert_streamed_matches_reference(monkeypatch, h, df.strongly_starlike(0.5), SP, N, 89)
 
 
 @pytest.mark.parametrize("scale", [np.nan, np.inf])
 @pytest.mark.parametrize("dom,g", CERTIFY_CASES, ids=CERTIFY_IDS)
-def test_non_finite_support_values_fail_the_certificate(dom, g, scale):
+def test_non_finite_support_values_fail_the_certificate(monkeypatch, dom, g, scale):
     # the field's quadratic coefficient is NaN or inf: the earliest point
     # with a non-finite support value is the witness, with margin -inf
     exps = tuple(2 if k == 1 else 0 for k in range(dom.n))
     h = carath.scale_term(certify_fields(g, dom)[0], 1, exps, scale)
-    cert = assert_streamed_matches_reference(h, g, dom, 500, 7)
+    cert = assert_streamed_matches_reference(monkeypatch, h, g, dom, 500, 7)
     assert not cert.passed and cert.worst_margin == -np.inf
     assert cert.witness["margin"] == -np.inf and not np.isfinite(cert.witness["value"])
     Z = carath.certification_points(dom, 500, np.random.default_rng(7))
