@@ -259,7 +259,7 @@ def _attaining(dom: BallGeometry, Z):
         attains = diagonal[:, None] & (absz[:, :2] >= norms[:, None] - _DEGENERATE_TOL)
         generic = np.flatnonzero(~diagonal)
         gram = [part[generic] for part in gram]
-    coord, owner = np.nonzero(attains.T)
+    coord, owner = np.divmod(np.flatnonzero(attains.T), len(Z))
     return Z, norms, coord, owner, absz[owner, coord] / Z[owner, coord], generic, gram
 
 

@@ -751,14 +751,11 @@ def _certify_blocks(blocks, g: df.DiscFunction, dom: bg.BallGeometry,
 def _block_verdict(Z, H, g: df.DiscFunction, dom: bg.BallGeometry, eps: float):
     """(lowest margin, failure or None, indeterminate count) of one block;
     the failure is the failing value of least margin at its earliest row.  A
-    non-finite support value fails with margin -inf, so it is the witness."""
+    non-finite support value fails with margin -inf (``df.classify`` and
+    ``df.boundary_margin``), so it is the witness."""
     vals, owner = bg.support_values(dom, Z, H)
     codes = df.classify(g, vals, eps)
-    margins = np.asarray(df.boundary_margin(g, vals), dtype=float)
-    broken = ~np.isfinite(vals)
-    if broken.any():
-        codes = np.where(broken, -1, codes)
-        margins[broken] = -np.inf
+    margins = df.boundary_margin(g, vals)
     failure, failing = None, codes == -1
     if failing.any():
         worst = np.flatnonzero(failing & (margins == margins[failing].min()))

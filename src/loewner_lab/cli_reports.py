@@ -75,6 +75,8 @@ class ExperimentConfig:
                 g = None
             else:
                 g = df.from_json(self.g_spec)
+            if self.experiment == "unbounded_growth":
+                lf.radial_beta(g)  # a g the radial map does not admit is a usage error
         except (KeyError, LoewnerLabError) as exc:
             raise UsageError(f"g_spec: {exc}") from exc
         try:
@@ -291,8 +293,8 @@ def _run_gprime(config, g, dom, rng):
 
 def _run_unbounded_growth(config, g, dom, rng):
     zeta = rng.uniform(0.05, 0.95, 64) * np.exp(2j * np.pi * rng.random(64))
-    b = lf.koebe_transform(g, zeta, 128)
-    bp = (lf.koebe_transform(g, zeta + 1e-5, 256) - lf.koebe_transform(g, zeta - 1e-5, 256)) / 2e-5
+    b = lf.koebe_transform(g, zeta)
+    bp = (lf.koebe_transform(g, zeta + 1e-5) - lf.koebe_transform(g, zeta - 1e-5)) / 2e-5
     ode_residual = float(np.max(np.abs(zeta * bp / b - 1.0 / df._eval_raw(g, zeta))))
     fmap = lf.unbounded_support_map(g, dom)
     C = lf.growth_constant(g)
@@ -307,11 +309,15 @@ def _run_unbounded_growth(config, g, dom, rng):
         growth_ok = growth_ok and grown >= floor * (1.0 - 1e-9)
     diag = carath.second_coeff(fmap, 1, 1, carath.PURE)
     diag_gap = abs(diag - (-df.g_prime0(g)))
+    # the report claims a support point of S_g^0: check that the map is in it
+    chain = lf.check_starlike_chain(fmap, g, dom, config.N, rng, config.eps)
     payload = {"ode_residual": ode_residual, "growth_constant": C, "rows": rows,
-               "diagonal_coefficient": diag, "diagonal_gap": diag_gap}
-    passed = ode_residual < 1e-6 and growth_ok and diag_gap < 1e-6
+               "diagonal_coefficient": diag, "diagonal_gap": diag_gap,
+               "starlike_chain": chain.to_json()}
+    passed = ode_residual < 1e-6 and growth_ok and diag_gap < 1e-6 and chain.passed
     return payload, passed, (f"ode residual {ode_residual:.2e}, "
-                             f"diag gap {diag_gap:.2e}, C = {C:.6g}")
+                             f"diag gap {diag_gap:.2e}, C = {C:.6g}, "
+                             f"chain margin {chain.worst_margin:.2e}")
 
 
 def _run_shear_commute(config, g, dom, rng):

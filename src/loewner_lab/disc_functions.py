@@ -331,9 +331,9 @@ def inverse_radius(g: DiscFunction, w):
 def boundary_margin(g: DiscFunction, w):
     """Signed Euclidean distance from w to the boundary of g(U).
 
-    Positive inside the image, negative outside.  Closed forms for the
-    catalog (half-planes, discs, sectors); signed polyline distance for
-    custom functions with a boundary parametrization.
+    Positive inside the image, negative outside, and -inf at a non-finite
+    w.  Closed forms for the catalog (half-planes, discs, sectors); signed
+    polyline distance for custom functions with a boundary parametrization.
     """
     w = np.asarray(w, dtype=complex)
     if g.family == MOEBIUS or (g.family == STARLIKE_ORDER and g.alpha == 0.0):
@@ -347,7 +347,7 @@ def boundary_margin(g: DiscFunction, w):
         out = _sector_margin(w, g.alpha * np.pi / 2.0)
     else:
         out = _polyline_margin(g, w)
-    out = np.asarray(out, dtype=float)
+    out = np.where(np.isfinite(w), out, -np.inf)
     return out if out.shape else float(out)
 
 
@@ -400,23 +400,24 @@ def _winding_inside(poly, w):
 
 
 def classify(g: DiscFunction, w, eps: float):
-    """Vectorized membership verdicts: +1 inside, -1 outside, 0 indeterminate."""
+    """Vectorized membership verdicts: +1 inside, -1 outside, 0 indeterminate;
+    a non-finite w is outside."""
     if not 0 < eps < np.inf:
         raise DomainError("eps must be finite and positive")
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     scale = np.maximum(1.0, np.abs(w))
+    out = np.zeros(w.shape, dtype=np.int8)
     if g.is_catalog or g.inverse is not None:
         r = np.asarray(inverse_radius(g, w))
-        out = np.zeros(w.shape, dtype=np.int8)
         out[r < 1.0 - eps * scale] = 1
         out[r > 1.0 + eps * scale] = -1
-        return out
-    if g.boundary is None:
+    elif g.boundary is None:
         raise UnsupportedError("custom disc function has neither inverse nor boundary")
-    margin = _polyline_margin(g, w)
-    out = np.zeros(w.shape, dtype=np.int8)
-    out[margin > eps * scale] = 1
-    out[margin < -eps * scale] = -1
+    else:
+        margin = _polyline_margin(g, w)
+        out[margin > eps * scale] = 1
+        out[margin < -eps * scale] = -1
+    out[~np.isfinite(w)] = -1
     return out
 
 

@@ -349,114 +349,76 @@ def check_starlike_chain(F: carath.HolMap, g: df.DiscFunction, dom: bg.BallGeome
     return carath.certify_values(H, g, dom, Z, eps=eps)
 
 
-def check_pde(F: carath.HolMap, field: HerglotzField, samples: int,
-              rng: Optional[np.random.Generator] = None) -> float:
-    """Max residual of the chain equation df/dt = Df h for f(z,t) = e^t F(z).
-
-    For that chain form df/dt = e^t F(z), so the residual at (z, t) is
-    e^t * ||F(z) - DF(z) h(z, t)||.
-    """
-    rng = np.random.default_rng(0) if rng is None else rng
-    Z = bg.sample_sphere(field.domain, rng, samples)
-    Z = Z * rng.uniform(0.1, 0.8, samples)[:, None]
-    ts = rng.uniform(0.0, field.horizon, samples)
-    Fz = F.values(Z)
-    J = F.jacobian_batch(Z)
-    worst = 0.0
-    for seg in set(field.segment(t) for t in ts):
-        mask = np.array([field.segment(t) == seg for t in ts])
-        hvals = field.maps[seg].values(Z[mask])
-        mismatch = Fz[mask] - np.einsum("mij,mj->mi", J[mask], hvals)
-        res = np.asarray(bg.norm(field.domain, mismatch)) * np.exp(ts[mask])
-        worst = max(worst, float(np.max(res)))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # the radial transform b and the unbounded support map
 
 
-def _gl_nodes(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+def radial_beta(g: df.DiscFunction) -> float:
+    """The beta of the radial transform: the one admissibility test of the
+    unbounded support map.
 
-
-def _koebe_integral(g: df.DiscFunction, z: np.ndarray, quad_points: int) -> np.ndarray:
-    """Gauss-Legendre value of int_0^1 (1/g(s z) - 1)/s ds (vectorized in z)."""
-    s, w = _gl_nodes(quad_points)
-    u = z[..., None] * s
-    gv = df._eval_raw(g, u)
-    integrand = (1.0 / gv - 1.0) / s
-    # removable singularity at s = 0: switch to the derivative of 1/g at the
-    # midpoint.  Only the tiniest nodes need it; at larger s the O(s^2) bias
-    # of the limit formula would exceed the direct round-off.
-    small = s < 1e-8
-    if np.any(small):
-        mid = 0.5 * u[..., small]
-        fallback = -z[..., None] * df.derivative(g, mid) / df._eval_raw(g, mid) ** 2
-        integrand[..., small] = fallback
-    return integrand @ w
-
-
-def _koebe_factor(g: df.DiscFunction, z: np.ndarray, quad_points: int = 0) -> np.ndarray:
-    """b(z)/z = exp(integral); quad_points = 0 doubles nodes adaptively."""
-    if quad_points:
-        return np.exp(_koebe_integral(g, z, quad_points))
-    n = 64
-    val = _koebe_integral(g, z, n)
-    while n < 1024:
-        n *= 2
-        nxt = _koebe_integral(g, z, n)
-        if np.max(np.abs(nxt - val)) < 1e-12:
-            return np.exp(nxt)
-        val = nxt
-    return np.exp(val)
-
-
-def koebe_transform(g: df.DiscFunction, zeta, quad_points: Optional[int] = None):
-    """The normalized solution b of zeta b'/b = 1/g, b(0) = b'(0) - 1 = 0,
-    computed by radial Gauss-Legendre quadrature.
-
-    An explicit ``quad_points`` fixes the node count; by default the count
-    doubles from 64 until the quadrature value is stable to 1e-12 (the fixed
-    64-node rule loses a digit too much near the unit circle).
+    The radial construction needs a real-symmetric catalog g with
+    g(rho) = O(1-rho) as rho -> 1.  Those are g(z) = (1-z)/(1+beta z):
+    moebius (beta = 1), starlike_order(alpha) (beta = 1 - 2 alpha), and
+    almost_starlike(0) and strongly_starlike(1), which equal moebius.
+    Raises ``UnsupportedError`` for a custom g and ``DomainError`` for any
+    other catalog g.
     """
+    if not g.is_catalog:
+        raise UnsupportedError("the radial construction needs a catalog g")
+    if g.family in (df.MOEBIUS, df.STARLIKE_ORDER):
+        return df._beta(g)
+    if (g.family, g.alpha) in ((df.ALMOST_STARLIKE, 0.0), (df.STRONGLY_STARLIKE, 1.0)):
+        return 1.0
+    raise DomainError(
+        f"{df.describe(g)} violates the decay hypothesis g(rho) = O(1-rho) as rho -> 1")
+
+
+def _koebe_factor(beta: float, z: np.ndarray) -> np.ndarray:
+    """b(z)/z = (1-z)^{-(1+beta)}."""
+    return (1.0 - z) ** -(1.0 + beta)
+
+
+def koebe_transform(g: df.DiscFunction, zeta):
+    """The normalized solution b of zeta b'/b = 1/g, b(0) = b'(0) - 1 = 0.
+
+    For g(z) = (1-z)/(1+beta z) (``radial_beta``), zeta b'/b = 1/g integrates
+    to b(z) = z (1-z)^{-(1+beta)}, the Koebe function at beta = 1.
+    """
+    beta = radial_beta(g)
     z = np.asarray(zeta, dtype=complex)
     if np.any(np.abs(z) >= 1.0):
         raise DomainError("b is defined on the open unit disc")
-    out = z * _koebe_factor(g, z, quad_points or 0)
+    out = z * _koebe_factor(beta, z)
     return out if out.shape else complex(out)
 
 
 def growth_constant(g: df.DiscFunction) -> float:
-    """Largest C with 1/(rho g(rho)) >= C/(1-rho) on (1/2, 1), i.e. the
-    infimum of (1-rho)/(rho g(rho)) there."""
-    rho = np.linspace(0.5 + 1e-9, 1.0 - 1e-12, 4001)
-    return df._grid_minimum(
-        lambda r: (1.0 - r) / (r * df._eval_raw(g, r.astype(complex)).real), rho)
+    """Largest C with 1/(rho g(rho)) >= C/(1-rho) on (1/2, 1): there
+    (1-rho)/(rho g(rho)) = beta + 1/rho decreases to 1 + beta."""
+    return 1.0 + radial_beta(g)
 
 
 class KoebeRadialMap(carath.HolMap):
-    """The normalized map z -> (b(z_1)/z_1) * z built on the radial transform."""
+    """The normalized map z -> (b(z_1)/z_1) * z built on the radial transform;
+    an inadmissible g raises as in ``radial_beta``."""
 
     def __init__(self, g: df.DiscFunction, domain: bg.BallGeometry):
+        self.beta = radial_beta(g)
         self.g = g
         self.domain = domain
         self.normalized = True
 
     def values(self, Z):
         Z = np.asarray(Z, dtype=complex)
-        return _koebe_factor(self.g, Z[:, 0])[:, None] * Z
+        return _koebe_factor(self.beta, Z[:, 0])[:, None] * Z
 
     def jacobian_batch(self, Z):
         Z = np.asarray(Z, dtype=complex)
         zeta = Z[:, 0]
-        factor = _koebe_factor(self.g, zeta)
-        gv = df._eval_raw(self.g, zeta)
-        small = np.abs(zeta) < 1e-6
-        safe = np.where(small, 1.0, zeta)
-        slope = factor * (1.0 - gv) / (safe * gv)
-        slope = np.where(small, -df.g_prime0(self.g) * factor, slope)
+        factor = _koebe_factor(self.beta, zeta)
+        # d/dzeta (b/zeta) = (1+beta) (b/zeta) / (1-zeta)
+        slope = (1.0 + self.beta) * factor / (1.0 - zeta)
         J = factor[:, None, None] * np.eye(self.domain.n, dtype=complex)
         J[:, :, 0] += slope[:, None] * Z
         return J
@@ -469,27 +431,13 @@ def unbounded_support_map(g: df.DiscFunction, dom: bg.BallGeometry) -> KoebeRadi
     """The radial map z -> (b(z_1)/z_1) z; it maximizes the diagonal
     second-coefficient functional yet is unbounded near z_1 = 1.
 
-    Requires a real-symmetric catalog g with g(rho) = O(1-rho) as rho -> 1;
-    of the catalog that means moebius and starlike_order (plus the parameter
-    values where the other families reduce to them).
+    Requires an admissible g (``radial_beta``).
     """
-    decays = (
-        g.family == df.MOEBIUS
-        or g.family == df.STARLIKE_ORDER
-        or (g.family == df.ALMOST_STARLIKE and g.alpha == 0.0)
-        or (g.family == df.STRONGLY_STARLIKE and g.alpha == 1.0)
-    )
-    if not g.is_catalog:
-        raise UnsupportedError("the radial construction needs a catalog g")
-    if not decays:
-        raise DomainError(
-            f"{df.describe(g)} violates the decay hypothesis g(rho) = O(1-rho) as rho -> 1"
-        )
     return KoebeRadialMap(g, dom)
 
 
 # ---------------------------------------------------------------------------
-# map and schedule wire formats, trajectory export
+# map and schedule wire formats
 
 
 def _cplx(values) -> list:

@@ -76,6 +76,9 @@ def test_report_round_trip(tmp_path):
 #: flow-check_polydisc and shear-commute_polydisc were rewritten once polydisc
 #: batches were drawn natively (all indices, then one block of doubles), which
 #: moved their sampled points; their residuals stay far below the thresholds.
+#: unbounded-growth_euclidean was rewritten once the radial transform became
+#: its closed form (values moved in the last digits, and growth_constant is
+#: exactly 1.4) and the report gained the ``starlike_chain`` certificate.
 #: A change that alters these bytes must say so in CHANGES.md.  A file is
 #: named <subcommand>_<label>.
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -236,6 +239,20 @@ def test_cli_bad_numbers_are_usage_errors(flag, value, field, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert f"usage error: {field}:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("g_args", [["--family", "almost_starlike", "--alpha", "0.3"],
+                                    ["--family", "strongly_starlike", "--alpha", "0.5"],
+                                    ["--family", "custom"]],
+                         ids=["almost_starlike(0.3)", "strongly_starlike(0.5)", "custom"])
+def test_cli_unbounded_growth_rejects_a_g_without_radial_map(g_args, tmp_path, capsys):
+    # a g outside the radial construction is a usage error, not a traceback
+    # or an exit 1 (which reads as a failed bound)
+    code, out = run_cli(tmp_path, "bad", "unbounded-growth", "--seed", "1", *g_args)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "usage error: g_spec:" in err and "Traceback" not in err
     assert not out.exists()
 
 

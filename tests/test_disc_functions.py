@@ -24,6 +24,15 @@ def catalog_members():
     return out
 
 
+def _custom_disc_like_starlike():
+    base = df.starlike_order(0.75)
+    return df.DiscFunction(
+        df.CUSTOM,
+        evaluator=lambda z: df._eval_raw(base, z),
+        boundary=lambda th: df._eval_raw(base, np.exp(1j * np.asarray(th))),
+    )
+
+
 def a0_bruteforce(g, points=10**6):
     """Independent 1-D oracle: plain minimum over a dense rho grid."""
     rho = np.arange(1, points, dtype=float) / points
@@ -235,6 +244,27 @@ def test_classify_rejects_an_eps_that_is_not_finite_and_positive(eps):
         df.classify(df.moebius(), np.array([0.5, -0.5]), eps)
 
 
+NON_FINITE = np.array([math.nan, math.inf, -math.inf, complex(math.inf, 1.0),
+                       complex(1.0, math.nan)])
+
+
+@pytest.mark.parametrize("g", catalog_members() + [_custom_disc_like_starlike()],
+                         ids=lambda g: df.describe(g))
+def test_non_finite_values_are_outside_with_margin_minus_inf(g):
+    # a NaN or infinite w is no point of g(U): it must not read as
+    # indeterminate, nor as the deepest point inside (+inf margin)
+    w = np.append(NON_FINITE, 1.0)
+    assert df.classify(g, w, 1e-9).tolist() == [-1] * len(NON_FINITE) + [1]
+    margins = df.boundary_margin(g, w)
+    assert np.all(margins[:-1] == -np.inf) and margins[-1] > 0
+
+
+def test_non_finite_scalars_are_outside():
+    assert df.contains(df.moebius(), math.nan, 1e-9) == df.OUTSIDE
+    assert df.contains(df.strongly_starlike(0.5), math.inf, 1e-9) == df.OUTSIDE
+    assert df.boundary_margin(df.moebius(), math.inf) == -math.inf
+
+
 def test_image_convexity_midpoints():
     rng = np.random.default_rng(11)
     for g in catalog_members():
@@ -344,15 +374,6 @@ def test_sector_codes_match_the_complex_log_formula(alpha):
 
 # ---------------------------------------------------------------------------
 # custom disc functions
-
-
-def _custom_disc_like_starlike():
-    base = df.starlike_order(0.75)
-    return df.DiscFunction(
-        df.CUSTOM,
-        evaluator=lambda z: df._eval_raw(base, z),
-        boundary=lambda th: df._eval_raw(base, np.exp(1j * np.asarray(th))),
-    )
 
 
 def test_custom_d1_grid():
