@@ -293,9 +293,7 @@ def _run_gprime(config, g, dom, rng):
 
 def _run_unbounded_growth(config, g, dom, rng):
     zeta = rng.uniform(0.05, 0.95, 64) * np.exp(2j * np.pi * rng.random(64))
-    b = lf.koebe_transform(g, zeta)
-    bp = (lf.koebe_transform(g, zeta + 1e-5) - lf.koebe_transform(g, zeta - 1e-5)) / 2e-5
-    ode_residual = float(np.max(np.abs(zeta * bp / b - 1.0 / df._eval_raw(g, zeta))))
+    ode_residual = lf.koebe_ode_residual(g, zeta)
     fmap = lf.unbounded_support_map(g, dom)
     C = lf.growth_constant(g)
     rows, growth_ok = [], True

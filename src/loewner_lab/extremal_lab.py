@@ -14,8 +14,10 @@ piecewise-constant schedule the quadratic part of the parametric limit is
 cross-check; a gap above ``ORACLE_TOL`` is a numerical instability (exit 3).
 Reports record ``oracle_checks`` (the cross-checked samples) and
 ``oracle_gap`` (their largest |exact - ODE|, 0.0 when there are none).  The
-canonical and sharp parametric maps are scored exactly too and are always
-cross-checked through the flow; ``canonical_gap`` is their largest gap.
+canonical and sharp parametric maps are scored exactly too and, except
+``parametric[h-]``, always cross-checked through the flow; ``canonical_gap``
+is their largest gap.  h-(z) = -h+(-z) gives f-(z) = -f+(-z), so a flow of
+the minus map would only repeat the plus map's gap.
 """
 
 from __future__ import annotations
@@ -172,9 +174,10 @@ def scan_support(g: df.DiscFunction, dom: bg.BallGeometry, i: int, j: int, N: in
     A sample's value is exact (``_sample_coeffs``); every
     ``ORACLE_STRIDE``-th sample is also flowed and checked on every pure
     coefficient (a, j) of its e_j circle, and the report records the number
-    of these cross-checks and their largest gap.  So are the parametric maps
-    of the canonical fields, always cross-checked (``canonical_gap``); the
-    closed-form maps go through the DFT.
+    of these cross-checks and their largest gap.  So is ``parametric[h+]``,
+    always (``canonical_gap``); ``parametric[h-]`` is scored exactly and not
+    flowed, since on the e_j circle its flow is the plus flow negated, bit
+    for bit.  The closed-form maps go through the DFT.
 
     What the scan shows is that the code is right, not that the theorem is.
     The quadratic part of a sampled map is minus a convex combination of its
@@ -212,8 +215,10 @@ def scan_support(g: df.DiscFunction, dom: bg.BallGeometry, i: int, j: int, N: in
         h_field = lf.autonomous_field(carath.canonical_field(g, dom, i, j, sign), g, dom)
         fmap = lf.parametric_holmap(h_field, tol=SAMPLER_TOL, ode_tol=SAMPLER_ODE_TOL,
                                     label=f"parametric[h{tag}]")
-        exact, gap = _exact_coeffs(fmap, requests, carath.second_coeff_bundle(fmap, requests))
-        canonical_gaps.append(gap)
+        ode = carath.second_coeff_bundle(fmap, requests) if sign > 0 else None
+        exact, gap = _exact_coeffs(fmap, requests, ode)
+        if gap is not None:
+            canonical_gaps.append(gap)
         entries.append((fmap.describe(), float(exact[requests[0]].real)))
 
     best = max(entries, key=lambda e: e[1])

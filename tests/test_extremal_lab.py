@@ -248,10 +248,70 @@ def test_canonical_maps_are_scored_exactly_and_cross_checked(dom):
     assert (scan.oracle_checks, scan.oracle_gap) == (0, 0.0)
     assert 0.0 < scan.canonical_gap <= 1e-9
     assert scan.to_json()["canonical_gap"] == scan.canonical_gap
-    # parametric[h-] scores its exact value, which equals F_12+'s exactly, so
-    # the closed-form map (entered first) stays the attainer
+    # only parametric[h+] is flowed: h-(z) = -h+(-z), so f-(z) = -f+(-z) and
+    # the minus flow would give the same gap bit for bit.  parametric[h-]
+    # scores its exact value, which equals F_12+'s exactly, so the
+    # closed-form map (entered first) stays the attainer
     assert scan.attaining_map_id.startswith("F_12")
     assert scan.empirical_max == pytest.approx(scan.theoretical_bound, abs=1e-12)
     gprime = el.verify_gprime_bounds(g, dom, N=0, rng=np.random.default_rng(3))
     assert 0.0 < gprime.canonical_gap <= 1e-9
     assert gprime.attaining_map_id == "parametric[g(z1)z]:pure(1,1)"
+
+
+def canonical_parametric(g, dom, sign):
+    h_field = lf.autonomous_field(carath.canonical_field(g, dom, 1, 2, sign), g, dom)
+    return h_field, lf.parametric_holmap(h_field, tol=el.SAMPLER_TOL,
+                                         ode_tol=el.SAMPLER_ODE_TOL)
+
+
+@pytest.mark.parametrize("dom", [P2, E2, SP], ids=lambda d: d.kind)
+def test_minus_canonical_limit_is_the_negated_plus_limit(dom):
+    # the reason scan_support flows parametric[h+] alone: on the 128 DFT points
+    # of the e_2 circles, f-(z) = -f+(-z) bit for bit.  There only component 1
+    # of f differs from z, and it is even in z, so the scan's ODE coefficients
+    # (1, 2) are exact negatives and their gaps are equal floats
+    g = df.moebius()
+    (plus_field, plus), (minus_field, minus) = (canonical_parametric(g, dom, s) for s in (1, -1))
+    circle = np.exp(2j * np.pi * np.arange(64) / 64)
+    Z = np.zeros((128, dom.n), dtype=complex)
+    Z[:, 1] = np.concatenate([r * circle for r in carath.DFT_RADII])
+    kwargs = {"tol": el.SAMPLER_TOL, "ode_tol": el.SAMPLER_ODE_TOL}
+    f_minus = lf.parametric_map(minus_field, Z, **kwargs)
+    f_plus = lf.parametric_map(plus_field, -Z, **kwargs)
+    assert f_minus.converged and f_plus.converged
+    assert np.array_equal(f_minus.endpoint, -f_plus.endpoint)
+    requests = [(1, 2, carath.PURE)]
+    ode_plus = carath.second_coeff_bundle(plus, requests)
+    ode_minus = carath.second_coeff_bundle(minus, requests)
+    assert ode_minus[1, 2, carath.PURE] == -ode_plus[1, 2, carath.PURE]
+    _, gap_plus = el._exact_coeffs(plus, requests, ode_plus)
+    _, gap_minus = el._exact_coeffs(minus, requests, ode_minus)
+    assert gap_minus == gap_plus > 0.0
+
+
+@pytest.mark.parametrize("N,flows", [(0, 1), (5, 2)])
+def test_scan_flows_the_plus_canonical_map_only(N, flows, monkeypatch):
+    calls, scored = [], {}
+    real_map, real_exact = lf.parametric_map, el._exact_coeffs
+
+    def parametric_map(*args, **kwargs):
+        calls.append(args[0])
+        return real_map(*args, **kwargs)
+
+    def exact_coeffs(f, requests, ode):
+        exact, gap = real_exact(f, requests, ode)
+        scored[f.describe()] = (exact[1, 2, carath.PURE], ode)
+        return exact, gap
+
+    monkeypatch.setattr(lf, "parametric_map", parametric_map)
+    monkeypatch.setattr(el, "_exact_coeffs", exact_coeffs)
+    report = el.scan_support(df.moebius(), P2, 1, 2, N=N, rng=np.random.default_rng(4),
+                             pieces=2)
+    assert report.passed, report.violations
+    # sample #0 is the one cross-checked draw at N = 5; of the canonical
+    # maps only parametric[h+] is flowed
+    assert len(calls) == flows
+    value, ode = scored["parametric[h-]"]
+    assert ode is None and value.real == report.theoretical_bound
+    assert scored["parametric[h+]"][1] is not None
