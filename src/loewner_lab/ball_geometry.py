@@ -390,9 +390,5 @@ def polydisc_edge_blocks(dom: BallGeometry, rng: np.random.Generator, count: int
     return _polydisc_blocks(dom.n, rng, count, 2, block)
 
 
-def to_json(dom: BallGeometry) -> dict:
-    return {"kind": dom.kind, "n": dom.n}
-
-
 def from_json(payload: dict) -> BallGeometry:
     return BallGeometry(payload["kind"], int(payload["n"]))

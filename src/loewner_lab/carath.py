@@ -613,17 +613,6 @@ class MgCertificate:
             }
         return out
 
-    @classmethod
-    def from_json(cls, payload: dict) -> "MgCertificate":
-        witness = payload.get("witness")
-        if witness is not None:
-            witness = {"z": np.array([complex(v["re"], v["im"]) for v in witness["z"]]),
-                       "value": complex(witness["value"]["re"], witness["value"]["im"]),
-                       "margin": float(witness["margin"])}
-        return cls(passed=bool(payload["pass"]), samples_used=int(payload["samples_used"]),
-                   worst_margin=float(payload["worst_margin"]), eps=float(payload["eps"]),
-                   witness=witness, n_indeterminate=int(payload["n_indeterminate"]))
-
 
 def structured_torus_points(dom: bg.BallGeometry, radii=TORUS_RADII,
                             phases: int = TORUS_PHASES) -> np.ndarray:
@@ -829,32 +818,3 @@ def random_Mg_member(g: df.DiscFunction, dom: bg.BallGeometry,
             blocks.append(canonical_field(g, dom, i, j, sign))
     return convex_combination(blocks, rng.dirichlet(np.ones(k)))
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def poly_to_json(f: PolynomialMap) -> list:
-    out = []
-    for (comp, exps), c in sorted(f.terms.items()):
-        out.append({
-            "component": comp,
-            "exponents": list(exps),
-            "re": float(c.real),
-            "im": float(c.imag),
-        })
-    return out
-
-
-def poly_from_json(payload: list, dom: bg.BallGeometry) -> PolynomialMap:
-    terms = {}
-    for entry in payload:
-        key = (int(entry["component"]), tuple(int(e) for e in entry["exponents"]))
-        terms[key] = complex(entry["re"], entry["im"])
-    f = PolynomialMap(terms, dom)
-    try:
-        assert_normalized(f)
-        f.normalized = True
-    except DomainError:
-        pass
-    return f

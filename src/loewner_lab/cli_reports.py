@@ -322,9 +322,7 @@ def _run_shear_commute(config, g, dom, rng):
     worst = 0.0
     rows = []
     for k in range(config.N):
-        maps = [carath.random_Mg_member(g, dom, rng, int(rng.integers(1, 4)))
-                for _ in range(config.pieces)]
-        schedule = lf.make_field(maps, g, dom, rng=rng)
+        schedule = el.random_schedule(g, dom, rng, config.pieces)
         residual = el.verify_shear_commutes(g, dom, schedule, i=config.i, j=config.j)
         rows.append({"field": k, "residual": residual})
         worst = max(worst, residual)

@@ -428,16 +428,7 @@ def contains(g: DiscFunction, w: complex, eps: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# serialization
-
-
-def to_json(g: DiscFunction) -> dict:
-    if not g.is_catalog:
-        raise UnsupportedError("custom disc functions do not serialize")
-    payload = {"family": g.family}
-    if g.alpha is not None:
-        payload["alpha"] = g.alpha
-    return payload
+# config payloads (``cli_reports.ExperimentConfig.validate``)
 
 
 def from_json(payload: dict) -> DiscFunction:

@@ -86,10 +86,22 @@ class BoundReport:
         }
 
 
+def random_schedule(g: df.DiscFunction, dom: bg.BallGeometry, rng: np.random.Generator,
+                    pieces: int) -> lf.HerglotzField:
+    """A random piecewise-constant schedule of ``pieces`` generators, each a
+    convex combination of 1 to 3 known M_g members
+    (``carath.random_Mg_member``), so in M_g by construction."""
+    if pieces < 1:
+        raise DomainError("need at least one schedule piece")
+    maps = [carath.random_Mg_member(g, dom, rng, int(rng.integers(1, 4)))
+            for _ in range(pieces)]
+    return lf.make_field(maps, g, dom)
+
+
 def sample_Sg0(g: df.DiscFunction, dom: bg.BallGeometry, rng: np.random.Generator,
                pieces: int) -> carath.BlackBoxMap:
     """One random map with parametric representation: the limit of the flow
-    of a random piecewise-constant certified schedule.
+    of a random piecewise-constant schedule (``random_schedule``).
 
     The schedule is retained on the returned map as ``provenance``; the
     scans read the map's second coefficients from it exactly
@@ -101,12 +113,8 @@ def sample_Sg0(g: df.DiscFunction, dom: bg.BallGeometry, rng: np.random.Generato
     resample, up to ``SAMPLE_TRIES`` draws (``_evaluate_sample``); the other
     draws never flow and are never resampled.
     """
-    if pieces < 1:
-        raise DomainError("need at least one schedule piece")
-    maps = [carath.random_Mg_member(g, dom, rng, int(rng.integers(1, 4)))
-            for _ in range(pieces)]
-    schedule = lf.make_field(maps, g, dom, rng=rng)
-    return lf.parametric_holmap(schedule, tol=SAMPLER_TOL, ode_tol=SAMPLER_ODE_TOL,
+    return lf.parametric_holmap(random_schedule(g, dom, rng, pieces),
+                                tol=SAMPLER_TOL, ode_tol=SAMPLER_ODE_TOL,
                                 label=f"Sg0_sample[pieces={pieces}]")
 
 

@@ -33,9 +33,8 @@ _MIN_STEP = 1e-12
 #: longest segment ``flow`` integrates in one piece: the factor e^{-s} of
 #: u = e^s v must stay a normal double (it underflows past s ~ 708)
 MAX_SEGMENT = 700.0
-#: length and certification sample count of each ``make_field`` segment
+#: length of each ``make_field`` segment
 SEGMENT_DT = 0.5
-SEGMENT_CERTIFY_N = 160
 #: step size the first attempt of a flow tries unless the caller carries one
 FIRST_STEP = 0.1
 #: ``parametric_map`` compares e^t v at every CHECKPOINT up to HORIZON
@@ -76,10 +75,12 @@ _DOP_E = np.array([
 
 @dataclass(frozen=True)
 class HerglotzField:
-    """Piecewise-constant-in-time schedule of certified generators.
+    """Piecewise-constant-in-time schedule of normalized generators.
 
     ``maps[k]`` acts on [times[k], times[k+1]) and the last segment extends
-    as an autonomous field beyond ``horizon``.
+    as an autonomous field beyond ``horizon``.  Membership of the generators
+    in M_g is the caller's: sampled ones are M_g members by construction
+    (``carath.random_Mg_member``).
     """
 
     times: Tuple[float, ...]
@@ -87,7 +88,6 @@ class HerglotzField:
     g: df.DiscFunction
     domain: bg.BallGeometry
     horizon: float
-    certificates: Optional[Tuple[carath.MgCertificate, ...]] = None
 
     def __post_init__(self):
         if len(self.times) != len(self.maps) or not self.maps:
@@ -102,24 +102,16 @@ class HerglotzField:
 
 
 def autonomous_field(h: carath.HolMap, g: df.DiscFunction, dom: bg.BallGeometry,
-                     horizon: float = 1.0,
-                     certificate: Optional[carath.MgCertificate] = None) -> HerglotzField:
-    certs = (certificate,) if certificate is not None else None
-    return HerglotzField((0.0,), (h,), g, dom, horizon, certs)
+                     horizon: float = 1.0) -> HerglotzField:
+    return HerglotzField((0.0,), (h,), g, dom, horizon)
 
 
-def make_field(maps: Sequence[carath.HolMap], g: df.DiscFunction, dom: bg.BallGeometry,
-               rng: Optional[np.random.Generator] = None) -> HerglotzField:
+def make_field(maps: Sequence[carath.HolMap], g: df.DiscFunction,
+               dom: bg.BallGeometry) -> HerglotzField:
     """Schedule the given generators on consecutive intervals of length
-    SEGMENT_DT, attaching a quick sampling certificate (SEGMENT_CERTIFY_N
-    points) to each segment."""
-    rng = np.random.default_rng(0) if rng is None else rng
-    certs = tuple(
-        carath.certify_Mg(m, g, dom, SEGMENT_CERTIFY_N, rng=rng, structured=False)
-        for m in maps
-    )
+    SEGMENT_DT."""
     times = tuple(SEGMENT_DT * k for k in range(len(maps)))
-    return HerglotzField(times, tuple(maps), g, dom, SEGMENT_DT * len(maps), certs)
+    return HerglotzField(times, tuple(maps), g, dom, SEGMENT_DT * len(maps))
 
 
 @dataclass
@@ -447,94 +439,3 @@ def unbounded_support_map(g: df.DiscFunction, dom: bg.BallGeometry) -> KoebeRadi
     """
     return KoebeRadialMap(g, dom)
 
-
-# ---------------------------------------------------------------------------
-# map and schedule wire formats
-
-
-def _cplx(values) -> list:
-    return [{"re": float(v.real), "im": float(v.imag)} for v in values]
-
-
-def _uncplx(payload: list) -> np.ndarray:
-    return np.array([complex(v["re"], v["im"]) for v in payload], dtype=complex)
-
-
-def map_to_json(f: carath.HolMap) -> dict:
-    """Wire format of polynomial, composite and radial maps: polynomial
-    terms, the arrays of a composite form, or the g of the radial map (black
-    boxes do not serialize)."""
-    if isinstance(f, carath.PolynomialMap):
-        return {"representation": "polynomial", "terms": carath.poly_to_json(f),
-                "normalized": f.normalized, "label": f.label}
-    if isinstance(f, KoebeRadialMap):
-        return {"representation": "koebe_radial", "g": df.to_json(f.g)}
-    if not isinstance(f, carath.CompositeMap):
-        raise UnsupportedError(f"{f.describe()} has no serializable representation")
-    form = f.form
-    return {
-        "representation": "composite",
-        "w0": None if form.w0 is None else _cplx([form.w0])[0],
-        "lin": None if form.lin is None else [_cplx(row) for row in form.lin],
-        "disc": [{"g": df.to_json(g), "functionals": [_cplx(row) for row in lmat],
-                  "weights": _cplx(w)} for g, lmat, w in form.disc],
-        "monomials": [{"indices": idx.tolist(),
-                       "coefficients": _cplx(coef), "components": list(comp)}
-                      for idx, coef, comp in form.monomials],
-        "normalized": f.normalized,
-        "label": f.label,
-    }
-
-
-def map_from_json(payload: dict, dom: bg.BallGeometry) -> carath.HolMap:
-    rep = payload["representation"]
-    if rep == "polynomial":
-        f = carath.poly_from_json(payload["terms"], dom)
-        # the flag the map carried; re-deriving it from the table can disagree
-        f.normalized = bool(payload["normalized"])
-        f.label = payload.get("label", "")
-        return f
-    if rep == "koebe_radial":
-        return KoebeRadialMap(df.from_json(payload["g"]), dom)
-    if rep != "composite":
-        raise UnsupportedError(f"unknown map representation {rep!r}")
-    w0 = payload["w0"]
-    disc = tuple((df.from_json(block["g"]),
-                  np.array([_uncplx(row) for row in block["functionals"]]),
-                  _uncplx(block["weights"])) for block in payload["disc"])
-    monomials = tuple((np.array(group["indices"], dtype=int), _uncplx(group["coefficients"]),
-                       tuple(group["components"])) for group in payload["monomials"])
-    form = carath.FlatForm(None if w0 is None else complex(w0["re"], w0["im"]),
-                           None if payload["lin"] is None
-                           else np.array([_uncplx(row) for row in payload["lin"]]),
-                           disc, monomials)
-    return carath.CompositeMap(form, dom, normalized=bool(payload.get("normalized", False)),
-                               label=payload.get("label", ""))
-
-
-def field_to_json(field: HerglotzField) -> dict:
-    """Wire format of a schedule: breakpoints plus map payloads."""
-    out = {
-        "times": [float(t) for t in field.times],
-        "maps": [map_to_json(m) for m in field.maps],
-        "g": df.to_json(field.g),
-        "domain": bg.to_json(field.domain),
-        "horizon": float(field.horizon),
-    }
-    if field.certificates is not None:
-        out["certificates"] = [c.to_json() for c in field.certificates]
-    return out
-
-
-def field_from_json(payload: dict) -> HerglotzField:
-    dom = bg.from_json(payload["domain"])
-    maps = tuple(map_from_json(m, dom) for m in payload["maps"])
-    certs = payload.get("certificates")
-    return HerglotzField(
-        tuple(float(t) for t in payload["times"]),
-        maps,
-        df.from_json(payload["g"]),
-        dom,
-        float(payload["horizon"]),
-        None if certs is None else tuple(carath.MgCertificate.from_json(c) for c in certs),
-    )

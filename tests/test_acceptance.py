@@ -207,9 +207,7 @@ def test_criterion_9_shear_commutation():
         rng = np.random.default_rng(46)
         worst = 0.0
         for _ in range(20):
-            maps = [carath.random_Mg_member(g, P2, rng, int(rng.integers(1, 4)))
-                    for _ in range(3)]
-            schedule = lf.make_field(maps, g, P2, rng=rng)
+            schedule = el.random_schedule(g, P2, rng, 3)
             worst = max(worst, el.verify_shear_commutes(g, P2, schedule))
         assert worst < 1e-5, worst
 

@@ -650,9 +650,13 @@ def test_certification_points_take_one_path_for_every_bit_generator(bit_generato
     assert "random_raw" not in source and "bit_generator" not in source
 
 
-def test_json_round_trip():
-    for dom in DOMAINS:
-        assert bg.from_json(bg.to_json(dom)) == dom
+def test_from_json_reads_config_domains():
+    # the "domain" entry of an experiment config
+    for payload, dom in (({"kind": "euclidean", "n": 3}, bg.euclidean(3)),
+                         ({"kind": "polydisc", "n": 2}, bg.polydisc(2)),
+                         ({"kind": "polydisc", "n": "3"}, bg.polydisc(3)),
+                         ({"kind": "spectral2", "n": 4}, bg.spectral2())):
+        assert bg.from_json(payload) == dom
 
 
 # hypothesis property: norms are absolutely homogeneous and subadditive

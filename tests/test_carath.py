@@ -671,15 +671,7 @@ def test_structured_points_cover_euclidean_maximizer():
 
 
 # ---------------------------------------------------------------------------
-# serialization
-
-
-def test_polynomial_json_round_trip():
-    f = carath.canonical_field(df.starlike_order(0.75), P2, 2, 1, -1)
-    payload = carath.poly_to_json(f)
-    back = carath.poly_from_json(payload, P2)
-    assert back.terms == f.terms
-    assert back.normalized
+# polynomial tables
 
 
 def test_polynomial_table_is_read_only():

@@ -394,21 +394,6 @@ def test_custom_a0_matches_catalog_twin():
     assert df.a0(g) == pytest.approx(df.a0(df.starlike_order(0.75)), abs=1e-9)
 
 
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_json_round_trip():
-    for g in (df.moebius(), df.starlike_order(0.3), df.strongly_starlike(1.0)):
-        assert df.from_json(df.to_json(g)) == g
-
-
-def test_custom_does_not_serialize():
-    g = df.DiscFunction(df.CUSTOM, evaluator=lambda z: 1.0 + 0 * z)
-    with pytest.raises(UnsupportedError):
-        df.to_json(g)
-
-
 def test_custom_with_inverse_hook_uses_exact_membership():
     base = df.starlike_order(0.75)
     g = df.DiscFunction(

@@ -52,6 +52,43 @@ def test_sample_Sg0_determinism_and_bound():
         assert abs(L12(f)) <= bound + 1e-6
 
 
+def test_random_schedule_draws_pieces_in_order():
+    g = df.moebius()
+    with pytest.raises(DomainError):
+        el.random_schedule(g, P2, np.random.default_rng(0), 0)
+    field = el.random_schedule(g, P2, np.random.default_rng(9), 3)
+    rng = np.random.default_rng(9)
+    maps = [carath.random_Mg_member(g, P2, rng, int(rng.integers(1, 4))) for _ in range(3)]
+    assert len(field.maps) == 3
+    Z = np.array([[0.3 + 0.2j, -0.1], [0.0, 0.5j]], dtype=complex)
+    for drawn, ref in zip(field.maps, maps):
+        assert drawn.describe() == ref.describe()
+        assert np.array_equal(drawn.values(Z), ref.values(Z))
+
+
+def test_sampling_certifies_nothing(monkeypatch):
+    # sampled generators are M_g members by construction
+    # (carath.random_Mg_member): drawing a schedule runs no certificate
+    certified, drawn = [], []
+    real_certify, real_make = carath.certify_Mg, lf.make_field
+
+    def certify_Mg(*args, **kwargs):
+        certified.append(args[0])
+        return real_certify(*args, **kwargs)
+
+    def make_field(*args, **kwargs):
+        drawn.append(args[0])
+        return real_make(*args, **kwargs)
+
+    monkeypatch.setattr(carath, "certify_Mg", certify_Mg)
+    monkeypatch.setattr(lf, "make_field", make_field)
+    report = el.scan_support(df.moebius(), P2, 1, 2, N=5, rng=np.random.default_rng(8))
+    assert report.passed and len(drawn) == 5
+    env = cli.run_experiment(cli.ExperimentConfig(experiment="shear_commute", seed=3, N=2))
+    assert env.passed and len(drawn) == 7
+    assert certified == []
+
+
 def test_scan_support_polydisc_moebius():
     rng = np.random.default_rng(0)
     report = el.scan_support(df.moebius(), P2, 1, 2, N=4, rng=rng)
@@ -124,8 +161,7 @@ def test_verify_shear_commutes_canonical_field():
 def test_verify_shear_commutes_random_field():
     g = df.moebius()
     rng = np.random.default_rng(6)
-    maps = [carath.random_Mg_member(g, P2, rng, 2) for _ in range(3)]
-    field = lf.make_field(maps, g, P2, rng=rng)
+    field = el.random_schedule(g, P2, rng, 3)
     assert el.verify_shear_commutes(g, P2, field, samples=12) < 1e-5
 
 
