@@ -16,16 +16,16 @@ degree-2 part of a form is read off its arrays (``FlatForm.quadratic``).
 ``second_coeff`` extracts the second-order Taylor data at the origin through
 Cauchy integrals discretized as 64-point DFTs on circles (a mixed coefficient
 from the two circles through e_p + e_q and e_p - e_q), with a dual-radius
-consistency check.  ``certify_Mg`` tests, by structured and Monte-Carlo
-sampling, that all supporting values l_z(h(z))/||z|| of a normalized map lie
-in the image g(U).  It streams its points (``certification_blocks``) in
-blocks of ``CERTIFY_BLOCK`` rows: seeded sphere samples on a radius ladder,
-the polydisc edge samples, then the frame tori, one torus at a time from a
-phase grid built once.  Each block is drawn, evaluated by ``h.values`` and
-certified before the next is drawn, and neither the rows nor the
-certificate depend on the block size (``certification_points`` is the
-concatenation of the blocks).  ``certify_values`` folds given values the
-same way.  Support values come from
+consistency check.  ``certify_Mg`` tests, on deterministic tori and by
+Monte-Carlo sampling, that all supporting values l_z(h(z))/||z|| of a
+normalized map lie in the image g(U).  It streams its points
+(``certification_blocks``) in blocks of ``CERTIFY_BLOCK`` rows: seeded sphere
+samples on a radius ladder, the polydisc edge samples, then the frame tori,
+one torus at a time from a phase grid built once.  Each block is drawn,
+evaluated by ``h.values`` and certified before the next is drawn, and neither
+the rows nor the certificate depend on the block size
+(``certification_points`` is the concatenation of the blocks).
+``certify_values`` folds given values the same way.  Support values come from
 ``ball_geometry.support_values``, in closed form on every geometry; no step
 calls LAPACK's SVD.
 """
@@ -56,7 +56,7 @@ MIXED = "mixed"
 
 #: radii used for the random certification samples
 RADIUS_LADDER = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999)
-#: radii and per-axis phase count of the structured certification tori
+#: radii and per-axis phase count of the deterministic certification tori
 TORUS_RADII = (0.9, 0.99, 0.999)
 TORUS_PHASES = 64
 #: smallest gap between the two singular values of a spectral sphere sample;
@@ -614,23 +614,16 @@ class MgCertificate:
         return out
 
 
-def structured_torus_points(dom: bg.BallGeometry, radii=TORUS_RADII,
-                            phases: int = TORUS_PHASES) -> np.ndarray:
-    """Deterministic sample tori where the quadratic fields are extremal, as
-    one array (the blocks of ``_torus_blocks``).
+def _torus_blocks(dom: bg.BallGeometry, radii=TORUS_RADII, phases: int = TORUS_PHASES):
+    """Deterministic sample tori where the quadratic fields are extremal: one
+    (phases**2, n) block per radius and coordinate pair, built as it is taken
+    from the phase grid of ``_torus_phases``.
 
     Rank >= 2 domains get the frame 2-tori |z_i| = |z_j| = rho.  The
     Euclidean ball gets, per ordered pair (i, j), the weighted torus
     |z_i| = rho/sqrt(3), |z_j| = rho*sqrt(2/3): the maximizer of |z_i||z_j|^2
     on its unit sphere.
     """
-    blocks = list(_torus_blocks(dom, radii, phases))
-    return np.concatenate(blocks) if blocks else np.empty((0, dom.n), dtype=complex)
-
-
-def _torus_blocks(dom: bg.BallGeometry, radii=TORUS_RADII, phases: int = TORUS_PHASES):
-    """One (phases**2, n) block per radius and coordinate pair, built as it
-    is taken from the phase grid of ``_torus_phases``."""
     ea, eb = _torus_phases(phases)
     if dom.kind == bg.EUCLIDEAN:
         w1, w2 = 1.0 / np.sqrt(3.0), np.sqrt(2.0 / 3.0)
@@ -687,30 +680,27 @@ def _on_ladder(blocks):
         yield Z
 
 
-def certification_blocks(dom: bg.BallGeometry, N: int, rng: np.random.Generator,
-                         structured: bool = True):
+def certification_blocks(dom: bg.BallGeometry, N: int, rng: np.random.Generator):
     """The points of a certification run, drawn and yielded in blocks of at
     most ``CERTIFY_BLOCK`` rows: N sphere samples scaled onto the radius
     ladder, then on the polydisc max(N // 10, 8) edge samples on the same
-    ladder, and (optionally) the structured tori.  The rows, and the state
+    ladder, then the tori of ``_torus_blocks``.  The rows, and the state
     ``rng`` is left in, do not depend on the block size."""
     if N > 0:
         yield from _on_ladder(_sphere_blocks(dom, rng, N))
         if dom.kind == bg.POLYDISC:
             yield from _on_ladder(bg.polydisc_edge_blocks(dom, rng, max(N // 10, 8),
                                                           CERTIFY_BLOCK))
-    if structured:
-        for torus in _torus_blocks(dom):
-            for start in range(0, len(torus), CERTIFY_BLOCK):
-                yield torus[start:start + CERTIFY_BLOCK]
+    for torus in _torus_blocks(dom):
+        for start in range(0, len(torus), CERTIFY_BLOCK):
+            yield torus[start:start + CERTIFY_BLOCK]
 
 
-def certification_points(dom: bg.BallGeometry, N: int, rng: np.random.Generator,
-                         structured: bool = True) -> np.ndarray:
+def certification_points(dom: bg.BallGeometry, N: int, rng: np.random.Generator) -> np.ndarray:
     """All points of ``certification_blocks`` as one array."""
-    blocks = list(certification_blocks(dom, N, rng, structured=structured))
+    blocks = list(certification_blocks(dom, N, rng))
     if not blocks:
-        raise DomainError("no certification points requested (N = 0, no structure)")
+        raise DomainError("no certification points requested (N = 0, no tori)")
     return np.concatenate(blocks)
 
 
@@ -766,8 +756,7 @@ def certify_values(H, g: df.DiscFunction, dom: bg.BallGeometry,
 
 
 def certify_Mg(h: HolMap, g: df.DiscFunction, dom: bg.BallGeometry, N: int,
-               eps: float = 1e-9, rng: Optional[np.random.Generator] = None,
-               structured: bool = True) -> MgCertificate:
+               eps: float = 1e-9, rng: Optional[np.random.Generator] = None) -> MgCertificate:
     """Sampling certificate that the normalized map h generates values inside
     g(U) for every extreme supporting functional.
 
@@ -780,7 +769,7 @@ def certify_Mg(h: HolMap, g: df.DiscFunction, dom: bg.BallGeometry, N: int,
     if not h.normalized:
         raise DomainError("certification needs a normalized map")
     rng = np.random.default_rng(0) if rng is None else rng
-    blocks = certification_blocks(dom, N, rng, structured=structured)
+    blocks = certification_blocks(dom, N, rng)
     return _certify_blocks(((Z, h.values(Z)) for Z in blocks), g, dom, eps)
 
 

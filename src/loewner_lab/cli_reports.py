@@ -16,7 +16,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -70,7 +70,7 @@ class ExperimentConfig:
             if self.experiment in ("d1_table", "a0_table"):
                 # tables sweep an alpha grid, so only a family name is needed
                 family = self.g_spec.get("family", "moebius")
-                if family not in df.CATALOG_FAMILIES:
+                if family not in df.FAMILIES:
                     raise UsageError(f"g_spec: family {family!r} is not in the catalog")
                 g = None
             else:
@@ -245,7 +245,7 @@ def _run_certify(config, g, dom, rng):
 def _run_flow_check(config, g, dom, rng):
     c = df.d1(g) * dom.shear_factor
     h = carath.canonical_field(g, dom, config.i, config.j, +1)
-    schedule = lf.autonomous_field(h, g, dom)
+    schedule = lf.autonomous_field(h, dom)
     Z = bg.sample_sphere(dom, rng, config.N)
     Z *= rng.uniform(0.1, 0.9, config.N)[:, None]
     ii, jj = config.i - 1, config.j - 1
@@ -323,7 +323,7 @@ def _run_shear_commute(config, g, dom, rng):
     rows = []
     for k in range(config.N):
         schedule = el.random_schedule(g, dom, rng, config.pieces)
-        residual = el.verify_shear_commutes(g, dom, schedule, i=config.i, j=config.j)
+        residual = el.verify_shear_commutes(schedule, i=config.i, j=config.j)
         rows.append({"field": k, "residual": residual})
         worst = max(worst, residual)
     passed = worst < config.tolerance if config.tolerance < 1e-3 else worst < 1e-5
@@ -429,34 +429,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: config-file keys that differ from the ``ExperimentConfig`` field they set
+_FILE_KEYS = {"g": "g_spec", "domain": "domain_spec"}
+
+
 def config_from_args(args) -> ExperimentConfig:
+    """The config file's keys, then the command-line flags; the defaults are
+    ``ExperimentConfig``'s, and an unknown file key is a usage error."""
     base = {}
     if args.config:
         with open(args.config) as handle:
             base = json.load(handle)
+    if not isinstance(base, dict):
+        raise UsageError("config: must be a JSON object")
     experiment = args.command.replace("-", "_")
     if base.get("experiment", experiment) != experiment:
         raise UsageError("experiment: config file disagrees with the subcommand")
-    config = ExperimentConfig(
-        experiment=experiment,
-        g_spec=base.get("g", {"family": "moebius"}),
-        domain_spec=base.get("domain", {"kind": "polydisc", "n": 2}),
-        i=base.get("i", 1),
-        j=base.get("j", 2),
-        N=base.get("N", 100),
-        pieces=base.get("pieces", 3),
-        seed=base.get("seed"),
-        eps=base.get("eps", 1e-9),
-        tolerance=base.get("tolerance", 1e-6),
-        alphas=base.get("alphas"),
-        sign=base.get("sign", 1),
-        coefficient_scale=base.get("coefficient_scale", 1.0),
-        out=base.get("out"),
-    )
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.out is not None:
-        config.out = args.out
+    known = {f.name for f in fields(ExperimentConfig)} - set(_FILE_KEYS.values())
+    unknown = sorted(set(base) - known - set(_FILE_KEYS))
+    if unknown:
+        raise UsageError(f"config: unknown key(s) {', '.join(map(repr, unknown))}")
+    config = ExperimentConfig(**{_FILE_KEYS.get(k, k): v for k, v in base.items()
+                                 if k != "experiment"}, experiment=experiment)
     if args.family is not None:
         config.g_spec = {"family": args.family}
     if args.alpha is not None:
@@ -467,12 +461,11 @@ def config_from_args(args) -> ExperimentConfig:
             config.domain_spec["n"] = 4
     if args.dim is not None:
         config.domain_spec = dict(config.domain_spec, n=args.dim)
-    for name in ("i", "j", "N", "pieces", "sign", "eps", "tolerance"):
+    for name in ("seed", "out", "i", "j", "N", "pieces", "sign", "eps", "tolerance",
+                 "coefficient_scale"):
         val = getattr(args, name)
         if val is not None:
             setattr(config, name, val)
-    if args.coefficient_scale is not None:
-        config.coefficient_scale = args.coefficient_scale
     return config
 
 

@@ -5,30 +5,28 @@ right half-plane, the starlike-of-order-alpha maps onto discs/half-planes, the
 almost-starlike maps onto shifted half-planes, and the strongly-starlike power
 maps onto sectors.  Each family carries exact formulas for the derivative at
 the origin, the distance ``d1`` from 1 to the image boundary, and membership
-of a point in the image via the inverse map.  A ``custom`` family accepts
-pointwise/boundary evaluators and falls back to boundary-grid scans refined
-by zooming around the best grid points, and polyline winding numbers.
+of a point in the image via the inverse map.  The catalog is closed: no other
+g is supported.  Boundary-grid scans refined by zooming around the best grid
+points (``d1_grid``, ``a0``) stay as independent numeric cross-checks of the
+closed forms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, NumericalInstabilityError, UnsupportedError
+from .errors import DomainError
 
 MOEBIUS = "moebius"
 STARLIKE_ORDER = "starlike_order"
 ALMOST_STARLIKE = "almost_starlike"
 STRONGLY_STARLIKE = "strongly_starlike"
-CUSTOM = "custom"
 
-FAMILIES = (MOEBIUS, STARLIKE_ORDER, ALMOST_STARLIKE, STRONGLY_STARLIKE, CUSTOM)
-CATALOG_FAMILIES = (MOEBIUS, STARLIKE_ORDER, ALMOST_STARLIKE, STRONGLY_STARLIKE)
+FAMILIES = (MOEBIUS, STARLIKE_ORDER, ALMOST_STARLIKE, STRONGLY_STARLIKE)
 
 INSIDE = "inside"
 OUTSIDE = "outside"
@@ -47,16 +45,11 @@ class DiscFunction:
 
     ``alpha`` is required for the three parametric families: in [0, 1) for
     ``starlike_order`` and ``almost_starlike``, in (0, 1] for
-    ``strongly_starlike``.  Custom functions supply a pointwise ``evaluator``
-    and optionally an ``inverse`` (w -> preimage) and a ``boundary``
-    parametrization theta -> g(e^{i theta}).
+    ``strongly_starlike``.
     """
 
     family: str
     alpha: Optional[float] = None
-    evaluator: Optional[Callable] = None
-    inverse: Optional[Callable] = None
-    boundary: Optional[Callable] = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -69,12 +62,6 @@ class DiscFunction:
         if self.family == STRONGLY_STARLIKE:
             if self.alpha is None or not 0.0 < self.alpha <= 1.0:
                 raise DomainError("strongly_starlike needs alpha in (0, 1]")
-        if self.family == CUSTOM and self.evaluator is None:
-            raise DomainError("custom disc function needs an evaluator")
-
-    @property
-    def is_catalog(self) -> bool:
-        return self.family != CUSTOM
 
 
 def describe(g: DiscFunction) -> str:
@@ -116,12 +103,10 @@ def _eval_raw(g: DiscFunction, zeta):
             return (1.0 - z) / (1.0 + _beta(g) * z)
         if g.family == ALMOST_STARLIKE:
             return (1.0 - _beta(g) * z) / (1.0 + z)
-        if g.family == STRONGLY_STARLIKE:
-            # principal branch; (1-z)/(1+z) has positive real part on the
-            # disc, so the principal log never crosses its cut there
-            w = (1.0 - z) / (1.0 + z)
-            return np.exp(g.alpha * np.log(w))
-        return np.asarray(g.evaluator(z), dtype=complex)
+        # strongly_starlike: principal branch; (1-z)/(1+z) has positive real
+        # part on the disc, so the principal log never crosses its cut there
+        w = (1.0 - z) / (1.0 + z)
+        return np.exp(g.alpha * np.log(w))
 
 
 def evaluate(g: DiscFunction, zeta):
@@ -134,7 +119,7 @@ def evaluate(g: DiscFunction, zeta):
 
 
 def derivative(g: DiscFunction, zeta):
-    """g'(zeta); analytic for the catalog, Cauchy circle for custom."""
+    """g'(zeta) in closed form."""
     z = np.asarray(zeta, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
         if g.family in (MOEBIUS, STARLIKE_ORDER):
@@ -142,60 +127,20 @@ def derivative(g: DiscFunction, zeta):
             out = -(1.0 + beta) / (1.0 + beta * z) ** 2
         elif g.family == ALMOST_STARLIKE:
             out = -(_beta(g) + 1.0) / (1.0 + z) ** 2
-        elif g.family == STRONGLY_STARLIKE:
-            out = _eval_raw(g, z) * g.alpha * (-2.0) / (1.0 - z * z)
         else:
-            out = _cauchy_derivative(g, z)
+            out = _eval_raw(g, z) * g.alpha * (-2.0) / (1.0 - z * z)
     return out if out.shape else complex(out)
 
 
-def _cauchy_derivative(g: DiscFunction, z, n_nodes: int = 32):
-    """First derivative of a custom g by a Cauchy integral on small circles."""
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    radius = np.minimum(0.05, 0.5 * (1.0 - np.abs(z)))
-    theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
-    ring = np.exp(1j * theta)
-    samples = np.asarray(g.evaluator(z[:, None] + radius[:, None] * ring[None, :]), dtype=complex)
-    coeff = (samples * np.exp(-1j * theta)[None, :]).mean(axis=1) / radius
-    return coeff.reshape(np.shape(z))
-
-
 def g_prime0(g: DiscFunction) -> complex:
-    """Derivative of g at the origin.
-
-    Closed forms for the catalog; for a custom g the value is taken from a
-    Cauchy integral on the circle of radius 0.25 and cross-checked against a
-    fourth-order central difference with step 1e-5.
-    """
-    if g.family in (MOEBIUS, STARLIKE_ORDER, ALMOST_STARLIKE):
-        return complex(-2.0 * (1.0 - (g.alpha or 0.0)))
+    """Derivative of g at the origin, in closed form."""
     if g.family == STRONGLY_STARLIKE:
         return complex(-2.0 * g.alpha)
-    rho, m = 0.25, 64
-    theta = 2.0 * np.pi * np.arange(m) / m
-    vals = np.asarray(g.evaluator(rho * np.exp(1j * theta)), dtype=complex)
-    cauchy = complex((vals * np.exp(-1j * theta)).mean() / rho)
-    h = 1e-5
-    pts = np.array([2 * h, h, -h, -2 * h], dtype=complex)
-    f = np.asarray(g.evaluator(pts), dtype=complex)
-    central = complex((-f[0] + 8 * f[1] - 8 * f[2] + f[3]) / (12 * h))
-    if abs(cauchy - central) > 1e-6:
-        raise NumericalInstabilityError(
-            f"custom g'(0): Cauchy {cauchy} vs central difference {central}"
-        )
-    return cauchy
+    return complex(-2.0 * (1.0 - (g.alpha or 0.0)))
 
 
 # ---------------------------------------------------------------------------
 # boundary distance d1 and the radial infimum a0
-
-
-def _boundary_values(g: DiscFunction, theta):
-    if g.is_catalog:
-        return _eval_raw(g, np.exp(1j * np.asarray(theta, dtype=float)))
-    if g.boundary is None:
-        raise UnsupportedError("custom disc function has no boundary parametrization")
-    return np.asarray(g.boundary(np.asarray(theta, dtype=float)), dtype=complex)
 
 
 def _grid_minimum(objective, grid, periodic: bool = False) -> float:
@@ -230,18 +175,16 @@ def _grid_minimum(objective, grid, periodic: bool = False) -> float:
 def d1(g: DiscFunction) -> float:
     """Distance from 1 = g(0) to the boundary of the image g(U).
 
-    Catalog families use the closed forms (1 for moebius; 1 or (1-a)/a for
-    starlike of order a; 1-a for almost starlike; sin(a*pi/2) for strongly
-    starlike).  Custom functions go through the boundary-grid scan.
+    Closed forms: 1 for moebius; 1 or (1-a)/a for starlike of order a; 1-a
+    for almost starlike; sin(a*pi/2) for strongly starlike.  ``d1_grid`` is
+    the numeric cross-check.
     """
     if g.family in (MOEBIUS, STARLIKE_ORDER):
         alpha = g.alpha or 0.0
         return 1.0 if alpha <= 0.5 else (1.0 - alpha) / alpha
     if g.family == ALMOST_STARLIKE:
         return 1.0 - g.alpha
-    if g.family == STRONGLY_STARLIKE:
-        return math.sin(g.alpha * math.pi / 2.0)
-    return d1_grid(g)
+    return math.sin(g.alpha * math.pi / 2.0)
 
 
 def d1_grid(g: DiscFunction, n_grid: int = GRID_SIZE) -> float:
@@ -252,22 +195,21 @@ def d1_grid(g: DiscFunction, n_grid: int = GRID_SIZE) -> float:
     skipped.
     """
     theta = 2.0 * np.pi * np.arange(n_grid) / n_grid
-    return _grid_minimum(lambda t: np.abs(_boundary_values(g, t) - 1.0), theta, periodic=True)
+    return _grid_minimum(lambda t: np.abs(_eval_raw(g, np.exp(1j * t)) - 1.0), theta,
+                         periodic=True)
 
 
 def _radial_gaps(g: DiscFunction, rho):
-    """1 - g(rho) and g(-rho) - 1, in closed forms without cancellation for
-    the catalog (both tend to 0 with rho)."""
+    """1 - g(rho) and g(-rho) - 1, in closed forms without cancellation (both
+    tend to 0 with rho)."""
     if g.family in (MOEBIUS, STARLIKE_ORDER):
         beta = _beta(g)
         return (1.0 + beta) * rho / (1.0 + beta * rho), (1.0 + beta) * rho / (1.0 - beta * rho)
     if g.family == ALMOST_STARLIKE:
         beta = _beta(g)
         return (1.0 + beta) * rho / (1.0 + rho), (1.0 + beta) * rho / (1.0 - rho)
-    if g.family == STRONGLY_STARLIKE:
-        log_ratio = np.log1p(-rho) - np.log1p(rho)
-        return -np.expm1(g.alpha * log_ratio), np.expm1(-g.alpha * log_ratio)
-    return 1.0 - _eval_raw(g, rho.astype(complex)), _eval_raw(g, -rho.astype(complex)) - 1.0
+    log_ratio = np.log1p(-rho) - np.log1p(rho)
+    return -np.expm1(g.alpha * log_ratio), np.expm1(-g.alpha * log_ratio)
 
 
 def _a0_objective(g: DiscFunction, rho):
@@ -299,7 +241,7 @@ def a0(g: DiscFunction, n_grid: int = GRID_SIZE) -> float:
 
 
 def inverse_radius(g: DiscFunction, w):
-    """|g^{-1}(w)| for catalog families (array-aware).
+    """|g^{-1}(w)| (array-aware).
 
     Values below 1 certify membership of w in g(U), values above 1 certify
     exclusion.  For points far outside a sector image (where the principal
@@ -311,8 +253,8 @@ def inverse_radius(g: DiscFunction, w):
             r = np.abs((1.0 - w) / (1.0 + _beta(g) * w))
         elif g.family == ALMOST_STARLIKE:
             r = np.abs((1.0 - w) / (w + _beta(g)))
-        elif g.family == STRONGLY_STARLIKE:
-            # u = w^{1/alpha} = a + ib in real arithmetic; |1 - u| / |1 + u| is
+        else:
+            # strongly_starlike: u = w^{1/alpha} = a + ib in real arithmetic; |1 - u| / |1 + u| is
             # unchanged by u -> 1/conj(u), which keeps the power from overflowing
             mod, phi = np.abs(w), np.abs(np.angle(w))
             m = mod ** np.where(mod > 1.0, -1.0 / g.alpha, 1.0 / g.alpha)
@@ -320,10 +262,6 @@ def inverse_radius(g: DiscFunction, w):
             safe = phi <= min(g.alpha * np.pi, np.pi) * (1.0 + 1e-14)
             r = np.where(safe, np.hypot(1.0 - a, b) / np.hypot(1.0 + a, b), 2.0 + phi)
             r = np.where(w == 0, 1.0, r)
-        elif g.inverse is not None:
-            r = np.abs(np.asarray(g.inverse(w), dtype=complex))
-        else:
-            raise UnsupportedError("no inverse available for this disc function")
     r = np.where(np.isnan(r), np.inf, r)
     return r if r.shape else float(r)
 
@@ -332,8 +270,7 @@ def boundary_margin(g: DiscFunction, w):
     """Signed Euclidean distance from w to the boundary of g(U).
 
     Positive inside the image, negative outside, and -inf at a non-finite
-    w.  Closed forms for the catalog (half-planes, discs, sectors); signed
-    polyline distance for custom functions with a boundary parametrization.
+    w.  Closed forms: half-planes, discs and sectors.
     """
     w = np.asarray(w, dtype=complex)
     if g.family == MOEBIUS or (g.family == STARLIKE_ORDER and g.alpha == 0.0):
@@ -343,10 +280,8 @@ def boundary_margin(g: DiscFunction, w):
         out = c - np.abs(w - c)
     elif g.family == ALMOST_STARLIKE:
         out = w.real - g.alpha
-    elif g.family == STRONGLY_STARLIKE:
-        out = _sector_margin(w, g.alpha * np.pi / 2.0)
     else:
-        out = _polyline_margin(g, w)
+        out = _sector_margin(w, g.alpha * np.pi / 2.0)
     out = np.where(np.isfinite(w), out, -np.inf)
     return out if out.shape else float(out)
 
@@ -364,41 +299,6 @@ def _sector_margin(w, beta):
     return np.where(phi < beta, inside, outside)
 
 
-@lru_cache(maxsize=32)
-def _boundary_polyline(g: DiscFunction, n_grid: int = GRID_SIZE):
-    theta = 2.0 * np.pi * np.arange(n_grid) / n_grid
-    vals = _boundary_values(g, theta)
-    if not np.all(np.isfinite(vals)):
-        raise UnsupportedError("boundary polyline has non-finite points (unbounded image)")
-    return np.append(vals, vals[0])  # close exactly; float noise at 2*pi breaks crossings
-
-
-def _polyline_margin(g: DiscFunction, w):
-    poly = _boundary_polyline(g)
-    w = np.atleast_1d(np.asarray(w, dtype=complex))
-    a, b = poly[:-1], poly[1:]
-    seg = b - a
-    seg_len2 = np.abs(seg) ** 2
-    rel = w[:, None] - a[None, :]
-    t = np.clip((rel * np.conj(seg[None, :])).real / seg_len2[None, :], 0.0, 1.0)
-    dist = np.abs(rel - t * seg[None, :]).min(axis=1)
-    sign = np.where(_winding_inside(poly, w), 1.0, -1.0)
-    return sign * dist
-
-
-def _winding_inside(poly, w):
-    """Winding-number membership of points w w.r.t. a closed polyline."""
-    x, y = poly.real, poly.imag
-    wx, wy = w.real[:, None], w.imag[:, None]
-    y0, y1 = y[None, :-1], y[None, 1:]
-    x0, x1 = x[None, :-1], x[None, 1:]
-    cross = (x1 - x0) * (wy - y0) - (wx - x0) * (y1 - y0)
-    upward = (y0 <= wy) & (y1 > wy) & (cross > 0)
-    downward = (y0 > wy) & (y1 <= wy) & (cross < 0)
-    winding = upward.sum(axis=1) - downward.sum(axis=1)
-    return winding != 0
-
-
 def classify(g: DiscFunction, w, eps: float):
     """Vectorized membership verdicts: +1 inside, -1 outside, 0 indeterminate;
     a non-finite w is outside."""
@@ -407,16 +307,9 @@ def classify(g: DiscFunction, w, eps: float):
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     scale = np.maximum(1.0, np.abs(w))
     out = np.zeros(w.shape, dtype=np.int8)
-    if g.is_catalog or g.inverse is not None:
-        r = np.asarray(inverse_radius(g, w))
-        out[r < 1.0 - eps * scale] = 1
-        out[r > 1.0 + eps * scale] = -1
-    elif g.boundary is None:
-        raise UnsupportedError("custom disc function has neither inverse nor boundary")
-    else:
-        margin = _polyline_margin(g, w)
-        out[margin > eps * scale] = 1
-        out[margin < -eps * scale] = -1
+    r = np.asarray(inverse_radius(g, w))
+    out[r < 1.0 - eps * scale] = 1
+    out[r > 1.0 + eps * scale] = -1
     out[~np.isfinite(w)] = -1
     return out
 

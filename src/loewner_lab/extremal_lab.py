@@ -95,7 +95,7 @@ def random_schedule(g: df.DiscFunction, dom: bg.BallGeometry, rng: np.random.Gen
         raise DomainError("need at least one schedule piece")
     maps = [carath.random_Mg_member(g, dom, rng, int(rng.integers(1, 4)))
             for _ in range(pieces)]
-    return lf.make_field(maps, g, dom)
+    return lf.make_field(maps, dom)
 
 
 def sample_Sg0(g: df.DiscFunction, dom: bg.BallGeometry, rng: np.random.Generator,
@@ -220,7 +220,7 @@ def scan_support(g: df.DiscFunction, dom: bg.BallGeometry, i: int, j: int, N: in
     entries.append(("identity", coeff(carath.identity_map(dom))))
     canonical_gaps = []
     for sign, tag in ((+1, "+"), (-1, "-")):
-        h_field = lf.autonomous_field(carath.canonical_field(g, dom, i, j, sign), g, dom)
+        h_field = lf.autonomous_field(carath.canonical_field(g, dom, i, j, sign), dom)
         fmap = lf.parametric_holmap(h_field, tol=SAMPLER_TOL, ode_tol=SAMPLER_ODE_TOL,
                                     label=f"parametric[h{tag}]")
         ode = carath.second_coeff_bundle(fmap, requests) if sign > 0 else None
@@ -277,7 +277,7 @@ def verify_gprime_bounds(g: df.DiscFunction, dom: bg.BallGeometry, N: int,
     attain_gap, canonical_gaps = 0.0, []
     for (name, (i, j, kind)), e in zip(sharp, np.eye(dom.n, 2, dtype=complex).T):
         fmap = lf.parametric_holmap(
-            lf.autonomous_field(carath.disc_multiple_map(g, e, dom), g, dom),
+            lf.autonomous_field(carath.disc_multiple_map(g, e, dom), dom),
             label=f"parametric[{name}]")
         ode = carath.second_coeff_bundle(fmap, [(i, j, kind)])
         exact, gap = _exact_coeffs(fmap, [(i, j, kind)], ode)
@@ -295,8 +295,7 @@ def verify_gprime_bounds(g: df.DiscFunction, dom: bg.BallGeometry, N: int,
                        canonical_gap=max(canonical_gaps))
 
 
-def verify_shear_commutes(g: df.DiscFunction, dom: bg.BallGeometry,
-                          schedule: lf.HerglotzField, samples: int = 24,
+def verify_shear_commutes(schedule: lf.HerglotzField, samples: int = 24,
                           i: int = 1, j: int = 2) -> float:
     """Residual of shearing/parametric-limit commutation.
 
@@ -304,12 +303,10 @@ def verify_shear_commutes(g: df.DiscFunction, dom: bg.BallGeometry,
     and returns the max norm of shear(limit of schedule) - limit(sheared
     schedule) over sample points with norm <= 0.5.
     """
+    dom = schedule.domain
     carath._check_pair(dom, i, j)
     sheared = lf.HerglotzField(
-        schedule.times,
-        tuple(carath.shear(h, i, j) for h in schedule.maps),
-        g, dom, schedule.horizon,
-    )
+        schedule.times, tuple(carath.shear(h, i, j) for h in schedule.maps), dom)
     f_map = lf.parametric_holmap(schedule, tol=SAMPLER_TOL, ode_tol=SAMPLER_ODE_TOL)
     lhs_map = carath.shear(f_map, i, j)
     rhs_map = lf.parametric_holmap(sheared, tol=SAMPLER_TOL, ode_tol=SAMPLER_ODE_TOL)

@@ -78,16 +78,14 @@ class HerglotzField:
     """Piecewise-constant-in-time schedule of normalized generators.
 
     ``maps[k]`` acts on [times[k], times[k+1]) and the last segment extends
-    as an autonomous field beyond ``horizon``.  Membership of the generators
+    as an autonomous field for all later times.  Membership of the generators
     in M_g is the caller's: sampled ones are M_g members by construction
     (``carath.random_Mg_member``).
     """
 
     times: Tuple[float, ...]
     maps: Tuple[carath.HolMap, ...]
-    g: df.DiscFunction
     domain: bg.BallGeometry
-    horizon: float
 
     def __post_init__(self):
         if len(self.times) != len(self.maps) or not self.maps:
@@ -101,17 +99,15 @@ class HerglotzField:
         return max(bisect_right(self.times, t) - 1, 0)
 
 
-def autonomous_field(h: carath.HolMap, g: df.DiscFunction, dom: bg.BallGeometry,
-                     horizon: float = 1.0) -> HerglotzField:
-    return HerglotzField((0.0,), (h,), g, dom, horizon)
+def autonomous_field(h: carath.HolMap, dom: bg.BallGeometry) -> HerglotzField:
+    return HerglotzField((0.0,), (h,), dom)
 
 
-def make_field(maps: Sequence[carath.HolMap], g: df.DiscFunction,
-               dom: bg.BallGeometry) -> HerglotzField:
+def make_field(maps: Sequence[carath.HolMap], dom: bg.BallGeometry) -> HerglotzField:
     """Schedule the given generators on consecutive intervals of length
     SEGMENT_DT."""
     times = tuple(SEGMENT_DT * k for k in range(len(maps)))
-    return HerglotzField(times, tuple(maps), g, dom, SEGMENT_DT * len(maps))
+    return HerglotzField(times, tuple(maps), dom)
 
 
 @dataclass
@@ -321,24 +317,22 @@ def check_starlike_chain(F: carath.HolMap, g: df.DiscFunction, dom: bg.BallGeome
                          N: int, rng: Optional[np.random.Generator] = None,
                          eps: float = 1e-9) -> carath.MgCertificate:
     """Certify that t -> e^t F is a valid chain: h = [DF]^{-1} F must generate
-    values in g(U).  A singular Jacobian at a sample point fails the
-    certificate with that point as witness."""
+    values in g(U).  ``certify_Mg`` streams h block by block; h is NaN where
+    DF is singular (|det| < 1e-12), which fails with margin -inf, so the
+    earliest such point is the witness."""
     if not F.normalized:
         raise DomainError("starlikeness check needs a normalized map")
-    rng = np.random.default_rng(0) if rng is None else rng
-    Z = carath.certification_points(dom, N, rng, structured=True)
-    J = F.jacobian_batch(Z)
-    vals = F.values(Z)
-    dets = np.linalg.det(J)
-    singular = np.abs(dets) < 1e-12
-    if np.any(singular):
-        k = int(np.argmax(singular))
-        return carath.MgCertificate(
-            passed=False, samples_used=Z.shape[0], worst_margin=-np.inf, eps=eps,
-            witness={"z": Z[k], "value": complex(dets[k]), "margin": -np.inf},
-        )
-    H = np.linalg.solve(J, vals[..., None])[..., 0]
-    return carath.certify_values(H, g, dom, Z, eps=eps)
+
+    def generator(Z):
+        J = F.jacobian_batch(Z)
+        singular = np.abs(np.linalg.det(J)) < 1e-12
+        J = np.where(singular[:, None, None], np.eye(dom.n), J)
+        H = np.linalg.solve(J, F.values(Z)[..., None])[..., 0]
+        H[singular] = np.nan
+        return H
+
+    h = carath.BlackBoxMap(generator, dom, normalized=True)
+    return carath.certify_Mg(h, g, dom, N, eps=eps, rng=rng)
 
 
 # ---------------------------------------------------------------------------
@@ -353,11 +347,8 @@ def radial_beta(g: df.DiscFunction) -> float:
     g(rho) = O(1-rho) as rho -> 1.  Those are g(z) = (1-z)/(1+beta z):
     moebius (beta = 1), starlike_order(alpha) (beta = 1 - 2 alpha), and
     almost_starlike(0) and strongly_starlike(1), which equal moebius.
-    Raises ``UnsupportedError`` for a custom g and ``DomainError`` for any
-    other catalog g.
+    Raises ``DomainError`` for any other g.
     """
-    if not g.is_catalog:
-        raise UnsupportedError("the radial construction needs a catalog g")
     if g.family in (df.MOEBIUS, df.STARLIKE_ORDER):
         return df._beta(g)
     if (g.family, g.alpha) in ((df.ALMOST_STARLIKE, 0.0), (df.STRONGLY_STARLIKE, 1.0)):

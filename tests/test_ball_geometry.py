@@ -111,7 +111,7 @@ def test_spectral_norm_keeps_its_digits_when_singular_values_agree():
     # the frame tori (|z1| = |z2|) and matrices with singular values 1 and
     # 1 - 1e-6: a closed form through e^2 - 4|det|^2 was off by 1.5e-8 there
     dom = bg.spectral2()
-    torus = carath.structured_torus_points(dom)
+    torus = carath.certification_points(dom, 0, np.random.default_rng(0))
     assert np.max(np.abs(bg.norm(dom, torus) - np.abs(torus[:, :2]).max(axis=1))) <= 1e-15
     rng = np.random.default_rng(5)
     u, _, vh = np.linalg.svd(rng.standard_normal((2000, 2, 2))
@@ -641,7 +641,8 @@ def test_certification_points_take_one_path_for_every_bit_generator(bit_generato
     Z = carath.certification_points(bg.polydisc(3), 2000, rng)
     assert calls == ["sphere_blocks", "polydisc_edge_blocks"]
     assert rng.draws == ["integers"] + ["random"] * 4 + ["integers"] * 2 + ["random"]
-    assert Z.shape == (2000 + 200 + carath.structured_torus_points(bg.polydisc(3)).shape[0], 3)
+    tori = carath.certification_points(bg.polydisc(3), 0, np.random.default_rng(0))
+    assert Z.shape == (2000 + 200 + len(tori), 3)
     monkeypatch.setattr(carath, "CERTIFY_BLOCK", len(Z))
     ref_rng = np.random.Generator(bit_generator(71))
     assert_bits_equal(carath.certification_points(bg.polydisc(3), 2000, ref_rng), Z)

@@ -423,6 +423,14 @@ def certify_fields(g, dom):
     return fields + [carath.scale_term(fields[0], 1, exps, 1.05)]
 
 
+def sampled_then_coarse_tori(dom, N, rng, phases):
+    """The sphere (and edge) rows of a certification run, without its tori,
+    then the tori at ``phases`` phases per axis."""
+    Z = carath.certification_points(dom, N, rng)
+    sampled = Z[:len(Z) - sum(len(t) for t in carath._torus_blocks(dom))]
+    return np.vstack([sampled, *carath._torus_blocks(dom, phases=phases)])
+
+
 def certificate_bits(cert):
     out = [cert.passed, cert.samples_used, cert.n_indeterminate,
            np.float64(cert.worst_margin).tobytes()]
@@ -438,8 +446,7 @@ def test_certify_blocks_do_not_change_the_certificate(monkeypatch, dom, g):
     # sphere and edge samples, then a coarse set of the frame (or weighted)
     # tori, where the inflated field fails: its witness lies in the last blocks
     rng = np.random.default_rng(71)
-    Z = np.vstack([carath.certification_points(dom, 400, rng, structured=False),
-                   carath.structured_torus_points(dom, phases=8)])
+    Z = sampled_then_coarse_tori(dom, 400, rng, phases=8)
     failed_late = False
     for h in certify_fields(g, dom):
         H = h.values(Z)
@@ -460,8 +467,7 @@ def test_certify_witness_past_the_first_blocks(monkeypatch, dom, g):
     # 9 000 sphere samples come first, so the torus witness of the inflated
     # field lies past the first block at 4096 rows and at the default size
     rng = np.random.default_rng(73)
-    Z = np.vstack([carath.certification_points(dom, 9000, rng, structured=False),
-                   carath.structured_torus_points(dom, phases=16)])
+    Z = sampled_then_coarse_tori(dom, 9000, rng, phases=16)
     H = certify_fields(g, dom)[2].values(Z)
     monkeypatch.setattr(carath, "CERTIFY_BLOCK", len(Z))
     whole = carath.certify_values(H, g, dom, Z)
@@ -585,7 +591,7 @@ def test_random_members_certify():
         for k in (1, 2, 4):
             member = carath.random_Mg_member(g, dom, rng, k)
             carath.assert_normalized(member)
-            cert = carath.certify_Mg(member, g, dom, 1000, rng=rng, structured=False)
+            cert = carath.certify_Mg(member, g, dom, 1000, rng=rng)
             assert cert.passed, cert.witness
 
 
@@ -613,7 +619,7 @@ def test_certified_maps_obey_pure_coefficient_bound():
         bound = dom.shear_factor * df.d1(g)
         for _ in range(5):
             member = carath.random_Mg_member(g, dom, rng, 3)
-            cert = carath.certify_Mg(member, g, dom, 300, rng=rng, structured=False)
+            cert = carath.certify_Mg(member, g, dom, 300, rng=rng)
             assert cert.passed
             for (i, j) in [(1, 2), (2, 1)]:
                 val = abs(carath.second_coeff(member, i, j, carath.PURE))
@@ -663,7 +669,7 @@ def test_jacobians_match_black_box_differences():
 
 
 def test_structured_points_cover_euclidean_maximizer():
-    pts = carath.structured_torus_points(E2, radii=(0.999,), phases=8)
+    pts = np.concatenate(list(carath._torus_blocks(E2, radii=(0.999,), phases=8)))
     mags = np.abs(pts)
     target = 0.999 * np.array([1.0 / np.sqrt(3.0), np.sqrt(2.0 / 3.0)])
     hit = np.any(np.all(np.abs(mags - target) < 1e-12, axis=1))

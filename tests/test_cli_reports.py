@@ -318,6 +318,18 @@ def test_config_file_numbers_of_the_wrong_type_are_usage_errors(field, value, tm
             ["certify", "--config", str(cfg)])).validate()
 
 
+def test_cli_rejects_an_unknown_config_key(tmp_path, capsys):
+    # a mistyped key ("n" for "N") used to be ignored: the scan ran N = 100
+    # and passed
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "scan", "seed": 1, "n": 0, "pieces": 2}))
+    code, out = run_cli(tmp_path, "typo", "scan", "--config", str(cfg))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "usage error: config: unknown key(s) 'n'" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_bad_number_in_a_fresh_process(tmp_path):
     # the process itself: exit code 2 and no traceback on stderr
     proc = subprocess.run([sys.executable, "-m", "loewner_lab", "certify", "--seed", "7",

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loewner_lab import disc_functions as df
-from loewner_lab.errors import DomainError, UnsupportedError
+from loewner_lab.errors import DomainError
 
 ALPHA_GRID = [round(0.05 * k, 2) for k in range(1, 20)]
 
@@ -22,15 +22,6 @@ def catalog_members():
         out.append(df.almost_starlike(a))
         out.append(df.strongly_starlike(a))
     return out
-
-
-def _custom_disc_like_starlike():
-    base = df.starlike_order(0.75)
-    return df.DiscFunction(
-        df.CUSTOM,
-        evaluator=lambda z: df._eval_raw(base, z),
-        boundary=lambda th: df._eval_raw(base, np.exp(1j * np.asarray(th))),
-    )
 
 
 def a0_bruteforce(g, points=10**6):
@@ -92,8 +83,9 @@ def test_validation():
         df.starlike_order(1.0)
     with pytest.raises(DomainError):
         df.strongly_starlike(0.0)
-    with pytest.raises(DomainError):
-        df.DiscFunction(df.CUSTOM)
+    # the catalog is closed: a g known only pointwise is not a family
+    with pytest.raises(DomainError, match="unknown disc-function family 'custom'"):
+        df.DiscFunction("custom")
 
 
 # ---------------------------------------------------------------------------
@@ -110,11 +102,6 @@ def test_g_prime0_closed_forms_against_difference_oracle():
     for g, expected in cases:
         assert df.g_prime0(g) == pytest.approx(expected, abs=1e-12)
         assert df.g_prime0(g) == pytest.approx(derivative_oracle(g), abs=1e-9)
-
-
-def test_g_prime0_custom_route():
-    g = df.DiscFunction(df.CUSTOM, evaluator=lambda z: (1.0 - z) / (1.0 + z))
-    assert df.g_prime0(g) == pytest.approx(-2.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +127,11 @@ def test_grid_minimum_refines_inside_the_grid_and_wraps_angles():
     assert df._grid_minimum(lambda x: (x - 0.7123456789) ** 2 + 2.0, grid) == 2.0
     # ... and a non-periodic bracket never leaves [grid[0], grid[-1]]
     assert df._grid_minimum(lambda x: x, grid) == 0.5
-    # the nearest boundary point sits at theta = -1e-4, between the last grid
-    # angle and 2 pi: only a bracket that wraps across theta = 0 reaches it
-    g = df.DiscFunction(df.CUSTOM, evaluator=lambda z: 1.5 + z,
-                        boundary=lambda th: 2.5 - np.cos(th + 1e-4) + 0j)
-    assert df.d1_grid(g) == pytest.approx(0.5, abs=1e-15)
+    # the minimum sits at theta = -1e-4, between the last grid angle of
+    # d1_grid and 2 pi: only a bracket that wraps across theta = 0 reaches it
+    theta = 2.0 * np.pi * np.arange(df.GRID_SIZE) / df.GRID_SIZE
+    assert df._grid_minimum(lambda t: np.abs(1.5 - np.cos(t + 1e-4)), theta,
+                            periodic=True) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_import_loads_no_scipy():
@@ -155,12 +142,6 @@ def test_import_loads_no_scipy():
                           env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
-
-
-def test_d1_grid_needs_boundary_for_custom():
-    g = df.DiscFunction(df.CUSTOM, evaluator=lambda z: 1.0 + z)
-    with pytest.raises(UnsupportedError):
-        df.d1(g)
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +229,7 @@ NON_FINITE = np.array([math.nan, math.inf, -math.inf, complex(math.inf, 1.0),
                        complex(1.0, math.nan)])
 
 
-@pytest.mark.parametrize("g", catalog_members() + [_custom_disc_like_starlike()],
-                         ids=lambda g: df.describe(g))
+@pytest.mark.parametrize("g", catalog_members(), ids=lambda g: df.describe(g))
 def test_non_finite_values_are_outside_with_margin_minus_inf(g):
     # a NaN or infinite w is no point of g(U): it must not read as
     # indeterminate, nor as the deepest point inside (+inf margin)
@@ -370,53 +350,6 @@ def test_sector_codes_match_the_complex_log_formula(alpha):
     old = old_sector_radius(alpha, w)
     expect = np.where(old < 1.0 - eps * scale, 1, np.where(old > 1.0 + eps * scale, -1, 0))
     assert np.array_equal(df.classify(df.strongly_starlike(alpha), w, eps), expect)
-
-
-# ---------------------------------------------------------------------------
-# custom disc functions
-
-
-def test_custom_d1_grid():
-    g = _custom_disc_like_starlike()
-    assert df.d1(g) == pytest.approx(1.0 / 3.0, abs=1e-9)
-
-
-def test_custom_contains_winding():
-    g = _custom_disc_like_starlike()
-    assert df.contains(g, 1.0, 1e-9) == df.INSIDE
-    assert df.contains(g, 1.5, 1e-9) == df.OUTSIDE
-    assert df.contains(g, -0.5, 1e-9) == df.OUTSIDE
-    assert df.contains(g, 0.5 + 0.3j, 1e-9) == df.INSIDE
-
-
-def test_custom_a0_matches_catalog_twin():
-    g = _custom_disc_like_starlike()
-    assert df.a0(g) == pytest.approx(df.a0(df.starlike_order(0.75)), abs=1e-9)
-
-
-def test_custom_with_inverse_hook_uses_exact_membership():
-    base = df.starlike_order(0.75)
-    g = df.DiscFunction(
-        df.CUSTOM,
-        evaluator=lambda z: df._eval_raw(base, z),
-        inverse=lambda w: (1.0 - w) / (1.0 + (1.0 - 2.0 * 0.75) * w),
-    )
-    assert df.contains(g, 1.0, 1e-9) == df.INSIDE
-    assert df.contains(g, 1.5, 1e-9) == df.OUTSIDE
-    assert df.inverse_radius(g, 0.5) == pytest.approx(
-        df.inverse_radius(base, 0.5), abs=1e-14)
-
-
-def test_custom_d1_grid_skips_boundary_poles():
-    # a custom twin of the moebius map has a pole on the boundary circle;
-    # non-finite boundary points cannot be nearest to 1 and must be skipped
-    base = df.moebius()
-    g = df.DiscFunction(
-        df.CUSTOM,
-        evaluator=lambda z: df._eval_raw(base, z),
-        boundary=lambda th: df._eval_raw(base, np.exp(1j * np.asarray(th))),
-    )
-    assert df.d1(g) == pytest.approx(1.0, abs=1e-9)
 
 
 @settings(max_examples=120, deadline=None)

@@ -147,22 +147,21 @@ def test_verify_gprime_bounds_polydisc():
 
 
 def test_verify_shear_commutes_identity_field():
-    g = df.moebius()
-    field = lf.autonomous_field(carath.identity_map(P2), g, P2)
-    assert el.verify_shear_commutes(g, P2, field, samples=10) < 1e-7
+    field = lf.autonomous_field(carath.identity_map(P2), P2)
+    assert el.verify_shear_commutes(field, samples=10) < 1e-7
 
 
 def test_verify_shear_commutes_canonical_field():
     g = df.moebius()
-    field = lf.autonomous_field(carath.canonical_field(g, P2, 1, 2, +1), g, P2)
-    assert el.verify_shear_commutes(g, P2, field, samples=10) < 1e-6
+    field = lf.autonomous_field(carath.canonical_field(g, P2, 1, 2, +1), P2)
+    assert el.verify_shear_commutes(field, samples=10) < 1e-6
 
 
 def test_verify_shear_commutes_random_field():
     g = df.moebius()
     rng = np.random.default_rng(6)
     field = el.random_schedule(g, P2, rng, 3)
-    assert el.verify_shear_commutes(g, P2, field, samples=12) < 1e-5
+    assert el.verify_shear_commutes(field, samples=12) < 1e-5
 
 
 def test_bound_report_json():
@@ -173,10 +172,10 @@ def test_bound_report_json():
     assert blob["violations"] == []
 
 
-def expanding_sample(g, dom):
+def expanding_sample(dom):
     """A parametric map whose flow dv/dt = +v leaves the ball."""
     outward = carath.BlackBoxMap(lambda Z: -Z, dom, normalized=True)
-    return lf.parametric_holmap(lf.autonomous_field(outward, g, dom))
+    return lf.parametric_holmap(lf.autonomous_field(outward, dom))
 
 
 @pytest.mark.parametrize("experiment", ["scan", "gprime"])
@@ -186,7 +185,7 @@ def test_flow_failure_of_a_draw_is_resampled(monkeypatch, experiment):
 
     def sample(g, dom, rng, pieces):
         draws.append(pieces)
-        return expanding_sample(g, dom) if len(draws) == 1 else real(g, dom, rng, pieces)
+        return expanding_sample(dom) if len(draws) == 1 else real(g, dom, rng, pieces)
 
     monkeypatch.setattr(el, "sample_Sg0", sample)
     rng = np.random.default_rng(8)
@@ -199,7 +198,7 @@ def test_flow_failure_of_a_draw_is_resampled(monkeypatch, experiment):
 
 
 def test_repeated_flow_failures_abort_the_scan(monkeypatch):
-    monkeypatch.setattr(el, "sample_Sg0", lambda g, dom, rng, pieces: expanding_sample(g, dom))
+    monkeypatch.setattr(el, "sample_Sg0", lambda g, dom, rng, pieces: expanding_sample(dom))
     with pytest.raises(NumericalInstabilityError, match="failed to converge repeatedly"):
         el.scan_support(df.moebius(), P2, 1, 2, N=1, rng=np.random.default_rng(0))
 
@@ -296,7 +295,7 @@ def test_canonical_maps_are_scored_exactly_and_cross_checked(dom):
 
 
 def canonical_parametric(g, dom, sign):
-    h_field = lf.autonomous_field(carath.canonical_field(g, dom, 1, 2, sign), g, dom)
+    h_field = lf.autonomous_field(carath.canonical_field(g, dom, 1, 2, sign), dom)
     return h_field, lf.parametric_holmap(h_field, tol=el.SAMPLER_TOL,
                                          ode_tol=el.SAMPLER_ODE_TOL)
 

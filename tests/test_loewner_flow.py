@@ -13,13 +13,12 @@ P2 = bg.polydisc(2)
 E2 = bg.euclidean(2)
 
 
-def identity_field(dom, g=None):
-    g = g or df.moebius()
-    return lf.autonomous_field(carath.identity_map(dom), g, dom)
+def identity_field(dom):
+    return lf.autonomous_field(carath.identity_map(dom), dom)
 
 
 def shear_field(g, dom, sign=+1):
-    return lf.autonomous_field(carath.canonical_field(g, dom, 1, 2, sign), g, dom)
+    return lf.autonomous_field(carath.canonical_field(g, dom, 1, 2, sign), dom)
 
 
 def shear_flow_closed_form(c, Z, t):
@@ -80,7 +79,7 @@ def test_flow_piecewise_schedule_composes_segments():
     g = df.moebius()
     h_plus = carath.canonical_field(g, P2, 1, 2, +1)
     ident = carath.identity_map(P2)
-    field = lf.HerglotzField((0.0, 0.7), (h_plus, ident), g, P2, horizon=1.4)
+    field = lf.HerglotzField((0.0, 0.7), (h_plus, ident), P2)
     rng = np.random.default_rng(3)
     Z = ball_points(P2, rng, 10)
     res = lf.flow(field, Z, 0.0, 1.5)
@@ -93,7 +92,7 @@ def test_flow_norm_monotone_along_trajectory():
     g = df.moebius()
     rng = np.random.default_rng(4)
     member = carath.random_Mg_member(g, P2, rng, 3)
-    field = lf.autonomous_field(member, g, P2)
+    field = lf.autonomous_field(member, P2)
     z = bg.sample_sphere(P2, rng) * 0.95
     res = lf.flow(field, z, 0.0, 3.0, record_trajectory=True)
     norms = [float(np.asarray(bg.norm(P2, y))[0]) for _, y in res.trajectory]
@@ -162,9 +161,8 @@ def test_flow_and_limit_match_the_flow_check_closed_forms():
 
 def test_flow_leaving_the_ball_raises_flow_instability():
     # h = -z pushes every point outward; the check on v = e^-s u catches it
-    g = df.moebius()
     outward = carath.BlackBoxMap(lambda Z: -Z, P2, normalized=True)
-    field = lf.autonomous_field(outward, g, P2)
+    field = lf.autonomous_field(outward, P2)
     with pytest.raises(FlowInstabilityError, match="ball exit"):
         lf.flow(field, np.array([[0.5, 0.2j]]), 0.0, 1.0)
 
@@ -219,7 +217,7 @@ def test_parametric_disc_multiple_matches_radial_transform():
     # field g(z_1) z flows to (b(z_1)/z_1) z, the cross-module oracle
     g = df.moebius()
     h = carath.disc_multiple_map(g, np.array([1.0, 0.0], dtype=complex), P2)
-    field = lf.autonomous_field(h, g, P2)
+    field = lf.autonomous_field(h, P2)
     rng = np.random.default_rng(7)
     Z = ball_points(P2, rng, 15, rmax=0.7)
     res = lf.parametric_map(field, Z, tol=1e-8)
@@ -237,18 +235,17 @@ def test_parametric_quadratic_closed_forms():
     g = df.starlike_order(0.25)
     h = carath.canonical_field(g, P2, 1, 2, -1)
     Q_h = h.form.quadratic(2)
-    assert np.array_equal(lf.parametric_quadratic(lf.autonomous_field(h, g, P2)), -Q_h)
+    assert np.array_equal(lf.parametric_quadratic(lf.autonomous_field(h, P2)), -Q_h)
     # the identity on [0, 0.5) leaves only the tail weight e^{-1/2} to h
-    field = lf.HerglotzField((0.0, 0.5), (carath.identity_map(P2), h), g, P2, 1.0)
+    field = lf.HerglotzField((0.0, 0.5), (carath.identity_map(P2), h), P2)
     assert np.allclose(lf.parametric_quadratic(field), -np.exp(-0.5) * Q_h, rtol=1e-15)
-    field = lf.HerglotzField((0.0, 0.5), (h, carath.identity_map(P2)), g, P2, 1.0)
+    field = lf.HerglotzField((0.0, 0.5), (h, carath.identity_map(P2)), P2)
     assert np.allclose(lf.parametric_quadratic(field), -(1 - np.exp(-0.5)) * Q_h, rtol=1e-15)
 
 
 def test_parametric_quadratic_needs_array_forms():
-    g = df.moebius()
     boxed = carath.BlackBoxMap(lambda Z: Z, P2, normalized=True)
-    field = lf.HerglotzField((0.0, 0.5), (carath.identity_map(P2), boxed), g, P2, 1.0)
+    field = lf.HerglotzField((0.0, 0.5), (carath.identity_map(P2), boxed), P2)
     with pytest.raises(UnsupportedError):
         lf.parametric_quadratic(field)
 
@@ -290,6 +287,21 @@ def test_check_starlike_doubled_coefficient_fails():
     rng = np.random.default_rng(10)
     cert = lf.check_starlike_chain(F, g, P2, 300, rng)
     assert not cert.passed
+
+
+def test_check_starlike_singular_jacobian_fails_at_the_earliest_singular_point():
+    # det DF = 1 + z1/0.9 for F = z + z1^2/1.8 e1 vanishes at z1 = -0.9, on the
+    # certification torus of radius 0.9: h = [DF]^-1 F is NaN there, which
+    # fails with margin -inf, and the first such row is the witness
+    F = carath.PolynomialMap({(1, (1, 0)): 1.0, (2, (0, 1)): 1.0, (1, (2, 0)): 1 / 1.8}, P2,
+                             normalized=True)
+    cert = lf.check_starlike_chain(F, df.moebius(), P2, 50, np.random.default_rng(1))
+    Z = carath.certification_points(P2, 50, np.random.default_rng(1))
+    first = np.flatnonzero(np.abs(1.0 + Z[:, 0] / 0.9) < 1e-12)[0]
+    assert not cert.passed and cert.samples_used == len(Z) == 12346
+    assert cert.worst_margin == cert.witness["margin"] == -np.inf
+    assert np.array_equal(cert.witness["z"], Z[first])
+    assert np.isnan(cert.witness["value"])
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +444,7 @@ def test_flow_carries_the_step_across_calls_and_breakpoints():
     # across a breakpoint the step goes on from the last proposal (0.1, 0.5
     # and the 0.1 clipped at 0.7 propose 0.5), not from 0.1
     ident = carath.identity_map(P2)
-    piecewise = lf.HerglotzField((0.0, 0.7), (ident, ident), df.moebius(), P2, horizon=1.4)
+    piecewise = lf.HerglotzField((0.0, 0.7), (ident, ident), P2)
     res = lf.flow(piecewise, y, 0.0, 1.4, record_trajectory=True)
     assert [t for t, _ in res.trajectory] == pytest.approx([0.0, 0.1, 0.6, 0.7, 1.2, 1.4])
 
@@ -485,7 +497,7 @@ def test_canonical_parametric_map_rhs_call_budget():
     h = CountingMap(carath.canonical_field(g, P2, 1, 2, +1))
     rng = np.random.default_rng(14)
     Z = bg.sample_sphere(P2, rng, 128) * 0.7
-    assert lf.parametric_map(lf.autonomous_field(h, g, P2), Z).converged
+    assert lf.parametric_map(lf.autonomous_field(h, P2), Z).converged
     assert h.calls <= 350
 
 
@@ -509,12 +521,10 @@ def test_unbounded_support_map_decay_precondition():
     # the closed form holds only for g = (1-z)/(1+beta z): every entry to the
     # radial construction raises on any other g rather than return the values
     # of another map
-    custom = df.DiscFunction(df.CUSTOM, evaluator=lambda z: (1 - z) / (1 + z))
-    for g, error in ((df.strongly_starlike(0.5), DomainError),
-                     (df.almost_starlike(0.3), DomainError), (custom, UnsupportedError)):
+    for g in (df.strongly_starlike(0.5), df.almost_starlike(0.3)):
         for build in (lambda: lf.unbounded_support_map(g, E2), lambda: lf.koebe_transform(g, 0.5),
                       lambda: lf.growth_constant(g), lambda: lf.KoebeRadialMap(g, E2)):
-            with pytest.raises(error):
+            with pytest.raises(DomainError):
                 build()
     # boundary parameter values reduce to admissible families
     lf.unbounded_support_map(df.strongly_starlike(1.0), E2)
@@ -548,30 +558,27 @@ def test_unbounded_support_map_is_starlike(dom):
 
 
 def test_field_validation():
-    g = df.moebius()
     with pytest.raises(DomainError):
-        lf.HerglotzField((0.5,), (carath.identity_map(P2),), g, P2, 1.0)
+        lf.HerglotzField((0.5,), (carath.identity_map(P2),), P2)
     with pytest.raises(DomainError):
-        lf.HerglotzField((0.0, 0.0), (carath.identity_map(P2),) * 2, g, P2, 1.0)
+        lf.HerglotzField((0.0, 0.0), (carath.identity_map(P2),) * 2, P2)
 
 
 def test_make_field_lays_generators_on_consecutive_segments():
     g = df.moebius()
     rng = np.random.default_rng(14)
     maps = [carath.random_Mg_member(g, P2, rng, 2) for _ in range(3)]
-    field = lf.make_field(maps, g, P2)
+    field = lf.make_field(maps, P2)
     assert field.times == (0.0, lf.SEGMENT_DT, 2 * lf.SEGMENT_DT)
-    assert field.horizon == 3 * lf.SEGMENT_DT == 1.5
     assert field.maps == tuple(maps)
 
 
 def test_flow_aborts_on_norm_growth():
     # v' = +v grows; the monitor must abort instead of leaving the ball
-    g = df.moebius()
     expanding = carath.PolynomialMap(
         {(1, (1, 0)): -1.0, (2, (0, 1)): -1.0}, P2, normalized=False)
     field = lf.HerglotzField((0.0,), (carath.BlackBoxMap(expanding.values, P2,
-                                                         normalized=True),), g, P2, 1.0)
+                                                         normalized=True),), P2)
     with pytest.raises(NumericalInstabilityError):
         lf.flow(field, np.array([0.9, 0.0], complex), 0.0, 2.0)
 
