@@ -160,6 +160,15 @@ def test_a0_starlike_cross_checked_by_bruteforce():
     assert df.a0(g) == pytest.approx(1.0 / 3.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("g", [df.almost_starlike(0.4), df.strongly_starlike(0.5)],
+                         ids=df.describe)
+def test_a0_cross_checked_by_bruteforce_beyond_the_starlike_family(g):
+    assert df.a0(g) == pytest.approx(a0_bruteforce(g, 10**6), abs=1e-6)
+    if g.family == df.ALMOST_STARLIKE:
+        # the radial quotient (1 + beta) / (1 + rho) tends to 1 - alpha at rho = 1
+        assert df.a0(g) == pytest.approx(1.0 - g.alpha, abs=1e-9)
+
+
 def test_a0_dominates_d1_on_alpha_grid():
     for a in ALPHA_GRID[::3]:
         for g in (df.starlike_order(a), df.almost_starlike(a), df.strongly_starlike(a)):
@@ -216,6 +225,20 @@ def test_contains_image_points():
         vals = df.evaluate(g, z)
         codes = df.classify(g, vals, eps)
         assert np.all(codes == 1)
+
+
+@pytest.mark.parametrize("g", [df.moebius(), df.starlike_order(0.3), df.starlike_order(0.75),
+                               df.almost_starlike(0.4), df.strongly_starlike(0.5)],
+                         ids=df.describe)
+def test_inverse_radius_inverts_g_on_both_sides_of_the_circle(g):
+    # membership is exact: |g^{-1}(g(z))| = |z| inside the disc and past it,
+    # so a point reads inside or outside as z lies inside or outside
+    rng = np.random.default_rng(13)
+    z = rng.uniform(0.0, 3.0, 400) * np.exp(2j * np.pi * rng.random(400))
+    z = z[np.abs(np.abs(z) - 1.0) > 1e-3]
+    w = df._eval_raw(g, z)
+    assert np.allclose(df.inverse_radius(g, w), np.abs(z), rtol=1e-12, atol=0.0)
+    assert np.array_equal(df.classify(g, w, 1e-9), np.where(np.abs(z) < 1.0, 1, -1))
 
 
 @pytest.mark.parametrize("eps", [0.0, -1e-9, math.nan, math.inf])
