@@ -391,4 +391,8 @@ def polydisc_edge_blocks(dom: BallGeometry, rng: np.random.Generator, count: int
 
 
 def from_json(payload: dict) -> BallGeometry:
-    return BallGeometry(payload["kind"], int(payload["n"]))
+    try:
+        n = int(payload["n"])
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"n must be an integer, not {payload['n']!r}") from exc
+    return BallGeometry(payload["kind"], n)

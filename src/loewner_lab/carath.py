@@ -775,7 +775,8 @@ def certify_Mg(h: HolMap, g: df.DiscFunction, dom: bg.BallGeometry, N: int,
 
 def random_Mg_member(g: df.DiscFunction, dom: bg.BallGeometry,
                      rng: np.random.Generator, k: int) -> CompositeMap:
-    """Random convex combination of k certified building blocks.
+    """Random convex combination of k building blocks, each an M_g member by
+    construction.
 
     Blocks are drawn uniformly from {identity, g(l_u(z))*z for a random unit
     u, canonical quadratic field with random admissible indices and sign}.

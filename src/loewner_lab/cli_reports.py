@@ -64,7 +64,20 @@ class ExperimentConfig:
             raise UsageError(f"experiment: unknown value {self.experiment!r}")
         if self.seed is None:
             raise UsageError("seed: required for reproducibility")
-        if not 0 <= int(self.seed) < 2**64:
+        for name in ("seed", "i", "j", "N", "pieces"):
+            value = getattr(self, name)
+            if not (isinstance(value, int) and not isinstance(value, bool)):
+                raise UsageError(f"{name}: must be an integer, not {value!r}")
+        for name in ("g_spec", "domain_spec"):
+            if not isinstance(getattr(self, name), dict):
+                raise UsageError(f"{name}: must be a JSON object")
+        if self.alphas is not None and not (
+                isinstance(self.alphas, list)
+                and all(_is_real(a) and math.isfinite(a) for a in self.alphas)):
+            raise UsageError("alphas: must be a list of finite reals")
+        if self.out is not None and not isinstance(self.out, str):
+            raise UsageError("out: must be a path")
+        if not 0 <= self.seed < 2**64:
             raise UsageError("seed: must fit in 64 bits")
         try:
             if self.experiment in ("d1_table", "a0_table"):

@@ -325,4 +325,7 @@ def contains(g: DiscFunction, w: complex, eps: float) -> str:
 
 
 def from_json(payload: dict) -> DiscFunction:
-    return DiscFunction(payload["family"], payload.get("alpha"))
+    alpha = payload.get("alpha")
+    if alpha is not None and (not isinstance(alpha, (int, float)) or isinstance(alpha, bool)):
+        raise DomainError(f"alpha must be a number, not {alpha!r}")
+    return DiscFunction(payload["family"], alpha)

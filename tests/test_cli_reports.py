@@ -86,6 +86,10 @@ def test_report_round_trip(tmp_path):
 #: shear-commute_polydisc was rewritten again once ``make_field`` stopped
 #: certifying each sampled generator: the report's rng no longer feeds those
 #: certificates between draws, so its second schedule moved.
+#: gprime_euclidean pins the rank-1 branch of ``verify_gprime_bounds`` (the
+#: diagonal candidate alone); it was written before gprime scored
+#: ``parametric[g(z2)z]`` from the flow of ``parametric[g(z1)z]``, and that
+#: change kept all three gprime reports byte-identical.
 #: A change that alters these bytes must say so in CHANGES.md.  A file is
 #: named <subcommand>_<label>.
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -340,6 +344,35 @@ def test_cli_bad_number_in_a_fresh_process(tmp_path):
     assert "usage error: coefficient_scale:" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "certify_report.json").exists()
+
+
+@pytest.mark.parametrize("command,config,key", [
+    ("scan", {"seed": 1, "N": "5"}, "N"),
+    ("scan", {"seed": 1, "g": "moebius"}, "g_spec"),
+    ("scan", {"seed": 1, "N": 0, "i": 1.0, "j": 2}, "i"),
+    ("scan", {"seed": 1, "N": 0, "j": True}, "j"),
+    ("scan", {"seed": "1", "N": 0}, "seed"),
+    ("scan", {"seed": 1, "N": 0, "pieces": 2.5}, "pieces"),
+    ("gprime", {"seed": 1, "N": 0, "domain": [1]}, "domain_spec"),
+    ("gprime", {"seed": 1, "N": 0, "domain": {"kind": "polydisc", "n": [2]}}, "domain_spec"),
+    ("scan", {"seed": 1, "N": 0, "g": {"family": "starlike_order", "alpha": "x"}}, "g_spec"),
+    ("scan", {"seed": 1, "N": 0, "g": {"family": "strongly_starlike", "alpha": True}},
+     "g_spec"),
+    ("certify", {"seed": 1, "N": 0, "out": 5}, "out"),
+    ("d1-table", {"seed": 1, "alphas": "x"}, "alphas"),
+    ("d1-table", {"seed": 1, "alphas": [0.2, "0.4"]}, "alphas"),
+    ("a0-table", {"seed": 1, "alphas": [0.2, float("nan")]}, "alphas"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_config_file_of_the_wrong_type_is_a_usage_error(command, config, key, tmp_path,
+                                                        monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"experiment": command.replace("-", "_"), **config}))
+    assert cli.main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {key}: ")
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
 
 def test_zero_samples_allowed_where_fixed_maps_are_checked():

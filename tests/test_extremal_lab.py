@@ -350,3 +350,40 @@ def test_scan_flows_the_plus_canonical_map_only(N, flows, monkeypatch):
     value, ode = scored["parametric[h-]"]
     assert ode is None and value.real == report.theoretical_bound
     assert scored["parametric[h+]"][1] is not None
+
+
+def sharp_parametric(g, dom, coord):
+    e = np.eye(dom.n)[coord - 1]
+    return lf.parametric_holmap(lf.autonomous_field(carath.disc_multiple_map(g, e, dom), dom))
+
+
+@pytest.mark.parametrize("g", [df.moebius(), df.strongly_starlike(0.5)], ids=df.describe)
+@pytest.mark.parametrize("dom", [P2, bg.polydisc(3), SP], ids=lambda d: f"{d.kind}-{d.n}")
+def test_swapped_sharp_map_reads_the_mixed_coefficient_of_the_first(g, dom):
+    # the reason verify_gprime_bounds flows g(z_1) z alone: g(z_2) z is it
+    # conjugated by the swap P of z_1 and z_2, so its limit is P f P and its
+    # mixed (1, 2) coefficient is f's mixed (2, 1), exactly and through the flow
+    first, second = sharp_parametric(g, dom, 1), sharp_parametric(g, dom, 2)
+    swapped, own = (2, 1, carath.MIXED), (1, 2, carath.MIXED)
+    ode_first = carath.second_coeff_bundle(first, [(1, 1, carath.PURE), swapped])
+    ode_second = carath.second_coeff_bundle(second, [own])
+    assert abs(ode_first[swapped] - ode_second[own]) <= 1e-13
+    exact_first, _ = el._exact_coeffs(first, [swapped], None)
+    exact_second, _ = el._exact_coeffs(second, [own], None)
+    assert exact_first[swapped] == exact_second[own]
+    assert abs(exact_first[swapped]) == abs(df.g_prime0(g))
+
+
+@pytest.mark.parametrize("dom", [P2, bg.polydisc(3), SP, E2], ids=lambda d: f"{d.kind}-{d.n}")
+def test_gprime_flows_one_sharp_map(dom, monkeypatch):
+    calls, real_map = [], lf.parametric_map
+
+    def parametric_map(*args, **kwargs):
+        calls.append(args[0])
+        return real_map(*args, **kwargs)
+
+    monkeypatch.setattr(lf, "parametric_map", parametric_map)
+    report = el.verify_gprime_bounds(df.moebius(), dom, N=0, rng=np.random.default_rng(3))
+    assert report.passed, report.violations
+    assert len(calls) == 1
+    assert 0.0 < report.canonical_gap <= 1e-9
