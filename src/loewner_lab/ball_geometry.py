@@ -391,8 +391,14 @@ def polydisc_edge_blocks(dom: BallGeometry, rng: np.random.Generator, count: int
 
 
 def from_json(payload: dict) -> BallGeometry:
-    try:
-        n = int(payload["n"])
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"n must be an integer, not {payload['n']!r}") from exc
+    """The ``domain`` entry of an experiment config: ``n`` is an int (not a
+    bool) or an integer string such as "3"."""
+    n = payload["n"]
+    if isinstance(n, str):
+        try:
+            n = int(n)
+        except ValueError:
+            pass
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise DomainError(f"n must be an integer, not {payload['n']!r}")
     return BallGeometry(payload["kind"], n)

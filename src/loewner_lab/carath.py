@@ -586,7 +586,10 @@ class MgCertificate:
     """Outcome of a sampling certification run.
 
     ``worst_margin`` is the smallest signed distance of any supporting value
-    to the boundary of g(U); negative means a violation was observed.
+    w to the boundary of g(U), the one metric of ``df.classify``: w is
+    indeterminate within eps*max(1, |w|) of the boundary and fails past that
+    band outside, so a failed certificate's witness margin lies below
+    -eps*max(1, |w|).  A negative margin inside the band is no violation.
     """
 
     passed: bool
@@ -762,9 +765,9 @@ def certify_Mg(h: HolMap, g: df.DiscFunction, dom: bg.BallGeometry, N: int,
 
     Streams ``certification_blocks``: each block is drawn, evaluated by
     ``h.values`` and certified before the next is drawn, so no step holds
-    the whole point set.  Indeterminate verdicts (values within eps of the
-    boundary in the inverse-map metric) are recorded but do not fail the
-    certificate.
+    the whole point set.  Indeterminate verdicts (values w within Euclidean
+    distance eps*max(1, |w|) of the boundary) are recorded but do not fail
+    the certificate.
     """
     if not h.normalized:
         raise DomainError("certification needs a normalized map")

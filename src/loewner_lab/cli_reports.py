@@ -487,11 +487,11 @@ def main(argv=None) -> int:
     try:
         config = config_from_args(args)
         env = run_experiment(config)
+        out = config.out or f"{config.experiment}_report.json"
+        emit_report(env, out)  # an unwritable --out is a usage error, not a failed bound
     except (UsageError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    out = config.out or f"{config.experiment}_report.json"
-    emit_report(env, out)
     print(f"{env.summary}  [{env.wall_time_s:.2f}s] -> {out}")
     if env.instability:
         return 3

@@ -4,9 +4,10 @@ Four closed-form families are supported: the Moebius map (1-z)/(1+z) onto the
 right half-plane, the starlike-of-order-alpha maps onto discs/half-planes, the
 almost-starlike maps onto shifted half-planes, and the strongly-starlike power
 maps onto sectors.  Each family carries exact formulas for the derivative at
-the origin, the distance ``d1`` from 1 to the image boundary, and membership
-of a point in the image via the inverse map.  The catalog is closed: no other
-g is supported.  Boundary-grid scans refined by zooming around the best grid
+the origin, the distance ``d1`` from 1 to the image boundary, and the signed
+distance from a point to that boundary, the one metric of membership in the
+image (``boundary_margin``, ``classify``).  The catalog is closed: no other g
+is supported.  Boundary-grid scans refined by zooming around the best grid
 points (``d1_grid``, ``a0``) stay as independent numeric cross-checks of the
 closed forms.
 """
@@ -27,10 +28,6 @@ ALMOST_STARLIKE = "almost_starlike"
 STRONGLY_STARLIKE = "strongly_starlike"
 
 FAMILIES = (MOEBIUS, STARLIKE_ORDER, ALMOST_STARLIKE, STRONGLY_STARLIKE)
-
-INSIDE = "inside"
-OUTSIDE = "outside"
-INDETERMINATE = "indeterminate"
 
 #: number of boundary/radial grid points used by the numeric scans
 GRID_SIZE = 4096
@@ -237,42 +234,12 @@ def a0(g: DiscFunction, n_grid: int = GRID_SIZE) -> float:
 
 
 # ---------------------------------------------------------------------------
-# membership of a point in g(U)
+# membership of a point in g(U): the signed distance to its boundary
 
 
-def inverse_radius(g: DiscFunction, w):
-    """|g^{-1}(w)| (array-aware).
-
-    Values below 1 certify membership of w in g(U), values above 1 certify
-    exclusion.  For points far outside a sector image (where the principal
-    power would wrap) a surrogate radius > 2 is returned.
-    """
-    w = np.asarray(w, dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if g.family in (MOEBIUS, STARLIKE_ORDER):
-            r = np.abs((1.0 - w) / (1.0 + _beta(g) * w))
-        elif g.family == ALMOST_STARLIKE:
-            r = np.abs((1.0 - w) / (w + _beta(g)))
-        else:
-            # strongly_starlike: u = w^{1/alpha} = a + ib in real arithmetic; |1 - u| / |1 + u| is
-            # unchanged by u -> 1/conj(u), which keeps the power from overflowing
-            mod, phi = np.abs(w), np.abs(np.angle(w))
-            m = mod ** np.where(mod > 1.0, -1.0 / g.alpha, 1.0 / g.alpha)
-            a, b = m * np.cos(phi / g.alpha), m * np.sin(phi / g.alpha)
-            safe = phi <= min(g.alpha * np.pi, np.pi) * (1.0 + 1e-14)
-            r = np.where(safe, np.hypot(1.0 - a, b) / np.hypot(1.0 + a, b), 2.0 + phi)
-            r = np.where(w == 0, 1.0, r)
-    r = np.where(np.isnan(r), np.inf, r)
-    return r if r.shape else float(r)
-
-
-def boundary_margin(g: DiscFunction, w):
-    """Signed Euclidean distance from w to the boundary of g(U).
-
-    Positive inside the image, negative outside, and -inf at a non-finite
-    w.  Closed forms: half-planes, discs and sectors.
-    """
-    w = np.asarray(w, dtype=complex)
+def _margin(g: DiscFunction, w: np.ndarray) -> np.ndarray:
+    """Signed Euclidean distance from the complex array w to the boundary of
+    g(U): positive inside, negative outside, -inf at a non-finite w."""
     if g.family == MOEBIUS or (g.family == STARLIKE_ORDER and g.alpha == 0.0):
         out = w.real
     elif g.family == STARLIKE_ORDER:
@@ -282,7 +249,16 @@ def boundary_margin(g: DiscFunction, w):
         out = w.real - g.alpha
     else:
         out = _sector_margin(w, g.alpha * np.pi / 2.0)
-    out = np.where(np.isfinite(w), out, -np.inf)
+    return np.where(np.isfinite(w), out, -np.inf)
+
+
+def boundary_margin(g: DiscFunction, w):
+    """Signed Euclidean distance from w to the boundary of g(U).
+
+    Positive inside the image, negative outside, and -inf at a non-finite
+    w.  Closed forms: half-planes, discs and sectors.
+    """
+    out = _margin(g, np.asarray(w, dtype=complex))
     return out if out.shape else float(out)
 
 
@@ -300,24 +276,19 @@ def _sector_margin(w, beta):
 
 
 def classify(g: DiscFunction, w, eps: float):
-    """Vectorized membership verdicts: +1 inside, -1 outside, 0 indeterminate;
-    a non-finite w is outside."""
+    """Vectorized membership verdicts from the signed boundary margin m of
+    each w: +1 inside (m > eps*max(1, |w|)), -1 outside (m < -eps*max(1, |w|))
+    and 0 indeterminate in the band between; a non-finite w is outside."""
     if not 0 < eps < np.inf:
         raise DomainError("eps must be finite and positive")
     w = np.atleast_1d(np.asarray(w, dtype=complex))
-    scale = np.maximum(1.0, np.abs(w))
+    band = eps * np.maximum(1.0, np.abs(w))
+    m = _margin(g, w)
     out = np.zeros(w.shape, dtype=np.int8)
-    r = np.asarray(inverse_radius(g, w))
-    out[r < 1.0 - eps * scale] = 1
-    out[r > 1.0 + eps * scale] = -1
+    out[m > band] = 1
+    out[m < -band] = -1
     out[~np.isfinite(w)] = -1
     return out
-
-
-def contains(g: DiscFunction, w: complex, eps: float) -> str:
-    """Decide w in g(U): 'inside', 'outside' or 'indeterminate'."""
-    code = classify(g, w, eps)[0]
-    return {1: INSIDE, -1: OUTSIDE, 0: INDETERMINATE}[int(code)]
 
 
 # ---------------------------------------------------------------------------

@@ -346,6 +346,20 @@ def test_cli_bad_number_in_a_fresh_process(tmp_path):
     assert not (tmp_path / "certify_report.json").exists()
 
 
+def test_cli_unwritable_out_is_a_usage_error(tmp_path):
+    # exit 1 reads as a failed certificate: a report that cannot be written
+    # is a usage error, with no traceback
+    out = tmp_path / "missing" / "x.json"
+    proc = subprocess.run([sys.executable, "-m", "loewner_lab", "certify", "--seed", "1",
+                           "--n", "10", "--out", str(out)],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120,
+                          env={"PYTHONPATH": str(SRC), "LOEWNER_LAB_THREADS": "1"})
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stderr.startswith("usage error: ")
+    assert "Traceback" not in proc.stderr
+    assert not out.parent.exists()
+
+
 @pytest.mark.parametrize("command,config,key", [
     ("scan", {"seed": 1, "N": "5"}, "N"),
     ("scan", {"seed": 1, "g": "moebius"}, "g_spec"),
@@ -355,6 +369,10 @@ def test_cli_bad_number_in_a_fresh_process(tmp_path):
     ("scan", {"seed": 1, "N": 0, "pieces": 2.5}, "pieces"),
     ("gprime", {"seed": 1, "N": 0, "domain": [1]}, "domain_spec"),
     ("gprime", {"seed": 1, "N": 0, "domain": {"kind": "polydisc", "n": [2]}}, "domain_spec"),
+    # a float or bool n used to run on int(n): polydisc(2) with "n": 2.5 in
+    # the report, and E1 for "n": true
+    ("certify", {"seed": 1, "N": 10, "domain": {"kind": "polydisc", "n": 2.5}}, "domain_spec"),
+    ("gprime", {"seed": 1, "N": 0, "domain": {"kind": "euclidean", "n": True}}, "domain_spec"),
     ("scan", {"seed": 1, "N": 0, "g": {"family": "starlike_order", "alpha": "x"}}, "g_spec"),
     ("scan", {"seed": 1, "N": 0, "g": {"family": "strongly_starlike", "alpha": True}},
      "g_spec"),

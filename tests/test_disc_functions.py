@@ -207,14 +207,14 @@ def test_starlike_order_zero_coincides_with_moebius():
 
 def test_contains_center():
     for g in catalog_members():
-        assert df.contains(g, 1.0, 1e-9) == df.INSIDE
+        assert df.classify(g, 1.0, 1e-9).tolist() == [1]
 
 
 def test_contains_examples():
-    assert df.contains(df.moebius(), -0.1, 1e-9) == df.OUTSIDE
+    assert df.classify(df.moebius(), -0.1, 1e-9).tolist() == [-1]
     # image of starlike 3/4 is the disc with center 2/3 and radius 2/3
-    assert df.contains(df.starlike_order(0.75), 1.5, 1e-9) == df.OUTSIDE
-    assert df.contains(df.starlike_order(0.75), 4.0 / 3.0 - 1e-12, 1e-9) == df.INDETERMINATE
+    assert df.classify(df.starlike_order(0.75), 1.5, 1e-9).tolist() == [-1]
+    assert df.classify(df.starlike_order(0.75), 4.0 / 3.0 - 1e-12, 1e-9).tolist() == [0]
 
 
 def test_contains_image_points():
@@ -230,14 +230,14 @@ def test_contains_image_points():
 @pytest.mark.parametrize("g", [df.moebius(), df.starlike_order(0.3), df.starlike_order(0.75),
                                df.almost_starlike(0.4), df.strongly_starlike(0.5)],
                          ids=df.describe)
-def test_inverse_radius_inverts_g_on_both_sides_of_the_circle(g):
-    # membership is exact: |g^{-1}(g(z))| = |z| inside the disc and past it,
-    # so a point reads inside or outside as z lies inside or outside
+def test_classify_reads_the_forward_map_on_both_sides_of_the_circle(g):
+    # an oracle free of the margin formulas: g maps the disc onto g(U) and
+    # the rest of the plane off it, so w = g(z) reads inside or outside as z
+    # lies inside or outside the unit circle
     rng = np.random.default_rng(13)
     z = rng.uniform(0.0, 3.0, 400) * np.exp(2j * np.pi * rng.random(400))
     z = z[np.abs(np.abs(z) - 1.0) > 1e-3]
     w = df._eval_raw(g, z)
-    assert np.allclose(df.inverse_radius(g, w), np.abs(z), rtol=1e-12, atol=0.0)
     assert np.array_equal(df.classify(g, w, 1e-9), np.where(np.abs(z) < 1.0, 1, -1))
 
 
@@ -263,8 +263,8 @@ def test_non_finite_values_are_outside_with_margin_minus_inf(g):
 
 
 def test_non_finite_scalars_are_outside():
-    assert df.contains(df.moebius(), math.nan, 1e-9) == df.OUTSIDE
-    assert df.contains(df.strongly_starlike(0.5), math.inf, 1e-9) == df.OUTSIDE
+    assert df.classify(df.moebius(), math.nan, 1e-9).tolist() == [-1]
+    assert df.classify(df.strongly_starlike(0.5), math.inf, 1e-9).tolist() == [-1]
     assert df.boundary_margin(df.moebius(), math.inf) == -math.inf
 
 
@@ -308,12 +308,40 @@ def test_membership_property_moebius(r, phi):
     assert w.real > 0
 
 
+def test_classify_band_is_euclidean():
+    # where the preimage modulus and the distance to the sector's edge
+    # disagree: 34.64 - 17.69j lies 0.036 outside the sector of strongly
+    # starlike 0.3 and 0.00109 + 0.00004j lies 4.6e-4 inside it, yet
+    # |g^{-1}(w)| is within 4e-8 of 1 at both, so they read indeterminate
+    # in a band of width 1e-9 * max(1, |w|) around modulus 1
+    g = df.strongly_starlike(0.3)
+    w = np.array([34.64 - 17.69j, 0.00109 + 0.00004j])
+    assert df.boundary_margin(g, w) == pytest.approx([-0.0357, 4.59e-4], rel=0.01)
+    assert df.classify(g, w, 1e-9).tolist() == [-1, 1]
+
+
+def boundary_point_and_normal(g):
+    """A point of the boundary of g(U) and the outward unit normal there."""
+    if g.family == df.ALMOST_STARLIKE:
+        return complex(g.alpha, 1.0), -1.0  # the line Re w = alpha
+    return 0.0j, -1.0  # the half-planes, discs and sectors all touch 0 from the right
+
+
+@pytest.mark.parametrize("g", catalog_members(), ids=df.describe)
+def test_a_value_just_outside_the_boundary_is_indeterminate(g):
+    point, normal = boundary_point_and_normal(g)
+    w = point + 1e-16 * normal
+    assert df.classify(g, w, 1e-9).tolist() == [0]
+    assert df.classify(g, point - 1e-6 * normal, 1e-9).tolist() == [1]
+    assert df.classify(g, point + 1e-6 * normal, 1e-9).tolist() == [-1]
+
+
 SECTOR_ALPHAS = (0.3, 0.5, 0.77, 1.0)
 
 
 def old_sector_radius(alpha, w):
-    """The sector inverse through the complex log and exp, as the catalog
-    computed it before the real-arithmetic form: the oracle for the codes."""
+    """The sector inverse |g^{-1}(w)| through the complex log and exp: the
+    oracle for the codes, independent of the margin formulas."""
     w = np.asarray(w, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         phi = np.abs(np.angle(w))
@@ -331,35 +359,42 @@ def exact_sector_radius(alpha, w):
         return float(abs(1 - u) / abs(1 + u))
 
 
+def assert_codes_follow_the_radius(alpha, w, radius):
+    """Wherever the preimage modulus is farther than 1e-6 from 1, the code
+    is decided and says what the modulus says."""
+    codes = df.classify(df.strongly_starlike(alpha), w, 1e-9)
+    decided = np.abs(radius - 1.0) > 1e-6
+    assert decided.sum() >= len(w) // 2
+    assert np.array_equal(codes[decided], np.where(radius[decided] < 1.0, 1, -1))
+
+
 @pytest.mark.parametrize("alpha", SECTOR_ALPHAS)
-def test_sector_inverse_radius_against_a_50_digit_reference(alpha):
+def test_sector_codes_against_a_50_digit_reference(alpha):
     # random points of the sector, both sides of its edge |arg w| = alpha pi/2,
     # and moduli down to 1e-300 and up to 1e300 (where w^(1/alpha) overflows)
     rng = np.random.default_rng(61)
     edge = alpha * np.pi / 2.0
-    w = np.exp(rng.uniform(-4.0, 4.0, 200) + 1j * rng.uniform(-edge, edge, 200))
+    w = np.exp(rng.uniform(-4.0, 4.0, 200) + 1j * rng.uniform(-1.5 * edge, 1.5 * edge, 200))
     mod = np.exp(rng.uniform(-3.0, 3.0, 16))
     at_edge = np.concatenate([mod * np.exp(1j * s * (edge + d))
                               for s in (1, -1) for d in (1e-12, -1e-12)])
     tiny_huge = np.array([1e-300, 1e300]) * np.exp(0.7j * edge)
     w = np.concatenate([w, at_edge, tiny_huge, [1e-300, 1e300]])
     exact = np.array([exact_sector_radius(alpha, x) for x in w])
-    assert np.max(np.abs(df.inverse_radius(df.strongly_starlike(alpha), w) - exact) / exact) <= 1e-14
+    assert_codes_follow_the_radius(alpha, w, exact)
+    # a point at the edge is indeterminate whatever side it lies on
+    assert np.all(df.classify(df.strongly_starlike(alpha), at_edge, 1e-9) == 0)
 
 
 @pytest.mark.parametrize("alpha", SECTOR_ALPHAS)
-def test_sector_inverse_radius_at_zero_and_on_the_negative_axis(alpha):
+def test_sector_codes_at_zero_and_on_the_negative_axis(alpha):
     g = df.strongly_starlike(alpha)
-    assert df.inverse_radius(g, 0.0) == 1.0
+    assert df.classify(g, 0.0, 1e-9).tolist() == [0]  # the vertex is on the boundary
     negative = -np.array([1e-3, 0.5, 2.0, 1e3])
-    r = df.inverse_radius(g, negative)
     codes = df.classify(g, negative, 1e-9)
-    if alpha < 1.0:
-        # outside the sector: the surrogate radius 2 + pi
-        assert np.all(r == 2.0 + np.pi) and np.all(codes == -1)
-    else:
-        # the right half-plane: the preimage of -x is (1 + x) / (1 - x)
-        assert np.allclose(r, np.abs((1.0 - negative) / (1.0 + negative)), rtol=1e-14, atol=0)
+    # outside the sector; on the right half-plane (alpha = 1) too, since the
+    # preimage of -x is (1 + x) / (1 - x), of modulus above 1
+    assert np.all(codes == -1)
     # the lower side of the cut (imaginary part -0.0) gets the same verdicts
     assert np.array_equal(codes, df.classify(g, np.conj(negative + 0j), 1e-9))
 
@@ -369,10 +404,7 @@ def test_sector_codes_match_the_complex_log_formula(alpha):
     rng = np.random.default_rng(67)
     w = (rng.standard_normal(100_000) + 1j * rng.standard_normal(100_000)) * np.exp(
         rng.uniform(-3.0, 3.0, 100_000))
-    scale, eps = np.maximum(1.0, np.abs(w)), 1e-9
-    old = old_sector_radius(alpha, w)
-    expect = np.where(old < 1.0 - eps * scale, 1, np.where(old > 1.0 + eps * scale, -1, 0))
-    assert np.array_equal(df.classify(df.strongly_starlike(alpha), w, eps), expect)
+    assert_codes_follow_the_radius(alpha, w, old_sector_radius(alpha, w))
 
 
 @settings(max_examples=120, deadline=None)
