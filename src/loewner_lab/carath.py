@@ -11,7 +11,9 @@ by degree, so one evaluation is a few array operations however many terms
 the map has.  ``identity_map`` and ``disc_multiple_map`` build the forms of
 the building blocks, and ``convex_combination`` sums forms part by part.  A
 polynomial table is evaluated through the form it lowers to.  The exact
-degree-2 part of a form is read off its arrays (``FlatForm.quadratic``).
+degree-2 part of a form is read off its arrays (``FlatForm.quadratic``), and
+the remainder h - id that the flow integrates is derived from it without
+cancellation (``remainder_map``).
 
 ``second_coeff`` extracts the second-order Taylor data at the origin through
 Cauchy integrals discretized as 64-point DFTs on circles (a mixed coefficient
@@ -115,12 +117,18 @@ class FlatForm:
     ``monomials`` holds the terms of degree != 1, one group per degree d:
     (idx (T, d) variable indices, coef (T,), comp (T,) output components).
     Absent parts are skipped; every temporary is O(m * (n + T)).
+    A ``shifted`` form evaluates its disc blocks with g - 1 in place of g
+    (``remainder_map``).
     """
 
     w0: Optional[complex]
     lin: Optional[np.ndarray]
     disc: Tuple[Tuple[df.DiscFunction, np.ndarray, np.ndarray], ...]
     monomials: Tuple[Tuple[np.ndarray, np.ndarray, Tuple[int, ...]], ...]
+    shifted: bool = False
+
+    def _disc_factor(self, g: df.DiscFunction, lz: np.ndarray) -> np.ndarray:
+        return df.minus_one(g, lz) if self.shifted else df._eval_raw(g, lz)
 
     def values(self, Z: np.ndarray) -> np.ndarray:
         out = None
@@ -129,7 +137,7 @@ class FlatForm:
         elif self.lin is not None:
             out = Z @ self.lin.T
         for g, lmat, w in self.disc:
-            out = _add(out, (df._eval_raw(g, Z @ lmat.T) @ w)[:, None] * Z)
+            out = _add(out, (self._disc_factor(g, Z @ lmat.T) @ w)[:, None] * Z)
         for idx, coef, comp in self.monomials:
             terms = _products(Z, idx) * coef
             if out is None:
@@ -149,7 +157,7 @@ class FlatForm:
         for g, lmat, w in self.disc:
             lz = Z @ lmat.T
             gp = df.derivative(g, lz.ravel()).reshape(lz.shape)
-            J += (df._eval_raw(g, lz) @ w)[:, None, None] * np.eye(n)
+            J += (self._disc_factor(g, lz) @ w)[:, None, None] * np.eye(n)
             J += Z[:, :, None] * ((gp * w) @ lmat)[:, None, :]
         flat = J.reshape(m, n * n)
         for idx, coef, comp in self.monomials:
@@ -349,6 +357,22 @@ def disc_multiple_map(g: df.DiscFunction, coeffs, dom: bg.BallGeometry) -> Compo
     block = (g, np.array([coeffs], dtype=complex), np.ones(1, dtype=complex))
     return CompositeMap(FlatForm(None, None, (block,), ()), dom, normalized=True,
                         label=f"{df.describe(g)}(l(z))*z")
+
+
+def remainder_map(h: HolMap) -> HolMap:
+    """x -> h(x) - x for a normalized generator h.  A form whose linear part
+    (with each disc block's g(0) = 1) is the identity within 1e-12 drops it and
+    evaluates its disc blocks as g - 1, so the result is O(|x|^2) down to the
+    smallest x; any other map is evaluated as h(x) - x."""
+    label = f"{h.describe()} - id"
+    if isinstance(h, (PolynomialMap, CompositeMap)):
+        form, eye = h.form, np.eye(h.domain.n)
+        lin = form.lin if form.lin is not None else (form.w0 or 0.0) * eye
+        lin = lin + sum(w.sum() for _, _, w in form.disc) * eye
+        if np.max(np.abs(lin - eye)) <= 1e-12:
+            return CompositeMap(FlatForm(None, None, form.disc, form.monomials, shifted=True),
+                                h.domain, label=label)
+    return BlackBoxMap(lambda Z: h.values(Z) - Z, h.domain, label=label)
 
 
 def convex_combination(maps: Sequence[HolMap], weights: Sequence[float]) -> CompositeMap:
@@ -590,6 +614,10 @@ class MgCertificate:
     indeterminate within eps*max(1, |w|) of the boundary and fails past that
     band outside, so a failed certificate's witness margin lies below
     -eps*max(1, |w|).  A negative margin inside the band is no violation.
+    ``n_indeterminate`` counts support values, one per extreme functional
+    of a point (``bg.support_values``), while ``samples_used`` counts
+    points: where several coordinates attain the norm, as on the polydisc
+    tori, one point gives several values.
     """
 
     passed: bool

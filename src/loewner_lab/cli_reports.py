@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -272,7 +273,7 @@ def _run_flow_check(config, g, dom, rng):
     semigroup = float(np.max(np.abs(
         lf.flow(schedule, mid, 1.0, 3.0).endpoint - lf.flow(schedule, Z, 0.0, 3.0).endpoint)))
     Zs = Z * (0.7 / np.maximum(np.asarray(bg.norm(dom, Z)), 1e-12))[:, None] * 0.999
-    limit = lf.parametric_map(schedule, Zs, tol=1e-8).endpoint
+    limit = lf.parametric_map(schedule, Zs).endpoint
     expect = Zs.copy()
     expect[:, ii] -= c * Zs[:, jj] ** 2
     worst_param = float(np.max(np.abs(limit - expect)))
@@ -486,9 +487,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = config_from_args(args)
-        env = run_experiment(config)
         out = config.out or f"{config.experiment}_report.json"
-        emit_report(env, out)  # an unwritable --out is a usage error, not a failed bound
+        # an unwritable --out is a usage error, not a failed bound, and a
+        # missing directory is found before the run (validate() refuses a non-str)
+        if isinstance(out, str) and not os.access(Path(out).parent, os.W_OK):
+            raise UsageError(f"out: cannot write into {str(Path(out).parent)!r}")
+        env = run_experiment(config)
+        emit_report(env, out)
     except (UsageError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -106,6 +106,20 @@ def _eval_raw(g: DiscFunction, zeta):
         return np.exp(g.alpha * np.log(w))
 
 
+def minus_one(g: DiscFunction, zeta):
+    """g(zeta) - 1 in closed forms without cancellation as zeta -> 0; strongly
+    starlike uses (1-z)/(1+z) = e^{-2 artanh z}, since numpy's complex log1p
+    loses the real part of tiny arguments."""
+    z = np.asarray(zeta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if g.family in (MOEBIUS, STARLIKE_ORDER):
+            beta = _beta(g)
+            return -(1.0 + beta) * z / (1.0 + beta * z)
+        if g.family == ALMOST_STARLIKE:
+            return -(1.0 + _beta(g)) * z / (1.0 + z)
+        return np.expm1(-2.0 * g.alpha * np.arctanh(z))
+
+
 def evaluate(g: DiscFunction, zeta):
     """Value of g at a point (or array of points) of the open unit disc."""
     z = np.asarray(zeta, dtype=complex)
@@ -196,24 +210,9 @@ def d1_grid(g: DiscFunction, n_grid: int = GRID_SIZE) -> float:
                          periodic=True)
 
 
-def _radial_gaps(g: DiscFunction, rho):
-    """1 - g(rho) and g(-rho) - 1, in closed forms without cancellation (both
-    tend to 0 with rho)."""
-    if g.family in (MOEBIUS, STARLIKE_ORDER):
-        beta = _beta(g)
-        return (1.0 + beta) * rho / (1.0 + beta * rho), (1.0 + beta) * rho / (1.0 - beta * rho)
-    if g.family == ALMOST_STARLIKE:
-        beta = _beta(g)
-        return (1.0 + beta) * rho / (1.0 + rho), (1.0 + beta) * rho / (1.0 - rho)
-    log_ratio = np.log1p(-rho) - np.log1p(rho)
-    return -np.expm1(g.alpha * log_ratio), np.expm1(-g.alpha * log_ratio)
-
-
 def _a0_objective(g: DiscFunction, rho):
     rho = np.asarray(rho, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        right, left = _radial_gaps(g, rho)
-    return np.minimum(np.abs(right), np.abs(left)) / rho
+    return np.minimum(np.abs(minus_one(g, rho)), np.abs(minus_one(g, -rho))) / rho
 
 
 def a0(g: DiscFunction, n_grid: int = GRID_SIZE) -> float:

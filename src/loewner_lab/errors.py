@@ -19,8 +19,7 @@ class NumericalInstabilityError(LoewnerLabError, FloatingPointError):
 
 class FlowInstabilityError(NumericalInstabilityError):
     """The flow integrator failed: the trajectory left the ball or stopped
-    contracting, the step size underflowed, or a parametric limit did not
-    converge within its horizon."""
+    contracting, or the step size underflowed."""
 
 
 class DegenerateFunctionalError(LoewnerLabError):

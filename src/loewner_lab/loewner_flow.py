@@ -6,12 +6,13 @@ then trivial, breakpoints integrate exactly (they are forced step
 boundaries), and convex combinations inside each segment already give a rich
 sampling family.  The integrator is the embedded Dormand-Prince 8(5,3) pair
 (DOP853), controlled at a relative tolerance, with the step size carried
-across breakpoints and across the checkpoints of a parametric limit.  It
-integrates u = e^{tau - t0} v from each segment start t0, with
-du/dtau = u - e^{tau - t0} h(e^{t0 - tau} u) (an integrating factor, Lawson
-1967): for a normalized h the linear part cancels exactly, the right-hand
-side decays like e^{-tau}|u|^2, and the steps grow in the tail instead of
-following the decay of v.
+across breakpoints.  A flow on [s, t] runs in compactified time
+d = e^{-(tau - s)}, from 1 down to e^{-(t - s)}, on w = e^{tau - s} v:
+dw/dd = R(d w)/d^2 with R = h - id, evaluated as (R(d w)/d)/d so that d^2
+never underflows.  For a normalized h, R(x) = O(|x|^2) (``carath.remainder_map``,
+free of cancellation), so the right-hand side stays bounded down to d = 0 and
+the parametric limit lim e^t v is the endpoint of one flow over a finite
+d-interval.
 """
 
 from __future__ import annotations
@@ -30,15 +31,15 @@ from .errors import DomainError, FlowInstabilityError, UnsupportedError
 
 _NORM_GROWTH_TOL = 1e-9
 _MIN_STEP = 1e-12
-#: longest segment ``flow`` integrates in one piece: the factor e^{-s} of
-#: u = e^s v must stay a normal double (it underflows past s ~ 708)
+#: longest span [s, t] ``flow`` integrates in one call: d = e^{-(t - s)} must
+#: stay a normal double (it underflows past t - s ~ 708)
 MAX_SEGMENT = 700.0
 #: length of each ``make_field`` segment
 SEGMENT_DT = 0.5
-#: step size the first attempt of a flow tries unless the caller carries one
+#: step in d the first attempt of a flow tries
 FIRST_STEP = 0.1
-#: ``parametric_map`` compares e^t v at every CHECKPOINT up to HORIZON
-CHECKPOINT = 5.0
+#: ``parametric_map`` scales the flow to t = HORIZON by e^HORIZON; the tail
+#: beyond it is O(e^-HORIZON) = 4e-18 relative
 HORIZON = 40.0
 
 #: Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner, Solving ODEs I, sec.
@@ -112,27 +113,11 @@ def make_field(maps: Sequence[carath.HolMap], dom: bg.BallGeometry) -> HerglotzF
 
 @dataclass
 class FlowResult:
-    """Endpoint of a flow or parametric limit.
-
-    ``flow`` always returns ``converged=True`` and raises
-    ``FlowInstabilityError`` instead of failing; ``parametric_map`` returns
-    ``converged=False`` when its horizon runs out.  ``next_step`` is the step
-    size the integrator would try next.
-    """
+    """Endpoint of a flow or parametric limit, and the time it reached."""
 
     endpoint: np.ndarray
     trajectory: Optional[List[Tuple[float, np.ndarray]]]
     horizon_used: float
-    converged: bool
-    next_step: float
-
-
-def _rhs(h_map: carath.HolMap, s: float, u: np.ndarray) -> np.ndarray:
-    """du/ds = (x - h(x)) / e^{-s} at x = e^{-s} u, for u = e^s v; rows of
-    h = id give exactly 0."""
-    decay = math.exp(-s)
-    x = decay * u
-    return (x - h_map.values(x)) / decay
 
 
 def _stage_sum(a: np.ndarray, K: np.ndarray, shape) -> np.ndarray:
@@ -141,128 +126,104 @@ def _stage_sum(a: np.ndarray, K: np.ndarray, shape) -> np.ndarray:
     return (a @ K[:a.shape[-1]].view(float)).view(complex).reshape(shape)
 
 
-def _integrate_segment(h_map, dom, y, t0, t1, tol, record, trajectory, step):
-    """Flow y from t0 to t1 under one generator, in u = e^{tau - t0} v,
-    trying ``step`` first; returns v(t1) and the controller's next step."""
-    s, u = 0.0, y
-    if not u.size:
-        return u, step
-    norms_prev = np.asarray(bg.norm(dom, y))
-    K = np.empty((12, u.size), dtype=complex)
+def _integrate_segment(rem, dom, w, d0, d1, tol, step, trajectory):
+    """Flow w from d = d0 down to d1 under dw/dd = (R(d w)/d)/d, R = ``rem``,
+    trying ``step`` first; returns w(d1) and the controller's next step.
+
+    The remaining distance r = d - d1 is tracked instead of d, so the last
+    stage lands on d1 exactly (d1 may sit far below the rounding of d0).
+    ``trajectory``, unless None, gets (d, v = d w) at every accepted step.
+    """
+    if not w.size:
+        return w, step
+    r = d0 - d1
+    norms_prev = np.asarray(bg.norm(dom, d0 * w))
+    K = np.empty((12, w.size), dtype=complex)
     need_first = True
-    while s < t1 - t0 - 1e-14:
-        ds = min(step, t1 - t0 - s)
+    # K holds dw/d(-d), the stages of a flow in the increasing variable d0 - d
+    while r > 0.0:
+        ds = min(step, r)
         # an accepted step ends at the next step's first stage, and a
         # rejected attempt keeps its own
         if need_first:
-            K[0] = _rhs(h_map, s, u).ravel()
+            d = d1 + r
+            K[0] = -(rem.values(d * w) / d / d).ravel()
             need_first = False
         for i in range(1, 12):
-            K[i] = _rhs(h_map, s + _DOP_C[i] * ds,
-                        u + ds * _stage_sum(_DOP_A[i], K, u.shape)).ravel()
-        # per-row relative error: |u| = e^s |v|, so this is the relative
-        # error of v, which contracts to 0; DOP853 damps the 5th-order
-        # estimate by the 3rd-order one, e5^2 / sqrt(e5^2 + 0.01 e3^2)
-        row_scale = np.maximum(np.max(np.abs(u), axis=-1), 1e-30)
-        e5, e3 = np.max(np.abs(_stage_sum(_DOP_E, K, (2, *u.shape))), axis=-1) / row_scale
+            d = d1 + (r - _DOP_C[i] * ds)
+            x = d * (w + ds * _stage_sum(_DOP_A[i], K, w.shape))
+            K[i] = -(rem.values(x) / d / d).ravel()
+        # per-row relative error of w (so of v = d w); DOP853 damps the
+        # 5th-order estimate by the 3rd-order one, e5^2 / sqrt(e5^2 + 0.01 e3^2)
+        row_scale = np.maximum(np.max(np.abs(w), axis=-1), 1e-30)
+        e5, e3 = np.max(np.abs(_stage_sum(_DOP_E, K, (2, *w.shape))), axis=-1) / row_scale
         denom = np.sqrt(e5 * e5 + 0.01 * e3 * e3)
         rel = ds * float(np.max(np.divide(e5 * e5, denom, out=np.zeros_like(e5),
                                           where=denom > 0)))
         if rel <= tol:
-            u = u + ds * _stage_sum(_DOP_B, K, u.shape)
+            w = w + ds * _stage_sum(_DOP_B, K, w.shape)
             need_first = True
-            s += ds
-            v = math.exp(-s) * u
-            norms = np.asarray(bg.norm(dom, v))
+            r = r - ds
+            d = d1 + r
+            norms = np.asarray(bg.norm(dom, d * w))
             if np.any(norms > norms_prev + _NORM_GROWTH_TOL) or np.any(norms >= 1.0):
                 raise FlowInstabilityError(
                     "trajectory norm increased beyond tolerance (ball exit)"
                 )
             norms_prev = norms
-            if record:
-                trajectory.append((t0 + s, v))
+            if trajectory is not None:
+                trajectory.append((d, d * w))
         factor = 0.9 * (tol / max(rel, 1e-300)) ** 0.125
         step = ds * min(5.0, max(0.2, factor))
         if step < _MIN_STEP:
             raise FlowInstabilityError("step size underflow in the flow integrator")
-    return math.exp(t0 - t1) * u, step
+    return w, step
 
 
 def flow(field: HerglotzField, z, s: float, t: float, tol: float = 1e-10,
-         record_trajectory: bool = False, first_step: float = FIRST_STEP) -> FlowResult:
+         record_trajectory: bool = False) -> FlowResult:
     """Solution v(z, s, t) of dv/dtau = -h(v, tau), v(z, s, s) = z.
 
     Adaptive Dormand-Prince 8(5,3) at relative tolerance ``tol``, applied to
-    u = e^{tau - t0} v on each segment [t0, t1] (so the linear part of h is
-    exact); schedule breakpoints are forced step boundaries.  The first
-    attempt tries ``first_step``; the result's ``next_step`` is the
-    controller's proposal after the last accepted step, which a continued
-    flow passes back in.  A recorded trajectory holds v at every accepted
-    step.  The trajectory must stay in the open ball with nonincreasing norm
-    (up to 1e-9 per step), else the integrator aborts with
-    ``FlowInstabilityError``, as it does on step-size underflow; the result
-    is never ``converged=False``.  A segment (a piece of [s, t] between
-    breakpoints) longer than MAX_SEGMENT raises ``DomainError`` before any
-    step.  An empty (0, n) batch returns at once, ``next_step = first_step``.
+    w = e^{tau - s} v in d = e^{-(tau - s)} (module docstring); schedule
+    breakpoints are forced step boundaries, and the step size goes on across
+    them.  A recorded trajectory holds v at every accepted step.  The
+    trajectory must stay in the open ball with nonincreasing norm (up to
+    1e-9 per step), else the integrator aborts with ``FlowInstabilityError``,
+    as it does on step-size underflow.  A span t - s longer than MAX_SEGMENT
+    raises ``DomainError`` before any step.  An empty (0, n) batch returns
+    at once.
     """
     if t < s or s < 0.0:
         raise DomainError("flow needs 0 <= s <= t")
     z = np.asarray(z, dtype=complex)
     single = z.ndim == 1
-    y = z[None, :].copy() if single else z.copy()
-    if np.any(np.asarray(bg.norm(field.domain, y)) >= 1.0):
+    w = z[None, :].copy() if single else z.copy()
+    if np.any(np.asarray(bg.norm(field.domain, w)) >= 1.0):
         raise DomainError("initial point outside the open unit ball")
+    if t - s > MAX_SEGMENT:
+        raise DomainError(f"flow span of length {t - s:g} exceeds the limit {MAX_SEGMENT:g} "
+                          "(e^-(t-s) must stay a normal double); flow in shorter calls")
 
-    cuts = [tau for tau in field.times if s < tau < t]
-    bounds = [s, *cuts, t]
-    longest = max(b - a for a, b in zip(bounds, bounds[1:]))
-    if longest > MAX_SEGMENT:
-        raise DomainError(f"flow segment of length {longest:g} exceeds the limit "
-                          f"{MAX_SEGMENT:g} (e^-s must stay a normal double); flow in shorter calls")
-    trajectory: List[Tuple[float, np.ndarray]] = [(s, y.copy())] if record_trajectory else []
-    step = first_step
-    for a, b in zip(bounds, bounds[1:]):
-        h_map = field.maps[field.segment(a)]
-        y, step = _integrate_segment(h_map, field.domain, y, a, b, tol,
-                                     record_trajectory, trajectory, step)
-    endpoint = y[0] if single else y
-    return FlowResult(endpoint, trajectory or None, t, True, step)
-
-
-def parametric_map(field: HerglotzField, z, tol: float = 1e-8,
-                   ode_tol: float = 1e-10) -> FlowResult:
-    """Limit e^t v(z, 0, t) of the flow, evaluated at checkpoints t = 5, 10, ...
-    (multiples of CHECKPOINT).
-
-    Each checkpoint flow starts from the step size the previous one ended
-    with.  Convergence is declared when successive checkpoint values differ
-    by less than ``tol``; the horizon caps at HORIZON = 40 and a miss returns
-    converged=False with the best estimate; an empty (0, n) batch converges at 0.
-    """
-    z = np.asarray(z, dtype=complex)
-    single = z.ndim == 1
-    y = z[None, :].copy() if single else z.copy()
-    if np.any(np.asarray(bg.norm(field.domain, y)) >= 1.0):
-        raise DomainError("initial point outside the open unit ball")
-    if not y.size:
-        return FlowResult(y, None, 0.0, True, FIRST_STEP)
-    prev = None
-    est = y
-    t_cur = 0.0
+    bounds = [s, *(tau for tau in field.times if s < tau < t), t]
+    marks = [(1.0, w.copy())] if record_trajectory else None
     step = FIRST_STEP
-    converged = False
-    while t_cur < HORIZON - 1e-12:
-        t_next = min(t_cur + CHECKPOINT, HORIZON)
-        res = flow(field, y, t_cur, t_next, tol=ode_tol, first_step=step)
-        y, step = res.endpoint, res.next_step
-        t_cur = t_next
-        est = math.exp(t_cur) * y
-        if prev is not None and float(np.max(np.abs(est - prev))) < tol:
-            converged = True
-            break
-        prev = est
-    endpoint = est[0] if single else est
-    return FlowResult(endpoint, None, t_cur, converged, step)
+    for a, b in zip(bounds, bounds[1:]):
+        rem = carath.remainder_map(field.maps[field.segment(a)])
+        w, step = _integrate_segment(rem, field.domain, w, math.exp(s - a), math.exp(s - b),
+                                     tol, step, marks)
+    v = math.exp(s - t) * w
+    trajectory = [(s - math.log(d), vd) for d, vd in marks] if record_trajectory else None
+    return FlowResult(v[0] if single else v, trajectory, t)
+
+
+def parametric_map(field: HerglotzField, z, ode_tol: float = 1e-10) -> FlowResult:
+    """Limit e^t v(z, 0, t) of the flow: one ``flow`` to HORIZON, scaled by
+    e^HORIZON.  In d = e^{-t} the limit is the endpoint at d = 0 of a flow
+    whose right-hand side is bounded, and stopping at d = e^-HORIZON instead
+    moves it by O(e^-HORIZON |z|^2), below rounding."""
+    res = flow(field, z, 0.0, HORIZON, tol=ode_tol)
+    return FlowResult(math.exp(HORIZON) * res.endpoint, None, HORIZON)
 
 
 def parametric_quadratic(field: HerglotzField) -> np.ndarray:
@@ -287,25 +248,14 @@ def parametric_quadratic(field: HerglotzField) -> np.ndarray:
     return Q
 
 
-def parametric_holmap(field: HerglotzField, tol: float = 1e-8, ode_tol: float = 1e-10,
+def parametric_holmap(field: HerglotzField, ode_tol: float = 1e-10,
                       label: str = "") -> carath.BlackBoxMap:
     """The parametric-limit map as a black-box HolMap (normalized by
-    construction); evaluation raises ``FlowInstabilityError`` on a
-    non-converged limit."""
-
-    def fn(Z):
-        Z = np.asarray(Z, dtype=complex)
-        out = np.empty_like(Z)
-        nonzero = np.any(Z != 0, axis=1)
-        out[~nonzero] = 0.0
-        if np.any(nonzero):
-            res = parametric_map(field, Z[nonzero], tol=tol, ode_tol=ode_tol)
-            if not res.converged:
-                raise FlowInstabilityError("parametric limit did not converge")
-            out[nonzero] = res.endpoint
-        return out
-
-    return carath.BlackBoxMap(fn, field.domain, normalized=True,
+    construction: the remainder vanishes at 0, so the origin flows to 0
+    exactly); evaluation raises ``FlowInstabilityError`` when the flow
+    fails."""
+    return carath.BlackBoxMap(lambda Z: parametric_map(field, Z, ode_tol=ode_tol).endpoint,
+                              field.domain, normalized=True,
                               label=label or "parametric_limit", provenance=field)
 
 

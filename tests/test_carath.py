@@ -823,6 +823,38 @@ def test_lowered_jacobians_match_black_box_differences(dom, g):
         assert np.allclose(f.jacobian_batch(Z), boxed.jacobian_batch(Z), atol=1e-8), f.describe()
 
 
+@pytest.mark.parametrize("dom,g", LOWERING_CASES, ids=LOWERING_IDS)
+def test_remainder_of_a_form_is_h_minus_id_without_cancellation(dom, g):
+    rng = np.random.default_rng(33)
+    Z = np.stack([bg.sample_sphere(dom, rng) * rng.uniform(0.05, 0.7) for _ in range(40)])
+    U = np.stack([bg.sample_sphere(dom, rng) for _ in range(8)])
+    for f, _ in lowered_maps(dom, g, rng):
+        rem = carath.remainder_map(f)
+        ref = f.values(Z) - Z
+        assert np.all(np.abs(rem.values(Z) - ref) <= 1e-14 * (1.0 + np.abs(f.values(Z))))
+        if f.normalized:
+            assert isinstance(rem, carath.CompositeMap) and rem.form.shifted, f.describe()
+            assert np.allclose(rem.jacobian_batch(Z), f.jacobian_batch(Z) - np.eye(dom.n),
+                               rtol=0, atol=1e-14)
+            # R(eps u)/eps^2 tends to the quadratic part, read off the arrays
+            Q = np.einsum("cab,ma,mb->mc", f.form.quadratic(dom.n), U, U)
+            for eps in (1e-8, 1e-100):
+                assert np.allclose(rem.values(eps * U) / eps**2, Q, rtol=0, atol=1e-7)
+
+
+def test_remainder_falls_back_to_subtraction():
+    # a black box, and a form whose linear part is not the identity, are
+    # evaluated as h(x) - x
+    Z = np.array([[0.3 + 0.1j, -0.2j], [0.1, 0.4]])
+    boxed = carath.BlackBoxMap(lambda Z: -Z, P2, normalized=True)
+    doubled = carath.PolynomialMap({(1, (1, 0)): 2.0, (2, (0, 1)): 2.0,
+                                    (1, (0, 2)): 0.5}, P2)
+    for h in (boxed, doubled):
+        rem = carath.remainder_map(h)
+        assert isinstance(rem, carath.BlackBoxMap)
+        assert np.array_equal(rem.values(Z), h.values(Z) - Z)
+
+
 def test_combination_label_and_building_blocks():
     g = df.moebius()
     functional = coordinate_functional(P2, 2)

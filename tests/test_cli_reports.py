@@ -90,9 +90,59 @@ def test_report_round_trip(tmp_path):
 #: diagonal candidate alone); it was written before gprime scored
 #: ``parametric[g(z2)z]`` from the flow of ``parametric[g(z1)z]``, and that
 #: change kept all three gprime reports byte-identical.
+#: flow-check_polydisc, shear-commute_polydisc and every scan and gprime
+#: report were rewritten once a flow integrated w = e^t v in compactified
+#: time d = e^-t with the cancellation-free remainder h - id, and a
+#: parametric limit became one flow to the horizon: only their ODE gaps and
+#: residuals (and the summaries that print them) moved, each to below its
+#: old value or below 1e-15; every verdict held.
 #: A change that alters these bytes must say so in CHANGES.md.  A file is
 #: named <subcommand>_<label>.
 GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+_ABSENT = "<absent>"
+
+
+def json_differences(old, new, path="$"):
+    """(path, old, new) for every leaf where two parsed JSON documents
+    differ; a key or list tail present on one side only reads ``<absent>``
+    on the other."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        return [diff for key in sorted(set(old) | set(new))
+                for diff in json_differences(old.get(key, _ABSENT), new.get(key, _ABSENT),
+                                             f"{path}.{key}")]
+    if isinstance(old, list) and isinstance(new, list):
+        pad = max(len(old), len(new))
+        old, new = old + [_ABSENT] * (pad - len(old)), new + [_ABSENT] * (pad - len(new))
+        return [diff for k, (a, b) in enumerate(zip(old, new))
+                for diff in json_differences(a, b, f"{path}[{k}]")]
+    same = old == new or (old != old and new != new)  # NaN reads equal to NaN
+    return [] if same else [(path, old, new)]
+
+
+def golden_mismatch(golden: Path, written: Path) -> str:
+    """What differs between a golden report and a rewritten one: the JSON
+    paths with golden and new values, or the differing CSV lines."""
+    old, new = golden.read_text(), written.read_text()
+    if golden.suffix == ".json":
+        diffs = [f"  {path}: {a!r} -> {b!r}"
+                 for path, a, b in json_differences(json.loads(old), json.loads(new))]
+    else:
+        pairs = zip(old.splitlines(), new.splitlines())
+        diffs = [f"  line {k + 1}: {a!r} -> {b!r}" for k, (a, b) in enumerate(pairs) if a != b]
+    return "\n".join([f"{golden.name} differs from its golden bytes:"]
+                     + (diffs or ["  same values, different bytes"]))
+
+
+def test_golden_mismatch_names_each_changed_field(tmp_path):
+    golden, written = tmp_path / "a.json", tmp_path / "b.json"
+    golden.write_text('{"payload": {"gap": 1e-10, "rows": [1, 2]}, "pass": true}\n')
+    written.write_text('{"payload": {"gap": 2e-16, "rows": [1, 2, 3]}, "pass": true}\n')
+    assert golden_mismatch(golden, written).splitlines()[1:] == [
+        "  $.payload.gap: 1e-10 -> 2e-16", "  $.payload.rows[2]: '<absent>' -> 3"]
+    written.write_text('{"payload": {"gap": 1.0e-10, "rows": [1, 2]}, "pass": true}\n')
+    assert golden_mismatch(golden, written).endswith("same values, different bytes")
 
 
 @pytest.mark.parametrize("name", sorted(p.name[:-len(".config.json")]
@@ -108,7 +158,7 @@ def test_reports_match_golden_bytes(name, tmp_path, monkeypatch):
         written = tmp_path / f"{command.replace('-', '_')}_report{suffix}"
         assert written.exists() == golden.exists()
         if golden.exists():
-            assert written.read_bytes() == golden.read_bytes()
+            assert written.read_bytes() == golden.read_bytes(), golden_mismatch(golden, written)
 
 
 @pytest.mark.parametrize("name", ["certify_spectral2", "certify_polydisc"])
@@ -358,6 +408,17 @@ def test_cli_unwritable_out_is_a_usage_error(tmp_path):
     assert proc.stderr.startswith("usage error: ")
     assert "Traceback" not in proc.stderr
     assert not out.parent.exists()
+
+
+def test_cli_unwritable_out_fails_before_the_run(tmp_path, monkeypatch, capsys):
+    # the directory is checked first, so a large --n does not run in vain
+    def no_run(config):
+        raise AssertionError("run_experiment called")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    out = tmp_path / "missing" / "x.json"
+    assert cli.main(["certify", "--seed", "1", "--n", "10", "--out", str(out)]) == 2
+    assert "usage error: out:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,config,key", [

@@ -104,6 +104,19 @@ def test_g_prime0_closed_forms_against_difference_oracle():
         assert df.g_prime0(g) == pytest.approx(derivative_oracle(g), abs=1e-9)
 
 
+@pytest.mark.parametrize("g", catalog_members(), ids=df.describe)
+def test_minus_one_is_g_minus_one_without_cancellation(g):
+    rng = np.random.default_rng(41)
+    zeta = 0.9 * np.sqrt(rng.random(2000)) * np.exp(2j * np.pi * rng.random(2000))
+    ref = df._eval_raw(g, zeta) - 1.0
+    assert np.all(np.abs(df.minus_one(g, zeta) - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+    # where g - 1 by subtraction keeps no digit, the closed form still
+    # follows g'(0) zeta, down to 1e-300
+    tiny = 10.0 ** rng.uniform(-300, -10, 400) * np.exp(2j * np.pi * rng.random(400))
+    linear = df.g_prime0(g) * tiny
+    assert np.all(np.abs(df.minus_one(g, tiny) - linear) <= 1e-10 * np.abs(linear))
+
+
 # ---------------------------------------------------------------------------
 # d1
 
@@ -182,12 +195,12 @@ def test_a0_radial_gaps_are_closed_forms_without_cancellation():
     catalog = [df.moebius()] + [family(a) for a in (0.05, 0.5, 0.95) for family in
                                 (df.starlike_order, df.almost_starlike, df.strongly_starlike)]
     for g in catalog:
-        right, left = df._radial_gaps(g, rho)
+        right, left = -df.minus_one(g, rho), df.minus_one(g, -rho)
         assert np.allclose(right, 1.0 - df._eval_raw(g, rho), rtol=1e-9, atol=1e-15)
         assert np.allclose(left, df._eval_raw(g, -rho) - 1.0, rtol=1e-9, atol=1e-15)
         slope = abs(df.g_prime0(g))
-        assert np.allclose(np.abs(df._radial_gaps(g, np.array([1e-12]))), slope * 1e-12,
-                           rtol=1e-11)
+        for r in (1e-12, -1e-12):
+            assert abs(df.minus_one(g, r)) == pytest.approx(slope * 1e-12, rel=1e-11)
     # g = 1 - z: the objective is exactly 1, and so is a0 (it read
     # 0.99999999989506 when the gaps were differences)
     assert abs(df.a0(df.starlike_order(0.5)) - 1.0) <= 1e-15
