@@ -359,20 +359,33 @@ def disc_multiple_map(g: df.DiscFunction, coeffs, dom: bg.BallGeometry) -> Compo
                         label=f"{df.describe(g)}(l(z))*z")
 
 
+def _linear_residual(form: FlatForm, n: int):
+    """Dh(0) - I of a form (disc blocks add g(0) = 1) as (w0, lin), or None."""
+    shift = sum(w.sum() for _, _, w in form.disc) - 1.0
+    if form.lin is None:
+        return ((form.w0 or 0.0) + shift) or None, None
+    lin = form.lin + shift * np.eye(n)
+    return None, (lin if lin.any() else None)
+
+
 def remainder_map(h: HolMap) -> HolMap:
-    """x -> h(x) - x for a normalized generator h.  A form whose linear part
-    (with each disc block's g(0) = 1) is the identity within 1e-12 drops it and
-    evaluates its disc blocks as g - 1, so the result is O(|x|^2) down to the
-    smallest x; any other map is evaluated as h(x) - x."""
+    """x -> h(x) - x: a form less the identity, disc blocks as g - 1, so
+    O(|x|^2) down to the smallest x if h is flagged normalized (the linear
+    part is dropped whole); a black box as h(x) - x."""
     label = f"{h.describe()} - id"
-    if isinstance(h, (PolynomialMap, CompositeMap)):
-        form, eye = h.form, np.eye(h.domain.n)
-        lin = form.lin if form.lin is not None else (form.w0 or 0.0) * eye
-        lin = lin + sum(w.sum() for _, _, w in form.disc) * eye
-        if np.max(np.abs(lin - eye)) <= 1e-12:
-            return CompositeMap(FlatForm(None, None, form.disc, form.monomials, shifted=True),
-                                h.domain, label=label)
-    return BlackBoxMap(lambda Z: h.values(Z) - Z, h.domain, label=label)
+    if not isinstance(h, (PolynomialMap, CompositeMap)):
+        return BlackBoxMap(lambda Z: h.values(Z) - Z, h.domain, label=label)
+    w0, lin = (None, None) if h.normalized else _linear_residual(h.form, h.domain.n)
+    return CompositeMap(FlatForm(w0, lin, h.form.disc, h.form.monomials, shifted=True),
+                        h.domain, label=label)
+
+
+def linear_defect(h: HolMap) -> float:
+    """max |Dh(0) - I| read off the array form; 0 for a black box."""
+    if not isinstance(h, (PolynomialMap, CompositeMap)):
+        return 0.0
+    w0, lin = _linear_residual(h.form, h.domain.n)
+    return float(np.max(np.abs(lin if lin is not None else w0 or 0.0)))
 
 
 def convex_combination(maps: Sequence[HolMap], weights: Sequence[float]) -> CompositeMap:

@@ -488,10 +488,12 @@ def main(argv=None) -> int:
     try:
         config = config_from_args(args)
         out = config.out or f"{config.experiment}_report.json"
-        # an unwritable --out is a usage error, not a failed bound, and a
-        # missing directory is found before the run (validate() refuses a non-str)
-        if isinstance(out, str) and not os.access(Path(out).parent, os.W_OK):
-            raise UsageError(f"out: cannot write into {str(Path(out).parent)!r}")
+        # an unwritable --out is a usage error, not a failed bound; a missing
+        # directory is found before the run, other write failures after it
+        config.validate()
+        parent = Path(out).parent
+        if not (parent.is_dir() and os.access(parent, os.W_OK)):
+            raise UsageError(f"out: cannot write into {str(parent)!r}")
         env = run_experiment(config)
         emit_report(env, out)
     except (UsageError, OSError) as exc:

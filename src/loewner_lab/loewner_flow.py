@@ -30,6 +30,7 @@ from . import disc_functions as df
 from .errors import DomainError, FlowInstabilityError, UnsupportedError
 
 _NORM_GROWTH_TOL = 1e-9
+#: smallest step, as a time step: a step ds in d at d spans ds/d in time
 _MIN_STEP = 1e-12
 #: longest span [s, t] ``flow`` integrates in one call: d = e^{-(t - s)} must
 #: stay a normal double (it underflows past t - s ~ 708)
@@ -79,9 +80,10 @@ class HerglotzField:
     """Piecewise-constant-in-time schedule of normalized generators.
 
     ``maps[k]`` acts on [times[k], times[k+1]) and the last segment extends
-    as an autonomous field for all later times.  Membership of the generators
-    in M_g is the caller's: sampled ones are M_g members by construction
-    (``carath.random_Mg_member``).
+    as an autonomous field for all later times.  Generators must be flagged
+    normalized, and a form's Dh(0) be I within 1e-12.  Membership of the
+    generators in M_g is the caller's: sampled ones are M_g members by
+    construction (``carath.random_Mg_member``).
     """
 
     times: Tuple[float, ...]
@@ -93,8 +95,9 @@ class HerglotzField:
             raise DomainError("schedule needs matching, nonempty times and maps")
         if self.times[0] != 0.0 or any(a >= b for a, b in zip(self.times, self.times[1:])):
             raise DomainError("breakpoints must strictly increase from 0")
-        if any(not m.normalized for m in self.maps):
-            raise DomainError("every scheduled generator must be normalized")
+        if any(not m.normalized or carath.linear_defect(m) > 1e-12 for m in self.maps):
+            raise DomainError("every scheduled generator must be normalized, "
+                              "with Dh(0) = I within 1e-12")
 
     def segment(self, t: float) -> int:
         return max(bisect_right(self.times, t) - 1, 0)
@@ -175,7 +178,8 @@ def _integrate_segment(rem, dom, w, d0, d1, tol, step, trajectory):
                 trajectory.append((d, d * w))
         factor = 0.9 * (tol / max(rel, 1e-300)) ** 0.125
         step = ds * min(5.0, max(0.2, factor))
-        if step < _MIN_STEP:
+        # an accepted step that ended the segment is never too small
+        if r > 0.0 and step < _MIN_STEP * (d1 + r):
             raise FlowInstabilityError("step size underflow in the flow integrator")
     return w, step
 

@@ -832,8 +832,8 @@ def test_remainder_of_a_form_is_h_minus_id_without_cancellation(dom, g):
         rem = carath.remainder_map(f)
         ref = f.values(Z) - Z
         assert np.all(np.abs(rem.values(Z) - ref) <= 1e-14 * (1.0 + np.abs(f.values(Z))))
+        assert isinstance(rem, carath.CompositeMap) and rem.form.shifted, f.describe()
         if f.normalized:
-            assert isinstance(rem, carath.CompositeMap) and rem.form.shifted, f.describe()
             assert np.allclose(rem.jacobian_batch(Z), f.jacobian_batch(Z) - np.eye(dom.n),
                                rtol=0, atol=1e-14)
             # R(eps u)/eps^2 tends to the quadratic part, read off the arrays
@@ -842,17 +842,38 @@ def test_remainder_of_a_form_is_h_minus_id_without_cancellation(dom, g):
                 assert np.allclose(rem.values(eps * U) / eps**2, Q, rtol=0, atol=1e-7)
 
 
-def test_remainder_falls_back_to_subtraction():
-    # a black box, and a form whose linear part is not the identity, are
-    # evaluated as h(x) - x
+def test_remainder_of_a_black_box_is_a_subtraction():
     Z = np.array([[0.3 + 0.1j, -0.2j], [0.1, 0.4]])
     boxed = carath.BlackBoxMap(lambda Z: -Z, P2, normalized=True)
+    rem = carath.remainder_map(boxed)
+    assert isinstance(rem, carath.BlackBoxMap)
+    assert np.array_equal(rem.values(Z), boxed.values(Z) - Z)
+    assert carath.linear_defect(boxed) == 0.0
+
+
+def test_remainder_keeps_a_residual_linear_part():
+    # 2 z + 0.5 z_2^2 e_1 keeps z + 0.5 z_2^2 e_1; a disc block's g(0) = 1
+    # folds into the scalar part.  A map flagged normalized drops it whole,
+    # even where its weights do not sum to 1 exactly
+    Z = np.array([[0.3 + 0.1j, -0.2j], [0.1, 0.4]])
     doubled = carath.PolynomialMap({(1, (1, 0)): 2.0, (2, (0, 1)): 2.0,
                                     (1, (0, 2)): 0.5}, P2)
-    for h in (boxed, doubled):
-        rem = carath.remainder_map(h)
-        assert isinstance(rem, carath.BlackBoxMap)
-        assert np.array_equal(rem.values(Z), h.values(Z) - Z)
+    rem = carath.remainder_map(doubled)
+    assert isinstance(rem, carath.CompositeMap) and rem.form.shifted
+    assert rem.form.w0 == 1.0 and rem.form.lin is None
+    assert np.allclose(rem.values(Z), doubled.values(Z) - Z, rtol=0, atol=1e-15)
+    assert carath.linear_defect(doubled) == 1.0
+    g = df.moebius()
+    weights = [0.1, 0.2, 0.7]
+    combo = carath.convex_combination(
+        [carath.identity_map(P2), carath.disc_multiple_map(g, [1.0, 0.0], P2),
+         carath.canonical_field(g, P2, 1, 2, +1)], weights)
+    rem = carath.remainder_map(combo)
+    assert rem.form.w0 is None and rem.form.lin is None
+    assert 0.0 < carath.linear_defect(combo) <= 1e-15
+    unflagged = carath.CompositeMap(combo.form, P2)
+    rem = carath.remainder_map(unflagged)
+    assert rem.form.lin is None and abs(rem.form.w0) == carath.linear_defect(combo)
 
 
 def test_combination_label_and_building_blocks():

@@ -630,3 +630,31 @@ def test_parametric_limit_tail_past_the_horizon_is_below_rounding():
         longer = np.exp(lf.HORIZON + 10.0) * lf.flow(field, Z, 0.0, lf.HORIZON + 10.0).endpoint
         scale = np.max(np.abs(longer), axis=1, keepdims=True)
         assert np.max(np.abs(res.endpoint - longer) / scale) <= 1e-15
+
+
+def test_parametric_map_runs_a_long_schedule():
+    # 60 segments of 0.5: the last ones are e^-30 long in d, so the step
+    # floor must scale with d.  One generator on every segment is the
+    # autonomous field, whose flow has no breakpoints
+    g = df.moebius()
+    rng = np.random.default_rng(23)
+    Z = bg.sample_sphere(P2, rng, 8) * 0.6
+    h = carath.random_Mg_member(g, P2, rng, 3)
+    res = lf.parametric_map(lf.make_field([h] * 60, P2), Z)
+    ref = lf.parametric_map(lf.autonomous_field(h, P2), Z)
+    assert np.max(np.abs(res.endpoint - ref.endpoint)) <= 1e-12
+    # a random schedule as long, checked against its exact quadratic part
+    field = el.random_schedule(g, P2, rng, 60)
+    eps = 1e-3
+    U = bg.sample_sphere(P2, rng, 4)
+    quad = np.einsum("cab,ma,mb->mc", lf.parametric_quadratic(field), U, U)
+    limit = lf.parametric_map(field, eps * U).endpoint
+    assert np.allclose((limit - eps * U) / eps**2, quad, rtol=0, atol=1e-2)
+
+
+def test_field_refuses_a_flagged_form_whose_linear_part_is_not_the_identity():
+    # the remainder of a flagged form drops its linear part, and a limit
+    # needs Dh(0) = I: a flag the form contradicts is refused up front
+    doubled = carath.PolynomialMap({(1, (1, 0)): 2.0, (2, (0, 1)): 2.0}, P2, normalized=True)
+    with pytest.raises(DomainError, match="Dh"):
+        lf.autonomous_field(doubled, P2)
