@@ -296,7 +296,10 @@ def sample_sphere(dom: BallGeometry, rng: np.random.Generator,
     Polydisc samples put exactly one coordinate on the unit circle and cap
     the others at modulus 0.999, so ties in the sup norm have probability 0.
     """
-    return _one_block(sphere_blocks, dom, rng, count)
+    k = 1 if count is None else int(count)
+    batches = list(sphere_blocks(dom, rng, k, max(k, 1)))
+    out = batches[0] if batches else np.empty((0, dom.n), dtype=complex)
+    return out[0] if count is None else out
 
 
 def sphere_blocks(dom: BallGeometry, rng: np.random.Generator, count: int, block: int):
@@ -331,15 +334,6 @@ def _unit_rows(dom: BallGeometry, draws: np.ndarray) -> np.ndarray:
     return z / _top_singular(_row_gram(z))[:, None]
 
 
-def _one_block(blocks, dom: BallGeometry, rng: np.random.Generator, count: Optional[int]):
-    """A block sampler taken in one block: ``count`` rows (an empty (0, n)
-    batch for none), or one point when ``count`` is None."""
-    k = 1 if count is None else int(count)
-    batches = list(blocks(dom, rng, k, max(k, 1)))
-    out = batches[0] if batches else np.empty((0, dom.n), dtype=complex)
-    return out[0] if count is None else out
-
-
 def _polydisc_blocks(n: int, rng: np.random.Generator, count: int, on_circle: int,
                      block: int):
     """``count`` points uniform in the polydisc of radius 0.999, with
@@ -370,21 +364,11 @@ def _polydisc_rows(n: int, u: np.ndarray, index: list) -> np.ndarray:
     return z
 
 
-def sample_polydisc_edge(dom: BallGeometry, rng: np.random.Generator,
-                         count: Optional[int] = None) -> np.ndarray:
-    """Polydisc sphere points with two coordinates of modulus 1 (tie stress).
-
-    Returns a ``(count, n)`` batch, or one point of shape ``(n,)`` when
-    ``count`` is None; as for ``sample_sphere``, the same seed gives the
-    same batch and a one-point draw is a batch of one.  This is
-    ``polydisc_edge_blocks`` taken in one block.
-    """
-    return _one_block(polydisc_edge_blocks, dom, rng, count)
-
-
 def polydisc_edge_blocks(dom: BallGeometry, rng: np.random.Generator, count: int, block: int):
-    """The points of ``sample_polydisc_edge(dom, rng, count)`` in batches of
-    at most ``block`` rows, drawn as they are taken (see ``sphere_blocks``)."""
+    """``count`` polydisc sphere points with two coordinates of modulus 1
+    (tie stress), in batches of at most ``block`` rows, drawn as they are
+    taken: as for ``sphere_blocks``, the rows and the state ``rng`` is left
+    in do not depend on the block size."""
     if dom.kind != POLYDISC:
         raise DomainError("edge sampler is specific to the polydisc")
     return _polydisc_blocks(dom.n, rng, count, 2, block)

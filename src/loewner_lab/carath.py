@@ -2,7 +2,10 @@
 
 Maps come in three representations: sparse polynomial tables, composite
 generators and black-box evaluators.  All evaluators are batched: ``values``
-takes an (m, n) array of points.
+takes an (m, n) array of points.  Only the first two have an array form
+(``HolMap.form``), and only they can be generators of a flow schedule, which
+checks Dh(0) = I on the form; a black box is a map known by its values
+alone, such as a parametric limit, whose values are a flow.
 
 A composite generator is held as a ``FlatForm``: a linear part (``w0``
 times the identity, or a matrix ``lin``), one block of g(l(z))*z terms per
@@ -74,8 +77,6 @@ CERTIFY_BLOCK = 8192
 
 #: radii of the Cauchy DFT circles: the value, then the consistency check
 DFT_RADII = (0.4, 0.2)
-
-_FD_STEP = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +248,12 @@ class _Lowering:
 
 
 class HolMap:
-    """Base class; concrete maps implement batched values and Jacobians."""
+    """Base class; concrete maps implement batched values and Jacobians.
+    ``form`` is the array form of the maps that have one, else None."""
 
     domain: bg.BallGeometry
     normalized: bool
+    form: Optional[FlatForm] = None
 
     def values(self, Z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -295,7 +298,8 @@ class PolynomialMap(HolMap):
 
 
 class BlackBoxMap(HolMap):
-    """Map given only by an evaluator; Jacobians use 4th-order differences."""
+    """Map given only by an evaluator: it has no array form and no Jacobian,
+    so no schedule takes it."""
 
     def __init__(self, fn, domain: bg.BallGeometry, normalized: bool = False,
                  label: str = "black_box", provenance=None):
@@ -307,19 +311,6 @@ class BlackBoxMap(HolMap):
 
     def values(self, Z):
         return np.asarray(self.fn(np.asarray(Z, dtype=complex)), dtype=complex)
-
-    def jacobian_batch(self, Z):
-        Z = np.asarray(Z, dtype=complex)
-        m, n = Z.shape
-        h = _FD_STEP
-        offsets = np.array([2 * h, h, -h, -2 * h])
-        pts = np.repeat(Z[:, None, None, :], n, axis=1).repeat(4, axis=2)
-        for k in range(n):
-            pts[:, k, :, k] += offsets
-        vals = self.values(pts.reshape(-1, n)).reshape(m, n, 4, n)
-        # d/dz_k along the real direction equals the complex derivative
-        deriv = (-vals[:, :, 0] + 8 * vals[:, :, 1] - 8 * vals[:, :, 2] + vals[:, :, 3]) / (12 * h)
-        return np.swapaxes(deriv, 1, 2)
 
     def describe(self):
         return self.label
@@ -368,22 +359,17 @@ def _linear_residual(form: FlatForm, n: int):
     return None, (lin if lin.any() else None)
 
 
-def remainder_map(h: HolMap) -> HolMap:
-    """x -> h(x) - x: a form less the identity, disc blocks as g - 1, so
-    O(|x|^2) down to the smallest x if h is flagged normalized (the linear
-    part is dropped whole); a black box as h(x) - x."""
-    label = f"{h.describe()} - id"
-    if not isinstance(h, (PolynomialMap, CompositeMap)):
-        return BlackBoxMap(lambda Z: h.values(Z) - Z, h.domain, label=label)
+def remainder_map(h: HolMap) -> CompositeMap:
+    """x -> h(x) - x for a map with an array form: the form less the
+    identity, disc blocks as g - 1, so O(|x|^2) down to the smallest x if h
+    is flagged normalized (the linear part is dropped whole)."""
     w0, lin = (None, None) if h.normalized else _linear_residual(h.form, h.domain.n)
     return CompositeMap(FlatForm(w0, lin, h.form.disc, h.form.monomials, shifted=True),
-                        h.domain, label=label)
+                        h.domain, label=f"{h.describe()} - id")
 
 
 def linear_defect(h: HolMap) -> float:
-    """max |Dh(0) - I| read off the array form; 0 for a black box."""
-    if not isinstance(h, (PolynomialMap, CompositeMap)):
-        return 0.0
+    """max |Dh(0) - I|, read off the array form."""
     w0, lin = _linear_residual(h.form, h.domain.n)
     return float(np.max(np.abs(lin if lin is not None else w0 or 0.0)))
 
@@ -401,38 +387,11 @@ def convex_combination(maps: Sequence[HolMap], weights: Sequence[float]) -> Comp
         raise DomainError("maps of a combination must share one domain")
     lowering = _Lowering(dom.n)
     for m, w in zip(maps, weights):
-        if not isinstance(m, (PolynomialMap, CompositeMap)):
+        if m.form is None:
             raise UnsupportedError(f"{m.describe()} has no array form")
         lowering.add_form(m.form, complex(w))
     return CompositeMap(lowering.form(), dom, normalized=all(m.normalized for m in maps),
                         label=f"combo[{', '.join(m.describe() for m in maps)}]")
-
-
-# ---------------------------------------------------------------------------
-# evaluation and normalization checks
-
-
-def evaluate(f: HolMap, z):
-    """Value of f at a point (or batch) of the open unit ball."""
-    z = np.asarray(z, dtype=complex)
-    single = z.ndim == 1
-    Z = z[None, :] if single else z
-    if np.any(np.asarray(bg.norm(f.domain, Z)) >= 1.0):
-        raise DomainError("point outside the open unit ball")
-    out = f.values(Z)
-    return out[0] if single else out
-
-
-def assert_normalized(f: HolMap, tol_value: float = 1e-12, tol_jac: float = 1e-8):
-    """Check f(0) = 0 and Df(0) = I within the stated tolerances."""
-    zero = np.zeros((1, f.domain.n), dtype=complex)
-    v0 = np.linalg.norm(f.values(zero)[0])
-    if v0 >= tol_value:
-        raise DomainError(f"map is not normalized: |f(0)| = {v0:.3e}")
-    j0 = f.jacobian_batch(zero)[0]
-    dev = np.abs(j0 - np.eye(f.domain.n)).max()
-    if dev >= tol_jac:
-        raise DomainError(f"map is not normalized: |Df(0) - I| = {dev:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -554,28 +513,26 @@ def second_coeff(f: HolMap, i: int, j: int, kind: str) -> complex:
     return second_coeff_bundle(f, [(i, j, kind)])[(i, j, kind)]
 
 
+def _quadratic_field(dom: bg.BallGeometry, i: int, j: int, c: complex,
+                     label: str) -> PolynomialMap:
+    """The normalized table z + c * z_j^2 e_i."""
+    terms: Dict[Tuple[int, Tuple[int, ...]], complex] = {
+        (a + 1, tuple(int(k == a) for k in range(dom.n))): 1.0 for a in range(dom.n)}
+    # as a sum into 0.0, so a negative zero part of c is stored as +0
+    terms[(i, tuple(2 * int(k == j - 1) for k in range(dom.n)))] = 0.0 + c
+    return PolynomialMap(terms, dom, normalized=True, label=label)
+
+
 def shear(h: HolMap, i: int, j: int) -> PolynomialMap:
-    """Linear part of h plus its single pure z_j^2 term in component i."""
+    """The identity plus the single pure z_j^2 term of the normalized map h
+    in component i."""
+    if not h.normalized:
+        raise DomainError("shearing needs a normalized map")
     _check_pair(h.domain, i, j)
-    n = h.domain.n
-    zero = np.zeros((1, n), dtype=complex)
-    if np.linalg.norm(h.values(zero)[0]) > 1e-10:
+    if np.linalg.norm(h.values(np.zeros((1, h.domain.n), dtype=complex))[0]) > 1e-10:
         raise DomainError("shearing needs h(0) = 0")
-    c = second_coeff(h, i, j, PURE)
-    terms: Dict[Tuple[int, Tuple[int, ...]], complex] = {}
-    if h.normalized:
-        D = np.eye(n, dtype=complex)
-    else:
-        D = h.jacobian_batch(zero)[0]
-    for a in range(n):
-        for b in range(n):
-            if D[a, b] != 0:
-                exps = tuple(1 if k == b else 0 for k in range(n))
-                terms[(a + 1, exps)] = terms.get((a + 1, exps), 0.0) + D[a, b]
-    exps = tuple(2 if k == j - 1 else 0 for k in range(n))
-    terms[(i, exps)] = terms.get((i, exps), 0.0) + c
-    label = f"shear_{i}{j}[{h.describe()}]"
-    return PolynomialMap(terms, h.domain, normalized=h.normalized, label=label)
+    return _quadratic_field(h.domain, i, j, second_coeff(h, i, j, PURE),
+                            f"shear_{i}{j}[{h.describe()}]")
 
 
 def scale_term(f: PolynomialMap, comp: int, exps: Tuple[int, ...],
@@ -602,16 +559,8 @@ def canonical_field(g: df.DiscFunction, dom: bg.BallGeometry, i: int, j: int,
     if sign not in (-1, 1):
         raise DomainError("sign must be +1 or -1")
     _check_pair(dom, i, j)
-    c = sign * dom.shear_factor * df.d1(g)
-    terms: Dict[Tuple[int, Tuple[int, ...]], complex] = {}
-    for a in range(dom.n):
-        exps = tuple(1 if k == a else 0 for k in range(dom.n))
-        terms[(a + 1, exps)] = 1.0
-    exps = tuple(2 if k == j - 1 else 0 for k in range(dom.n))
-    terms[(i, exps)] = terms.get((i, exps), 0.0) + c
-    sgn = "+" if sign > 0 else "-"
-    label = f"h_{i}{j}[{df.describe(g)}]{sgn}"
-    return PolynomialMap(terms, dom, normalized=True, label=label)
+    return _quadratic_field(dom, i, j, sign * dom.shear_factor * df.d1(g),
+                            f"h_{i}{j}[{df.describe(g)}]{'+' if sign > 0 else '-'}")
 
 
 # ---------------------------------------------------------------------------

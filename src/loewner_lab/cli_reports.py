@@ -200,11 +200,6 @@ def dumps_canonical(obj) -> str:
     return "".join(pieces) + "\n"
 
 
-def parse_report(path) -> dict:
-    with open(path, "r") as handle:
-        return json.load(handle)
-
-
 # ---------------------------------------------------------------------------
 # experiment dispatch
 

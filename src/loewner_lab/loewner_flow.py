@@ -20,14 +20,14 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import ball_geometry as bg
 from . import carath
 from . import disc_functions as df
-from .errors import DomainError, FlowInstabilityError, UnsupportedError
+from .errors import DomainError, FlowInstabilityError
 
 _NORM_GROWTH_TOL = 1e-9
 #: smallest step, as a time step: a step ds in d at d spans ds/d in time
@@ -80,10 +80,13 @@ class HerglotzField:
     """Piecewise-constant-in-time schedule of normalized generators.
 
     ``maps[k]`` acts on [times[k], times[k+1]) and the last segment extends
-    as an autonomous field for all later times.  Generators must be flagged
-    normalized, and a form's Dh(0) be I within 1e-12.  Membership of the
-    generators in M_g is the caller's: sampled ones are M_g members by
-    construction (``carath.random_Mg_member``).
+    as an autonomous field for all later times.  Generators must have an
+    array form (a ``PolynomialMap`` or ``CompositeMap``), be flagged
+    normalized and have Dh(0) = I within 1e-12, read off the form; a map
+    known only by its values is refused, since nothing checks its
+    normalization.  Membership of the generators in M_g is the caller's:
+    sampled ones are M_g members by construction
+    (``carath.random_Mg_member``).
     """
 
     times: Tuple[float, ...]
@@ -95,6 +98,9 @@ class HerglotzField:
             raise DomainError("schedule needs matching, nonempty times and maps")
         if self.times[0] != 0.0 or any(a >= b for a, b in zip(self.times, self.times[1:])):
             raise DomainError("breakpoints must strictly increase from 0")
+        if any(m.form is None for m in self.maps):
+            raise DomainError("every scheduled generator must have an array form "
+                              "(a PolynomialMap or CompositeMap)")
         if any(not m.normalized or carath.linear_defect(m) > 1e-12 for m in self.maps):
             raise DomainError("every scheduled generator must be normalized, "
                               "with Dh(0) = I within 1e-12")
@@ -119,7 +125,6 @@ class FlowResult:
     """Endpoint of a flow or parametric limit, and the time it reached."""
 
     endpoint: np.ndarray
-    trajectory: Optional[List[Tuple[float, np.ndarray]]]
     horizon_used: float
 
 
@@ -129,13 +134,12 @@ def _stage_sum(a: np.ndarray, K: np.ndarray, shape) -> np.ndarray:
     return (a @ K[:a.shape[-1]].view(float)).view(complex).reshape(shape)
 
 
-def _integrate_segment(rem, dom, w, d0, d1, tol, step, trajectory):
+def _integrate_segment(rem, dom, w, d0, d1, tol, step):
     """Flow w from d = d0 down to d1 under dw/dd = (R(d w)/d)/d, R = ``rem``,
     trying ``step`` first; returns w(d1) and the controller's next step.
 
     The remaining distance r = d - d1 is tracked instead of d, so the last
     stage lands on d1 exactly (d1 may sit far below the rounding of d0).
-    ``trajectory``, unless None, gets (d, v = d w) at every accepted step.
     """
     if not w.size:
         return w, step
@@ -174,8 +178,6 @@ def _integrate_segment(rem, dom, w, d0, d1, tol, step, trajectory):
                     "trajectory norm increased beyond tolerance (ball exit)"
                 )
             norms_prev = norms
-            if trajectory is not None:
-                trajectory.append((d, d * w))
         factor = 0.9 * (tol / max(rel, 1e-300)) ** 0.125
         step = ds * min(5.0, max(0.2, factor))
         # an accepted step that ended the segment is never too small
@@ -184,15 +186,13 @@ def _integrate_segment(rem, dom, w, d0, d1, tol, step, trajectory):
     return w, step
 
 
-def flow(field: HerglotzField, z, s: float, t: float, tol: float = 1e-10,
-         record_trajectory: bool = False) -> FlowResult:
+def flow(field: HerglotzField, z, s: float, t: float, tol: float = 1e-10) -> FlowResult:
     """Solution v(z, s, t) of dv/dtau = -h(v, tau), v(z, s, s) = z.
 
     Adaptive Dormand-Prince 8(5,3) at relative tolerance ``tol``, applied to
     w = e^{tau - s} v in d = e^{-(tau - s)} (module docstring); schedule
     breakpoints are forced step boundaries, and the step size goes on across
-    them.  A recorded trajectory holds v at every accepted step.  The
-    trajectory must stay in the open ball with nonincreasing norm (up to
+    them.  The trajectory must stay in the open ball with nonincreasing norm (up to
     1e-9 per step), else the integrator aborts with ``FlowInstabilityError``,
     as it does on step-size underflow.  A span t - s longer than MAX_SEGMENT
     raises ``DomainError`` before any step.  An empty (0, n) batch returns
@@ -210,15 +210,13 @@ def flow(field: HerglotzField, z, s: float, t: float, tol: float = 1e-10,
                           "(e^-(t-s) must stay a normal double); flow in shorter calls")
 
     bounds = [s, *(tau for tau in field.times if s < tau < t), t]
-    marks = [(1.0, w.copy())] if record_trajectory else None
     step = FIRST_STEP
     for a, b in zip(bounds, bounds[1:]):
         rem = carath.remainder_map(field.maps[field.segment(a)])
         w, step = _integrate_segment(rem, field.domain, w, math.exp(s - a), math.exp(s - b),
-                                     tol, step, marks)
+                                     tol, step)
     v = math.exp(s - t) * w
-    trajectory = [(s - math.log(d), vd) for d, vd in marks] if record_trajectory else None
-    return FlowResult(v[0] if single else v, trajectory, t)
+    return FlowResult(v[0] if single else v, t)
 
 
 def parametric_map(field: HerglotzField, z, ode_tol: float = 1e-10) -> FlowResult:
@@ -227,7 +225,7 @@ def parametric_map(field: HerglotzField, z, ode_tol: float = 1e-10) -> FlowResul
     whose right-hand side is bounded, and stopping at d = e^-HORIZON instead
     moves it by O(e^-HORIZON |z|^2), below rounding."""
     res = flow(field, z, 0.0, HORIZON, tol=ode_tol)
-    return FlowResult(math.exp(HORIZON) * res.endpoint, None, HORIZON)
+    return FlowResult(math.exp(HORIZON) * res.endpoint, HORIZON)
 
 
 def parametric_quadratic(field: HerglotzField) -> np.ndarray:
@@ -238,16 +236,12 @@ def parametric_quadratic(field: HerglotzField) -> np.ndarray:
     infinity), v = e^{-t} z + w with (e^t w)' = -e^{-t} Q_k(z) + O(|z|^3), so
 
         Q_f = -sum_k (e^{-t_k} - e^{-t_{k+1}}) Q_k.
-
-    Raises ``UnsupportedError`` if a scheduled map has no array form.
     """
     n = field.domain.n
     decay = np.exp(-np.asarray(field.times))
     weights = decay - np.append(decay[1:], 0.0)
     Q = np.zeros((n, n, n), dtype=complex)
     for w, h in zip(weights, field.maps):
-        if not isinstance(h, (carath.PolynomialMap, carath.CompositeMap)):
-            raise UnsupportedError(f"{h.describe()} has no array form")
         Q -= w * h.form.quadratic(n)
     return Q
 

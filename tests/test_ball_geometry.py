@@ -172,7 +172,7 @@ def tie_points(dom, rng, count):
     equal diagonal moduli and non-diagonal points whose singular values are
     1 and 1 - 1e-6; none for the Euclidean ball."""
     if dom.kind == bg.POLYDISC:
-        return bg.sample_polydisc_edge(dom, rng, count)
+        return edge_points(dom, rng, count)
     if dom.kind == bg.SPECTRAL2:
         phases = np.exp(2j * np.pi * rng.random((count, 2)))
         near = unitaries(rng, count) @ np.diag([1.0, 1.0 - 1e-6]) @ unitaries(rng, count)
@@ -524,14 +524,20 @@ def test_spectral_gap_resample_keeps_the_stream(gap, monkeypatch):
         assert_same_stream(ref_rng, rng)
 
 
+def edge_points(dom, rng, count):
+    """``count`` polydisc edge points, taken in one block."""
+    return np.concatenate([np.empty((0, dom.n), dtype=complex),
+                           *bg.polydisc_edge_blocks(dom, rng, count, max(count, 1))])
+
+
 def test_polydisc_edge_sampler():
     dom = bg.polydisc(3)
     rng = np.random.default_rng(7)
-    z = bg.sample_polydisc_edge(dom, rng, 100)
+    z = edge_points(dom, rng, 100)
+    assert z.shape == (100, 3)
     assert np.all(np.count_nonzero(np.abs(np.abs(z) - 1.0) < 1e-14, axis=1) == 2)
-    assert bg.sample_polydisc_edge(dom, rng).shape == (3,)
     with pytest.raises(DomainError):
-        bg.sample_polydisc_edge(bg.euclidean(2), rng)
+        bg.polydisc_edge_blocks(bg.euclidean(2), rng, 1, 1)
 
 
 EDGE_DOMAINS = [bg.polydisc(2), bg.polydisc(3), bg.polydisc(5)]
@@ -543,18 +549,18 @@ EDGE_DOMAINS = [bg.polydisc(2), bg.polydisc(3), bg.polydisc(5)]
 def test_edge_batch_matches_point_loop(dom, cached_half, count):
     ref_rng, rng = twin_generators(2000 + count, cached_half)
     assert_bits_equal(reference_polydisc(dom.n, ref_rng, count, 2),
-                      bg.sample_polydisc_edge(dom, rng, count))
+                      edge_points(dom, rng, count))
     assert_same_stream(ref_rng, rng)
 
 
 def test_edge_batch_on_other_bit_generators():
     dom = bg.polydisc(3)
     ref_rng, rng = twin_generators(23, cached_half=True, bit_generator=np.random.MT19937)
-    assert_bits_equal(reference_polydisc(dom.n, ref_rng, 50, 2), bg.sample_polydisc_edge(dom, rng, 50))
+    assert_bits_equal(reference_polydisc(dom.n, ref_rng, 50, 2), edge_points(dom, rng, 50))
     assert_same_stream(ref_rng, rng)
 
 
-POLYDISC_SAMPLERS = {"sphere": (bg.sample_sphere, 1), "edge": (bg.sample_polydisc_edge, 2)}
+POLYDISC_SAMPLERS = {"sphere": (bg.sample_sphere, 1), "edge": (edge_points, 2)}
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -566,9 +572,10 @@ def test_polydisc_samplers_repeat_under_a_seed(n, sampler, count):
     a = sample(dom, np.random.default_rng(61), count)
     assert a.shape == (count, n)
     assert_bits_equal(a, sample(dom, np.random.default_rng(61), count))
-    point = sample(dom, np.random.default_rng(61))
-    assert point.shape == (n,)
-    assert_bits_equal(point, sample(dom, np.random.default_rng(61), 1)[0])
+    if sample is bg.sample_sphere:  # the one sampler that also draws a single point
+        point = sample(dom, np.random.default_rng(61))
+        assert point.shape == (n,)
+        assert_bits_equal(point, sample(dom, np.random.default_rng(61), 1)[0])
 
 
 #: chi-square 0.1% critical values by degrees of freedom

@@ -14,6 +14,7 @@ from loewner_lab.errors import (
     ReducedPrecisionWarning,
     UnsupportedError,
 )
+from oracles import assert_normalized, fd_jacobian
 
 P2 = bg.polydisc(2)
 P3 = bg.polydisc(3)
@@ -61,34 +62,28 @@ def h_disc_multiple(g, dom, k=2):
 
 def test_identity_evaluates_to_argument():
     f = carath.identity_map(P2)
-    z = np.array([0.3 + 0.1j, -0.2j])
-    assert np.allclose(carath.evaluate(f, z), z)
+    z = np.array([[0.3 + 0.1j, -0.2j]])
+    assert np.allclose(f.values(z), z)
 
 
 def test_canonical_field_example_values():
     f = carath.canonical_field(df.moebius(), P2, 1, 2, +1)
-    out = carath.evaluate(f, np.array([0.1, 0.5], dtype=complex))
-    assert np.allclose(out, [0.35, 0.5], atol=1e-15)
+    out = f.values(np.array([[0.1, 0.5]], dtype=complex))
+    assert np.allclose(out, [[0.35, 0.5]], atol=1e-15)
 
 
 def test_disc_multiple_example_values():
     H = h_disc_multiple(df.moebius(), P2)
-    out = carath.evaluate(H, np.array([0.2, 0.5], dtype=complex))
-    assert np.allclose(out, [1.0 / 15.0, 1.0 / 6.0], atol=1e-15)
-
-
-def test_evaluate_outside_ball_rejected():
-    f = carath.identity_map(P2)
-    with pytest.raises(DomainError):
-        carath.evaluate(f, np.array([1.0, 0.0], dtype=complex))
+    out = H.values(np.array([[0.2, 0.5]], dtype=complex))
+    assert np.allclose(out, [[1.0 / 15.0, 1.0 / 6.0]], atol=1e-15)
 
 
 def test_normalization_checks():
-    carath.assert_normalized(carath.identity_map(SP))
-    carath.assert_normalized(carath.canonical_field(df.moebius(), P2, 1, 2, -1))
+    assert_normalized(carath.identity_map(SP))
+    assert_normalized(carath.canonical_field(df.moebius(), P2, 1, 2, -1))
     shifted = carath.PolynomialMap({(1, (0, 0)): 0.5}, P2)
     with pytest.raises(DomainError):
-        carath.assert_normalized(shifted)
+        assert_normalized(shifted)
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +332,18 @@ def test_shear_index_admissibility():
         carath.shear(carath.identity_map(SP), 1, 3)  # 3 is off the frame
     with pytest.raises(DomainError):
         carath.shear(carath.identity_map(P2), 1, 1)
+
+
+def test_shear_needs_a_normalized_map_that_fixes_the_origin():
+    # as certify_Mg: no flag, no shear, even where Dh(0) = I holds
+    unflagged = carath.CompositeMap(carath.identity_map(P2).form, P2)
+    with pytest.raises(DomainError, match="normalized"):
+        carath.shear(unflagged, 1, 2)
+    with pytest.raises(DomainError, match="normalized"):
+        carath.shear(carath.BlackBoxMap(lambda Z: 2.0 * Z, P2), 1, 2)
+    shifted = carath.BlackBoxMap(lambda Z: Z + 0.5, P2, normalized=True)
+    with pytest.raises(DomainError, match=r"h\(0\) = 0"):
+        carath.shear(shifted, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +597,7 @@ def test_random_members_certify():
     for dom in (P2, SP):
         for k in (1, 2, 4):
             member = carath.random_Mg_member(g, dom, rng, k)
-            carath.assert_normalized(member)
+            assert_normalized(member)
             cert = carath.certify_Mg(member, g, dom, 1000, rng=rng)
             assert cert.passed, cert.witness
 
@@ -660,12 +667,11 @@ def test_disc_multiple_sharpness_values():
 # jacobians
 
 
-def test_jacobians_match_black_box_differences():
+def test_jacobians_match_finite_differences():
     rng = np.random.default_rng(10)
     member = carath.random_Mg_member(df.moebius(), P2, rng, 3)
-    boxed = carath.BlackBoxMap(member.values, P2, normalized=True)
     Z = np.stack([bg.sample_sphere(P2, rng) * 0.5 for _ in range(8)])
-    assert np.allclose(member.jacobian_batch(Z), boxed.jacobian_batch(Z), atol=1e-9)
+    assert np.allclose(member.jacobian_batch(Z), fd_jacobian(member, Z), atol=1e-9)
 
 
 def test_structured_points_cover_euclidean_maximizer():
@@ -815,12 +821,11 @@ def test_lowered_values_match_block_sums(dom, g):
 
 
 @pytest.mark.parametrize("dom,g", LOWERING_CASES, ids=LOWERING_IDS)
-def test_lowered_jacobians_match_black_box_differences(dom, g):
+def test_lowered_jacobians_match_finite_differences(dom, g):
     rng = np.random.default_rng(32)
     Z = np.stack([bg.sample_sphere(dom, rng) * rng.uniform(0.05, 0.7) for _ in range(8)])
     for f, _ in lowered_maps(dom, g, rng):
-        boxed = carath.BlackBoxMap(f.values, dom)
-        assert np.allclose(f.jacobian_batch(Z), boxed.jacobian_batch(Z), atol=1e-8), f.describe()
+        assert np.allclose(f.jacobian_batch(Z), fd_jacobian(f, Z), atol=1e-8), f.describe()
 
 
 @pytest.mark.parametrize("dom,g", LOWERING_CASES, ids=LOWERING_IDS)
@@ -840,15 +845,6 @@ def test_remainder_of_a_form_is_h_minus_id_without_cancellation(dom, g):
             Q = np.einsum("cab,ma,mb->mc", f.form.quadratic(dom.n), U, U)
             for eps in (1e-8, 1e-100):
                 assert np.allclose(rem.values(eps * U) / eps**2, Q, rtol=0, atol=1e-7)
-
-
-def test_remainder_of_a_black_box_is_a_subtraction():
-    Z = np.array([[0.3 + 0.1j, -0.2j], [0.1, 0.4]])
-    boxed = carath.BlackBoxMap(lambda Z: -Z, P2, normalized=True)
-    rem = carath.remainder_map(boxed)
-    assert isinstance(rem, carath.BlackBoxMap)
-    assert np.array_equal(rem.values(Z), boxed.values(Z) - Z)
-    assert carath.linear_defect(boxed) == 0.0
 
 
 def test_remainder_keeps_a_residual_linear_part():

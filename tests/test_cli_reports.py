@@ -46,7 +46,7 @@ def test_report_round_trip(tmp_path):
     env = cli.run_experiment(config)
     out = tmp_path / "report.json"
     cli.emit_report(env, out)
-    parsed = cli.parse_report(out)
+    parsed = json.loads(out.read_text())
     assert parsed["pass"] is True
     assert parsed["config"]["seed"] == 7
     assert parsed["payload"] == json.loads(cli.dumps_canonical(env.payload))
@@ -263,11 +263,11 @@ def test_instability_becomes_failed_envelope(monkeypatch):
 def test_cli_certify_exit_codes(tmp_path):
     code, out = run_cli(tmp_path, "ok", "certify", "--seed", "11", "--n", "200")
     assert code == 0
-    assert cli.parse_report(out)["pass"] is True
+    assert json.loads(out.read_text())["pass"] is True
     code, out = run_cli(tmp_path, "bad", "certify", "--seed", "11", "--n", "200",
                         "--coefficient-scale", "1.05")
     assert code == 1
-    assert cli.parse_report(out)["pass"] is False
+    assert json.loads(out.read_text())["pass"] is False
 
 
 def test_cli_usage_error_exit_code(tmp_path):
@@ -339,7 +339,7 @@ def test_unbounded_growth_passes_on_seed_56(domain, tmp_path):
     code, out = run_cli(tmp_path, "growth", "unbounded-growth", "--seed", "56",
                         "--domain", *domain)
     assert code == 0
-    report = cli.parse_report(out)
+    report = json.loads(out.read_text())
     assert report["pass"] is True
     residual = lf.koebe_ode_residual(df.moebius(), growth_draw(56))
     assert report["payload"]["ode_residual"] == residual < 1e-12
@@ -358,7 +358,7 @@ SWEEP_N = {"certify": 1, "flow-check": 1, "scan": 9, "gprime": 9, "shear-commute
 def test_seed_sweep_passes(command, domain, seed, tmp_path):
     code, out = run_cli(tmp_path, "sweep", command, "--seed", str(seed),
                         "--n", str(SWEEP_N[command]), "--domain", *domain)
-    report = cli.parse_report(out)
+    report = json.loads(out.read_text())
     assert code == 0 and report["pass"] is True and report["instability"] is False
 
 
@@ -478,7 +478,7 @@ def test_cli_config_file_and_overrides(tmp_path):
     }))
     code, out = run_cli(tmp_path, "tbl", "d1-table", "--config", str(cfg))
     assert code == 0
-    report = cli.parse_report(out)
+    report = json.loads(out.read_text())
     assert report["config"]["g_spec"]["family"] == "almost_starlike"
     assert out.with_suffix(".csv").exists()
     header = out.with_suffix(".csv").read_text().splitlines()[0]
@@ -486,7 +486,7 @@ def test_cli_config_file_and_overrides(tmp_path):
     # flag overrides beat the config file
     code, out2 = run_cli(tmp_path, "tbl2", "d1-table", "--config", str(cfg),
                          "--family", "moebius")
-    assert cli.parse_report(out2)["config"]["g_spec"]["family"] == "moebius"
+    assert json.loads(out2.read_text())["config"]["g_spec"]["family"] == "moebius"
     # mismatched subcommand is a usage error
     assert cli.main(["a0-table", "--config", str(cfg)]) == 2
 

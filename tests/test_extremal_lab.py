@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from loewner_lab import disc_functions as df
 from loewner_lab import extremal_lab as el
 from loewner_lab import loewner_flow as lf
 from loewner_lab.errors import DomainError, FlowInstabilityError, NumericalInstabilityError
+from oracles import leaving_form
 
 P2 = bg.polydisc(2)
 E2 = bg.euclidean(2)
@@ -173,9 +176,9 @@ def test_bound_report_json():
 
 
 def expanding_sample(dom):
-    """A parametric map whose flow dv/dt = +v leaves the ball."""
-    outward = carath.BlackBoxMap(lambda Z: -Z, dom, normalized=True)
-    return lf.parametric_holmap(lf.autonomous_field(outward, dom))
+    """A parametric map whose flow leaves the ball from z_2 = -0.4, on the
+    e_2 circles of radius 0.4 that scan and gprime take coefficients on."""
+    return lf.parametric_holmap(lf.autonomous_field(leaving_form(dom, 2), dom))
 
 
 @pytest.mark.parametrize("experiment", ["scan", "gprime"])
@@ -222,7 +225,7 @@ def test_two_radius_disagreement_is_not_resampled(monkeypatch, tmp_path):
     assert len(draws) == 1
     out = tmp_path / "scan.json"
     assert cli.main(["scan", "--seed", "1", "--n", "1", "--out", str(out)]) == 3
-    assert cli.parse_report(out)["instability"] is True
+    assert json.loads(out.read_text())["instability"] is True
 
 
 def test_only_every_eighth_sample_is_flowed(monkeypatch):
@@ -254,7 +257,7 @@ def test_oracle_disagreement_exits_3(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(lf, "parametric_quadratic", lambda field: real(field) + 1e-6)
     out = tmp_path / "scan.json"
     assert cli.main(["scan", "--seed", "1", "--n", "1", "--out", str(out)]) == 3
-    report = cli.parse_report(out)
+    report = json.loads(out.read_text())
     assert report["instability"] is True and report["pass"] is False
     assert "disagree" in report["payload"]["error"]
     assert "Traceback" not in capsys.readouterr().err
@@ -269,7 +272,7 @@ def test_canonical_oracle_disagreement_exits_3_without_samples(command, monkeypa
     monkeypatch.setattr(lf, "parametric_quadratic", lambda field: real(field) + 1e-6)
     out = tmp_path / "report.json"
     assert cli.main([command, "--seed", "1", "--n", "0", "--out", str(out)]) == 3
-    report = cli.parse_report(out)
+    report = json.loads(out.read_text())
     assert report["instability"] is True and report["pass"] is False
     assert "parametric[" in report["payload"]["error"]
     assert "disagree" in report["payload"]["error"]

@@ -6,8 +6,8 @@ from loewner_lab import carath
 from loewner_lab import disc_functions as df
 from loewner_lab import extremal_lab as el
 from loewner_lab import loewner_flow as lf
-from loewner_lab.errors import (DomainError, FlowInstabilityError, NumericalInstabilityError,
-                                UnsupportedError)
+from loewner_lab.errors import DomainError, FlowInstabilityError, NumericalInstabilityError
+from oracles import assert_normalized, fd_jacobian, leaving_form
 
 P2 = bg.polydisc(2)
 E2 = bg.euclidean(2)
@@ -101,14 +101,15 @@ def test_flow_piecewise_schedule_composes_segments():
     assert np.max(np.abs(res.endpoint - expect)) < 1e-8
 
 
-def test_flow_norm_monotone_along_trajectory():
+def test_flow_norm_monotone_over_successive_end_times():
     g = df.moebius()
     rng = np.random.default_rng(4)
     member = carath.random_Mg_member(g, P2, rng, 3)
     field = lf.autonomous_field(member, P2)
     z = bg.sample_sphere(P2, rng) * 0.95
-    res = lf.flow(field, z, 0.0, 3.0, record_trajectory=True)
-    norms = [float(np.asarray(bg.norm(P2, y))[0]) for _, y in res.trajectory]
+    ends = 0.1 * np.arange(1, 31)
+    points = [z] + [lf.flow(field, z, 0.0, t).endpoint for t in ends]
+    norms = [float(bg.norm(P2, y)) for y in points]
     assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
     assert norms[-1] < norms[0]
 
@@ -142,16 +143,18 @@ def test_flow_tolerance_scaling():
     assert 10.0 < errors[1e-8] / errors[1e-10] < 1000.0
 
 
-def test_flow_identity_field_is_exact_in_few_steps():
+def test_flow_identity_field_is_exact_in_few_steps(monkeypatch):
     # the identity field has remainder 0, so w = e^t v is constant in d: the
-    # step grows x5 per accepted step, and the result is e^-t z up to rounding
+    # step grows x5 per accepted step, and the result is e^-t z up to rounding.
+    # No step is rejected, and each one costs 12 RHS calls
     rng = np.random.default_rng(12)
+    counters = counting_remainders(monkeypatch)
     for dom in (P2, E2, bg.spectral2()):
         Z = bg.sample_sphere(dom, rng, 50) * rng.uniform(0.1, 0.9, 50)[:, None]
-        res = lf.flow(identity_field(dom), Z, 0.0, 10.0, record_trajectory=True)
+        res = lf.flow(identity_field(dom), Z, 0.0, 10.0)
         expect = np.exp(-10.0) * Z
         assert np.max(np.abs(res.endpoint - expect) / np.abs(expect)) <= 1e-15
-        assert len(res.trajectory) - 1 <= 10
+        assert counters[-1].calls % 12 == 0 and counters[-1].calls // 12 <= 10
 
 
 def test_flow_and_limit_match_the_flow_check_closed_forms():
@@ -172,11 +175,13 @@ def test_flow_and_limit_match_the_flow_check_closed_forms():
 
 
 def test_flow_leaving_the_ball_raises_flow_instability():
-    # h = -z pushes every point outward; the check on v = e^-s u catches it
-    outward = carath.BlackBoxMap(lambda Z: -Z, P2, normalized=True)
-    field = lf.autonomous_field(outward, P2)
+    # h = z + 4 z_1^2 e_1 pushes z_1 = -0.5 outward; the norm check on
+    # v = d w catches it, in a flow and in a parametric limit
+    field = lf.autonomous_field(leaving_form(P2, 1), P2)
     with pytest.raises(FlowInstabilityError, match="ball exit"):
-        lf.flow(field, np.array([[0.5, 0.2j]]), 0.0, 1.0)
+        lf.flow(field, np.array([[-0.5, 0.2j]]), 0.0, 1.0)
+    with pytest.raises(FlowInstabilityError, match="ball exit"):
+        lf.parametric_map(field, np.array([[-0.5, 0.2j]]))
 
 
 def test_flow_rejects_a_segment_past_the_underflow_limit():
@@ -219,7 +224,7 @@ def test_parametric_map_is_normalized():
     fmap = lf.parametric_holmap(shear_field(g, P2, -1))
     zero = np.zeros((1, 2), complex)
     assert np.linalg.norm(fmap.values(zero)) < 1e-12
-    J = fmap.jacobian_batch(zero)[0]
+    J = fd_jacobian(fmap, zero)[0]
     assert np.max(np.abs(J - np.eye(2))) < 1e-7
 
 
@@ -252,11 +257,14 @@ def test_parametric_quadratic_closed_forms():
     assert np.allclose(lf.parametric_quadratic(field), -(1 - np.exp(-0.5)) * Q_h, rtol=1e-15)
 
 
-def test_parametric_quadratic_needs_array_forms():
-    boxed = carath.BlackBoxMap(lambda Z: Z, P2, normalized=True)
-    field = lf.HerglotzField((0.0, 0.5), (carath.identity_map(P2), boxed), P2)
-    with pytest.raises(UnsupportedError):
-        lf.parametric_quadratic(field)
+def test_parametric_quadratic_needs_no_flow():
+    # read off the forms: exact on a schedule whose flow leaves the ball
+    h = leaving_form(P2, 1)
+    field = lf.HerglotzField((0.0, 0.5), (carath.identity_map(P2), h), P2)
+    assert np.allclose(lf.parametric_quadratic(field), -np.exp(-0.5) * h.form.quadratic(2),
+                       rtol=1e-15)
+    with pytest.raises(FlowInstabilityError, match="ball exit"):
+        lf.parametric_map(field, np.array([[-0.5, 0.2j]]))
 
 
 @pytest.mark.parametrize("dom,g", [(bg.polydisc(2), df.moebius()), (bg.polydisc(3), df.moebius()),
@@ -409,29 +417,38 @@ def test_koebe_closed_form_matches_quadrature(g, beta):
 
 
 class CountingMap(carath.HolMap):
-    """Delegates to ``inner`` and counts ``values`` calls; the calls numbered
-    in ``spoil`` (from 1) return a perturbed value."""
+    """Delegates to ``inner``, counts ``values`` calls and keeps their
+    points; the calls numbered in ``spoil`` (from 1) return a perturbed
+    value."""
 
     def __init__(self, inner, spoil=()):
         self.inner, self.domain, self.normalized = inner, inner.domain, True
-        self.calls, self.spoil = 0, set(spoil)
+        self.calls, self.spoil, self.points = 0, set(spoil), []
 
     def values(self, Z):
         self.calls += 1
+        self.points.append(Z)
         out = self.inner.values(Z)
         return out + 0.1 if self.calls in self.spoil else out
 
+    def stage_ds(self, w):
+        """The d of each call, for a flow whose w stays put: a stage at d
+        evaluates the remainder at d w."""
+        return [float((Z[0, 0] / w[0, 0]).real) for Z in self.points]
 
-class CallMarks(list):
-    """Trajectory list that notes the RHS call count at each accepted step."""
 
-    def __init__(self, counter):
-        super().__init__()
-        self.counter, self.marks = counter, []
+def counting_remainders(monkeypatch):
+    """The list that every remainder ``flow`` integrates goes into, as a
+    CountingMap."""
+    counters = []
+    remainder = carath.remainder_map
 
-    def append(self, item):
-        super().append(item)
-        self.marks.append(self.counter.calls)
+    def counted(h):
+        counters.append(CountingMap(remainder(h)))
+        return counters[-1]
+
+    monkeypatch.setattr(carath, "remainder_map", counted)
+    return counters
 
 
 def test_dop853_accounting_reuses_the_accepted_stage():
@@ -440,37 +457,39 @@ def test_dop853_accounting_reuses_the_accepted_stage():
     zero = carath.remainder_map(carath.identity_map(P2))
     # one accepted step: the first stage and 11 more
     plain = CountingMap(zero)
-    marks = CallMarks(plain)
-    lf._integrate_segment(plain, P2, y, 1.0, 0.99, 1e-10, 0.1, marks)
-    assert marks.marks == [12]
+    lf._integrate_segment(plain, P2, y, 1.0, 0.99, 1e-10, 0.1)
+    assert plain.calls == 12
     # a spoiled sixth stage (the first one the error rows weigh after the
     # first) rejects the first attempt; the retry starts from the same point
     # and keeps its first stage: 12 + 11 calls to the first accepted step,
     # then one evaluation at the accepted point, which is the first stage of
     # the step to the segment end, and its 11 stages
     spoiled = CountingMap(zero, spoil={6})
-    marks = CallMarks(spoiled)
-    end, _ = lf._integrate_segment(spoiled, P2, y, 1.0, 0.99, 1e-10, 0.1, marks)
-    assert marks.marks == [23, 35]
-    assert [d for d, _ in marks] == pytest.approx([0.998, 0.99], abs=1e-15)
+    end, _ = lf._integrate_segment(spoiled, P2, y, 1.0, 0.99, 1e-10, 0.1)
+    assert spoiled.calls == 35
+    assert [spoiled.stage_ds(y)[k] for k in (0, 23)] == pytest.approx([1.0, 0.998], abs=1e-15)
     assert np.array_equal(end, y)
 
 
-def test_flow_carries_the_step_across_breakpoints():
+def test_flow_carries_the_step_across_breakpoints(monkeypatch):
     # the identity's remainder is 0, so every step is accepted and the
     # controller proposes 5x the step it took.  From d = 1 to 0.6 with 0.1
     # first: steps 0.1 and 0.3 (0.5 clipped), and 1.5 is handed on
-    zero = carath.remainder_map(carath.identity_map(P2))
+    zero = CountingMap(carath.remainder_map(carath.identity_map(P2)))
     y = np.array([[0.3 + 0.1j, -0.2j]])
-    marks = []
-    _, step = lf._integrate_segment(zero, P2, y, 1.0, 0.6, 1e-10, 0.1, marks)
-    assert [d for d, _ in marks] == pytest.approx([0.9, 0.6]) and step == pytest.approx(1.5)
-    # a flow across the breakpoint at 0.7 goes on from the clipped step's
+    _, step = lf._integrate_segment(zero, P2, y, 1.0, 0.6, 1e-10, 0.1)
+    assert zero.calls == 24 and step == pytest.approx(1.5)
+    assert [zero.stage_ds(y)[k] for k in (0, 12)] == pytest.approx([1.0, 0.9])
+    # a flow across the breakpoint at 0.7 takes the same two steps to it, the
+    # breakpoint a step boundary, and goes on from the clipped step's
     # proposal, which reaches t = 1.4 in one step, rather than from 0.1 again
+    counters = counting_remainders(monkeypatch)
     ident = carath.identity_map(P2)
     piecewise = lf.HerglotzField((0.0, 0.7), (ident, ident), P2)
-    res = lf.flow(piecewise, y, 0.0, 1.4, record_trajectory=True)
-    assert [t for t, _ in res.trajectory] == pytest.approx([0.0, -np.log(0.9), 0.7, 1.4])
+    lf.flow(piecewise, y, 0.0, 1.4)
+    assert [c.calls for c in counters] == [24, 12]
+    assert [counters[0].stage_ds(y)[k] for k in (0, 12)] == pytest.approx([1.0, 0.9])
+    assert counters[1].stage_ds(y)[0] == pytest.approx(np.exp(-0.7))
 
 
 def test_flow_and_limit_of_an_empty_batch_are_empty():
@@ -515,14 +534,7 @@ def test_canonical_parametric_map_rhs_call_budget(monkeypatch):
     # right-hand side constant in d; u = e^t v with 5-unit checkpoints took
     # about 260, step-doubling RK4 802, integrating v itself 6900, and the
     # d-frame with h(x) - x evaluated by subtraction 1232
-    counters = []
-
-    def counted(h):
-        counters.append(CountingMap(remainder(h)))
-        return counters[-1]
-
-    remainder = carath.remainder_map
-    monkeypatch.setattr(carath, "remainder_map", counted)
+    counters = counting_remainders(monkeypatch)
     g = df.moebius()
     h = carath.canonical_field(g, P2, 1, 2, +1)
     rng = np.random.default_rng(14)
@@ -546,7 +558,7 @@ def test_unbounded_support_map_values_and_coefficient():
     z[0, 0] = 0.99
     grown = float(np.asarray(bg.norm(E2, fmap.values(z)))[0])
     assert grown == pytest.approx(0.99 / 0.01**2, rel=1e-6)
-    carath.assert_normalized(fmap)
+    assert_normalized(fmap)
     diag = carath.second_coeff(fmap, 1, 1, carath.PURE)
     assert diag == pytest.approx(-df.g_prime0(g), abs=1e-7)
 
@@ -573,7 +585,7 @@ def test_radial_map_values_and_jacobian():
     Z = np.stack([bg.sample_sphere(P2, rng) * rng.uniform(0.05, 0.5) for _ in range(8)])
     ref = (lf.koebe_transform(g, Z[:, 0]) / Z[:, 0])[:, None] * Z
     assert np.all(np.abs(radial.values(Z) - ref) <= 1e-14 * (1.0 + np.abs(ref)))
-    fd = carath.BlackBoxMap(radial.values, P2).jacobian_batch(Z)
+    fd = fd_jacobian(radial, Z)
     assert np.allclose(radial.jacobian_batch(Z), fd, atol=1e-6)
 
 
@@ -608,13 +620,24 @@ def test_make_field_lays_generators_on_consecutive_segments():
 
 
 def test_flow_aborts_on_norm_growth():
-    # v' = +v grows; the monitor must abort instead of leaving the ball
-    expanding = carath.PolynomialMap(
-        {(1, (1, 0)): -1.0, (2, (0, 1)): -1.0}, P2, normalized=False)
-    field = lf.HerglotzField((0.0,), (carath.BlackBoxMap(expanding.values, P2,
-                                                         normalized=True),), P2)
+    # z_1' = -(z_1 + 4 z_1^2) grows from -0.3, to about -0.306 at t = 0.1;
+    # the monitor must abort at the first growth, deep inside the ball
+    field = lf.autonomous_field(leaving_form(P2, 1), P2)
     with pytest.raises(NumericalInstabilityError):
-        lf.flow(field, np.array([0.9, 0.0], complex), 0.0, 2.0)
+        lf.flow(field, np.array([-0.3, 0.0], complex), 0.0, 0.1)
+
+
+def test_field_refuses_a_generator_without_an_array_form():
+    # nothing checks Dh(0) = I on a map known by its values alone: flagged
+    # normalized, 0.5 z would give a parametric limit near 1e8 at (0.3, 0.1)
+    for fn in (lambda Z: 0.5 * Z, lambda Z: -Z):
+        boxed = carath.BlackBoxMap(fn, P2, normalized=True)
+        with pytest.raises(DomainError, match="array form"):
+            lf.autonomous_field(boxed, P2)
+        with pytest.raises(DomainError, match="array form"):
+            lf.make_field([carath.identity_map(P2), boxed], P2)
+    with pytest.raises(DomainError, match="array form"):
+        lf.autonomous_field(lf.unbounded_support_map(df.moebius(), P2), P2)
 
 
 def test_parametric_limit_tail_past_the_horizon_is_below_rounding():
