@@ -302,12 +302,11 @@ class BlackBoxMap(HolMap):
     so no schedule takes it."""
 
     def __init__(self, fn, domain: bg.BallGeometry, normalized: bool = False,
-                 label: str = "black_box", provenance=None):
+                 label: str = "black_box"):
         self.fn = fn
         self.domain = domain
         self.normalized = normalized
         self.label = label
-        self.provenance = provenance
 
     def values(self, Z):
         return np.asarray(self.fn(np.asarray(Z, dtype=complex)), dtype=complex)
@@ -398,10 +397,10 @@ def convex_combination(maps: Sequence[HolMap], weights: Sequence[float]) -> Comp
 # second-order coefficients at the origin
 
 
-def _check_pair(dom: bg.BallGeometry, i: int, j: int, need_distinct: bool = True):
+def _check_pair(dom: bg.BallGeometry, i: int, j: int):
     if not (1 <= i <= dom.n and 1 <= j <= dom.n):
         raise DomainError(f"indices ({i}, {j}) out of range for n = {dom.n}")
-    if need_distinct and i == j:
+    if i == j:
         raise DomainError("indices must be distinct")
     if dom.rank >= 2:
         frame = dom.frame_coords

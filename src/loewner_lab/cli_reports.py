@@ -331,7 +331,7 @@ def _run_shear_commute(config, g, dom, rng):
     worst = 0.0
     rows = []
     for k in range(config.N):
-        schedule = el.random_schedule(g, dom, rng, config.pieces)
+        schedule = el.sample_Sg0(g, dom, rng, config.pieces)
         residual = el.verify_shear_commutes(schedule, i=config.i, j=config.j)
         rows.append({"field": k, "residual": residual})
         worst = max(worst, residual)

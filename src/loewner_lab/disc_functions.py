@@ -198,14 +198,14 @@ def d1(g: DiscFunction) -> float:
     return math.sin(g.alpha * math.pi / 2.0)
 
 
-def d1_grid(g: DiscFunction, n_grid: int = GRID_SIZE) -> float:
+def d1_grid(g: DiscFunction) -> float:
     """Numeric boundary distance: grid scan of |g(e^{i theta}) - 1| refined
     around the three best grid points (``_grid_minimum``).
 
     Poles / infinite boundary points cannot be nearest points to 1 and are
     skipped.
     """
-    theta = 2.0 * np.pi * np.arange(n_grid) / n_grid
+    theta = 2.0 * np.pi * np.arange(GRID_SIZE) / GRID_SIZE
     return _grid_minimum(lambda t: np.abs(_eval_raw(g, np.exp(1j * t)) - 1.0), theta,
                          periodic=True)
 
@@ -215,14 +215,14 @@ def _a0_objective(g: DiscFunction, rho):
     return np.minimum(np.abs(minus_one(g, rho)), np.abs(minus_one(g, -rho))) / rho
 
 
-def a0(g: DiscFunction, n_grid: int = GRID_SIZE) -> float:
+def a0(g: DiscFunction) -> float:
     """Radial infimum over rho in (0,1) of min(|1-g(rho)|, |g(-rho)-1|)/rho.
 
     The scan combines a refined grid minimum (``_grid_minimum``), the
     rho -> 0 limit |g'(0)|, and a linear-in-(1-rho) extrapolation of the
     rho -> 1 endpoint (the objective extends continuously whenever g does).
     """
-    grid = np.linspace(1e-6, 1.0 - 1e-6, n_grid)
+    grid = np.linspace(1e-6, 1.0 - 1e-6, GRID_SIZE)
     candidates = [_grid_minimum(lambda r: _a0_objective(g, r), grid), abs(g_prime0(g))]
     tail = _a0_objective(g, 1.0 - np.power(10.0, -np.arange(2.0, 7.0)))
     if np.all(np.isfinite(tail)):

@@ -7,11 +7,13 @@ family plus exact attainment by the closed-form extremal map; reports state
 always included in a scan so its maximum is exact even though random convex
 combinations concentrate away from the extreme points.
 
-A sampled map's second coefficients come from an exact oracle: for a
-piecewise-constant schedule the quadratic part of the parametric limit is
+A sampled map is held as its generator schedule (``sample_Sg0``), and its
+second coefficients come from an exact oracle: for a piecewise-constant
+schedule the quadratic part of the parametric limit is
 -sum_k (e^{-t_k} - e^{-t_{k+1}}) Q_k (``lf.parametric_quadratic``).  Every
 ``ORACLE_STRIDE``-th sample, sample #0 first, is also flowed and DFT'd as a
-cross-check; a gap above ``ORACLE_TOL`` is a numerical instability (exit 3).
+cross-check; a gap above ``ORACLE_TOL``, or a flow that fails, is a
+numerical instability (exit 3).
 Reports record ``oracle_checks`` (the cross-checked samples) and
 ``oracle_gap`` (their largest |exact - ODE|, 0.0 when there are none).  The
 canonical and sharp parametric maps are scored exactly too, and each
@@ -35,15 +37,13 @@ from . import ball_geometry as bg
 from . import carath
 from . import disc_functions as df
 from . import loewner_flow as lf
-from .errors import DomainError, FlowInstabilityError, NumericalInstabilityError
+from .errors import DomainError, NumericalInstabilityError
 
 #: default number of pieces in a sampled generator schedule
 DEFAULT_PIECES = 3
 _ATTAIN_TOL = 1e-8
 #: relative tolerance of the flows behind the sampled family's parametric maps
 SAMPLER_ODE_TOL = 1e-9
-#: draws per sampled map before a run of flow failures aborts the experiment
-SAMPLE_TRIES = 4
 #: sample s is also flowed and DFT'd when s % ORACLE_STRIDE == 0, so sample #0
 #: always cross-checks the exact coefficients
 ORACLE_STRIDE = 8
@@ -86,11 +86,15 @@ class BoundReport:
         }
 
 
-def random_schedule(g: df.DiscFunction, dom: bg.BallGeometry, rng: np.random.Generator,
-                    pieces: int) -> lf.HerglotzField:
-    """A random piecewise-constant schedule of ``pieces`` generators, each a
-    convex combination of 1 to 3 known M_g members
-    (``carath.random_Mg_member``), so in M_g by construction."""
+def sample_Sg0(g: df.DiscFunction, dom: bg.BallGeometry, rng: np.random.Generator,
+               pieces: int) -> lf.HerglotzField:
+    """One random map of S_g^0, held as its schedule: ``pieces`` generators
+    on consecutive intervals (``lf.make_field``), each a convex combination
+    of 1 to 3 known M_g members (``carath.random_Mg_member``), so in M_g by
+    construction.  The map is the schedule's parametric limit; the scans
+    read its second coefficients off the schedule (``_exact_coeffs``) and
+    flow only the cross-checked draws.
+    """
     if pieces < 1:
         raise DomainError("need at least one schedule piece")
     maps = [carath.random_Mg_member(g, dom, rng, int(rng.integers(1, 4)))
@@ -98,68 +102,25 @@ def random_schedule(g: df.DiscFunction, dom: bg.BallGeometry, rng: np.random.Gen
     return lf.make_field(maps, dom)
 
 
-def sample_Sg0(g: df.DiscFunction, dom: bg.BallGeometry, rng: np.random.Generator,
-               pieces: int) -> carath.BlackBoxMap:
-    """One random map with parametric representation: the limit of the flow
-    of a random piecewise-constant schedule (``random_schedule``).
+def _exact_coeffs(field: lf.HerglotzField, requests, fmap=None):
+    """(exact, ode, gap) for the parametric limit of ``field``.
 
-    The schedule is retained on the returned map as ``provenance``; the
-    scans read the map's second coefficients from it exactly
-    (``lf.parametric_quadratic``).  The map is evaluated lazily, so a flow
-    failure (ball exit or step underflow) surfaces as
-    ``FlowInstabilityError`` when it is evaluated.  Only the cross-checked
-    draws (every ``ORACLE_STRIDE``-th sample) are evaluated: on those,
-    ``scan_support`` and ``verify_gprime_bounds`` discard a failed draw and
-    resample, up to ``SAMPLE_TRIES`` draws (``_evaluate_sample``); the other
-    draws never flow and are never resampled.
+    ``exact`` is {(i, j, kind): value}, the quadratic part of the limit read
+    off the schedule (``lf.parametric_quadratic``).  Given the flowed limit
+    ``fmap``, ``ode`` is its flowed and DFT'd table and ``gap`` the largest
+    |exact - ode|; a gap above ``ORACLE_TOL`` raises
+    NumericalInstabilityError, and a failed flow raises
+    FlowInstabilityError.  Without ``fmap`` both are None.
     """
-    return lf.parametric_holmap(random_schedule(g, dom, rng, pieces), ode_tol=SAMPLER_ODE_TOL,
-                                label=f"Sg0_sample[pieces={pieces}]")
-
-
-def _evaluate_sample(draw, evaluate):
-    """(map, evaluate(map)) for the first of up to SAMPLE_TRIES draws whose
-    flow does not fail.  Other errors, such as a two-radius coefficient
-    disagreement, propagate at once."""
-    for _ in range(SAMPLE_TRIES):
-        f = draw()
-        try:
-            return f, evaluate(f)
-        except FlowInstabilityError:
-            continue
-    raise NumericalInstabilityError("parametric sampling failed to converge repeatedly")
-
-
-def _exact_coeffs(f, requests, ode):
-    """({(i, j, kind): value}, gap) for a parametric map ``f``.
-
-    The values are exact: the quadratic part of the parametric limit of the
-    map's schedule (its ``provenance``).  ``gap`` is their largest distance
-    to the flowed and DFT'd table ``ode``, or None when ``ode`` is None; a
-    gap above ``ORACLE_TOL`` raises NumericalInstabilityError.
-    """
-    exact = carath.quadratic_coeffs(lf.parametric_quadratic(f.provenance), requests)
-    if ode is None:
-        return exact, None
+    exact = carath.quadratic_coeffs(lf.parametric_quadratic(field), requests)
+    if fmap is None:
+        return exact, None, None
+    ode = carath.second_coeff_bundle(fmap, requests)
     gap = max(abs(exact[key] - ode[key]) for key in exact)
     if gap > ORACLE_TOL:
         raise NumericalInstabilityError(
-            f"{f.describe()}: exact and ODE coefficients disagree by {gap:.3e}")
-    return exact, gap
-
-
-def _sample_coeffs(draw, requests, checked: bool):
-    """(map, {(i, j, kind): value}, gap) for one sampled map (``_exact_coeffs``).
-
-    A ``checked`` sample is first flowed and DFT'd (``_evaluate_sample``, so
-    a flow failure resamples and a two-radius disagreement raises).  An
-    unchecked sample never flows and its gap is None.
-    """
-    if checked:
-        f, ode = _evaluate_sample(draw, lambda f: carath.second_coeff_bundle(f, requests))
-    else:
-        f, ode = draw(), None
-    return (f, *_exact_coeffs(f, requests, ode))
+            f"{fmap.describe()}: exact and ODE coefficients disagree by {gap:.3e}")
+    return exact, ode, gap
 
 
 def support_map(g: df.DiscFunction, dom: bg.BallGeometry, i: int, j: int,
@@ -178,7 +139,7 @@ def scan_support(g: df.DiscFunction, dom: bg.BallGeometry, i: int, j: int, N: in
     candidates; the canonical map must attain the sharp bound
     factor * d1(g) within coefficient-extraction tolerance.
 
-    A sample's value is exact (``_sample_coeffs``); every
+    A sample's value is exact (``_exact_coeffs``); every
     ``ORACLE_STRIDE``-th sample is also flowed and checked on every pure
     coefficient (a, j) of its e_j circle, and the report records the number
     of these cross-checks and their largest gap.  So is ``parametric[h+]``,
@@ -199,14 +160,17 @@ def scan_support(g: df.DiscFunction, dom: bg.BallGeometry, i: int, j: int, N: in
     requests = [(i, j, carath.PURE)]
     # (i, j) alone is identically 0 on draws with no z_j^2 term in component i
     axis = [(a, j, carath.PURE) for a in range(1, dom.n + 1)]
+    label = f"Sg0_sample[pieces={pieces}]"
     gaps = []
 
     for s in range(N):
-        f, coeffs, gap = _sample_coeffs(lambda: sample_Sg0(g, dom, rng, pieces), axis,
-                                        s % ORACLE_STRIDE == 0)
+        schedule = sample_Sg0(g, dom, rng, pieces)
+        fmap = (lf.parametric_holmap(schedule, ode_tol=SAMPLER_ODE_TOL, label=label)
+                if s % ORACLE_STRIDE == 0 else None)
+        coeffs, _, gap = _exact_coeffs(schedule, axis, fmap)
         if gap is not None:
             gaps.append(gap)
-        entries.append((f"{f.describe()}#{s}", float(coeffs[requests[0]].real)))
+        entries.append((f"{label}#{s}", float(coeffs[requests[0]].real)))
 
     def coeff(f):
         return float(carath.second_coeff(f, i, j, carath.PURE).real)
@@ -217,16 +181,14 @@ def scan_support(g: df.DiscFunction, dom: bg.BallGeometry, i: int, j: int, N: in
     entries.append((f_plus.describe(), plus_val))
     entries.append((f_minus.describe(), coeff(f_minus)))
     entries.append(("identity", coeff(carath.identity_map(dom))))
-    canonical_gaps = []
-    for sign, tag in ((+1, "+"), (-1, "-")):
-        h_field = lf.autonomous_field(carath.canonical_field(g, dom, i, j, sign), dom)
-        fmap = lf.parametric_holmap(h_field, ode_tol=SAMPLER_ODE_TOL,
-                                    label=f"parametric[h{tag}]")
-        ode = carath.second_coeff_bundle(fmap, requests) if sign > 0 else None
-        exact, gap = _exact_coeffs(fmap, requests, ode)
-        if gap is not None:
-            canonical_gaps.append(gap)
-        entries.append((fmap.describe(), float(exact[requests[0]].real)))
+    h_plus, h_minus = (lf.autonomous_field(carath.canonical_field(g, dom, i, j, sign), dom)
+                       for sign in (+1, -1))
+    plus, _, canonical_gap = _exact_coeffs(
+        h_plus, requests,
+        lf.parametric_holmap(h_plus, ode_tol=SAMPLER_ODE_TOL, label="parametric[h+]"))
+    minus, _, _ = _exact_coeffs(h_minus, requests)
+    entries.append(("parametric[h+]", float(plus[requests[0]].real)))
+    entries.append(("parametric[h-]", float(minus[requests[0]].real)))
 
     best = max(entries, key=lambda e: e[1])
     violations = [(name, val) for name, val in entries if val > bound + tolerance]
@@ -236,7 +198,7 @@ def scan_support(g: df.DiscFunction, dom: bg.BallGeometry, i: int, j: int, N: in
     return BoundReport((i, j, carath.PURE), bound, best[1], best[0],
                        n_samples=N, violations=violations, tolerance=tolerance,
                        oracle_checks=len(gaps), oracle_gap=max(gaps, default=0.0),
-                       canonical_gap=max(canonical_gaps))
+                       canonical_gap=canonical_gap)
 
 
 def verify_gprime_bounds(g: df.DiscFunction, dom: bg.BallGeometry, N: int,
@@ -266,10 +228,13 @@ def verify_gprime_bounds(g: df.DiscFunction, dom: bg.BallGeometry, N: int,
     requests = [(idx, idx, carath.PURE) for idx in frame]
     requests += [(a, b, carath.MIXED) for a, b in mixed_pairs]
 
+    label = f"Sg0_sample[pieces={pieces}]"
     gaps = []
     for s in range(N):
-        _, coeffs, gap = _sample_coeffs(lambda: sample_Sg0(g, dom, rng, pieces), requests,
-                                        s % ORACLE_STRIDE == 0)
+        schedule = sample_Sg0(g, dom, rng, pieces)
+        fmap = (lf.parametric_holmap(schedule, ode_tol=SAMPLER_ODE_TOL, label=label)
+                if s % ORACLE_STRIDE == 0 else None)
+        coeffs, _, gap = _exact_coeffs(schedule, requests, fmap)
         if gap is not None:
             gaps.append(gap)
         for (a, b, kind), val in coeffs.items():
@@ -279,11 +244,9 @@ def verify_gprime_bounds(g: df.DiscFunction, dom: bg.BallGeometry, N: int,
     sharp = [("g(z1)z", (1, 1, carath.PURE), (1, 1, carath.PURE)),
              ("g(z2)z", (1, 2, carath.MIXED), (2, 1, carath.MIXED))][:dom.rank]
     flowed = [key for _, _, key in sharp]
-    fmap = lf.parametric_holmap(
-        lf.autonomous_field(carath.disc_multiple_map(g, np.eye(dom.n)[0], dom), dom),
-        label="parametric[g(z1)z]")
-    ode = carath.second_coeff_bundle(fmap, flowed)
-    exact, canonical_gap = _exact_coeffs(fmap, flowed, ode)
+    sharp_field = lf.autonomous_field(carath.disc_multiple_map(g, np.eye(dom.n)[0], dom), dom)
+    exact, ode, canonical_gap = _exact_coeffs(
+        sharp_field, flowed, lf.parametric_holmap(sharp_field, label="parametric[g(z1)z]"))
     for name, (i, j, kind), key in sharp:
         entries.append((f"parametric[{name}]:{kind}({i},{j})", float(abs(exact[key]))))
     attain_gap = max(abs(abs(ode[key]) - bound) for key in flowed)
@@ -298,13 +261,12 @@ def verify_gprime_bounds(g: df.DiscFunction, dom: bg.BallGeometry, N: int,
                        canonical_gap=canonical_gap)
 
 
-def verify_shear_commutes(schedule: lf.HerglotzField, samples: int = 24,
-                          i: int = 1, j: int = 2) -> float:
+def verify_shear_commutes(schedule: lf.HerglotzField, i: int = 1, j: int = 2) -> float:
     """Residual of shearing/parametric-limit commutation.
 
     Shears the schedule segment by segment, computes both parametric maps,
     and returns the max norm of shear(limit of schedule) - limit(sheared
-    schedule) over sample points with norm <= 0.5.
+    schedule) over 24 sample points with norms from 0.1 to 0.5.
     """
     dom = schedule.domain
     carath._check_pair(dom, i, j)
@@ -315,7 +277,7 @@ def verify_shear_commutes(schedule: lf.HerglotzField, samples: int = 24,
     rhs_map = lf.parametric_holmap(sheared, ode_tol=SAMPLER_ODE_TOL)
 
     rng = np.random.default_rng(20250810)
-    radii = np.array([0.1 + 0.4 * k / max(samples - 1, 1) for k in range(samples)])
-    Z = bg.sample_sphere(dom, rng, samples) * radii[:, None]
+    radii = 0.1 + 0.4 * np.arange(24) / 23
+    Z = bg.sample_sphere(dom, rng, 24) * radii[:, None]
     gap = lhs_map.values(Z) - rhs_map.values(Z)
     return float(np.max(np.asarray(bg.norm(dom, gap))))

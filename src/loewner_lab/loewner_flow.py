@@ -80,11 +80,11 @@ class HerglotzField:
     """Piecewise-constant-in-time schedule of normalized generators.
 
     ``maps[k]`` acts on [times[k], times[k+1]) and the last segment extends
-    as an autonomous field for all later times.  Generators must have an
-    array form (a ``PolynomialMap`` or ``CompositeMap``), be flagged
-    normalized and have Dh(0) = I within 1e-12, read off the form; a map
-    known only by its values is refused, since nothing checks its
-    normalization.  Membership of the generators in M_g is the caller's:
+    as an autonomous field for all later times.  Generators must act on
+    ``domain``, have an array form (a ``PolynomialMap`` or ``CompositeMap``),
+    be flagged normalized and have Dh(0) = I within 1e-12, read off the
+    form; a map known only by its values is refused, since nothing checks
+    its normalization.  Membership of the generators in M_g is the caller's:
     sampled ones are M_g members by construction
     (``carath.random_Mg_member``).
     """
@@ -98,6 +98,8 @@ class HerglotzField:
             raise DomainError("schedule needs matching, nonempty times and maps")
         if self.times[0] != 0.0 or any(a >= b for a, b in zip(self.times, self.times[1:])):
             raise DomainError("breakpoints must strictly increase from 0")
+        if any(m.domain != self.domain for m in self.maps):
+            raise DomainError("every scheduled generator must act on the schedule's domain")
         if any(m.form is None for m in self.maps):
             raise DomainError("every scheduled generator must have an array form "
                               "(a PolynomialMap or CompositeMap)")
@@ -253,8 +255,7 @@ def parametric_holmap(field: HerglotzField, ode_tol: float = 1e-10,
     exactly); evaluation raises ``FlowInstabilityError`` when the flow
     fails."""
     return carath.BlackBoxMap(lambda Z: parametric_map(field, Z, ode_tol=ode_tol).endpoint,
-                              field.domain, normalized=True,
-                              label=label or "parametric_limit", provenance=field)
+                              field.domain, normalized=True, label=label or "parametric_limit")
 
 
 # ---------------------------------------------------------------------------

@@ -207,7 +207,7 @@ def test_criterion_9_shear_commutation():
         rng = np.random.default_rng(46)
         worst = 0.0
         for _ in range(20):
-            schedule = el.random_schedule(g, P2, rng, 3)
+            schedule = el.sample_Sg0(g, P2, rng, 3)
             worst = max(worst, el.verify_shear_commutes(schedule))
         assert worst < 1e-5, worst
 

@@ -45,35 +45,33 @@ def test_functional_linearity_on_polynomials():
 def test_sample_Sg0_determinism_and_bound():
     g = df.moebius()
     bound = df.d1(g)
-    f_a = el.sample_Sg0(g, P2, np.random.default_rng(77), pieces=2)
-    f_b = el.sample_Sg0(g, P2, np.random.default_rng(77), pieces=2)
-    assert f_a.provenance is not None
-    Z = np.array([[0.3 + 0.2j, -0.1], [0.0, 0.5j]], dtype=complex)
-    assert np.allclose(f_a.values(Z), f_b.values(Z), atol=1e-12)
-    for _ in range(3):
-        f = el.sample_Sg0(g, P2, np.random.default_rng(5), pieces=2)
-        assert abs(L12(f)) <= bound + 1e-6
-
-
-def test_random_schedule_draws_pieces_in_order():
-    g = df.moebius()
     with pytest.raises(DomainError):
-        el.random_schedule(g, P2, np.random.default_rng(0), 0)
-    field = el.random_schedule(g, P2, np.random.default_rng(9), 3)
+        el.sample_Sg0(g, P2, np.random.default_rng(0), 0)
+    # the draw is a function of the seed: the pieces of a schedule are the
+    # random_Mg_member draws of the same stream, in order
+    field = el.sample_Sg0(g, P2, np.random.default_rng(9), 3)
+    assert isinstance(field, lf.HerglotzField)
+    assert field.times == (0.0, lf.SEGMENT_DT, 2 * lf.SEGMENT_DT)
     rng = np.random.default_rng(9)
     maps = [carath.random_Mg_member(g, P2, rng, int(rng.integers(1, 4))) for _ in range(3)]
-    assert len(field.maps) == 3
     Z = np.array([[0.3 + 0.2j, -0.1], [0.0, 0.5j]], dtype=complex)
-    for drawn, ref in zip(field.maps, maps):
+    for drawn, ref in zip(field.maps, maps, strict=True):
         assert drawn.describe() == ref.describe()
         assert np.array_equal(drawn.values(Z), ref.values(Z))
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        field = el.sample_Sg0(g, P2, rng, pieces=2)
+        assert abs(lf.parametric_quadratic(field)[0, 1, 1]) <= bound + 1e-6
+        assert abs(L12(lf.parametric_holmap(field))) <= bound + 1e-6
 
 
 def test_sampling_certifies_nothing(monkeypatch):
     # sampled generators are M_g members by construction
-    # (carath.random_Mg_member): drawing a schedule runs no certificate
-    certified, drawn = [], []
-    real_certify, real_make = carath.certify_Mg, lf.make_field
+    # (carath.random_Mg_member): drawing a schedule runs no certificate.
+    # Every scan, gprime and shear-commute sample is one sample_Sg0 call,
+    # which the benchmark tracer times as extremal_lab.sample_Sg0
+    certified, drawn, sampled = [], [], []
+    real_certify, real_make, real_sample = carath.certify_Mg, lf.make_field, el.sample_Sg0
 
     def certify_Mg(*args, **kwargs):
         certified.append(args[0])
@@ -83,12 +81,19 @@ def test_sampling_certifies_nothing(monkeypatch):
         drawn.append(args[0])
         return real_make(*args, **kwargs)
 
+    def sample_Sg0(*args, **kwargs):
+        sampled.append(args[1].kind)
+        return real_sample(*args, **kwargs)
+
     monkeypatch.setattr(carath, "certify_Mg", certify_Mg)
     monkeypatch.setattr(lf, "make_field", make_field)
+    monkeypatch.setattr(el, "sample_Sg0", sample_Sg0)
     report = el.scan_support(df.moebius(), P2, 1, 2, N=5, rng=np.random.default_rng(8))
-    assert report.passed and len(drawn) == 5
+    assert report.passed and len(drawn) == 5 and sampled == ["polydisc"] * 5
+    report = el.verify_gprime_bounds(df.moebius(), E2, N=3, rng=np.random.default_rng(8))
+    assert report.passed and len(drawn) == 8 and sampled[5:] == ["euclidean"] * 3
     env = cli.run_experiment(cli.ExperimentConfig(experiment="shear_commute", seed=3, N=2))
-    assert env.passed and len(drawn) == 7
+    assert env.passed and len(drawn) == 10 and sampled[8:] == ["polydisc"] * 2
     assert certified == []
 
 
@@ -151,20 +156,20 @@ def test_verify_gprime_bounds_polydisc():
 
 def test_verify_shear_commutes_identity_field():
     field = lf.autonomous_field(carath.identity_map(P2), P2)
-    assert el.verify_shear_commutes(field, samples=10) < 1e-7
+    assert el.verify_shear_commutes(field) < 1e-7
 
 
 def test_verify_shear_commutes_canonical_field():
     g = df.moebius()
     field = lf.autonomous_field(carath.canonical_field(g, P2, 1, 2, +1), P2)
-    assert el.verify_shear_commutes(field, samples=10) < 1e-6
+    assert el.verify_shear_commutes(field) < 1e-6
 
 
 def test_verify_shear_commutes_random_field():
     g = df.moebius()
     rng = np.random.default_rng(6)
-    field = el.random_schedule(g, P2, rng, 3)
-    assert el.verify_shear_commutes(field, samples=12) < 1e-5
+    field = el.sample_Sg0(g, P2, rng, 3)
+    assert el.verify_shear_commutes(field) < 1e-5
 
 
 def test_bound_report_json():
@@ -176,34 +181,30 @@ def test_bound_report_json():
 
 
 def expanding_sample(dom):
-    """A parametric map whose flow leaves the ball from z_2 = -0.4, on the
-    e_2 circles of radius 0.4 that scan and gprime take coefficients on."""
-    return lf.parametric_holmap(lf.autonomous_field(leaving_form(dom, 2), dom))
+    """A schedule whose flow leaves the ball from z_2 = -0.4, on the e_2
+    circles of radius 0.4 that scan and gprime take coefficients on."""
+    return lf.autonomous_field(leaving_form(dom, 2), dom)
 
 
-@pytest.mark.parametrize("experiment", ["scan", "gprime"])
-def test_flow_failure_of_a_draw_is_resampled(monkeypatch, experiment):
+@pytest.mark.parametrize("command", ["scan", "gprime"])
+def test_flow_failure_of_a_checked_draw_exits_3(command, monkeypatch, tmp_path, capsys):
+    # a sampled map is its schedule: a checked draw whose flow fails ends the
+    # run as a numerical instability, it is not silently redrawn
     draws = []
-    real = el.sample_Sg0
 
     def sample(g, dom, rng, pieces):
         draws.append(pieces)
-        return expanding_sample(dom) if len(draws) == 1 else real(g, dom, rng, pieces)
+        return expanding_sample(dom)
 
     monkeypatch.setattr(el, "sample_Sg0", sample)
-    rng = np.random.default_rng(8)
-    if experiment == "scan":
-        report = el.scan_support(df.moebius(), P2, 1, 2, N=2, rng=rng, pieces=2)
-    else:
-        report = el.verify_gprime_bounds(df.moebius(), P2, N=1, rng=rng, pieces=1)
-    assert report.passed, report.violations
-    assert report.n_samples == len(draws) - 1
-
-
-def test_repeated_flow_failures_abort_the_scan(monkeypatch):
-    monkeypatch.setattr(el, "sample_Sg0", lambda g, dom, rng, pieces: expanding_sample(dom))
-    with pytest.raises(NumericalInstabilityError, match="failed to converge repeatedly"):
-        el.scan_support(df.moebius(), P2, 1, 2, N=1, rng=np.random.default_rng(0))
+    out = tmp_path / "report.json"
+    assert cli.main([command, "--seed", "1", "--n", "2", "--out", str(out)]) == 3
+    report = json.loads(out.read_text())
+    assert report["instability"] is True and report["pass"] is False
+    assert "ball exit" in report["payload"]["error"]
+    assert "Traceback" not in capsys.readouterr().err
+    # sample #0 is the checked draw: nothing is drawn after its flow fails
+    assert len(draws) == 1
 
 
 def test_two_radius_disagreement_is_not_resampled(monkeypatch, tmp_path):
@@ -212,13 +213,17 @@ def test_two_radius_disagreement_is_not_resampled(monkeypatch, tmp_path):
         out[:, 0] += np.where(np.abs(Z[:, 1]) > 0.3, Z[:, 1] ** 2, 0.0)
         return out
 
-    draws = []
+    draws, real = [], el.sample_Sg0
 
-    def sample(g, dom, rng, pieces):
-        draws.append(pieces)
-        return carath.BlackBoxMap(broken, dom, normalized=True)
+    def sample(*args):
+        draws.append(args)
+        return real(*args)
 
+    # the broken map stands in for the flowed limit of the checked draw
     monkeypatch.setattr(el, "sample_Sg0", sample)
+    monkeypatch.setattr(lf, "parametric_holmap",
+                        lambda field, **kwargs: carath.BlackBoxMap(broken, field.domain,
+                                                                   normalized=True))
     with pytest.raises(NumericalInstabilityError) as info:
         el.scan_support(df.moebius(), P2, 1, 2, N=1, rng=np.random.default_rng(0))
     assert not isinstance(info.value, FlowInstabilityError)
@@ -226,6 +231,27 @@ def test_two_radius_disagreement_is_not_resampled(monkeypatch, tmp_path):
     out = tmp_path / "scan.json"
     assert cli.main(["scan", "--seed", "1", "--n", "1", "--out", str(out)]) == 3
     assert json.loads(out.read_text())["instability"] is True
+
+
+@pytest.mark.parametrize("dom", [P2, bg.polydisc(3), E2, bg.euclidean(3), SP],
+                         ids=lambda d: f"{d.kind}-{d.n}")
+def test_sampled_flows_do_not_fail(dom):
+    # the standing evidence that a flow failure of a checked draw may end the
+    # run: over the catalog and 1 or 3 pieces, no draw's flow fails on the
+    # circles scan (1, 2) and gprime take coefficients on (e_1, e_2 and,
+    # on rank 2, e_1 +- e_2), and every gap stays within ORACLE_TOL
+    requests = [(a, 2, carath.PURE) for a in range(1, dom.n + 1)] + [(1, 1, carath.PURE)]
+    if dom.rank >= 2:
+        requests.append((1, 2, carath.MIXED))
+    for g in (df.moebius(), df.starlike_order(0.7), df.almost_starlike(0.4),
+              df.strongly_starlike(0.5)):
+        for pieces in (1, 3):
+            rng = np.random.default_rng(pieces)
+            for _ in range(4):
+                field = el.sample_Sg0(g, dom, rng, pieces)
+                fmap = lf.parametric_holmap(field, ode_tol=el.SAMPLER_ODE_TOL)
+                _, _, gap = el._exact_coeffs(field, requests, fmap)
+                assert gap <= el.ORACLE_TOL, (df.describe(g), pieces)
 
 
 def test_only_every_eighth_sample_is_flowed(monkeypatch):
@@ -317,27 +343,25 @@ def test_minus_canonical_limit_is_the_negated_plus_limit(dom):
     f_plus = lf.parametric_map(plus_field, -Z, ode_tol=el.SAMPLER_ODE_TOL)
     assert np.array_equal(f_minus.endpoint, -f_plus.endpoint)
     requests = [(1, 2, carath.PURE)]
-    ode_plus = carath.second_coeff_bundle(plus, requests)
-    ode_minus = carath.second_coeff_bundle(minus, requests)
+    _, ode_plus, gap_plus = el._exact_coeffs(plus_field, requests, plus)
+    _, ode_minus, gap_minus = el._exact_coeffs(minus_field, requests, minus)
     assert ode_minus[1, 2, carath.PURE] == -ode_plus[1, 2, carath.PURE]
-    _, gap_plus = el._exact_coeffs(plus, requests, ode_plus)
-    _, gap_minus = el._exact_coeffs(minus, requests, ode_minus)
     assert gap_minus == gap_plus > 0.0
 
 
 @pytest.mark.parametrize("N,flows", [(0, 1), (5, 2)])
 def test_scan_flows_the_plus_canonical_map_only(N, flows, monkeypatch):
-    calls, scored = [], {}
+    calls, scored = [], []
     real_map, real_exact = lf.parametric_map, el._exact_coeffs
 
     def parametric_map(*args, **kwargs):
         calls.append(args[0])
         return real_map(*args, **kwargs)
 
-    def exact_coeffs(f, requests, ode):
-        exact, gap = real_exact(f, requests, ode)
-        scored[f.describe()] = (exact[1, 2, carath.PURE], ode)
-        return exact, gap
+    def exact_coeffs(field, requests, fmap=None):
+        exact, ode, gap = real_exact(field, requests, fmap)
+        scored.append((field, fmap.describe() if fmap else None, exact[requests[0]]))
+        return exact, ode, gap
 
     monkeypatch.setattr(lf, "parametric_map", parametric_map)
     monkeypatch.setattr(el, "_exact_coeffs", exact_coeffs)
@@ -345,16 +369,20 @@ def test_scan_flows_the_plus_canonical_map_only(N, flows, monkeypatch):
                              pieces=2)
     assert report.passed, report.violations
     # sample #0 is the one cross-checked draw at N = 5; of the canonical
-    # maps only parametric[h+] is flowed
+    # maps only parametric[h+] is flowed, and parametric[h-] is scored last
     assert len(calls) == flows
-    value, ode = scored["parametric[h-]"]
-    assert ode is None and value.real == report.theoretical_bound
-    assert scored["parametric[h+]"][1] is not None
+    assert [label for _, label, _ in scored if label] == (
+        ["Sg0_sample[pieces=2]"] * (flows - 1) + ["parametric[h+]"])
+    h_minus, label, value = scored[-1]
+    assert label is None and value.real == report.theoretical_bound
+    assert h_minus.maps[0].describe() == carath.canonical_field(
+        df.moebius(), P2, 1, 2, -1).describe()
 
 
 def sharp_parametric(g, dom, coord):
     e = np.eye(dom.n)[coord - 1]
-    return lf.parametric_holmap(lf.autonomous_field(carath.disc_multiple_map(g, e, dom), dom))
+    field = lf.autonomous_field(carath.disc_multiple_map(g, e, dom), dom)
+    return field, lf.parametric_holmap(field)
 
 
 @pytest.mark.parametrize("g", [df.moebius(), df.strongly_starlike(0.5)], ids=df.describe)
@@ -363,13 +391,13 @@ def test_swapped_sharp_map_reads_the_mixed_coefficient_of_the_first(g, dom):
     # the reason verify_gprime_bounds flows g(z_1) z alone: g(z_2) z is it
     # conjugated by the swap P of z_1 and z_2, so its limit is P f P and its
     # mixed (1, 2) coefficient is f's mixed (2, 1), exactly and through the flow
-    first, second = sharp_parametric(g, dom, 1), sharp_parametric(g, dom, 2)
+    (first_field, first), (second_field, second) = (sharp_parametric(g, dom, k) for k in (1, 2))
     swapped, own = (2, 1, carath.MIXED), (1, 2, carath.MIXED)
     ode_first = carath.second_coeff_bundle(first, [(1, 1, carath.PURE), swapped])
     ode_second = carath.second_coeff_bundle(second, [own])
     assert abs(ode_first[swapped] - ode_second[own]) <= 1e-13
-    exact_first, _ = el._exact_coeffs(first, [swapped], None)
-    exact_second, _ = el._exact_coeffs(second, [own], None)
+    exact_first, _, _ = el._exact_coeffs(first_field, [swapped])
+    exact_second, _, _ = el._exact_coeffs(second_field, [own])
     assert exact_first[swapped] == exact_second[own]
     assert abs(exact_first[swapped]) == abs(df.g_prime0(g))
 

@@ -278,9 +278,10 @@ def test_parametric_quadratic_matches_sampled_flows(dom, g):
     requests += [(i, j, carath.MIXED) for i in coords for j in coords if i != j]
     rng = np.random.default_rng(19)
     for _ in range(2):
-        f = el.sample_Sg0(g, dom, rng, pieces=3)
-        exact = carath.quadratic_coeffs(lf.parametric_quadratic(f.provenance), requests)
-        ode = carath.second_coeff_bundle(f, requests)
+        field = el.sample_Sg0(g, dom, rng, pieces=3)
+        exact = carath.quadratic_coeffs(lf.parametric_quadratic(field), requests)
+        ode = carath.second_coeff_bundle(
+            lf.parametric_holmap(field, ode_tol=el.SAMPLER_ODE_TOL), requests)
         assert max(abs(exact[key] - ode[key]) for key in requests) <= 1e-7
 
 
@@ -640,13 +641,25 @@ def test_field_refuses_a_generator_without_an_array_form():
         lf.autonomous_field(lf.unbounded_support_map(df.moebius(), P2), P2)
 
 
+def test_field_refuses_a_generator_on_another_domain():
+    # the Euclidean canonical field (factor 3 sqrt(3)/2) is no M_g member on
+    # the bidisc, and a polydisc(3) identity would flow 2-vectors on the bidisc
+    euclidean_shear = carath.canonical_field(df.moebius(), E2, 1, 2, 1)
+    with pytest.raises(DomainError, match="domain"):
+        lf.autonomous_field(euclidean_shear, P2)
+    with pytest.raises(DomainError, match="domain"):
+        lf.autonomous_field(carath.identity_map(bg.polydisc(3)), P2)
+    with pytest.raises(DomainError, match="domain"):
+        lf.make_field([carath.identity_map(P2), euclidean_shear], P2)
+
+
 def test_parametric_limit_tail_past_the_horizon_is_below_rounding():
     # e^t v(z, t) moves by O(e^-t) past t = HORIZON: a flow 10 units further
     # gives the same limit to 1e-15 relative, on a sampled schedule and on
     # g(z_1) z, whose limit reaches |b(z_1)| ~ 8 at |z| = 0.7
     rng = np.random.default_rng(21)
     Z = bg.sample_sphere(P2, rng, 16) * 0.7
-    fields = (koebe_field(P2), el.random_schedule(df.moebius(), P2, rng, 3))
+    fields = (koebe_field(P2), el.sample_Sg0(df.moebius(), P2, rng, 3))
     for field in fields:
         res = lf.parametric_map(field, Z)
         assert res.horizon_used == lf.HORIZON
@@ -667,7 +680,7 @@ def test_parametric_map_runs_a_long_schedule():
     ref = lf.parametric_map(lf.autonomous_field(h, P2), Z)
     assert np.max(np.abs(res.endpoint - ref.endpoint)) <= 1e-12
     # a random schedule as long, checked against its exact quadratic part
-    field = el.random_schedule(g, P2, rng, 60)
+    field = el.sample_Sg0(g, P2, rng, 60)
     eps = 1e-3
     U = bg.sample_sphere(P2, rng, 4)
     quad = np.einsum("cab,ma,mb->mc", lf.parametric_quadratic(field), U, U)
