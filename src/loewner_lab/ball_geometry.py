@@ -9,8 +9,17 @@ For a batch of nonzero points, ``support_functionals`` returns the
 coefficient rows of finitely many norm-one functionals l per point, with
 l(z) = ||z||, and the point each row belongs to; ``support_values`` applies
 those rows to map values.  Because l -> l(h(z)) is affine and the image
-regions used by the certification code are convex, testing these extreme
-functionals suffices for membership checks.
+regions used by the certification code are convex, testing every extreme
+functional of a point would suffice for its membership check.  On the
+polydisc and the Euclidean ball the rows are all of them.  On the spectral
+ball they are not at a point with equal singular values, a scaled unitary
+rho V: its extreme functionals are l_x(W) = x^H W V^H x for every unit x in
+C^2, and a frame-diagonal point gets only its two coordinate rows (x = e1,
+e2), while certification drops sampled points whose singular values nearly
+agree.  So spectral2 certification does not test those faces and can pass
+a map outside M_g.  The canonical fields are unaffected: their face values
+lie on a segment between two tested values, so the certify reports on them
+stand.
 """
 
 from __future__ import annotations
@@ -94,12 +103,6 @@ def _check_dim(dom: BallGeometry, z) -> np.ndarray:
     return z
 
 
-def from_matrices(m) -> np.ndarray:
-    """Stacked 2x2 matrices [[z1, z3], [z4, z2]] -> spectral-ball coordinates."""
-    m = np.asarray(m, dtype=complex)
-    return np.stack([m[..., 0, 0], m[..., 1, 1], m[..., 0, 1], m[..., 1, 0]], axis=-1)
-
-
 # The spectral ball in closed form.  Only real products and sums appear
 # (numpy rounds complex products differently in a batch), so a point rounds
 # alone as it does inside a batch.
@@ -136,12 +139,6 @@ def _top_singular(gram) -> np.ndarray:
     agree."""
     p, q, _, _, disc = gram
     return np.sqrt(0.5 * (p + q + disc))
-
-
-def spectral_gap(z) -> np.ndarray:
-    """s1 - s2 of each nonzero spectral-ball point (``_singular_gap``)."""
-    gram = _row_gram(z)
-    return _singular_gap(z, _top_singular(gram), gram[4])
 
 
 def _singular_gap(z, s1, disc) -> np.ndarray:
@@ -227,7 +224,7 @@ def support_functionals(dom: BallGeometry, Z):
     L = np.zeros((coord.size + generic.size, dom.n), dtype=complex)
     L[np.arange(coord.size), coord] = phase
     if generic.size:
-        L[coord.size:] = _top_functionals(Z[generic], norms[generic], gram)
+        L[coord.size:] = _top_functionals(_rows(Z, generic), _rows(norms, generic), gram)
         owner = np.concatenate([owner, generic])
     return L, owner
 
@@ -239,28 +236,49 @@ def _attaining(dom: BallGeometry, Z):
     diagonal modulus.  Coordinate row k is ``phase[k]`` = |z_c|/z_c at
     c = ``coord[k]`` of point ``owner[k]``, grouped by coordinate; the
     ``generic`` spectral points take top-pair rows from their ``gram`` parts.
-    The Euclidean ball has neither (all five None)."""
+    The Euclidean ball has neither (all five None).
+
+    A block pays only for the rows it has: the polydisc takes its moduli
+    once; a spectral block takes its off-diagonal moduli first, the
+    diagonal moduli only if some row is frame-diagonal (as on a torus) and
+    the row Gram of the other rows (a sampled block has only those), so
+    only a block that mixes the two kinds gathers rows."""
     Z = _check_dim(dom, Z)
     if Z.ndim != 2:
         raise DomainError(f"support functionals take an (m, n) batch, got shape {Z.shape}")
-    gram = _row_gram(Z) if dom.kind == SPECTRAL2 else None
-    norms = np.asarray(norm(dom, Z)) if gram is None else _top_singular(gram)
+    generic, gram, attains = np.empty(0, dtype=np.intp), None, None
+    if dom.kind == EUCLIDEAN:
+        norms = np.asarray(norm(dom, Z))
+    elif dom.kind == POLYDISC:
+        absz = np.abs(Z)
+        norms = _row_max(absz)
+        attains = absz >= norms[:, None] - _TIE_TOL
+    else:
+        off = np.abs(Z[:, 2:])
+        diagonal = (off[:, 0] < 1e-14) & (off[:, 1] < 1e-14)
+        generic = np.flatnonzero(~diagonal)
+        gram = _row_gram(_rows(Z, generic))
+        if generic.size == len(Z):
+            norms = _top_singular(gram)
+        else:
+            absz = np.abs(Z[:, :2])
+            norms = _row_max(absz)
+            attains = diagonal[:, None] & (absz >= norms[:, None] - _DEGENERATE_TOL)
+            norms[generic] = _top_singular(gram)
     if np.any(norms == 0.0):
         raise DomainError("support functionals are undefined at z = 0")
     if dom.kind == EUCLIDEAN:
         return Z, norms, None, None, None, None, None
-    absz = np.abs(Z)
-    if dom.kind == POLYDISC:
-        attains = absz >= norms[:, None] - _TIE_TOL
-        generic = np.empty(0, dtype=np.intp)
-    else:
-        diagonal = (absz[:, 2] < 1e-14) & (absz[:, 3] < 1e-14)
-        norms = np.where(diagonal, _row_max(absz[:, :2]), norms)
-        attains = diagonal[:, None] & (absz[:, :2] >= norms[:, None] - _DEGENERATE_TOL)
-        generic = np.flatnonzero(~diagonal)
-        gram = [part[generic] for part in gram]
+    if attains is None:  # no frame-diagonal row: no coordinate rows
+        return Z, norms, generic[:0], generic[:0], np.empty(0, dtype=complex), generic, gram
     coord, owner = np.divmod(np.flatnonzero(attains.T), len(Z))
     return Z, norms, coord, owner, absz[owner, coord] / Z[owner, coord], generic, gram
+
+
+def _rows(a: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``a[index]`` for sorted distinct row indices, without a copy when they
+    are all the rows."""
+    return a if len(index) == len(a) else a[index]
 
 
 def support_values(dom: BallGeometry, Z, H):
@@ -279,8 +297,12 @@ def support_values(dom: BallGeometry, Z, H):
         return np.einsum("kn,kn->k", np.conj(Z) / norms[:, None], H) / norms, np.arange(len(Z))
     values = np.einsum("k,k->k", phase, H[owner, coord]) / norms[owner]
     if generic.size:
-        L = _top_functionals(Z[generic], norms[generic], gram)
-        values = np.concatenate([values, np.einsum("kn,kn->k", L, H[generic]) / norms[generic]])
+        scale = _rows(norms, generic)
+        top = np.einsum("kn,kn->k", _top_functionals(_rows(Z, generic), scale, gram),
+                        _rows(H, generic)) / scale
+        if not coord.size:
+            return top, generic
+        values = np.concatenate([values, top])
         owner = np.concatenate([owner, generic])
     return values, owner
 
@@ -297,14 +319,16 @@ def sample_sphere(dom: BallGeometry, rng: np.random.Generator,
     the others at modulus 0.999, so ties in the sup norm have probability 0.
     """
     k = 1 if count is None else int(count)
-    batches = list(sphere_blocks(dom, rng, k, max(k, 1)))
+    batches = [Z for Z, _ in sphere_blocks(dom, rng, k, max(k, 1))]
     out = batches[0] if batches else np.empty((0, dom.n), dtype=complex)
     return out[0] if count is None else out
 
 
 def sphere_blocks(dom: BallGeometry, rng: np.random.Generator, count: int, block: int):
     """``count`` points of the unit sphere of the domain, drawn and yielded
-    in consecutive batches of at most ``block`` rows.
+    in consecutive batches ``(Z, gap)`` of at most ``block`` rows; ``gap``
+    is s1 - s2 of each spectral row, from the row Gram that normalized it
+    (``_unit_rows``), and None on the other geometries.
 
     Whatever the block size, the batches hold the rows of one
     ``sample_sphere(dom, rng, count)`` call bit for bit and leave ``rng`` in
@@ -314,24 +338,39 @@ def sphere_blocks(dom: BallGeometry, rng: np.random.Generator, count: int, block
     ``count`` rows before the first batch (see ``_polydisc_blocks``).
     """
     if dom.kind == POLYDISC:
-        yield from _polydisc_blocks(dom.n, rng, count, 1, block)
+        for Z in _polydisc_blocks(dom.n, rng, count, 1, block):
+            yield Z, None
         return
     shape = (2, dom.n) if dom.kind == EUCLIDEAN else (2, 2, 2)
     for start in range(0, count, block):
         yield _unit_rows(dom, rng.standard_normal((min(block, count - start),) + shape))
 
 
-def _unit_rows(dom: BallGeometry, draws: np.ndarray) -> np.ndarray:
-    """Sphere points from normal draws, each row divided by its norm: a
+def _unit_rows(dom: BallGeometry, draws: np.ndarray):
+    """Sphere points from normal draws, each row divided by its norm s, and
+    the singular gap of each spectral row (None for a Euclidean batch): a
     Euclidean row draws (2, n) real and imaginary parts of a vector, a
-    spectral row (2, 2, 2) parts of a 2x2 matrix."""
-    z = draws[:, 0] + 1j * draws[:, 1]
+    spectral row (2, 2, 2) parts of a 2x2 matrix.  The rows are filled part
+    by part (no complex product), and the gap of z / s1 is
+    ``_singular_gap`` of z over s1, from the row Gram that gave s1."""
     if dom.kind == EUCLIDEAN:
+        z = np.empty(draws.shape[:1] + draws.shape[2:], dtype=complex)
+        z.real, z.imag = draws[:, 0], draws[:, 1]
         # one BLAS ddot per row and part, as np.linalg.norm does on one
         # point (einsum rounds differently)
-        return z / np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))[:, None]
-    z = from_matrices(z)
-    return z / _top_singular(_row_gram(z))[:, None]
+        s, gap = np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag)), None
+    else:
+        z = np.empty((len(draws), 4), dtype=complex)
+        for k, (i, j) in enumerate(((0, 0), (1, 1), (0, 1), (1, 0))):  # E11, E22, E12, E21
+            z.real[:, k], z.imag[:, k] = draws[:, 0, i, j], draws[:, 1, i, j]
+        gram = _row_gram(z)
+        s = _top_singular(gram)
+        gap = _singular_gap(z, s, gram[4]) / s
+    # z / s in place: numpy divides a complex by a real as both parts times
+    # its reciprocal
+    parts = z.view(np.float64)
+    parts *= (1.0 / s)[:, None]
+    return z, gap
 
 
 def _polydisc_blocks(n: int, rng: np.random.Generator, count: int, on_circle: int,
@@ -356,12 +395,15 @@ def _polydisc_blocks(n: int, rng: np.random.Generator, count: int, on_circle: in
 
 def _polydisc_rows(n: int, u: np.ndarray, index: list) -> np.ndarray:
     """The points of one batch of ``_polydisc_blocks`` from its doubles
-    ``u`` and the unit-circle coordinates ``index`` of its rows."""
-    z = 0.999 * np.sqrt(u[:, :n]) * np.exp(2j * np.pi * u[:, n:2 * n])
+    ``u`` and the unit-circle coordinates ``index`` of its rows: radius 1
+    and the circle phase are set first, then each coordinate takes one
+    complex exponential (1.0 times it keeps its bits)."""
+    radius, phase = 0.999 * np.sqrt(u[:, :n]), u[:, n:2 * n].copy()
     rows = np.arange(len(u))
     for c, k in enumerate(index):
-        z[rows, k] = np.exp(2j * np.pi * u[:, 2 * n + c])
-    return z
+        radius[rows, k] = 1.0
+        phase[rows, k] = u[:, 2 * n + c]
+    return radius * np.exp(2j * np.pi * phase)
 
 
 def polydisc_edge_blocks(dom: BallGeometry, rng: np.random.Generator, count: int, block: int):

@@ -32,7 +32,8 @@ the rows nor the certificate depend on the block size
 (``certification_points`` is the concatenation of the blocks).
 ``certify_values`` folds given values the same way.  Support values come from
 ``ball_geometry.support_values``, in closed form on every geometry; no step
-calls LAPACK's SVD.
+calls LAPACK's SVD.  Each support value's signed margin is computed once per
+block (``df.boundary_margin``), and ``df.classify`` decides from it.
 """
 
 from __future__ import annotations
@@ -64,15 +65,18 @@ RADIUS_LADDER = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999)
 #: radii and per-axis phase count of the deterministic certification tori
 TORUS_RADII = (0.9, 0.99, 0.999)
 TORUS_PHASES = 64
-#: smallest gap between the two singular values of a spectral sphere sample;
-#: it must survive scaling by the smallest ladder radius (0.1) and stay above
-#: the 1e-10 at which ``bg.support_functionals`` calls a point degenerate
+#: smallest gap between the two singular values of a spectral sphere sample,
+#: as the draw returns it (``bg.sphere_blocks``, from the row Gram that
+#: normalized the sample); it must survive scaling by the smallest ladder
+#: radius (0.1) and stay above the 1e-10 at which ``bg.support_functionals``
+#: calls a point degenerate
 SPECTRAL_GAP = 1e-8
 #: rows that certification draws, evaluates and certifies at once (the blocks of
 #: ``certification_blocks``, and the slices ``certify_values`` takes), so its
-#: temporaries stay cache-sized: the three N = 40 000 sets took 48-52 ms at
-#: 4096-16384 rows, 57 ms at 2048 and 32768, 69 ms in one block (medians of 30
-#: runs on a 2-core Xeon, support values and verdicts only)
+#: temporaries stay cache-sized: the three N = 40 000 sets took 27-39 ms at
+#: 4096 and 8192 rows, 32-41 ms at 16384, 36-45 ms at 2048, 34-44 ms at 32768
+#: and 50-58 ms in one block (three medians of 30 runs each on a shared 2-core
+#: Xeon, support values and verdicts only)
 CERTIFY_BLOCK = 8192
 
 #: radii of the Cauchy DFT circles: the value, then the consistency check
@@ -648,15 +652,17 @@ def _torus_phases(phases: int):
 def _sphere_blocks(dom: bg.BallGeometry, rng: np.random.Generator, count: int):
     """``count`` sphere samples in blocks of at most ``CERTIFY_BLOCK`` rows.
     Spectral samples whose top singular value is within ``SPECTRAL_GAP`` of
-    the other (a measure-zero set; the gap is the closed form
-    ``bg.spectral_gap``) are dropped and replaced after the round: each round
-    draws, block by block, only as many candidates as are still missing, so
-    the same seed gives the same points and stream whatever the block size."""
+    the other (a measure-zero set; the gap is the one ``bg.sphere_blocks``
+    returns from the row Gram that normalized the draw) are dropped and
+    replaced after the round: each round draws, block by block, only as
+    many candidates as are still missing, so the same seed gives the same
+    points and stream whatever the block size."""
     while count > 0:
         kept = 0
-        for Z in bg.sphere_blocks(dom, rng, count, CERTIFY_BLOCK):
-            if dom.kind == bg.SPECTRAL2:
-                Z = Z[bg.spectral_gap(Z) >= SPECTRAL_GAP]
+        for Z, gap in bg.sphere_blocks(dom, rng, count, CERTIFY_BLOCK):
+            if gap is not None:
+                keep = gap >= SPECTRAL_GAP
+                Z = Z if keep.all() else Z[keep]
             kept += len(Z)
             yield Z
         count -= kept
@@ -664,10 +670,12 @@ def _sphere_blocks(dom: bg.BallGeometry, rng: np.random.Generator, count: int):
 
 def _on_ladder(blocks):
     """The blocks with row k of their concatenation scaled by
-    ``RADIUS_LADDER[k % 11]``, in place."""
+    ``RADIUS_LADDER[k % 11]``, in place: the real and imaginary parts of a
+    row, as one float view, times its radius (no complex product)."""
     ladder, start = np.asarray(RADIUS_LADDER), 0
     for Z in blocks:
-        Z *= ladder[np.arange(start, start + len(Z)) % ladder.size][:, None]
+        parts = Z.view(np.float64)
+        parts *= ladder[np.arange(start, start + len(Z)) % ladder.size][:, None]
         start += len(Z)
         yield Z
 
@@ -721,12 +729,13 @@ def _certify_blocks(blocks, g: df.DiscFunction, dom: bg.BallGeometry,
 
 def _block_verdict(Z, H, g: df.DiscFunction, dom: bg.BallGeometry, eps: float):
     """(lowest margin, failure or None, indeterminate count) of one block;
-    the failure is the failing value of least margin at its earliest row.  A
-    non-finite support value fails with margin -inf (``df.classify`` and
-    ``df.boundary_margin``), so it is the witness."""
+    the failure is the failing value of least margin at its earliest row.
+    Each support value's margin is computed once (``df.boundary_margin``)
+    and ``df.classify`` decides from it; a non-finite value fails with
+    margin -inf, so it is the witness."""
     vals, owner = bg.support_values(dom, Z, H)
-    codes = df.classify(g, vals, eps)
     margins = df.boundary_margin(g, vals)
+    codes = df.classify(vals, margins, eps)
     failure, failing = None, codes == -1
     if failing.any():
         worst = np.flatnonzero(failing & (margins == margins[failing].min()))

@@ -6,10 +6,10 @@ almost-starlike maps onto shifted half-planes, and the strongly-starlike power
 maps onto sectors.  Each family carries exact formulas for the derivative at
 the origin, the distance ``d1`` from 1 to the image boundary, and the signed
 distance from a point to that boundary, the one metric of membership in the
-image (``boundary_margin``, ``classify``).  The catalog is closed: no other g
-is supported.  Boundary-grid scans refined by zooming around the best grid
-points (``d1_grid``, ``a0``) stay as independent numeric cross-checks of the
-closed forms.
+image (``boundary_margin``; ``classify`` turns given margins into verdicts).
+The catalog is closed: no other g is supported.  Boundary-grid scans refined
+by zooming around the best grid points (``d1_grid``, ``a0``) stay as
+independent numeric cross-checks of the closed forms.
 """
 
 from __future__ import annotations
@@ -274,15 +274,16 @@ def _sector_margin(w, beta):
     return np.where(phi < beta, inside, outside)
 
 
-def classify(g: DiscFunction, w, eps: float):
-    """Vectorized membership verdicts from the signed boundary margin m of
-    each w: +1 inside (m > eps*max(1, |w|)), -1 outside (m < -eps*max(1, |w|))
-    and 0 indeterminate in the band between; a non-finite w is outside."""
+def classify(w, margins, eps: float):
+    """Vectorized membership verdicts of values w from their signed boundary
+    margins m (``boundary_margin``, computed once by the caller): +1 inside
+    (m > eps*max(1, |w|)), -1 outside (m < -eps*max(1, |w|)) and 0
+    indeterminate in the band between; a non-finite w is outside."""
     if not 0 < eps < np.inf:
         raise DomainError("eps must be finite and positive")
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     band = eps * np.maximum(1.0, np.abs(w))
-    m = _margin(g, w)
+    m = np.atleast_1d(margins)
     out = np.zeros(w.shape, dtype=np.int8)
     out[m > band] = 1
     out[m < -band] = -1

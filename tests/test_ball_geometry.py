@@ -7,6 +7,7 @@ import pytest
 
 from loewner_lab import ball_geometry as bg
 from loewner_lab import carath
+from loewner_lab import disc_functions as df
 from loewner_lab.errors import DegenerateFunctionalError, DomainError
 
 DOMAINS = [bg.euclidean(2), bg.euclidean(3), bg.polydisc(2), bg.polydisc(3), bg.spectral2()]
@@ -21,6 +22,12 @@ def to_matrices(z):
     m[..., 0, 1] = z[..., 2]
     m[..., 1, 0] = z[..., 3]
     return m
+
+
+def from_matrices(m):
+    """Stacked 2x2 matrices [[z1, z3], [z4, z2]] -> spectral-ball coordinates."""
+    m = np.asarray(m, dtype=complex)
+    return np.stack([m[..., 0, 0], m[..., 1, 1], m[..., 0, 1], m[..., 1, 0]], axis=-1)
 
 
 def spectral_norm_oracle(z, rng, starts=1000, iters=120):
@@ -117,7 +124,7 @@ def test_spectral_norm_keeps_its_digits_when_singular_values_agree():
     u, _, vh = np.linalg.svd(rng.standard_normal((2000, 2, 2))
                              + 1j * rng.standard_normal((2000, 2, 2)))
     m = u @ (np.array([1.0, 1.0 - 1e-6])[:, None] * vh)
-    z = bg.from_matrices(m)
+    z = from_matrices(m)
     svd = np.linalg.svd(m, compute_uv=False)[:, 0]
     assert np.max(np.abs(bg.norm(dom, z) - svd)) <= 1e-15
 
@@ -176,7 +183,7 @@ def tie_points(dom, rng, count):
     if dom.kind == bg.SPECTRAL2:
         phases = np.exp(2j * np.pi * rng.random((count, 2)))
         near = unitaries(rng, count) @ np.diag([1.0, 1.0 - 1e-6]) @ unitaries(rng, count)
-        return np.vstack([np.hstack([phases, np.zeros((count, 2))]), bg.from_matrices(near)])
+        return np.vstack([np.hstack([phases, np.zeros((count, 2))]), from_matrices(near)])
     return np.empty((0, dom.n), dtype=complex)
 
 
@@ -229,7 +236,8 @@ def test_spectral_rows_round_a_point_as_in_a_batch():
 
 
 def test_spectral_support_values_take_one_gram_evaluation(monkeypatch):
-    # the norms and the top pairs share one row Gram evaluation
+    # the norms and the top pairs share one row Gram evaluation, of the rows
+    # that are not frame-diagonal (the tie points take their moduli alone)
     dom = bg.spectral2()
     rng = np.random.default_rng(59)
     Z = np.vstack([bg.sample_sphere(dom, rng, 200), tie_points(dom, rng, 5)[:5]])
@@ -237,20 +245,35 @@ def test_spectral_support_values_take_one_gram_evaluation(monkeypatch):
     gram = bg._row_gram
     monkeypatch.setattr(bg, "_row_gram", lambda z: calls.append(len(z)) or gram(z))
     values, _ = bg.support_values(dom, Z, Z)
-    assert calls == [len(Z)]
+    assert calls == [200]
     assert np.allclose(values, 1.0, rtol=0, atol=1e-12) and len(values) == len(Z) + 5
+    # a whole certification: one Gram per sphere block in the draw (which
+    # also gives the gap the drop test reads) and one per block in
+    # support_values, of its rows that are not frame-diagonal (none on the
+    # frame tori, in blocks of 700 rows too)
+    calls.clear()
+    monkeypatch.setattr(carath, "CERTIFY_BLOCK", 700)
+    g = df.strongly_starlike(0.5)
+    cert = carath.certify_Mg(carath.canonical_field(g, dom, 1, 2, 1), g, dom, 2000,
+                             rng=np.random.default_rng(61))
+    assert cert.passed
+    torus_blocks = len(carath.TORUS_RADII) * -(-carath.TORUS_PHASES ** 2 // 700)
+    assert calls == [700, 700, 700, 700, 600, 600] + [0] * torus_blocks
 
 
 @pytest.mark.parametrize("gap", [1e-2, 1e-6, 1e-9, 0.0])
 def test_spectral_gap_against_a_50_digit_reference(gap):
-    # disc / (s1 + s2) takes no difference of nearby numbers: the gap keeps
-    # its absolute accuracy down to exact ties, closer than LAPACK's s1 - s2
+    # disc / (s1 + s2) takes no difference of nearby numbers: the gap the
+    # spectral draw returns keeps its absolute accuracy down to exact ties,
+    # closer than LAPACK's s1 - s2
     rng = np.random.default_rng(53)
     m = unitaries(rng, 30) @ np.diag([1.0, 1.0 - gap]) @ unitaries(rng, 30)
     with mpmath.workdps(50):
         exact = np.array([float(abs(s[0] - s[1])) for s in
                           (mpmath.svd_c(mpmath.matrix(mm.tolist()), compute_uv=False) for mm in m)])
-    error = np.max(np.abs(bg.spectral_gap(bg.from_matrices(m)) - exact))
+    Z, drawn = bg._unit_rows(bg.spectral2(), np.stack([m.real, m.imag], axis=1))
+    assert_bits_equal(Z, from_matrices(m) / bg.norm(bg.spectral2(), from_matrices(m))[:, None])
+    error = np.max(np.abs(drawn - exact))
     lapack = np.linalg.svd(m, compute_uv=False)
     assert error <= 2e-16
     assert error <= np.max(np.abs(lapack[:, 0] - lapack[:, 1] - exact))
@@ -395,7 +418,7 @@ def reference_point(dom, rng):
     if dom.kind == bg.POLYDISC:
         return reference_polydisc(dom.n, rng, 1, 1)[0]
     return reference_spectral_unit(
-        bg.from_matrices(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))))
+        from_matrices(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))))
 
 
 def reference_polydisc(n, rng, count, on_circle):
@@ -485,7 +508,7 @@ def test_spectral_norm_rounds_a_point_as_in_a_batch():
     dom = bg.spectral2()
     draws = np.random.default_rng(37).standard_normal((100_000, 2, 2, 2))
     batch = bg.sample_sphere(dom, np.random.default_rng(37), 100_000)
-    z = bg.from_matrices(draws[:, 0] + 1j * draws[:, 1])
+    z = from_matrices(draws[:, 0] + 1j * draws[:, 1])
     norms = bg.norm(dom, z)
     assert_bits_equal(z / norms[:, None], batch)
     for k in range(0, 100_000, 97):

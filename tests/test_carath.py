@@ -470,6 +470,22 @@ def test_certify_blocks_do_not_change_the_certificate(monkeypatch, dom, g):
 
 
 @pytest.mark.parametrize("dom,g", CERTIFY_CASES, ids=CERTIFY_IDS)
+def test_certify_takes_each_support_values_margin_once(monkeypatch, dom, g):
+    # one signed-margin evaluation per certified block, on all of its
+    # support values; the verdicts are decided from those margins
+    monkeypatch.setattr(carath, "CERTIFY_BLOCK", 1500)
+    blocks = [len(Z) for Z in carath.certification_blocks(dom, 4000, np.random.default_rng(3))]
+    calls = []
+    margin = df._margin
+    monkeypatch.setattr(df, "_margin", lambda g, w: calls.append(len(w)) or margin(g, w))
+    for h in certify_fields(g, dom):
+        calls.clear()
+        cert = carath.certify_Mg(h, g, dom, 4000, rng=np.random.default_rng(3))
+        assert len(calls) == len(blocks) and cert.samples_used == sum(blocks)
+        assert sum(calls) >= sum(blocks)
+
+
+@pytest.mark.parametrize("dom,g", CERTIFY_CASES, ids=CERTIFY_IDS)
 def test_certify_witness_past_the_first_blocks(monkeypatch, dom, g):
     # 9 000 sphere samples come first, so the torus witness of the inflated
     # field lies past the first block at 4096 rows and at the default size

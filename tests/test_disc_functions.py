@@ -218,16 +218,31 @@ def test_starlike_order_zero_coincides_with_moebius():
 # membership
 
 
+def verdicts(g, w, eps):
+    """``df.classify`` of w from its margins, as certification calls it."""
+    w = np.asarray(w, dtype=complex)
+    return df.classify(w, df.boundary_margin(g, w), eps)
+
+
+def test_classify_decides_from_the_margins_it_is_given():
+    # classify takes no g: the same values read by the sign and size of the
+    # margins passed in, against the band eps*max(1, |w|)
+    w = np.array([0.5, 3.0, 3.0, 0.5, math.nan])
+    margins = np.array([1e-3, 2.9e-9, -2.9e-9, -2e-9, 5.0])
+    assert df.classify(w, margins, 1e-9).tolist() == [1, 0, 0, -1, -1]
+    assert df.classify(0.5, -1.0, 1e-9).tolist() == [-1]
+
+
 def test_contains_center():
     for g in catalog_members():
-        assert df.classify(g, 1.0, 1e-9).tolist() == [1]
+        assert verdicts(g, 1.0, 1e-9).tolist() == [1]
 
 
 def test_contains_examples():
-    assert df.classify(df.moebius(), -0.1, 1e-9).tolist() == [-1]
+    assert verdicts(df.moebius(), -0.1, 1e-9).tolist() == [-1]
     # image of starlike 3/4 is the disc with center 2/3 and radius 2/3
-    assert df.classify(df.starlike_order(0.75), 1.5, 1e-9).tolist() == [-1]
-    assert df.classify(df.starlike_order(0.75), 4.0 / 3.0 - 1e-12, 1e-9).tolist() == [0]
+    assert verdicts(df.starlike_order(0.75), 1.5, 1e-9).tolist() == [-1]
+    assert verdicts(df.starlike_order(0.75), 4.0 / 3.0 - 1e-12, 1e-9).tolist() == [0]
 
 
 def test_contains_image_points():
@@ -236,7 +251,7 @@ def test_contains_image_points():
     for g in catalog_members():
         z = (1.0 - 10 * eps) * np.sqrt(rng.random(100)) * np.exp(2j * np.pi * rng.random(100))
         vals = df.evaluate(g, z)
-        codes = df.classify(g, vals, eps)
+        codes = verdicts(g, vals, eps)
         assert np.all(codes == 1)
 
 
@@ -251,14 +266,14 @@ def test_classify_reads_the_forward_map_on_both_sides_of_the_circle(g):
     z = rng.uniform(0.0, 3.0, 400) * np.exp(2j * np.pi * rng.random(400))
     z = z[np.abs(np.abs(z) - 1.0) > 1e-3]
     w = df._eval_raw(g, z)
-    assert np.array_equal(df.classify(g, w, 1e-9), np.where(np.abs(z) < 1.0, 1, -1))
+    assert np.array_equal(verdicts(g, w, 1e-9), np.where(np.abs(z) < 1.0, 1, -1))
 
 
 @pytest.mark.parametrize("eps", [0.0, -1e-9, math.nan, math.inf])
 def test_classify_rejects_an_eps_that_is_not_finite_and_positive(eps):
     # a NaN eps made every comparison false, so every value read indeterminate
     with pytest.raises(DomainError, match="eps"):
-        df.classify(df.moebius(), np.array([0.5, -0.5]), eps)
+        df.classify(np.array([0.5, -0.5]), np.array([0.5, -0.5]), eps)
 
 
 NON_FINITE = np.array([math.nan, math.inf, -math.inf, complex(math.inf, 1.0),
@@ -270,14 +285,14 @@ def test_non_finite_values_are_outside_with_margin_minus_inf(g):
     # a NaN or infinite w is no point of g(U): it must not read as
     # indeterminate, nor as the deepest point inside (+inf margin)
     w = np.append(NON_FINITE, 1.0)
-    assert df.classify(g, w, 1e-9).tolist() == [-1] * len(NON_FINITE) + [1]
+    assert verdicts(g, w, 1e-9).tolist() == [-1] * len(NON_FINITE) + [1]
     margins = df.boundary_margin(g, w)
     assert np.all(margins[:-1] == -np.inf) and margins[-1] > 0
 
 
 def test_non_finite_scalars_are_outside():
-    assert df.classify(df.moebius(), math.nan, 1e-9).tolist() == [-1]
-    assert df.classify(df.strongly_starlike(0.5), math.inf, 1e-9).tolist() == [-1]
+    assert verdicts(df.moebius(), math.nan, 1e-9).tolist() == [-1]
+    assert verdicts(df.strongly_starlike(0.5), math.inf, 1e-9).tolist() == [-1]
     assert df.boundary_margin(df.moebius(), math.inf) == -math.inf
 
 
@@ -287,7 +302,7 @@ def test_image_convexity_midpoints():
         z = 0.999 * np.sqrt(rng.random(20000)) * np.exp(2j * np.pi * rng.random(20000))
         vals = df.evaluate(g, z)
         mid = 0.5 * (vals[:10000] + vals[10000:])
-        codes = df.classify(g, mid, 1e-9)
+        codes = verdicts(g, mid, 1e-9)
         assert not np.any(codes == -1)
 
 
@@ -308,7 +323,7 @@ def test_boundary_margin_sign_agrees_with_contains():
     w = rng.normal(scale=2.0, size=200) + 1j * rng.normal(scale=2.0, size=200)
     for g in catalog_members():
         margins = df.boundary_margin(g, w)
-        codes = df.classify(g, w, 1e-9)
+        codes = verdicts(g, w, 1e-9)
         assert np.all(margins[codes == 1] > 0)
         assert np.all(margins[codes == -1] < 0)
 
@@ -330,7 +345,7 @@ def test_classify_band_is_euclidean():
     g = df.strongly_starlike(0.3)
     w = np.array([34.64 - 17.69j, 0.00109 + 0.00004j])
     assert df.boundary_margin(g, w) == pytest.approx([-0.0357, 4.59e-4], rel=0.01)
-    assert df.classify(g, w, 1e-9).tolist() == [-1, 1]
+    assert verdicts(g, w, 1e-9).tolist() == [-1, 1]
 
 
 def boundary_point_and_normal(g):
@@ -344,9 +359,9 @@ def boundary_point_and_normal(g):
 def test_a_value_just_outside_the_boundary_is_indeterminate(g):
     point, normal = boundary_point_and_normal(g)
     w = point + 1e-16 * normal
-    assert df.classify(g, w, 1e-9).tolist() == [0]
-    assert df.classify(g, point - 1e-6 * normal, 1e-9).tolist() == [1]
-    assert df.classify(g, point + 1e-6 * normal, 1e-9).tolist() == [-1]
+    assert verdicts(g, w, 1e-9).tolist() == [0]
+    assert verdicts(g, point - 1e-6 * normal, 1e-9).tolist() == [1]
+    assert verdicts(g, point + 1e-6 * normal, 1e-9).tolist() == [-1]
 
 
 SECTOR_ALPHAS = (0.3, 0.5, 0.77, 1.0)
@@ -375,7 +390,7 @@ def exact_sector_radius(alpha, w):
 def assert_codes_follow_the_radius(alpha, w, radius):
     """Wherever the preimage modulus is farther than 1e-6 from 1, the code
     is decided and says what the modulus says."""
-    codes = df.classify(df.strongly_starlike(alpha), w, 1e-9)
+    codes = verdicts(df.strongly_starlike(alpha), w, 1e-9)
     decided = np.abs(radius - 1.0) > 1e-6
     assert decided.sum() >= len(w) // 2
     assert np.array_equal(codes[decided], np.where(radius[decided] < 1.0, 1, -1))
@@ -396,20 +411,20 @@ def test_sector_codes_against_a_50_digit_reference(alpha):
     exact = np.array([exact_sector_radius(alpha, x) for x in w])
     assert_codes_follow_the_radius(alpha, w, exact)
     # a point at the edge is indeterminate whatever side it lies on
-    assert np.all(df.classify(df.strongly_starlike(alpha), at_edge, 1e-9) == 0)
+    assert np.all(verdicts(df.strongly_starlike(alpha), at_edge, 1e-9) == 0)
 
 
 @pytest.mark.parametrize("alpha", SECTOR_ALPHAS)
 def test_sector_codes_at_zero_and_on_the_negative_axis(alpha):
     g = df.strongly_starlike(alpha)
-    assert df.classify(g, 0.0, 1e-9).tolist() == [0]  # the vertex is on the boundary
+    assert verdicts(g, 0.0, 1e-9).tolist() == [0]  # the vertex is on the boundary
     negative = -np.array([1e-3, 0.5, 2.0, 1e3])
-    codes = df.classify(g, negative, 1e-9)
+    codes = verdicts(g, negative, 1e-9)
     # outside the sector; on the right half-plane (alpha = 1) too, since the
     # preimage of -x is (1 + x) / (1 - x), of modulus above 1
     assert np.all(codes == -1)
     # the lower side of the cut (imaginary part -0.0) gets the same verdicts
-    assert np.array_equal(codes, df.classify(g, np.conj(negative + 0j), 1e-9))
+    assert np.array_equal(codes, verdicts(g, np.conj(negative + 0j), 1e-9))
 
 
 @pytest.mark.parametrize("alpha", SECTOR_ALPHAS)
@@ -428,5 +443,5 @@ def test_image_membership_property(family, alpha, r, phi):
         alpha = max(alpha, 0.05)
     g = df.DiscFunction(family, round(alpha, 6))
     w = complex(df.evaluate(g, r * np.exp(1j * phi)))
-    assert df.classify(g, w, 1e-9)[0] >= 0  # inside or boundary-indeterminate
+    assert verdicts(g, w, 1e-9)[0] >= 0  # inside or boundary-indeterminate
     assert df.boundary_margin(g, w) > -1e-9
