@@ -238,15 +238,16 @@ def _attaining(dom: BallGeometry, Z):
     ``generic`` spectral points take top-pair rows from their ``gram`` parts.
     The Euclidean ball has neither (all five None).
 
-    A block pays only for the rows it has: the polydisc takes its moduli
-    once; a spectral block takes its off-diagonal moduli first, the
-    diagonal moduli only if some row is frame-diagonal (as on a torus) and
-    the row Gram of the other rows (a sampled block has only those), so
-    only a block that mixes the two kinds gathers rows."""
+    The polydisc takes its moduli once, for the norms and the tie test.  A
+    spectral block takes its off-diagonal moduli first and the row Gram of
+    its other rows only; a sampled block has no frame-diagonal row, so
+    ``_rows`` hands it over without a copy.  A frame-diagonal point takes
+    its norm from its diagonal alone, so one whose diagonal is 0 is refused
+    as z = 0 is."""
     Z = _check_dim(dom, Z)
     if Z.ndim != 2:
         raise DomainError(f"support functionals take an (m, n) batch, got shape {Z.shape}")
-    generic, gram, attains = np.empty(0, dtype=np.intp), None, None
+    generic, gram = np.empty(0, dtype=np.intp), None
     if dom.kind == EUCLIDEAN:
         norms = np.asarray(norm(dom, Z))
     elif dom.kind == POLYDISC:
@@ -258,19 +259,15 @@ def _attaining(dom: BallGeometry, Z):
         diagonal = (off[:, 0] < 1e-14) & (off[:, 1] < 1e-14)
         generic = np.flatnonzero(~diagonal)
         gram = _row_gram(_rows(Z, generic))
-        if generic.size == len(Z):
-            norms = _top_singular(gram)
-        else:
-            absz = np.abs(Z[:, :2])
-            norms = _row_max(absz)
-            attains = diagonal[:, None] & (absz >= norms[:, None] - _DEGENERATE_TOL)
-            norms[generic] = _top_singular(gram)
+        absz = np.abs(Z[:, :2])
+        norms = _row_max(absz)
+        attains = diagonal[:, None] & (absz >= norms[:, None] - _DEGENERATE_TOL)
+        norms[generic] = _top_singular(gram)
     if np.any(norms == 0.0):
-        raise DomainError("support functionals are undefined at z = 0")
+        raise DomainError("support functionals are undefined at z = 0, and on the spectral "
+                          "ball at a zero diagonal with off-diagonal entries below 1e-14")
     if dom.kind == EUCLIDEAN:
         return Z, norms, None, None, None, None, None
-    if attains is None:  # no frame-diagonal row: no coordinate rows
-        return Z, norms, generic[:0], generic[:0], np.empty(0, dtype=complex), generic, gram
     coord, owner = np.divmod(np.flatnonzero(attains.T), len(Z))
     return Z, norms, coord, owner, absz[owner, coord] / Z[owner, coord], generic, gram
 
@@ -300,8 +297,6 @@ def support_values(dom: BallGeometry, Z, H):
         scale = _rows(norms, generic)
         top = np.einsum("kn,kn->k", _top_functionals(_rows(Z, generic), scale, gram),
                         _rows(H, generic)) / scale
-        if not coord.size:
-            return top, generic
         values = np.concatenate([values, top])
         owner = np.concatenate([owner, generic])
     return values, owner

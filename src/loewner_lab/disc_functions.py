@@ -236,9 +236,13 @@ def a0(g: DiscFunction) -> float:
 # membership of a point in g(U): the signed distance to its boundary
 
 
-def _margin(g: DiscFunction, w: np.ndarray) -> np.ndarray:
-    """Signed Euclidean distance from the complex array w to the boundary of
-    g(U): positive inside, negative outside, -inf at a non-finite w."""
+def boundary_margin(g: DiscFunction, w):
+    """Signed Euclidean distance from w to the boundary of g(U).
+
+    Positive inside the image, negative outside, and -inf at a non-finite
+    w.  Closed forms: half-planes, discs and sectors.
+    """
+    w = np.asarray(w, dtype=complex)
     if g.family == MOEBIUS or (g.family == STARLIKE_ORDER and g.alpha == 0.0):
         out = w.real
     elif g.family == STARLIKE_ORDER:
@@ -248,16 +252,7 @@ def _margin(g: DiscFunction, w: np.ndarray) -> np.ndarray:
         out = w.real - g.alpha
     else:
         out = _sector_margin(w, g.alpha * np.pi / 2.0)
-    return np.where(np.isfinite(w), out, -np.inf)
-
-
-def boundary_margin(g: DiscFunction, w):
-    """Signed Euclidean distance from w to the boundary of g(U).
-
-    Positive inside the image, negative outside, and -inf at a non-finite
-    w.  Closed forms: half-planes, discs and sectors.
-    """
-    out = _margin(g, np.asarray(w, dtype=complex))
+    out = np.where(np.isfinite(w), out, -np.inf)
     return out if out.shape else float(out)
 
 

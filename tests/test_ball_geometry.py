@@ -307,6 +307,13 @@ def test_support_functionals_reject_a_point_and_a_zero_row():
             bg.support_functionals(dom, z)
         with pytest.raises(DomainError):
             bg.support_functionals(dom, np.stack([z, np.zeros(dom.n)]))
+    # a frame-diagonal point takes its norm from its diagonal, so a zero
+    # diagonal is refused even beside a nonzero off-diagonal entry below 1e-14
+    Z = np.array([[0.5, 0.1, 0.0, 0.2], [0.0, 0.0, 1e-15, 0.0]], dtype=complex)
+    for call in (lambda: bg.support_functionals(bg.spectral2(), Z),
+                 lambda: bg.support_values(bg.spectral2(), Z, Z)):
+        with pytest.raises(DomainError, match="zero diagonal with off-diagonal entries"):
+            call()
 
 
 def reference_support_values(dom, Z, H):

@@ -472,17 +472,21 @@ def test_certify_blocks_do_not_change_the_certificate(monkeypatch, dom, g):
 @pytest.mark.parametrize("dom,g", CERTIFY_CASES, ids=CERTIFY_IDS)
 def test_certify_takes_each_support_values_margin_once(monkeypatch, dom, g):
     # one signed-margin evaluation per certified block, on all of its
-    # support values; the verdicts are decided from those margins
+    # support values; the verdicts are decided from those very margins
     monkeypatch.setattr(carath, "CERTIFY_BLOCK", 1500)
     blocks = [len(Z) for Z in carath.certification_blocks(dom, 4000, np.random.default_rng(3))]
-    calls = []
-    margin = df._margin
-    monkeypatch.setattr(df, "_margin", lambda g, w: calls.append(len(w)) or margin(g, w))
+    margins, given = [], []
+    margin, classify = df.boundary_margin, df.classify
+    monkeypatch.setattr(df, "boundary_margin",
+                        lambda g, w: margins.append(margin(g, w)) or margins[-1])
+    monkeypatch.setattr(df, "classify", lambda w, m, eps: given.append(m) or classify(w, m, eps))
     for h in certify_fields(g, dom):
-        calls.clear()
+        margins.clear()
+        given.clear()
         cert = carath.certify_Mg(h, g, dom, 4000, rng=np.random.default_rng(3))
-        assert len(calls) == len(blocks) and cert.samples_used == sum(blocks)
-        assert sum(calls) >= sum(blocks)
+        assert len(margins) == len(blocks) and cert.samples_used == sum(blocks)
+        assert sum(len(m) for m in margins) >= sum(blocks)
+        assert len(given) == len(margins) and all(m is c for m, c in zip(given, margins))
 
 
 @pytest.mark.parametrize("dom,g", CERTIFY_CASES, ids=CERTIFY_IDS)
