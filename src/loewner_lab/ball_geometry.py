@@ -15,11 +15,12 @@ polydisc and the Euclidean ball the rows are all of them.  On the spectral
 ball they are not at a point with equal singular values, a scaled unitary
 rho V: its extreme functionals are l_x(W) = x^H W V^H x for every unit x in
 C^2, and a frame-diagonal point gets only its two coordinate rows (x = e1,
-e2), while certification drops sampled points whose singular values nearly
-agree.  So spectral2 certification does not test those faces and can pass
-a map outside M_g.  The canonical fields are unaffected: their face values
-lie on a segment between two tested values, so the certify reports on them
-stand.
+e2), while any other point whose singular values agree to within
+``_DEGENERATE_TOL`` of its norm raises ``DegenerateFunctionalError``, a
+numerical instability.  So spectral2 certification does not test those
+faces and can pass a map outside M_g.  The canonical fields are unaffected:
+their face values lie on a segment between two tested values, so the
+certify reports on them stand.
 """
 
 from __future__ import annotations
@@ -154,15 +155,17 @@ def _singular_gap(z, s1, disc) -> np.ndarray:
 def _top_functionals(z, s1, gram) -> np.ndarray:
     """Rows of l(W) = u1^H W v1 from the top singular pair of each z (norms
     ``s1``, row Gram parts ``gram`` from ``_row_gram``); a gap s1 - s2 below
-    ``_DEGENERATE_TOL`` raises ``DegenerateFunctionalError`` before any
-    division by it.
+    ``_DEGENERATE_TOL`` times s1 raises ``DegenerateFunctionalError`` before
+    any division by it.
 
     u1 is the top eigenvector of the row Gram matrix: (lambda_1 - q, conj(r))
     when p >= q, else (r, lambda_1 - p), so its large entry is a sum of
     nonnegative terms; then v1 = M^H u1 / s1."""
     p, q, re, im, disc = gram
-    if np.any(_singular_gap(z, s1, disc) < _DEGENERATE_TOL):
-        raise DegenerateFunctionalError("degenerate top singular value; resample")
+    if np.any(_singular_gap(z, s1, disc) < _DEGENERATE_TOL * s1):
+        raise DegenerateFunctionalError(
+            "spectral point with equal singular values: its extreme functionals form a "
+            "face, which is not enumerated")
     (xa, xb, xc, xd), (ya, yb, yc, yd) = _parts(z)
     top = 0.5 * (np.abs(p - q) + disc)
     first = p >= q
@@ -211,12 +214,13 @@ def support_functionals(dom: BallGeometry, Z):
     the row of ``Z`` each belongs to, with ``L[k] @ Z[owner[k]]`` equal to
     ``||Z[owner[k]]||``.  Euclidean: conj(z)/||z||, one row per point, in
     point order.  Polydisc: one coordinate row per norm-attaining coordinate
-    (ties within ``_TIE_TOL``), grouped by coordinate.  Spectral ball:
-    coordinate rows for frame-diagonal points (ties within
-    ``_DEGENERATE_TOL``), then one row u1^H W v1 per other point from its top
-    singular pair in closed form (``_top_functionals``); a gap s1 - s2 below
-    ``_DEGENERATE_TOL`` among those raises ``DegenerateFunctionalError`` so
-    the caller can resample.
+    (ties within ``_TIE_TOL`` of the norm), grouped by coordinate.  Spectral
+    ball: coordinate rows for frame-diagonal points (ties within
+    ``_DEGENERATE_TOL`` of the norm), then one row u1^H W v1 per other point
+    from its top singular pair in closed form (``_top_functionals``); a gap
+    s1 - s2 below ``_DEGENERATE_TOL`` of the norm among those raises
+    ``DegenerateFunctionalError``.  Every tolerance is relative, so a point
+    gets the same rows at any nonzero scale.
     """
     Z, norms, coord, owner, phase, generic, gram = _attaining(dom, Z)
     if coord is None:
@@ -239,11 +243,10 @@ def _attaining(dom: BallGeometry, Z):
     The Euclidean ball has neither (all five None).
 
     The polydisc takes its moduli once, for the norms and the tie test.  A
-    spectral block takes its off-diagonal moduli first and the row Gram of
-    its other rows only; a sampled block has no frame-diagonal row, so
-    ``_rows`` hands it over without a copy.  A frame-diagonal point takes
-    its norm from its diagonal alone, so one whose diagonal is 0 is refused
-    as z = 0 is."""
+    spectral point is frame-diagonal when both off-diagonal moduli are below
+    1e-14 of its larger diagonal modulus; a block takes the row Gram of its
+    other rows only, and a sampled block has no frame-diagonal row, so
+    ``_rows`` hands it over without a copy."""
     Z = _check_dim(dom, Z)
     if Z.ndim != 2:
         raise DomainError(f"support functionals take an (m, n) batch, got shape {Z.shape}")
@@ -253,19 +256,17 @@ def _attaining(dom: BallGeometry, Z):
     elif dom.kind == POLYDISC:
         absz = np.abs(Z)
         norms = _row_max(absz)
-        attains = absz >= norms[:, None] - _TIE_TOL
+        attains = absz >= norms[:, None] * (1.0 - _TIE_TOL)
     else:
-        off = np.abs(Z[:, 2:])
-        diagonal = (off[:, 0] < 1e-14) & (off[:, 1] < 1e-14)
-        generic = np.flatnonzero(~diagonal)
-        gram = _row_gram(_rows(Z, generic))
         absz = np.abs(Z[:, :2])
         norms = _row_max(absz)
-        attains = diagonal[:, None] & (absz >= norms[:, None] - _DEGENERATE_TOL)
+        diagonal = _row_max(np.abs(Z[:, 2:])) < 1e-14 * norms
+        generic = np.flatnonzero(~diagonal)
+        gram = _row_gram(_rows(Z, generic))
+        attains = diagonal[:, None] & (absz >= norms[:, None] * (1.0 - _DEGENERATE_TOL))
         norms[generic] = _top_singular(gram)
     if np.any(norms == 0.0):
-        raise DomainError("support functionals are undefined at z = 0, and on the spectral "
-                          "ball at a zero diagonal with off-diagonal entries below 1e-14")
+        raise DomainError("support functionals are undefined at z = 0")
     if dom.kind == EUCLIDEAN:
         return Z, norms, None, None, None, None, None
     coord, owner = np.divmod(np.flatnonzero(attains.T), len(Z))
@@ -314,16 +315,14 @@ def sample_sphere(dom: BallGeometry, rng: np.random.Generator,
     the others at modulus 0.999, so ties in the sup norm have probability 0.
     """
     k = 1 if count is None else int(count)
-    batches = [Z for Z, _ in sphere_blocks(dom, rng, k, max(k, 1))]
+    batches = list(sphere_blocks(dom, rng, k, max(k, 1)))
     out = batches[0] if batches else np.empty((0, dom.n), dtype=complex)
     return out[0] if count is None else out
 
 
 def sphere_blocks(dom: BallGeometry, rng: np.random.Generator, count: int, block: int):
     """``count`` points of the unit sphere of the domain, drawn and yielded
-    in consecutive batches ``(Z, gap)`` of at most ``block`` rows; ``gap``
-    is s1 - s2 of each spectral row, from the row Gram that normalized it
-    (``_unit_rows``), and None on the other geometries.
+    in consecutive batches of at most ``block`` rows.
 
     Whatever the block size, the batches hold the rows of one
     ``sample_sphere(dom, rng, count)`` call bit for bit and leave ``rng`` in
@@ -333,39 +332,34 @@ def sphere_blocks(dom: BallGeometry, rng: np.random.Generator, count: int, block
     ``count`` rows before the first batch (see ``_polydisc_blocks``).
     """
     if dom.kind == POLYDISC:
-        for Z in _polydisc_blocks(dom.n, rng, count, 1, block):
-            yield Z, None
+        yield from _polydisc_blocks(dom.n, rng, count, 1, block)
         return
     shape = (2, dom.n) if dom.kind == EUCLIDEAN else (2, 2, 2)
     for start in range(0, count, block):
         yield _unit_rows(dom, rng.standard_normal((min(block, count - start),) + shape))
 
 
-def _unit_rows(dom: BallGeometry, draws: np.ndarray):
-    """Sphere points from normal draws, each row divided by its norm s, and
-    the singular gap of each spectral row (None for a Euclidean batch): a
+def _unit_rows(dom: BallGeometry, draws: np.ndarray) -> np.ndarray:
+    """Sphere points from normal draws, each row divided by its norm s: a
     Euclidean row draws (2, n) real and imaginary parts of a vector, a
     spectral row (2, 2, 2) parts of a 2x2 matrix.  The rows are filled part
-    by part (no complex product), and the gap of z / s1 is
-    ``_singular_gap`` of z over s1, from the row Gram that gave s1."""
+    by part (no complex product)."""
     if dom.kind == EUCLIDEAN:
         z = np.empty(draws.shape[:1] + draws.shape[2:], dtype=complex)
         z.real, z.imag = draws[:, 0], draws[:, 1]
         # one BLAS ddot per row and part, as np.linalg.norm does on one
         # point (einsum rounds differently)
-        s, gap = np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag)), None
+        s = np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))
     else:
         z = np.empty((len(draws), 4), dtype=complex)
         for k, (i, j) in enumerate(((0, 0), (1, 1), (0, 1), (1, 0))):  # E11, E22, E12, E21
             z.real[:, k], z.imag[:, k] = draws[:, 0, i, j], draws[:, 1, i, j]
-        gram = _row_gram(z)
-        s = _top_singular(gram)
-        gap = _singular_gap(z, s, gram[4]) / s
+        s = _top_singular(_row_gram(z))
     # z / s in place: numpy divides a complex by a real as both parts times
     # its reciprocal
     parts = z.view(np.float64)
     parts *= (1.0 / s)[:, None]
-    return z, gap
+    return z
 
 
 def _polydisc_blocks(n: int, rng: np.random.Generator, count: int, on_circle: int,

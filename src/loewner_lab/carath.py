@@ -50,7 +50,6 @@ import numpy as np
 from . import ball_geometry as bg
 from . import disc_functions as df
 from .errors import (
-    DegenerateFunctionalError,
     DomainError,
     NumericalInstabilityError,
     ReducedPrecisionWarning,
@@ -65,12 +64,6 @@ RADIUS_LADDER = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999)
 #: radii and per-axis phase count of the deterministic certification tori
 TORUS_RADII = (0.9, 0.99, 0.999)
 TORUS_PHASES = 64
-#: smallest gap between the two singular values of a spectral sphere sample,
-#: as the draw returns it (``bg.sphere_blocks``, from the row Gram that
-#: normalized the sample); it must survive scaling by the smallest ladder
-#: radius (0.1) and stay above the 1e-10 at which ``bg.support_functionals``
-#: calls a point degenerate
-SPECTRAL_GAP = 1e-8
 #: rows that certification draws, evaluates and certifies at once (the blocks of
 #: ``certification_blocks``, and the slices ``certify_values`` takes), so its
 #: temporaries stay cache-sized: the three N = 40 000 sets took 27-39 ms at
@@ -649,25 +642,6 @@ def _torus_phases(phases: int):
     return grid
 
 
-def _sphere_blocks(dom: bg.BallGeometry, rng: np.random.Generator, count: int):
-    """``count`` sphere samples in blocks of at most ``CERTIFY_BLOCK`` rows.
-    Spectral samples whose top singular value is within ``SPECTRAL_GAP`` of
-    the other (a measure-zero set; the gap is the one ``bg.sphere_blocks``
-    returns from the row Gram that normalized the draw) are dropped and
-    replaced after the round: each round draws, block by block, only as
-    many candidates as are still missing, so the same seed gives the same
-    points and stream whatever the block size."""
-    while count > 0:
-        kept = 0
-        for Z, gap in bg.sphere_blocks(dom, rng, count, CERTIFY_BLOCK):
-            if gap is not None:
-                keep = gap >= SPECTRAL_GAP
-                Z = Z if keep.all() else Z[keep]
-            kept += len(Z)
-            yield Z
-        count -= kept
-
-
 def _on_ladder(blocks):
     """The blocks with row k of their concatenation scaled by
     ``RADIUS_LADDER[k % 11]``, in place: the real and imaginary parts of a
@@ -687,7 +661,7 @@ def certification_blocks(dom: bg.BallGeometry, N: int, rng: np.random.Generator)
     ladder, then the tori of ``_torus_blocks``.  The rows, and the state
     ``rng`` is left in, do not depend on the block size."""
     if N > 0:
-        yield from _on_ladder(_sphere_blocks(dom, rng, N))
+        yield from _on_ladder(bg.sphere_blocks(dom, rng, N, CERTIFY_BLOCK))
         if dom.kind == bg.POLYDISC:
             yield from _on_ladder(bg.polydisc_edge_blocks(dom, rng, max(N // 10, 8),
                                                           CERTIFY_BLOCK))
@@ -795,13 +769,7 @@ def random_Mg_member(g: df.DiscFunction, dom: bg.BallGeometry,
         if kind == 0 or not pairs:
             blocks.append(identity_map(dom))
         elif kind == 1:
-            while True:
-                u = bg.sample_sphere(dom, rng)
-                try:
-                    coeffs = bg.support_functionals(dom, u[None])[0][0]
-                    break
-                except DegenerateFunctionalError:
-                    continue
+            coeffs = bg.support_functionals(dom, bg.sample_sphere(dom, rng, 1))[0][0]
             blocks.append(disc_multiple_map(g, coeffs, dom))
         else:
             i, j = pairs[int(rng.integers(len(pairs)))]

@@ -22,11 +22,12 @@ class FlowInstabilityError(NumericalInstabilityError):
     contracting, or the step size underflowed."""
 
 
-class DegenerateFunctionalError(LoewnerLabError):
-    """Support-functional extraction hit a degenerate singular value.
+class DegenerateFunctionalError(NumericalInstabilityError):
+    """Support-functional extraction hit a spectral point whose two singular
+    values agree to within ``ball_geometry._DEGENERATE_TOL`` of its norm.
 
-    The extreme points of the supporting set form a continuum there; callers
-    are expected to resample instead of enumerating it.
+    Its extreme functionals form a continuum there, which is not enumerated,
+    so a run that meets such a point ends as a numerical instability.
     """
 
 

@@ -248,9 +248,9 @@ def test_spectral_support_values_take_one_gram_evaluation(monkeypatch):
     assert calls == [200]
     assert np.allclose(values, 1.0, rtol=0, atol=1e-12) and len(values) == len(Z) + 5
     # a whole certification: one Gram per sphere block in the draw (which
-    # also gives the gap the drop test reads) and one per block in
-    # support_values, of its rows that are not frame-diagonal (none on the
-    # frame tori, in blocks of 700 rows too)
+    # normalizes it) and one per block in support_values, of its rows that
+    # are not frame-diagonal (none on the frame tori, in blocks of 700 rows
+    # too)
     calls.clear()
     monkeypatch.setattr(carath, "CERTIFY_BLOCK", 700)
     g = df.strongly_starlike(0.5)
@@ -263,16 +263,18 @@ def test_spectral_support_values_take_one_gram_evaluation(monkeypatch):
 
 @pytest.mark.parametrize("gap", [1e-2, 1e-6, 1e-9, 0.0])
 def test_spectral_gap_against_a_50_digit_reference(gap):
-    # disc / (s1 + s2) takes no difference of nearby numbers: the gap the
-    # spectral draw returns keeps its absolute accuracy down to exact ties,
-    # closer than LAPACK's s1 - s2
+    # disc / (s1 + s2) takes no difference of nearby numbers: the gap of the
+    # drawn rows, which the degenerate guard reads, keeps its absolute
+    # accuracy down to exact ties, closer than LAPACK's s1 - s2
     rng = np.random.default_rng(53)
     m = unitaries(rng, 30) @ np.diag([1.0, 1.0 - gap]) @ unitaries(rng, 30)
     with mpmath.workdps(50):
         exact = np.array([float(abs(s[0] - s[1])) for s in
                           (mpmath.svd_c(mpmath.matrix(mm.tolist()), compute_uv=False) for mm in m)])
-    Z, drawn = bg._unit_rows(bg.spectral2(), np.stack([m.real, m.imag], axis=1))
+    Z = bg._unit_rows(bg.spectral2(), np.stack([m.real, m.imag], axis=1))
     assert_bits_equal(Z, from_matrices(m) / bg.norm(bg.spectral2(), from_matrices(m))[:, None])
+    gram = bg._row_gram(Z)
+    drawn = bg._singular_gap(Z, bg._top_singular(gram), gram[4])
     error = np.max(np.abs(drawn - exact))
     lapack = np.linalg.svd(m, compute_uv=False)
     assert error <= 2e-16
@@ -305,15 +307,37 @@ def test_support_functionals_reject_a_point_and_a_zero_row():
         z = np.full(dom.n, 0.1, dtype=complex)
         with pytest.raises(DomainError):
             bg.support_functionals(dom, z)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="undefined at z = 0"):
             bg.support_functionals(dom, np.stack([z, np.zeros(dom.n)]))
-    # a frame-diagonal point takes its norm from its diagonal, so a zero
-    # diagonal is refused even beside a nonzero off-diagonal entry below 1e-14
+        with pytest.raises(DomainError, match="undefined at z = 0"):
+            bg.support_values(dom, np.zeros((1, dom.n)), np.ones((1, dom.n)))
+    # a zero diagonal beside an off-diagonal entry of 1e-15 is a nonzero
+    # point of norm 1e-15, not z = 0: it gets its value
     Z = np.array([[0.5, 0.1, 0.0, 0.2], [0.0, 0.0, 1e-15, 0.0]], dtype=complex)
-    for call in (lambda: bg.support_functionals(bg.spectral2(), Z),
-                 lambda: bg.support_values(bg.spectral2(), Z, Z)):
-        with pytest.raises(DomainError, match="zero diagonal with off-diagonal entries"):
-            call()
+    values, owner = bg.support_values(bg.spectral2(), Z, Z)
+    assert owner.tolist() == [0, 1] and np.allclose(values, 1.0, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("dom,z", [
+    (bg.polydisc(2), [1e-13, 0.0]),
+    (bg.spectral2(), [1e-13, 0.0, 0.0, 0.0]),
+    (bg.spectral2(), [1e-13, 0.0, 5e-15, 0.0]),
+    (bg.spectral2(), [3e-11, 0.0, 1e-11, 0.0]),  # rank 1
+], ids=["polydisc-1e-13", "spectral-diagonal-1e-13", "spectral-off-diagonal-5e-15",
+        "spectral-rank-1"])
+def test_ties_are_judged_relative_to_the_norm(dom, z):
+    # a point of small norm gets the rows the same point gets at unit scale:
+    # no coordinate whose modulus is 0 ties with the norm (its phase would
+    # be 0/0), and a rank-1 matrix is no degenerate point at any scale
+    z = np.array([z], dtype=complex)
+    scale = 1.0 / bg.norm(dom, z[0])
+    values, owner = bg.support_values(dom, z, z)
+    assert owner.tolist() == [0] and np.all(np.isfinite(values))
+    assert abs(values[0] - 1.0) <= 1e-15
+    L, owner = bg.support_functionals(dom, z)
+    unit, _ = bg.support_functionals(dom, z * scale)
+    assert owner.tolist() == [0] and np.allclose(L, unit, rtol=0, atol=1e-15)
+    assert abs(L[0] @ z[0] - bg.norm(dom, z[0])) <= 1e-15 * bg.norm(dom, z[0])
 
 
 def reference_support_values(dom, Z, H):
@@ -529,29 +553,6 @@ def test_polydisc_batch_on_other_bit_generators():
     ref_rng, rng = twin_generators(23, cached_half=True, bit_generator=np.random.MT19937)
     assert_bits_equal(reference_batch(dom, ref_rng, 50), bg.sample_sphere(dom, rng, 50))
     assert_same_stream(ref_rng, rng)
-
-
-@pytest.mark.parametrize("gap", [carath.SPECTRAL_GAP, 0.5])
-def test_spectral_gap_resample_keeps_the_stream(gap, monkeypatch):
-    # in one block and in blocks of 7 rows: rejections in many blocks of the
-    # first round, then the redraw rounds
-    monkeypatch.setattr(carath, "SPECTRAL_GAP", gap)
-    dom = bg.spectral2()
-    for block in (carath.CERTIFY_BLOCK, 7):
-        monkeypatch.setattr(carath, "CERTIFY_BLOCK", block)
-        ref_rng, rng = twin_generators(31, cached_half=True)
-        expect, resampled = [], 0
-        while len(expect) < 300:
-            z = reference_point(dom, ref_rng)
-            s = np.linalg.svd(to_matrices(z), compute_uv=False)
-            if s[0] - s[1] >= gap:
-                expect.append(z)
-            else:
-                resampled += 1
-        assert (resampled > 30) == (gap == 0.5)
-        assert_bits_equal(np.array(expect),
-                          np.concatenate(list(carath._sphere_blocks(dom, rng, 300))))
-        assert_same_stream(ref_rng, rng)
 
 
 def edge_points(dom, rng, count):

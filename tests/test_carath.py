@@ -565,20 +565,6 @@ def test_streamed_certificate_matches_the_two_step_reference(monkeypatch, dom, g
     assert verdicts == [True, True, False]
 
 
-@pytest.mark.parametrize("block,N", [(7, 300), (4096, 9001)])
-def test_streamed_spectral_certificate_with_rejections_in_many_blocks(monkeypatch, block, N):
-    # a raised gap rejects about one candidate in ten, in most blocks of the
-    # first round; the ladder position carries across blocks and rejections
-    monkeypatch.setattr(carath, "SPECTRAL_GAP", 0.5)
-    monkeypatch.setattr(carath, "CERTIFY_BLOCK", block)
-    coarse_tori(monkeypatch)
-    sizes = [len(Z) for Z in carath._sphere_blocks(SP, np.random.default_rng(89), N)]
-    assert sum(sizes) == N
-    assert sum(size < block for size in sizes[:-(-N // block)]) >= 2
-    for h in certify_fields(df.strongly_starlike(0.5), SP):
-        assert_streamed_matches_reference(monkeypatch, h, df.strongly_starlike(0.5), SP, N, 89)
-
-
 @pytest.mark.parametrize("scale", [np.nan, np.inf])
 @pytest.mark.parametrize("dom,g", CERTIFY_CASES, ids=CERTIFY_IDS)
 def test_non_finite_support_values_fail_the_certificate(monkeypatch, dom, g, scale):

@@ -11,7 +11,7 @@ from loewner_lab import ball_geometry as bg
 from loewner_lab import cli_reports as cli
 from loewner_lab import disc_functions as df
 from loewner_lab import loewner_flow as lf
-from loewner_lab.errors import NumericalInstabilityError
+from loewner_lab.errors import DegenerateFunctionalError, NumericalInstabilityError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -244,6 +244,67 @@ def test_validation_errors():
                              g_spec={"family": "exotic"}).validate()
     with pytest.raises(cli.UsageError, match="indices"):
         cli.ExperimentConfig(experiment="scan", seed=1, i=1, j=3).validate()
+
+
+#: the permutation matrix [[0, 1], [1, 0]] in (E11, E22, E12, E21)
+#: coordinates: a unit point with equal singular values, not frame-diagonal
+ANTIDIAGONAL = np.array([0.0, 0.0, 1.0, 1.0], dtype=complex)
+
+
+class DegenerateFirstDraw:
+    """A Generator whose first normal draw, taken as spectral sphere rows
+    (real and imaginary parts of 2x2 matrices), starts with ANTIDIAGONAL."""
+
+    def __init__(self, rng):
+        self.rng, self.first = rng, True
+
+    def standard_normal(self, size):
+        out = self.rng.standard_normal(size)
+        if self.first:
+            out[0] = 0.0
+            out[0, 0, 0, 1] = out[0, 0, 1, 0] = 1.0
+            self.first = False
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def assert_degenerate_point_exits_3(args, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert cli.main([*args, "--domain", "spectral2", "--seed", "1", "--out", str(out)]) == 3
+    report = json.loads(out.read_text())
+    assert report["instability"] is True and report["pass"] is False
+    assert "equal singular values" in report["payload"]["error"]
+    assert "Traceback" not in capsys.readouterr().err
+    assert issubclass(DegenerateFunctionalError, NumericalInstabilityError)
+
+
+def test_degenerate_point_of_a_scan_member_exits_3(monkeypatch, tmp_path, capsys):
+    # the unit point u of a g(l_u(z))*z block (a scan's only sphere draw) is
+    # drawn once: a degenerate one ends the run as a numerical instability,
+    # it is not redrawn
+    draws, real = [], bg.sample_sphere
+
+    def sample(dom, rng, *count):
+        Z = real(dom, rng, *count)
+        if not draws:
+            Z[...] = ANTIDIAGONAL
+        draws.append(Z)
+        return Z
+
+    monkeypatch.setattr(bg, "sample_sphere", sample)
+    assert_degenerate_point_exits_3(["scan", "--n", "2"], tmp_path, capsys)
+    assert len(draws) == 1
+
+
+def test_degenerate_point_in_the_first_certification_block_exits_3(monkeypatch, tmp_path,
+                                                                   capsys):
+    # a sampled certification point is not dropped for its singular gap
+    real = cli._RUNNERS["certify"]
+    monkeypatch.setitem(cli._RUNNERS, "certify", lambda config, g, dom, rng:
+                        real(config, g, dom, DegenerateFirstDraw(rng)))
+    assert_degenerate_point_exits_3(["certify", "--n", "100"], tmp_path, capsys)
 
 
 def test_instability_becomes_failed_envelope(monkeypatch):
