@@ -26,7 +26,6 @@ certify reports on them stand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -303,21 +302,15 @@ def support_values(dom: BallGeometry, Z, H):
     return values, owner
 
 
-def sample_sphere(dom: BallGeometry, rng: np.random.Generator,
-                  count: Optional[int] = None) -> np.ndarray:
-    """Points of the unit sphere of the domain, deterministic under seed.
-
-    Returns a ``(count, n)`` batch, or one point of shape ``(n,)`` when
-    ``count`` is None.  The same seed gives the same batch, and a one-point
-    draw is a batch of one.  This is ``sphere_blocks`` taken in one block.
+def sample_sphere(dom: BallGeometry, rng: np.random.Generator, count: int) -> np.ndarray:
+    """A ``(count, n)`` batch of points of the unit sphere of the domain,
+    deterministic under seed: ``sphere_blocks`` taken in one block.
 
     Polydisc samples put exactly one coordinate on the unit circle and cap
     the others at modulus 0.999, so ties in the sup norm have probability 0.
     """
-    k = 1 if count is None else int(count)
-    batches = list(sphere_blocks(dom, rng, k, max(k, 1)))
-    out = batches[0] if batches else np.empty((0, dom.n), dtype=complex)
-    return out[0] if count is None else out
+    batches = list(sphere_blocks(dom, rng, count, max(count, 1)))
+    return batches[0] if batches else np.empty((0, dom.n), dtype=complex)
 
 
 def sphere_blocks(dom: BallGeometry, rng: np.random.Generator, count: int, block: int):

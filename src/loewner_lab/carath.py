@@ -14,9 +14,10 @@ by degree, so one evaluation is a few array operations however many terms
 the map has.  ``identity_map`` and ``disc_multiple_map`` build the forms of
 the building blocks, and ``convex_combination`` sums forms part by part.  A
 polynomial table is evaluated through the form it lowers to.  The exact
-degree-2 part of a form is read off its arrays (``FlatForm.quadratic``), and
+degree-2 part of a form is read off its arrays (``quadratic_part``), and
 the remainder h - id that the flow integrates is derived from it without
-cancellation (``remainder_map``).
+cancellation (``remainder_map``).  A sampled M_g member is drawn as a spec
+(``draw_Mg_member``), whose degree-2 part needs no form.
 
 ``second_coeff`` extracts the second-order Taylor data at the origin through
 Cauchy integrals discretized as 64-point DFTs on circles (a mixed coefficient
@@ -168,22 +169,22 @@ class FlatForm:
 
     def quadratic(self, n: int) -> np.ndarray:
         """The degree-2 part as an (n, n, n) array: Q[c, a, b] (a <= b) is the
-        coefficient of z_a z_b in component c.
+        coefficient of z_a z_b in component c (``quadratic_part``)."""
+        return quadratic_part(n, self.disc, self.monomials)
 
-        Read from the arrays: a disc block adds g'(0) (W @ Lmat).z * z, a
-        degree-2 monomial group adds itself; the linear part, constant terms
-        and terms of degree >= 3 add nothing.
-        """
-        Q = np.zeros((n, n, n), dtype=complex)
-        c, a = np.indices((n, n))
-        for g, lmat, w in self.disc:
-            v = df.g_prime0(g) * (w @ lmat)
-            Q[c, np.minimum(a, c), np.maximum(a, c)] += v[a]
-        for idx, coef, comp in self.monomials:
-            if idx.shape[1] == 2:
-                np.add.at(Q, (np.asarray(comp, dtype=int), idx.min(axis=1), idx.max(axis=1)),
-                          coef)
-        return Q
+
+def quadratic_part(n: int, disc, monomials) -> np.ndarray:
+    """The degree-2 part of a form's disc blocks, each adding
+    g'(0) (W @ Lmat).z * z, and its degree-2 monomials."""
+    Q = np.zeros((n, n, n), dtype=complex)
+    c, a = np.indices((n, n))
+    for g, lmat, w in disc:
+        v = df.g_prime0(g) * (w @ lmat)
+        Q[c, np.minimum(a, c), np.maximum(a, c)] += v[a]
+    for idx, coef, comp in monomials:
+        if idx.shape[1] == 2:
+            np.add.at(Q, (np.asarray(comp, dtype=int), idx.min(axis=1), idx.max(axis=1)), coef)
+    return Q
 
 
 class _Lowering:
@@ -218,8 +219,8 @@ class _Lowering:
             for key, c, i in zip(idx.tolist(), coef, comp):
                 self.add_term(i, tuple(key), w * c)
 
-    def form(self) -> FlatForm:
-        n = self.n
+    def parts(self):
+        """(disc, monomials): a block per g, nonzero terms grouped by degree."""
         disc = tuple((g, np.concatenate([lmat for lmat, _ in blocks]),
                       np.concatenate([w for _, w in blocks]))
                      for g, blocks in self.disc.items())
@@ -232,12 +233,15 @@ class _Lowering:
             monomials.append((np.array([t[1] for t in group], dtype=int).reshape(len(group), d),
                               np.array([t[2] for t in group], dtype=complex),
                               tuple(t[0] for t in group)))
+        return disc, tuple(monomials)
+
+    def form(self) -> FlatForm:
         lin, w0 = self.lin, complex(self.lin[0, 0])
-        if np.array_equal(lin, w0 * np.eye(n)):  # w0 times the identity, maybe zero
+        if np.array_equal(lin, w0 * np.eye(self.n)):  # w0 times the identity, maybe zero
             lin, w0 = None, (w0 or None)
         else:
             w0 = None
-        return FlatForm(w0, lin, disc, tuple(monomials))
+        return FlatForm(w0, lin, *self.parts())
 
 
 # ---------------------------------------------------------------------------
@@ -748,32 +752,52 @@ def certify_Mg(h: HolMap, g: df.DiscFunction, dom: bg.BallGeometry, N: int,
     return _certify_blocks(((Z, h.values(Z)) for Z in blocks), g, dom, eps)
 
 
-def random_Mg_member(g: df.DiscFunction, dom: bg.BallGeometry,
-                     rng: np.random.Generator, k: int) -> CompositeMap:
-    """Random convex combination of k building blocks, each an M_g member by
-    construction.
-
-    Blocks are drawn uniformly from {identity, g(l_u(z))*z for a random unit
-    u, canonical quadratic field with random admissible indices and sign}.
-    Convexity of g(U) puts the combination back in the family.
+def draw_Mg_member(dom: bg.BallGeometry, rng: np.random.Generator, k: int,
+                   points: list) -> tuple:
+    """Spec (blocks, weights) of a random convex combination of k building
+    blocks drawn uniformly from {identity, g(l_u(z))*z for a random unit u,
+    canonical quadratic field with random admissible indices and sign}: each
+    is an M_g member, and so is the combination, as g(U) is convex.  A block
+    is None, the index in ``points`` of u (appended there) or (i, j, sign).
     """
     if k < 1:
         raise DomainError("need at least one block")
-    if dom.rank >= 2:
-        pairs = list(itertools.permutations(dom.frame_coords, 2))
-    else:
-        pairs = list(itertools.permutations(range(1, dom.n + 1), 2))
+    pairs = list(itertools.permutations(
+        dom.frame_coords if dom.rank >= 2 else range(1, dom.n + 1), 2))
     blocks = []
     for _ in range(k):
         kind = int(rng.integers(3))
         if kind == 0 or not pairs:
-            blocks.append(identity_map(dom))
+            blocks.append(None)
         elif kind == 1:
-            coeffs = bg.support_functionals(dom, bg.sample_sphere(dom, rng, 1))[0][0]
-            blocks.append(disc_multiple_map(g, coeffs, dom))
+            blocks.append(len(points))
+            points.append(bg.sample_sphere(dom, rng, 1))
         else:
             i, j = pairs[int(rng.integers(len(pairs)))]
-            sign = 1 if rng.random() < 0.5 else -1
-            blocks.append(canonical_field(g, dom, i, j, sign))
-    return convex_combination(blocks, rng.dirichlet(np.ones(k)))
+            blocks.append((i, j, 1 if rng.random() < 0.5 else -1))
+    return tuple(blocks), rng.dirichlet(np.ones(k))
 
+
+def random_Mg_member(g: df.DiscFunction, dom: bg.BallGeometry, spec: tuple,
+                     rows: np.ndarray) -> CompositeMap:
+    """The generator of a ``draw_Mg_member`` spec, u = points[k] taking the
+    functional ``rows[k]``."""
+    return convex_combination(
+        [identity_map(dom) if b is None else disc_multiple_map(g, rows[b], dom)
+         if isinstance(b, int) else canonical_field(g, dom, *b) for b in spec[0]], spec[1])
+
+
+def member_quadratic(g: df.DiscFunction, dom: bg.BallGeometry, spec: tuple,
+                     rows: np.ndarray) -> np.ndarray:
+    """``random_Mg_member(g, dom, spec, rows).form.quadratic(dom.n)`` with no
+    form: the blocks' degree-2 parts, a row for g(l_u(z))*z and one z_j^2 e_i
+    term for a canonical field, summed as ``convex_combination`` sums them."""
+    lowering = _Lowering(dom.n)
+    for b, w in zip(*spec):
+        if isinstance(b, int):
+            lowering.disc.setdefault(g, []).append(
+                (rows[b:b + 1], complex(w) * np.ones(1, dtype=complex)))
+        elif b is not None:
+            lowering.add_term(b[0] - 1, (b[1] - 1,) * 2,
+                              complex(w) * complex(b[2] * dom.shear_factor * df.d1(g)))
+    return quadratic_part(dom.n, *lowering.parts())

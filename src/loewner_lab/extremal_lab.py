@@ -7,13 +7,14 @@ family plus exact attainment by the closed-form extremal map; reports state
 always included in a scan so its maximum is exact even though random convex
 combinations concentrate away from the extreme points.
 
-A sampled map is held as its generator schedule (``sample_Sg0``), and its
-second coefficients come from an exact oracle: for a piecewise-constant
-schedule the quadratic part of the parametric limit is
--sum_k (e^{-t_k} - e^{-t_{k+1}}) Q_k (``lf.parametric_quadratic``).  Every
-``ORACLE_STRIDE``-th sample, sample #0 first, is also flowed and DFT'd as a
-cross-check; a gap above ``ORACLE_TOL``, or a flow that fails, is a
-numerical instability (exit 3).
+A run draws its sampled maps in one batch (``sample_Sg0``), as the member
+specs of their schedules, and scores each by its jet: the exact quadratic
+part -sum_k (e^{-t_k} - e^{-t_{k+1}}) Q_k of the parametric limit
+(``lf.limit_quadratic``), summed from the specs with no form.  Every
+``ORACLE_STRIDE``-th sample, sample #0 first, is also built, its schedule's
+quadratic part checked bit for bit against the jet, and flowed and DFT'd as
+a cross-check; a differing jet, a gap above ``ORACLE_TOL``, or a flow that
+fails, is a numerical instability (exit 3).
 Reports record ``oracle_checks`` (the cross-checked samples) and
 ``oracle_gap`` (their largest |exact - ODE|, 0.0 when there are none).  The
 canonical and sharp parametric maps are scored exactly too, and each
@@ -29,7 +30,7 @@ coefficient is mixed (2, 1) of f.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -87,32 +88,49 @@ class BoundReport:
 
 
 def sample_Sg0(g: df.DiscFunction, dom: bg.BallGeometry, rng: np.random.Generator,
-               pieces: int) -> lf.HerglotzField:
-    """One random map of S_g^0, held as its schedule: ``pieces`` generators
-    on consecutive intervals (``lf.make_field``), each a convex combination
-    of 1 to 3 known M_g members (``carath.random_Mg_member``), so in M_g by
-    construction.  The map is the schedule's parametric limit; the scans
-    read its second coefficients off the schedule (``_exact_coeffs``) and
-    flow only the cross-checked draws.
+               pieces: int, count: int) -> Tuple[np.ndarray, Callable[[int], lf.HerglotzField]]:
+    """``count`` random maps of S_g^0 as (jets, build), drawn one after
+    another, so a batch is its one-draw calls bit for bit and in RNG state.
+    A map is a schedule of ``pieces`` generators on consecutive intervals,
+    each a convex combination of 1 to 3 known M_g members
+    (``carath.draw_Mg_member``).  Its jet is summed from the specs
+    (``carath.member_quadratic``); ``build(s)`` makes draw s's schedule,
+    and a quadratic part that is not ``jets[s]`` bit for bit raises
+    NumericalInstabilityError.
     """
     if pieces < 1:
         raise DomainError("need at least one schedule piece")
-    maps = [carath.random_Mg_member(g, dom, rng, int(rng.integers(1, 4)))
-            for _ in range(pieces)]
-    return lf.make_field(maps, dom)
+    points: list = []
+    draws = [[carath.draw_Mg_member(dom, rng, int(rng.integers(1, 4)), points)
+              for _ in range(pieces)] for _ in range(count)]
+    L, owner = (bg.support_functionals(dom, np.concatenate(points)) if points else
+                (np.empty((0, dom.n), dtype=complex), np.empty(0, dtype=int)))
+    rows = L[np.unique(owner, return_index=True)[1]]  # each point's first, as if alone
+    times = lf.SEGMENT_DT * np.arange(pieces)  # ``lf.make_field``'s breakpoints
+    jets = np.empty((count,) + (dom.n,) * 3, dtype=complex)
+    for s, draw in enumerate(draws):
+        jets[s] = lf.limit_quadratic(
+            times, [carath.member_quadratic(g, dom, spec, rows) for spec in draw])
+
+    def build(s: int) -> lf.HerglotzField:
+        schedule = lf.make_field([carath.random_Mg_member(g, dom, spec, rows)
+                                  for spec in draws[s]], dom)
+        if not np.array_equal(lf.parametric_quadratic(schedule), jets[s]):
+            raise NumericalInstabilityError(f"draw #{s}: schedule and jet differ")
+        return schedule
+    return jets, build
 
 
-def _exact_coeffs(field: lf.HerglotzField, requests, fmap=None):
-    """(exact, ode, gap) for the parametric limit of ``field``.
+def _exact_coeffs(jet: np.ndarray, requests, fmap=None):
+    """(exact, ode, gap) for a parametric limit with quadratic part ``jet``.
 
-    ``exact`` is {(i, j, kind): value}, the quadratic part of the limit read
-    off the schedule (``lf.parametric_quadratic``).  Given the flowed limit
-    ``fmap``, ``ode`` is its flowed and DFT'd table and ``gap`` the largest
-    |exact - ode|; a gap above ``ORACLE_TOL`` raises
-    NumericalInstabilityError, and a failed flow raises
-    FlowInstabilityError.  Without ``fmap`` both are None.
+    ``exact`` is {(i, j, kind): value} read off ``jet``
+    (``carath.quadratic_coeffs``).  Given the flowed limit ``fmap``, ``ode``
+    is its flowed and DFT'd table and ``gap`` the largest |exact - ode|; a
+    gap above ``ORACLE_TOL`` raises NumericalInstabilityError, and a failed
+    flow raises FlowInstabilityError.  Without ``fmap`` both are None.
     """
-    exact = carath.quadratic_coeffs(lf.parametric_quadratic(field), requests)
+    exact = carath.quadratic_coeffs(jet, requests)
     if fmap is None:
         return exact, None, None
     ode = carath.second_coeff_bundle(fmap, requests)
@@ -163,11 +181,11 @@ def scan_support(g: df.DiscFunction, dom: bg.BallGeometry, i: int, j: int, N: in
     label = f"Sg0_sample[pieces={pieces}]"
     gaps = []
 
-    for s in range(N):
-        schedule = sample_Sg0(g, dom, rng, pieces)
-        fmap = (lf.parametric_holmap(schedule, ode_tol=SAMPLER_ODE_TOL, label=label)
+    jets, build = sample_Sg0(g, dom, rng, pieces, N)
+    for s, jet in enumerate(jets):
+        fmap = (lf.parametric_holmap(build(s), ode_tol=SAMPLER_ODE_TOL, label=label)
                 if s % ORACLE_STRIDE == 0 else None)
-        coeffs, _, gap = _exact_coeffs(schedule, axis, fmap)
+        coeffs, _, gap = _exact_coeffs(jet, axis, fmap)
         if gap is not None:
             gaps.append(gap)
         entries.append((f"{label}#{s}", float(coeffs[requests[0]].real)))
@@ -184,9 +202,9 @@ def scan_support(g: df.DiscFunction, dom: bg.BallGeometry, i: int, j: int, N: in
     h_plus, h_minus = (lf.autonomous_field(carath.canonical_field(g, dom, i, j, sign), dom)
                        for sign in (+1, -1))
     plus, _, canonical_gap = _exact_coeffs(
-        h_plus, requests,
+        lf.parametric_quadratic(h_plus), requests,
         lf.parametric_holmap(h_plus, ode_tol=SAMPLER_ODE_TOL, label="parametric[h+]"))
-    minus, _, _ = _exact_coeffs(h_minus, requests)
+    minus, _, _ = _exact_coeffs(lf.parametric_quadratic(h_minus), requests)
     entries.append(("parametric[h+]", float(plus[requests[0]].real)))
     entries.append(("parametric[h-]", float(minus[requests[0]].real)))
 
@@ -230,11 +248,11 @@ def verify_gprime_bounds(g: df.DiscFunction, dom: bg.BallGeometry, N: int,
 
     label = f"Sg0_sample[pieces={pieces}]"
     gaps = []
-    for s in range(N):
-        schedule = sample_Sg0(g, dom, rng, pieces)
-        fmap = (lf.parametric_holmap(schedule, ode_tol=SAMPLER_ODE_TOL, label=label)
+    jets, build = sample_Sg0(g, dom, rng, pieces, N)
+    for s, jet in enumerate(jets):
+        fmap = (lf.parametric_holmap(build(s), ode_tol=SAMPLER_ODE_TOL, label=label)
                 if s % ORACLE_STRIDE == 0 else None)
-        coeffs, _, gap = _exact_coeffs(schedule, requests, fmap)
+        coeffs, _, gap = _exact_coeffs(jet, requests, fmap)
         if gap is not None:
             gaps.append(gap)
         for (a, b, kind), val in coeffs.items():
@@ -246,7 +264,8 @@ def verify_gprime_bounds(g: df.DiscFunction, dom: bg.BallGeometry, N: int,
     flowed = [key for _, _, key in sharp]
     sharp_field = lf.autonomous_field(carath.disc_multiple_map(g, np.eye(dom.n)[0], dom), dom)
     exact, ode, canonical_gap = _exact_coeffs(
-        sharp_field, flowed, lf.parametric_holmap(sharp_field, label="parametric[g(z1)z]"))
+        lf.parametric_quadratic(sharp_field), flowed,
+        lf.parametric_holmap(sharp_field, label="parametric[g(z1)z]"))
     for name, (i, j, kind), key in sharp:
         entries.append((f"parametric[{name}]:{kind}({i},{j})", float(abs(exact[key]))))
     attain_gap = max(abs(abs(ode[key]) - bound) for key in flowed)

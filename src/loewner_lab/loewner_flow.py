@@ -86,7 +86,7 @@ class HerglotzField:
     form; a map known only by its values is refused, since nothing checks
     its normalization.  Membership of the generators in M_g is the caller's:
     sampled ones are M_g members by construction
-    (``carath.random_Mg_member``).
+    (``carath.draw_Mg_member``).
     """
 
     times: Tuple[float, ...]
@@ -237,14 +237,18 @@ def parametric_quadratic(field: HerglotzField) -> np.ndarray:
     With h = z + Q_k(z) on [t_k, t_{k+1}) (the last segment runs to
     infinity), v = e^{-t} z + w with (e^t w)' = -e^{-t} Q_k(z) + O(|z|^3), so
 
-        Q_f = -sum_k (e^{-t_k} - e^{-t_{k+1}}) Q_k.
+        Q_f = -sum_k (e^{-t_k} - e^{-t_{k+1}}) Q_k    (``limit_quadratic``).
     """
-    n = field.domain.n
-    decay = np.exp(-np.asarray(field.times))
+    return limit_quadratic(field.times, [h.form.quadratic(field.domain.n) for h in field.maps])
+
+
+def limit_quadratic(times: Sequence[float], parts: Sequence[np.ndarray]) -> np.ndarray:
+    """Q_f of generators with quadratic parts ``parts`` from ``times`` on."""
+    decay = np.exp(-np.asarray(times))
     weights = decay - np.append(decay[1:], 0.0)
-    Q = np.zeros((n, n, n), dtype=complex)
-    for w, h in zip(weights, field.maps):
-        Q -= w * h.form.quadratic(n)
+    Q = np.zeros_like(parts[0])
+    for w, part in zip(weights, parts):
+        Q -= w * part
     return Q
 
 

@@ -1,11 +1,13 @@
 """What only the tests use: a difference Jacobian for maps known only by
 their values and the normalization check f(0) = 0, Df(0) = I (the two
-oracles), and a normalized form whose flow leaves the ball."""
+oracles), a normalized form whose flow leaves the ball, one random M_g
+member of a chosen number of blocks and one sampled schedule."""
 
 import numpy as np
 
 from loewner_lab import ball_geometry as bg
 from loewner_lab import carath
+from loewner_lab import extremal_lab as el
 from loewner_lab.errors import DomainError
 
 _FD_STEP = 1e-5
@@ -44,3 +46,20 @@ def leaving_form(dom: bg.BallGeometry, k: int) -> carath.PolynomialMap:
     which carries every real z_k < -1/4 out of the ball (at (-0.5, 0.2i) on
     the bidisc, k = 1, and at z_k = -0.4 on a DFT circle of radius 0.4)."""
     return carath._quadratic_field(dom, k, k, 4.0, f"z + 4 z_{k}^2 e_{k}")
+
+
+def random_member(g, dom: bg.BallGeometry, rng: np.random.Generator,
+                  k: int) -> carath.CompositeMap:
+    """A random convex combination of k building blocks, drawn and built as
+    ``extremal_lab.sample_Sg0`` draws and builds one schedule piece."""
+    points = []
+    spec = carath.draw_Mg_member(dom, rng, k, points)
+    L, owner = bg.support_functionals(dom, np.concatenate([np.empty((0, dom.n)), *points]))
+    rows = L[np.unique(owner, return_index=True)[1]]
+    return carath.random_Mg_member(g, dom, spec, rows)
+
+
+def sampled_schedule(g, dom: bg.BallGeometry, rng: np.random.Generator, pieces: int):
+    """One draw of ``extremal_lab.sample_Sg0``, built as its schedule."""
+    _, build = el.sample_Sg0(g, dom, rng, pieces, 1)
+    return build(0)

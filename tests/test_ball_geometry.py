@@ -415,14 +415,14 @@ def test_sphere_samples_have_unit_norm():
     rng = np.random.default_rng(5)
     for dom in DOMAINS:
         for _ in range(200):
-            z = bg.sample_sphere(dom, rng)
+            z = bg.sample_sphere(dom, rng, 1)[0]
             assert abs(bg.norm(dom, z) - 1.0) < 1e-12
 
 
 def test_sampler_determinism():
     for dom in DOMAINS:
-        a = [bg.sample_sphere(dom, np.random.default_rng(99)) for _ in range(5)]
-        b = [bg.sample_sphere(dom, np.random.default_rng(99)) for _ in range(5)]
+        a = [bg.sample_sphere(dom, np.random.default_rng(99), 1)[0] for _ in range(5)]
+        b = [bg.sample_sphere(dom, np.random.default_rng(99), 1)[0] for _ in range(5)]
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
@@ -431,18 +431,18 @@ def test_polydisc_sampler_unique_max():
     dom = bg.polydisc(3)
     rng = np.random.default_rng(6)
     for _ in range(10000):
-        z = bg.sample_sphere(dom, rng)
+        z = bg.sample_sphere(dom, rng, 1)[0]
         assert np.count_nonzero(np.abs(z) > 0.9995) == 1
 
 
-# the sampler contract: the same seed gives the same batch, and a one-point
-# draw is a batch of one.  Euclidean and spectral batches draw their normals
-# in one block, so they equal one-point calls bit for bit; a polydisc batch
-# draws all its indices first, then one block of doubles.
+# the sampler contract: the same seed gives the same batch.  Euclidean and
+# spectral batches draw their normals in one block, so they equal one-point
+# batches drawn in a loop bit for bit; a polydisc batch draws all its indices
+# first, then one block of doubles.
 
 
 def reference_point(dom, rng):
-    """The one-point sphere sampler written call by call."""
+    """A one-point sphere batch written call by call, as its one row."""
     if dom.kind == bg.EUCLIDEAN:
         v = rng.standard_normal(dom.n) + 1j * rng.standard_normal(dom.n)
         return v / np.linalg.norm(v)
@@ -528,7 +528,7 @@ def test_sphere_batch_matches_point_loop(dom, cached_half, count):
 def test_single_point_form_is_one_row(dom):
     ref_rng, rng = twin_generators(17, cached_half=True)
     for _ in range(3):
-        assert_bits_equal(reference_point(dom, ref_rng), bg.sample_sphere(dom, rng))
+        assert_bits_equal(reference_point(dom, ref_rng), bg.sample_sphere(dom, rng, 1)[0])
     assert_same_stream(ref_rng, rng)
 
 
@@ -603,10 +603,6 @@ def test_polydisc_samplers_repeat_under_a_seed(n, sampler, count):
     a = sample(dom, np.random.default_rng(61), count)
     assert a.shape == (count, n)
     assert_bits_equal(a, sample(dom, np.random.default_rng(61), count))
-    if sample is bg.sample_sphere:  # the one sampler that also draws a single point
-        point = sample(dom, np.random.default_rng(61))
-        assert point.shape == (n,)
-        assert_bits_equal(point, sample(dom, np.random.default_rng(61), 1)[0])
 
 
 #: chi-square 0.1% critical values by degrees of freedom

@@ -14,7 +14,7 @@ from loewner_lab.errors import (
     ReducedPrecisionWarning,
     UnsupportedError,
 )
-from oracles import assert_normalized, fd_jacobian
+from oracles import assert_normalized, fd_jacobian, random_member
 
 P2 = bg.polydisc(2)
 P3 = bg.polydisc(3)
@@ -123,7 +123,7 @@ def test_second_coeff_matches_polynomial_table():
 
 def test_second_coeff_matches_finite_differences_on_composites():
     rng = np.random.default_rng(1)
-    member = carath.random_Mg_member(df.moebius(), P2, rng, 3)
+    member = random_member(df.moebius(), P2, rng, 3)
     for i, j in [(1, 2), (2, 1)]:
         assert carath.second_coeff(member, i, j, carath.PURE) == pytest.approx(
             fd_pure_coeff(member, i, j), abs=1e-6)
@@ -158,7 +158,7 @@ def test_mixed_coeff_matches_torus_reference(dom, pairs):
     rng = np.random.default_rng(11)
     for g in (df.moebius(), df.strongly_starlike(0.5)):
         for k in (1, 2, 3):
-            member = carath.random_Mg_member(g, dom, rng, k)
+            member = random_member(g, dom, rng, k)
             for i, j in pairs:
                 got = carath.second_coeff(member, i, j, carath.MIXED)
                 assert abs(got - torus_mixed_coeff(member, i, j)) <= 1e-12
@@ -249,7 +249,7 @@ def test_quadratic_part_matches_second_coeff_bundle(dom, g):
     rng = np.random.default_rng(17)
     functional = bg.support_functionals(dom, bg.sample_sphere(dom, rng, 1))[0][0]
     disc = carath.disc_multiple_map(g, functional, dom)
-    members = [carath.random_Mg_member(g, dom, rng, k) for k in (1, 3, 6)]
+    members = [random_member(g, dom, rng, k) for k in (1, 3, 6)]
     i, j = dom.frame_coords[:2] if dom.rank >= 2 else (1, 2)
     canonical = carath.canonical_field(g, dom, i, j, 1)
     maps = [carath.identity_map(dom), disc, *members,
@@ -602,7 +602,7 @@ def test_random_members_certify():
     rng = np.random.default_rng(5)
     for dom in (P2, SP):
         for k in (1, 2, 4):
-            member = carath.random_Mg_member(g, dom, rng, k)
+            member = random_member(g, dom, rng, k)
             assert_normalized(member)
             cert = carath.certify_Mg(member, g, dom, 1000, rng=rng)
             assert cert.passed, cert.witness
@@ -610,8 +610,8 @@ def test_random_members_certify():
 
 def test_random_member_determinism():
     g = df.moebius()
-    a = carath.random_Mg_member(g, P2, np.random.default_rng(123), 3)
-    b = carath.random_Mg_member(g, P2, np.random.default_rng(123), 3)
+    a = random_member(g, P2, np.random.default_rng(123), 3)
+    b = random_member(g, P2, np.random.default_rng(123), 3)
     Z = np.array([[0.2 + 0.1j, -0.4], [0.05, 0.6j]], dtype=complex)
     assert np.array_equal(a.values(Z), b.values(Z))
 
@@ -620,7 +620,7 @@ def test_convex_combination_closure():
     g = df.moebius()
     rng = np.random.default_rng(6)
     h1 = carath.canonical_field(g, P2, 1, 2, +1)
-    h2 = carath.random_Mg_member(g, P2, rng, 2)
+    h2 = random_member(g, P2, rng, 2)
     mix = carath.convex_combination([h1, h2], [0.3, 0.7])
     cert = carath.certify_Mg(mix, g, P2, 500, rng=rng)
     assert cert.passed
@@ -631,7 +631,7 @@ def test_certified_maps_obey_pure_coefficient_bound():
     for dom, g in [(P2, df.moebius()), (P2, df.strongly_starlike(0.5)), (E2, df.moebius())]:
         bound = dom.shear_factor * df.d1(g)
         for _ in range(5):
-            member = carath.random_Mg_member(g, dom, rng, 3)
+            member = random_member(g, dom, rng, 3)
             cert = carath.certify_Mg(member, g, dom, 300, rng=rng)
             assert cert.passed
             for (i, j) in [(1, 2), (2, 1)]:
@@ -642,7 +642,7 @@ def test_certified_maps_obey_pure_coefficient_bound():
 def test_shearing_preserves_certification():
     g = df.almost_starlike(0.3)
     rng = np.random.default_rng(8)
-    member = carath.random_Mg_member(g, P2, rng, 3)
+    member = random_member(g, P2, rng, 3)
     sheared = carath.shear(member, 1, 2)
     cert = carath.certify_Mg(sheared, g, P2, 500, rng=rng)
     assert cert.passed
@@ -653,7 +653,7 @@ def test_certified_maps_obey_gprime_bounds():
     bound = abs(df.g_prime0(g))
     rng = np.random.default_rng(9)
     for _ in range(5):
-        member = carath.random_Mg_member(g, P2, rng, 3)
+        member = random_member(g, P2, rng, 3)
         for i in (1, 2):
             assert abs(carath.second_coeff(member, i, i, carath.PURE)) <= bound + 1e-6
         for i, j in [(1, 2), (2, 1)]:
@@ -675,8 +675,8 @@ def test_disc_multiple_sharpness_values():
 
 def test_jacobians_match_finite_differences():
     rng = np.random.default_rng(10)
-    member = carath.random_Mg_member(df.moebius(), P2, rng, 3)
-    Z = np.stack([bg.sample_sphere(P2, rng) * 0.5 for _ in range(8)])
+    member = random_member(df.moebius(), P2, rng, 3)
+    Z = np.stack([bg.sample_sphere(P2, rng, 1)[0] * 0.5 for _ in range(8)])
     assert np.allclose(member.jacobian_batch(Z), fd_jacobian(member, Z), atol=1e-9)
 
 
@@ -729,9 +729,9 @@ def test_certificate_json():
 
 def test_composite_agrees_with_black_box_snapshot():
     rng = np.random.default_rng(12)
-    member = carath.random_Mg_member(df.moebius(), P2, rng, 3)
+    member = random_member(df.moebius(), P2, rng, 3)
     snapshot = carath.BlackBoxMap(member.values, P2, normalized=True)
-    Z = np.stack([bg.sample_sphere(P2, rng) * rng.uniform(0.1, 0.99) for _ in range(64)])
+    Z = np.stack([bg.sample_sphere(P2, rng, 1)[0] * rng.uniform(0.1, 0.99) for _ in range(64)])
     assert np.array_equal(member.values(Z), snapshot.values(Z))
 
 
@@ -742,7 +742,7 @@ def test_disc_multiple_support_values_equal_g_of_l():
     u = bg.sample_sphere(P2, rng, 1)
     functional = bg.support_functionals(P2, u)[0][0]
     h = carath.disc_multiple_map(g, functional, P2)
-    Z = np.stack([bg.sample_sphere(P2, rng) * rng.uniform(0.1, 0.99) for _ in range(200)])
+    Z = np.stack([bg.sample_sphere(P2, rng, 1)[0] * rng.uniform(0.1, 0.99) for _ in range(200)])
     vals, owner = bg.support_values(P2, Z, h.values(Z))
     lz = Z[owner] @ functional
     assert np.max(np.abs(vals - df.evaluate(g, lz))) < 1e-12
@@ -751,7 +751,7 @@ def test_disc_multiple_support_values_equal_g_of_l():
 def test_certified_member_full_scale_coefficient_bound():
     g = df.moebius()
     rng = np.random.default_rng(14)
-    member = carath.random_Mg_member(g, P2, rng, 3)
+    member = random_member(g, P2, rng, 3)
     cert = carath.certify_Mg(member, g, P2, 10**4, rng=rng)
     assert cert.passed
     for i, j in [(1, 2), (2, 1)]:
@@ -801,7 +801,7 @@ def lowered_maps(dom, g, rng):
     pairs, None for any other map."""
     i, j = dom.frame_coords[:2] if dom.rank >= 2 else (1, 2)
     canonical = carath.canonical_field(g, dom, i, j, -1)
-    members = [carath.random_Mg_member(g, dom, rng, 6) for _ in range(3)]
+    members = [random_member(g, dom, rng, 6) for _ in range(3)]
     cubic = carath.PolynomialMap({(1, (1,) + (0,) * (dom.n - 1)): 1.0,
                                   (2, (0, 1) + (0,) * (dom.n - 2)): 1.0,
                                   (1, (2, 1) + (0,) * (dom.n - 2)): 0.3 - 0.2j,
@@ -820,7 +820,7 @@ def lowered_maps(dom, g, rng):
 @pytest.mark.parametrize("dom,g", LOWERING_CASES, ids=LOWERING_IDS)
 def test_lowered_values_match_block_sums(dom, g):
     rng = np.random.default_rng(31)
-    Z = np.stack([bg.sample_sphere(dom, rng) * rng.uniform(0.05, 0.7) for _ in range(40)])
+    Z = np.stack([bg.sample_sphere(dom, rng, 1)[0] * rng.uniform(0.05, 0.7) for _ in range(40)])
     for f, parts in lowered_maps(dom, g, rng):
         ref = reference_values(f, Z, parts)
         assert np.all(np.abs(f.values(Z) - ref) <= 1e-14 * (1.0 + np.abs(ref))), f.describe()
@@ -829,7 +829,7 @@ def test_lowered_values_match_block_sums(dom, g):
 @pytest.mark.parametrize("dom,g", LOWERING_CASES, ids=LOWERING_IDS)
 def test_lowered_jacobians_match_finite_differences(dom, g):
     rng = np.random.default_rng(32)
-    Z = np.stack([bg.sample_sphere(dom, rng) * rng.uniform(0.05, 0.7) for _ in range(8)])
+    Z = np.stack([bg.sample_sphere(dom, rng, 1)[0] * rng.uniform(0.05, 0.7) for _ in range(8)])
     for f, _ in lowered_maps(dom, g, rng):
         assert np.allclose(f.jacobian_batch(Z), fd_jacobian(f, Z), atol=1e-8), f.describe()
 
@@ -837,8 +837,8 @@ def test_lowered_jacobians_match_finite_differences(dom, g):
 @pytest.mark.parametrize("dom,g", LOWERING_CASES, ids=LOWERING_IDS)
 def test_remainder_of_a_form_is_h_minus_id_without_cancellation(dom, g):
     rng = np.random.default_rng(33)
-    Z = np.stack([bg.sample_sphere(dom, rng) * rng.uniform(0.05, 0.7) for _ in range(40)])
-    U = np.stack([bg.sample_sphere(dom, rng) for _ in range(8)])
+    Z = np.stack([bg.sample_sphere(dom, rng, 1)[0] * rng.uniform(0.05, 0.7) for _ in range(40)])
+    U = np.stack([bg.sample_sphere(dom, rng, 1)[0] for _ in range(8)])
     for f, _ in lowered_maps(dom, g, rng):
         rem = carath.remainder_map(f)
         ref = f.values(Z) - Z

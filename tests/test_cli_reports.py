@@ -283,19 +283,26 @@ def assert_degenerate_point_exits_3(args, tmp_path, capsys):
 def test_degenerate_point_of_a_scan_member_exits_3(monkeypatch, tmp_path, capsys):
     # the unit point u of a g(l_u(z))*z block (a scan's only sphere draw) is
     # drawn once: a degenerate one ends the run as a numerical instability,
-    # it is not redrawn
-    draws, real = [], bg.sample_sphere
+    # it is not redrawn.  The scan draws all its members' unit points, then
+    # takes their functionals in one call, so the run draws exactly the
+    # points of a clean run of the same scan, and no more
+    draws, degenerate, real = [], [], bg.sample_sphere
 
-    def sample(dom, rng, *count):
-        Z = real(dom, rng, *count)
-        if not draws:
+    def sample(dom, rng, count):
+        Z = real(dom, rng, count)
+        if degenerate and not draws:
             Z[...] = ANTIDIAGONAL
         draws.append(Z)
         return Z
 
     monkeypatch.setattr(bg, "sample_sphere", sample)
+    args = ["scan", "--n", "2", "--domain", "spectral2", "--seed", "1"]
+    assert cli.main([*args, "--out", str(tmp_path / "clean.json")]) == 0
+    members = len(draws)
+    draws.clear()
+    degenerate.append(True)
     assert_degenerate_point_exits_3(["scan", "--n", "2"], tmp_path, capsys)
-    assert len(draws) == 1
+    assert members > 1 and len(draws) == members
 
 
 def test_degenerate_point_in_the_first_certification_block_exits_3(monkeypatch, tmp_path,

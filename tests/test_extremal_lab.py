@@ -10,7 +10,7 @@ from loewner_lab import disc_functions as df
 from loewner_lab import extremal_lab as el
 from loewner_lab import loewner_flow as lf
 from loewner_lab.errors import DomainError, FlowInstabilityError, NumericalInstabilityError
-from oracles import leaving_form
+from oracles import leaving_form, random_member, sampled_schedule
 
 P2 = bg.polydisc(2)
 E2 = bg.euclidean(2)
@@ -46,30 +46,31 @@ def test_sample_Sg0_determinism_and_bound():
     g = df.moebius()
     bound = df.d1(g)
     with pytest.raises(DomainError):
-        el.sample_Sg0(g, P2, np.random.default_rng(0), 0)
+        el.sample_Sg0(g, P2, np.random.default_rng(0), 0, 1)
     # the draw is a function of the seed: the pieces of a schedule are the
-    # random_Mg_member draws of the same stream, in order
-    field = el.sample_Sg0(g, P2, np.random.default_rng(9), 3)
+    # members drawn from the same stream, in order
+    field = sampled_schedule(g, P2, np.random.default_rng(9), 3)
     assert isinstance(field, lf.HerglotzField)
     assert field.times == (0.0, lf.SEGMENT_DT, 2 * lf.SEGMENT_DT)
     rng = np.random.default_rng(9)
-    maps = [carath.random_Mg_member(g, P2, rng, int(rng.integers(1, 4))) for _ in range(3)]
+    maps = [random_member(g, P2, rng, int(rng.integers(1, 4))) for _ in range(3)]
     Z = np.array([[0.3 + 0.2j, -0.1], [0.0, 0.5j]], dtype=complex)
     for drawn, ref in zip(field.maps, maps, strict=True):
         assert drawn.describe() == ref.describe()
         assert np.array_equal(drawn.values(Z), ref.values(Z))
-    rng = np.random.default_rng(5)
-    for _ in range(3):
-        field = el.sample_Sg0(g, P2, rng, pieces=2)
-        assert abs(lf.parametric_quadratic(field)[0, 1, 1]) <= bound + 1e-6
-        assert abs(L12(lf.parametric_holmap(field))) <= bound + 1e-6
+    jets, build = el.sample_Sg0(g, P2, np.random.default_rng(5), 2, 3)
+    for s, jet in enumerate(jets):
+        assert abs(jet[0, 1, 1]) <= bound + 1e-6
+        assert abs(L12(lf.parametric_holmap(build(s)))) <= bound + 1e-6
 
 
 def test_sampling_certifies_nothing(monkeypatch):
     # sampled generators are M_g members by construction
-    # (carath.random_Mg_member): drawing a schedule runs no certificate.
-    # Every scan, gprime and shear-commute sample is one sample_Sg0 call,
-    # which the benchmark tracer times as extremal_lab.sample_Sg0
+    # (carath.draw_Mg_member): drawing a schedule runs no certificate.
+    # A scan, gprime or shear-commute run draws all its samples in one
+    # sample_Sg0 call, which the benchmark tracer times as
+    # extremal_lab.sample_Sg0, and builds the schedule of a draw it flows
+    # only: scan and gprime the checked draws #0, #8, ..., shear-commute all
     certified, drawn, sampled = [], [], []
     real_certify, real_make, real_sample = carath.certify_Mg, lf.make_field, el.sample_Sg0
 
@@ -88,12 +89,14 @@ def test_sampling_certifies_nothing(monkeypatch):
     monkeypatch.setattr(carath, "certify_Mg", certify_Mg)
     monkeypatch.setattr(lf, "make_field", make_field)
     monkeypatch.setattr(el, "sample_Sg0", sample_Sg0)
-    report = el.scan_support(df.moebius(), P2, 1, 2, N=5, rng=np.random.default_rng(8))
-    assert report.passed and len(drawn) == 5 and sampled == ["polydisc"] * 5
+    report = el.scan_support(df.moebius(), P2, 1, 2, N=9, rng=np.random.default_rng(8))
+    assert report.passed and report.oracle_checks == len(drawn) == 2
+    assert sampled == ["polydisc"]
     report = el.verify_gprime_bounds(df.moebius(), E2, N=3, rng=np.random.default_rng(8))
-    assert report.passed and len(drawn) == 8 and sampled[5:] == ["euclidean"] * 3
+    assert report.passed and report.oracle_checks == 1 and len(drawn) == 3
+    assert sampled == ["polydisc", "euclidean"]
     env = cli.run_experiment(cli.ExperimentConfig(experiment="shear_commute", seed=3, N=2))
-    assert env.passed and len(drawn) == 10 and sampled[8:] == ["polydisc"] * 2
+    assert env.passed and len(drawn) == 5 and sampled == ["polydisc", "euclidean", "polydisc"]
     assert certified == []
 
 
@@ -168,7 +171,7 @@ def test_verify_shear_commutes_canonical_field():
 def test_verify_shear_commutes_random_field():
     g = df.moebius()
     rng = np.random.default_rng(6)
-    field = el.sample_Sg0(g, P2, rng, 3)
+    field = sampled_schedule(g, P2, rng, 3)
     assert el.verify_shear_commutes(field) < 1e-5
 
 
@@ -180,21 +183,28 @@ def test_bound_report_json():
     assert blob["violations"] == []
 
 
-def expanding_sample(dom):
-    """A schedule whose flow leaves the ball from z_2 = -0.4, on the e_2
-    circles of radius 0.4 that scan and gprime take coefficients on."""
-    return lf.autonomous_field(leaving_form(dom, 2), dom)
+def expanding_samples(dom, count, built):
+    """``sample_Sg0``'s (jets, build) for ``count`` draws of a schedule whose
+    flow leaves the ball from z_2 = -0.4, on the e_2 circles of radius 0.4
+    that scan and gprime take coefficients on; ``built`` gets the index of
+    each draw whose schedule is built."""
+    schedule = lf.autonomous_field(leaving_form(dom, 2), dom)
+
+    def build(s):
+        built.append(s)
+        return schedule
+    return np.stack([lf.parametric_quadratic(schedule)] * count), build
 
 
 @pytest.mark.parametrize("command", ["scan", "gprime"])
 def test_flow_failure_of_a_checked_draw_exits_3(command, monkeypatch, tmp_path, capsys):
     # a sampled map is its schedule: a checked draw whose flow fails ends the
     # run as a numerical instability, it is not silently redrawn
-    draws = []
+    draws, built = [], []
 
-    def sample(g, dom, rng, pieces):
-        draws.append(pieces)
-        return expanding_sample(dom)
+    def sample(g, dom, rng, pieces, count):
+        draws.append(count)
+        return expanding_samples(dom, count, built)
 
     monkeypatch.setattr(el, "sample_Sg0", sample)
     out = tmp_path / "report.json"
@@ -203,8 +213,9 @@ def test_flow_failure_of_a_checked_draw_exits_3(command, monkeypatch, tmp_path, 
     assert report["instability"] is True and report["pass"] is False
     assert "ball exit" in report["payload"]["error"]
     assert "Traceback" not in capsys.readouterr().err
-    # sample #0 is the checked draw: nothing is drawn after its flow fails
-    assert len(draws) == 1
+    # sample #0 is the checked draw: it is drawn once, in the run's one
+    # sample_Sg0 call, and nothing is built or drawn after its flow fails
+    assert draws == [2] and built == [0]
 
 
 def test_two_radius_disagreement_is_not_resampled(monkeypatch, tmp_path):
@@ -213,21 +224,27 @@ def test_two_radius_disagreement_is_not_resampled(monkeypatch, tmp_path):
         out[:, 0] += np.where(np.abs(Z[:, 1]) > 0.3, Z[:, 1] ** 2, 0.0)
         return out
 
-    draws, real = [], el.sample_Sg0
+    draws, built, real, real_make = [], [], el.sample_Sg0, lf.make_field
 
     def sample(*args):
-        draws.append(args)
+        draws.append(args[-1])
         return real(*args)
+
+    def make_field(*args):
+        built.append(args)
+        return real_make(*args)
 
     # the broken map stands in for the flowed limit of the checked draw
     monkeypatch.setattr(el, "sample_Sg0", sample)
+    monkeypatch.setattr(lf, "make_field", make_field)
     monkeypatch.setattr(lf, "parametric_holmap",
                         lambda field, **kwargs: carath.BlackBoxMap(broken, field.domain,
                                                                    normalized=True))
     with pytest.raises(NumericalInstabilityError) as info:
         el.scan_support(df.moebius(), P2, 1, 2, N=1, rng=np.random.default_rng(0))
     assert not isinstance(info.value, FlowInstabilityError)
-    assert len(draws) == 1
+    # one draw, drawn once and built once: no second sample replaces it
+    assert draws == [1] and len(built) == 1
     out = tmp_path / "scan.json"
     assert cli.main(["scan", "--seed", "1", "--n", "1", "--out", str(out)]) == 3
     assert json.loads(out.read_text())["instability"] is True
@@ -246,11 +263,10 @@ def test_sampled_flows_do_not_fail(dom):
     for g in (df.moebius(), df.starlike_order(0.7), df.almost_starlike(0.4),
               df.strongly_starlike(0.5)):
         for pieces in (1, 3):
-            rng = np.random.default_rng(pieces)
-            for _ in range(4):
-                field = el.sample_Sg0(g, dom, rng, pieces)
-                fmap = lf.parametric_holmap(field, ode_tol=el.SAMPLER_ODE_TOL)
-                _, _, gap = el._exact_coeffs(field, requests, fmap)
+            jets, build = el.sample_Sg0(g, dom, np.random.default_rng(pieces), pieces, 4)
+            for s, jet in enumerate(jets):
+                fmap = lf.parametric_holmap(build(s), ode_tol=el.SAMPLER_ODE_TOL)
+                _, _, gap = el._exact_coeffs(jet, requests, fmap)
                 assert gap <= el.ORACLE_TOL, (df.describe(g), pieces)
 
 
@@ -279,8 +295,10 @@ def test_only_every_eighth_sample_is_flowed(monkeypatch):
 
 
 def test_oracle_disagreement_exits_3(monkeypatch, tmp_path, capsys):
-    real = lf.parametric_quadratic
-    monkeypatch.setattr(lf, "parametric_quadratic", lambda field: real(field) + 1e-6)
+    # shifts every exact quadratic part, of a sampled draw's jet and of its
+    # schedule alike, so the draw is built and its flow disagrees with it
+    real = lf.limit_quadratic
+    monkeypatch.setattr(lf, "limit_quadratic", lambda times, parts: real(times, parts) + 1e-6)
     out = tmp_path / "scan.json"
     assert cli.main(["scan", "--seed", "1", "--n", "1", "--out", str(out)]) == 3
     report = json.loads(out.read_text())
@@ -343,8 +361,9 @@ def test_minus_canonical_limit_is_the_negated_plus_limit(dom):
     f_plus = lf.parametric_map(plus_field, -Z, ode_tol=el.SAMPLER_ODE_TOL)
     assert np.array_equal(f_minus.endpoint, -f_plus.endpoint)
     requests = [(1, 2, carath.PURE)]
-    _, ode_plus, gap_plus = el._exact_coeffs(plus_field, requests, plus)
-    _, ode_minus, gap_minus = el._exact_coeffs(minus_field, requests, minus)
+    _, ode_plus, gap_plus = el._exact_coeffs(lf.parametric_quadratic(plus_field), requests, plus)
+    _, ode_minus, gap_minus = el._exact_coeffs(lf.parametric_quadratic(minus_field), requests,
+                                               minus)
     assert ode_minus[1, 2, carath.PURE] == -ode_plus[1, 2, carath.PURE]
     assert gap_minus == gap_plus > 0.0
 
@@ -358,9 +377,9 @@ def test_scan_flows_the_plus_canonical_map_only(N, flows, monkeypatch):
         calls.append(args[0])
         return real_map(*args, **kwargs)
 
-    def exact_coeffs(field, requests, fmap=None):
-        exact, ode, gap = real_exact(field, requests, fmap)
-        scored.append((field, fmap.describe() if fmap else None, exact[requests[0]]))
+    def exact_coeffs(jet, requests, fmap=None):
+        exact, ode, gap = real_exact(jet, requests, fmap)
+        scored.append((jet, fmap.describe() if fmap else None, exact[requests[0]]))
         return exact, ode, gap
 
     monkeypatch.setattr(lf, "parametric_map", parametric_map)
@@ -373,10 +392,10 @@ def test_scan_flows_the_plus_canonical_map_only(N, flows, monkeypatch):
     assert len(calls) == flows
     assert [label for _, label, _ in scored if label] == (
         ["Sg0_sample[pieces=2]"] * (flows - 1) + ["parametric[h+]"])
-    h_minus, label, value = scored[-1]
+    jet, label, value = scored[-1]
     assert label is None and value.real == report.theoretical_bound
-    assert h_minus.maps[0].describe() == carath.canonical_field(
-        df.moebius(), P2, 1, 2, -1).describe()
+    assert np.array_equal(jet, lf.parametric_quadratic(lf.autonomous_field(
+        carath.canonical_field(df.moebius(), P2, 1, 2, -1), P2)))
 
 
 def sharp_parametric(g, dom, coord):
@@ -396,8 +415,8 @@ def test_swapped_sharp_map_reads_the_mixed_coefficient_of_the_first(g, dom):
     ode_first = carath.second_coeff_bundle(first, [(1, 1, carath.PURE), swapped])
     ode_second = carath.second_coeff_bundle(second, [own])
     assert abs(ode_first[swapped] - ode_second[own]) <= 1e-13
-    exact_first, _, _ = el._exact_coeffs(first_field, [swapped])
-    exact_second, _, _ = el._exact_coeffs(second_field, [own])
+    exact_first, _, _ = el._exact_coeffs(lf.parametric_quadratic(first_field), [swapped])
+    exact_second, _, _ = el._exact_coeffs(lf.parametric_quadratic(second_field), [own])
     assert exact_first[swapped] == exact_second[own]
     assert abs(exact_first[swapped]) == abs(df.g_prime0(g))
 
@@ -415,3 +434,91 @@ def test_gprime_flows_one_sharp_map(dom, monkeypatch):
     assert report.passed, report.violations
     assert len(calls) == 1
     assert 0.0 < report.canonical_gap <= 1e-9
+
+
+CATALOG = (df.moebius(), df.starlike_order(0.7), df.almost_starlike(0.4),
+           df.strongly_starlike(0.5))
+
+
+@pytest.mark.parametrize("pieces", [1, 3])
+@pytest.mark.parametrize("dom", [P2, bg.polydisc(3), E2, bg.euclidean(3), SP],
+                         ids=lambda d: f"{d.kind}-{d.n}")
+def test_a_batch_of_draws_is_its_draws_one_by_one(dom, pieces):
+    # a scan draws all its samples in one call: the batch leaves the stream
+    # where N one-draw calls leave it and gives their jets bit for bit, and
+    # each jet, read off the specs, is the exact quadratic part of the
+    # schedule built from them
+    for k, g in enumerate(CATALOG):
+        batch_rng, loop_rng = (np.random.default_rng(100 + k) for _ in range(2))
+        jets, build = el.sample_Sg0(g, dom, batch_rng, pieces, 6)
+        singles = [el.sample_Sg0(g, dom, loop_rng, pieces, 1)[0] for _ in range(6)]
+        assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
+        assert np.array_equal(batch_rng.random(4), loop_rng.random(4))
+        assert jets.shape == (6, dom.n, dom.n, dom.n)
+        for s, single in enumerate(singles):
+            assert np.array_equal(jets[s].view(float), single[0].view(float))
+            schedule = build(s)
+            assert len(schedule.maps) == pieces
+            assert np.array_equal(lf.parametric_quadratic(schedule).view(float),
+                                  jets[s].view(float))
+
+
+def test_a_scan_builds_only_the_draws_it_flows(monkeypatch, tmp_path):
+    # the draws of a scan, replayed one member spec at a time from the same
+    # stream: per piece a block count, then each block, then the weights
+    rng, points = np.random.default_rng(2), []
+    draws = [[carath.draw_Mg_member(SP, rng, int(rng.integers(1, 4)), points)
+              for _ in range(3)] for _ in range(17)]
+    built, members, functional_calls, forms = [], [], [], []
+    real_make, real_member = lf.make_field, carath.random_Mg_member
+    real_functionals, real_form = bg.support_functionals, carath.FlatForm
+
+    def make_field(*args):
+        built.append(args[0])
+        return real_make(*args)
+
+    def random_Mg_member(*args):
+        members.append(args[2])
+        return real_member(*args)
+
+    def support_functionals(dom, Z):
+        functional_calls.append(len(Z))
+        return real_functionals(dom, Z)
+
+    def flat_form(*args, **kwargs):
+        forms.append(args)
+        return real_form(*args, **kwargs)
+
+    monkeypatch.setattr(lf, "make_field", make_field)
+    monkeypatch.setattr(carath, "random_Mg_member", random_Mg_member)
+    monkeypatch.setattr(bg, "support_functionals", support_functionals)
+    monkeypatch.setattr(carath, "FlatForm", flat_form)
+    g = df.moebius()
+    # drawing builds no form, and takes all unit points' rows in one call
+    el.sample_Sg0(g, SP, np.random.default_rng(2), 3, 17)
+    assert forms == [] and built == [] and members == []
+    assert functional_calls == [len(points)] and len(points) > 1
+    functional_calls.clear()
+    # the scan builds the members of draws 0, 8 and 16, and nothing else
+    report = el.scan_support(g, SP, 1, 2, N=17, rng=np.random.default_rng(2))
+    assert report.passed and report.oracle_checks == 3
+    assert functional_calls == [len(points)] and len(built) == 3
+    expected = draws[0] + draws[8] + draws[16]
+    assert len(members) == len(expected) == 9
+    for (blocks, weights), (ref_blocks, ref_weights) in zip(members, expected):
+        assert blocks == ref_blocks and np.array_equal(weights, ref_weights)
+
+    # a checked draw whose jet is not its schedule's quadratic part exits 3
+    real_sample = el.sample_Sg0
+
+    def corrupted(*args):
+        jets, build = real_sample(*args)
+        jets[8, 0, 1, 1] += 1e-12
+        return jets, build
+
+    monkeypatch.setattr(el, "sample_Sg0", corrupted)
+    out = tmp_path / "scan.json"
+    assert cli.main(["scan", "--n", "17", "--seed", "1", "--out", str(out)]) == 3
+    report = json.loads(out.read_text())
+    assert report["instability"] is True and report["pass"] is False
+    assert "draw #8" in report["payload"]["error"] and "jet" in report["payload"]["error"]

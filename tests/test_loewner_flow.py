@@ -7,7 +7,8 @@ from loewner_lab import disc_functions as df
 from loewner_lab import extremal_lab as el
 from loewner_lab import loewner_flow as lf
 from loewner_lab.errors import DomainError, FlowInstabilityError, NumericalInstabilityError
-from oracles import assert_normalized, fd_jacobian, leaving_form
+from oracles import (assert_normalized, fd_jacobian, leaving_form, random_member,
+                     sampled_schedule)
 
 P2 = bg.polydisc(2)
 E2 = bg.euclidean(2)
@@ -42,7 +43,7 @@ def koebe_field(dom):
 
 
 def ball_points(dom, rng, count, rmax=0.9):
-    Z = np.stack([bg.sample_sphere(dom, rng) for _ in range(count)])
+    Z = np.stack([bg.sample_sphere(dom, rng, 1)[0] for _ in range(count)])
     return Z * rng.uniform(0.1, rmax, count)[:, None]
 
 
@@ -104,9 +105,9 @@ def test_flow_piecewise_schedule_composes_segments():
 def test_flow_norm_monotone_over_successive_end_times():
     g = df.moebius()
     rng = np.random.default_rng(4)
-    member = carath.random_Mg_member(g, P2, rng, 3)
+    member = random_member(g, P2, rng, 3)
     field = lf.autonomous_field(member, P2)
-    z = bg.sample_sphere(P2, rng) * 0.95
+    z = bg.sample_sphere(P2, rng, 1)[0] * 0.95
     ends = 0.1 * np.arange(1, 31)
     points = [z] + [lf.flow(field, z, 0.0, t).endpoint for t in ends]
     norms = [float(bg.norm(P2, y)) for y in points]
@@ -278,7 +279,7 @@ def test_parametric_quadratic_matches_sampled_flows(dom, g):
     requests += [(i, j, carath.MIXED) for i in coords for j in coords if i != j]
     rng = np.random.default_rng(19)
     for _ in range(2):
-        field = el.sample_Sg0(g, dom, rng, pieces=3)
+        field = sampled_schedule(g, dom, rng, 3)
         exact = carath.quadratic_coeffs(lf.parametric_quadratic(field), requests)
         ode = carath.second_coeff_bundle(
             lf.parametric_holmap(field, ode_tol=el.SAMPLER_ODE_TOL), requests)
@@ -583,7 +584,7 @@ def test_radial_map_values_and_jacobian():
     rng = np.random.default_rng(33)
     radial = lf.unbounded_support_map(g, P2)
     assert isinstance(radial, lf.KoebeRadialMap) and radial.normalized
-    Z = np.stack([bg.sample_sphere(P2, rng) * rng.uniform(0.05, 0.5) for _ in range(8)])
+    Z = np.stack([bg.sample_sphere(P2, rng, 1)[0] * rng.uniform(0.05, 0.5) for _ in range(8)])
     ref = (lf.koebe_transform(g, Z[:, 0]) / Z[:, 0])[:, None] * Z
     assert np.all(np.abs(radial.values(Z) - ref) <= 1e-14 * (1.0 + np.abs(ref)))
     fd = fd_jacobian(radial, Z)
@@ -614,7 +615,7 @@ def test_field_validation():
 def test_make_field_lays_generators_on_consecutive_segments():
     g = df.moebius()
     rng = np.random.default_rng(14)
-    maps = [carath.random_Mg_member(g, P2, rng, 2) for _ in range(3)]
+    maps = [random_member(g, P2, rng, 2) for _ in range(3)]
     field = lf.make_field(maps, P2)
     assert field.times == (0.0, lf.SEGMENT_DT, 2 * lf.SEGMENT_DT)
     assert field.maps == tuple(maps)
@@ -659,7 +660,7 @@ def test_parametric_limit_tail_past_the_horizon_is_below_rounding():
     # g(z_1) z, whose limit reaches |b(z_1)| ~ 8 at |z| = 0.7
     rng = np.random.default_rng(21)
     Z = bg.sample_sphere(P2, rng, 16) * 0.7
-    fields = (koebe_field(P2), el.sample_Sg0(df.moebius(), P2, rng, 3))
+    fields = (koebe_field(P2), sampled_schedule(df.moebius(), P2, rng, 3))
     for field in fields:
         res = lf.parametric_map(field, Z)
         assert res.horizon_used == lf.HORIZON
@@ -675,12 +676,12 @@ def test_parametric_map_runs_a_long_schedule():
     g = df.moebius()
     rng = np.random.default_rng(23)
     Z = bg.sample_sphere(P2, rng, 8) * 0.6
-    h = carath.random_Mg_member(g, P2, rng, 3)
+    h = random_member(g, P2, rng, 3)
     res = lf.parametric_map(lf.make_field([h] * 60, P2), Z)
     ref = lf.parametric_map(lf.autonomous_field(h, P2), Z)
     assert np.max(np.abs(res.endpoint - ref.endpoint)) <= 1e-12
     # a random schedule as long, checked against its exact quadratic part
-    field = el.sample_Sg0(g, P2, rng, 60)
+    field = sampled_schedule(g, P2, rng, 60)
     eps = 1e-3
     U = bg.sample_sphere(P2, rng, 4)
     quad = np.einsum("cab,ma,mb->mc", lf.parametric_quadratic(field), U, U)
