@@ -598,12 +598,7 @@ class MgCertificate:
             "n_indeterminate": self.n_indeterminate,
         }
         if self.witness is not None:
-            out["witness"] = {
-                "z": [{"re": float(v.real), "im": float(v.imag)} for v in self.witness["z"]],
-                "value": {"re": float(self.witness["value"].real),
-                          "im": float(self.witness["value"].imag)},
-                "margin": float(self.witness["margin"]),
-            }
+            out["witness"] = self.witness
         return out
 
 
@@ -758,7 +753,8 @@ def draw_Mg_member(dom: bg.BallGeometry, rng: np.random.Generator, k: int,
     blocks drawn uniformly from {identity, g(l_u(z))*z for a random unit u,
     canonical quadratic field with random admissible indices and sign}: each
     is an M_g member, and so is the combination, as g(U) is convex.  A block
-    is None, the index in ``points`` of u (appended there) or (i, j, sign).
+    is None, the index in ``points`` of u (appended there) or (i, j, sign);
+    a domain with no index pair (E^1) turns a canonical draw into None.
     """
     if k < 1:
         raise DomainError("need at least one block")
@@ -767,7 +763,7 @@ def draw_Mg_member(dom: bg.BallGeometry, rng: np.random.Generator, k: int,
     blocks = []
     for _ in range(k):
         kind = int(rng.integers(3))
-        if kind == 0 or not pairs:
+        if kind == 0 or (kind == 2 and not pairs):
             blocks.append(None)
         elif kind == 1:
             blocks.append(len(points))

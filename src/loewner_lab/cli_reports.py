@@ -1,8 +1,9 @@
 """Batch experiment front end: JSON configs in, canonical JSON/CSV reports out.
 
 Every run is driven by an explicit 64-bit seed and the emitted report is
-byte-reproducible: floats are serialized with 17 significant digits, keys are
-sorted, and volatile data (wall time) goes to the console only.
+byte-reproducible: ``json`` and ``csv`` write each float as its shortest
+round-trip ``repr``, keys are sorted, and volatile data (wall time) goes to
+the console only.
 
 Exit codes: 0 pass, 1 bound violation / certificate failure, 2 usage error,
 3 numerical instability.
@@ -82,11 +83,8 @@ class ExperimentConfig:
             raise UsageError("seed: must fit in 64 bits")
         try:
             if self.experiment in ("d1_table", "a0_table"):
-                # tables sweep an alpha grid, so only a family name is needed
-                family = self.g_spec.get("family", "moebius")
-                if family not in df.FAMILIES:
-                    raise UsageError(f"g_spec: family {family!r} is not in the catalog")
-                g = None
+                # a table sweeps an alpha grid: its g is the (alpha, g) list
+                g = _family_grid(self)
             else:
                 g = df.from_json(self.g_spec)
             if self.experiment == "unbounded_growth":
@@ -140,85 +138,41 @@ class ReportEnvelope:
 
 
 def _canonical(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
+    """A report value in JSON types: numpy scalars and arrays become Python
+    numbers and lists, and a complex number becomes {"re": .., "im": ..}."""
     if isinstance(obj, dict):
         return {str(k): _canonical(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         return [_canonical(v) for v in obj]
-    if isinstance(obj, (np.complexfloating, complex)):
-        return {"re": float(obj.real), "im": float(obj.imag)}
-    if isinstance(obj, np.ndarray):
-        return [_canonical(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, complex):
+        return {"re": obj.real, "im": obj.imag}
     return obj
 
 
-def _dump(obj, pieces: list):
-    if obj is None:
-        pieces.append("null")
-    elif obj is True:
-        pieces.append("true")
-    elif obj is False:
-        pieces.append("false")
-    elif isinstance(obj, int):
-        pieces.append(repr(obj))
-    elif isinstance(obj, float):
-        if math.isnan(obj):
-            pieces.append("NaN")
-        elif math.isinf(obj):
-            pieces.append("Infinity" if obj > 0 else "-Infinity")
-        else:
-            pieces.append(format(obj, ".17g"))
-    elif isinstance(obj, str):
-        pieces.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        pieces.append("{")
-        for k, key in enumerate(sorted(obj)):
-            if k:
-                pieces.append(", ")
-            pieces.append(json.dumps(key) + ": ")
-            _dump(obj[key], pieces)
-        pieces.append("}")
-    elif isinstance(obj, list):
-        pieces.append("[")
-        for k, val in enumerate(obj):
-            if k:
-                pieces.append(", ")
-            _dump(val, pieces)
-        pieces.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
 def dumps_canonical(obj) -> str:
-    pieces: list = []
-    _dump(_canonical(obj), pieces)
-    return "".join(pieces) + "\n"
+    return json.dumps(_canonical(obj), sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # experiment dispatch
 
 
-def _alpha_grid(config: ExperimentConfig):
-    return list(config.alphas) if config.alphas else list(_DEFAULT_ALPHAS)
-
-
 def _family_grid(config: ExperimentConfig):
+    """(alpha, g) for each alpha of the table's grid; moebius has no alpha."""
     family = config.g_spec.get("family", "moebius")
     if family == df.MOEBIUS:
         return [(None, df.moebius())]
-    return [(a, df.DiscFunction(family, a)) for a in _alpha_grid(config)]
+    return [(a, df.DiscFunction(family, a)) for a in config.alphas or _DEFAULT_ALPHAS]
 
 
-def _run_d1_table(config, g, dom, rng):
+def _run_d1_table(config, grid, dom, rng):
     rows = []
     worst = 0.0
-    for alpha, gf in _family_grid(config):
+    for alpha, gf in grid:
         closed = df.d1(gf)
         numeric = df.d1_grid(gf)
         gap = abs(closed - numeric)
@@ -228,10 +182,10 @@ def _run_d1_table(config, g, dom, rng):
     return {"rows": rows, "max_gap": worst}, passed, f"max |closed - numeric| = {worst:.3e}"
 
 
-def _run_a0_table(config, g, dom, rng):
+def _run_a0_table(config, grid, dom, rng):
     rows = []
     worst = -np.inf
-    for alpha, gf in _family_grid(config):
+    for alpha, gf in grid:
         a0v = df.a0(gf)
         d1v = df.d1(gf)
         rows.append({"alpha": alpha, "a0": a0v, "d1": d1v, "slack": a0v - d1v})
@@ -397,15 +351,7 @@ def emit_report(env: ReportEnvelope, path) -> None:
             keys = list(rows[0])
             writer.writerow(keys)
             for row in rows:
-                writer.writerow([_csv_cell(row.get(k)) for k in keys])
-
-
-def _csv_cell(value):
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if isinstance(value, dict) and set(value) == {"re", "im"}:
-        return f"{value['re']:.17g}{value['im']:+.17g}j"
-    return value
+                writer.writerow([row.get(k) for k in keys])
 
 
 # ---------------------------------------------------------------------------

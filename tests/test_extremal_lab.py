@@ -64,6 +64,20 @@ def test_sample_Sg0_determinism_and_bound():
         assert abs(L12(lf.parametric_holmap(build(s)))) <= bound + 1e-6
 
 
+def test_one_dimensional_ball_draws_are_not_the_identity():
+    # E^1 has no index pair for a canonical field, but a g(l_u z) z block is
+    # an M_g member there too: the draws are not all the identity, and each
+    # flowed draw's coefficient agrees with its jet
+    E1 = bg.euclidean(1)
+    g = df.moebius()
+    jets, build = el.sample_Sg0(g, E1, np.random.default_rng(0), 3, 50)
+    assert np.count_nonzero(np.any(jets != 0, axis=(1, 2, 3))) >= 40
+    for s in range(0, 50, 8):
+        assert abs(jets[s, 0, 0, 0]) <= abs(df.g_prime0(g)) + 1e-12  # |a_2| <= |g'(0)|
+        fmap = lf.parametric_holmap(build(s), ode_tol=el.SAMPLER_ODE_TOL)
+        _, _, gap = el._exact_coeffs(jets[s], [(1, 1, carath.PURE)], fmap)
+        assert gap <= el.ORACLE_TOL
+
 def test_sampling_certifies_nothing(monkeypatch):
     # sampled generators are M_g members by construction
     # (carath.draw_Mg_member): drawing a schedule runs no certificate.
