@@ -13,11 +13,12 @@ disc function (weights ``W``, functionals ``Lmat``) and monomials grouped
 by degree, so one evaluation is a few array operations however many terms
 the map has.  ``identity_map`` and ``disc_multiple_map`` build the forms of
 the building blocks, and ``convex_combination`` sums forms part by part.  A
-polynomial table is evaluated through the form it lowers to.  The exact
-degree-2 part of a form is read off its arrays (``quadratic_part``), and
+polynomial table is evaluated through the form it lowers to, and so is a
+sampled M_g member: drawn as a spec (``draw_Mg_member``), it is lowered
+block by block straight to its form (``random_Mg_member``).  The exact
+degree-2 part of a form is read off its arrays (``FlatForm.quadratic``), and
 the remainder h - id that the flow integrates is derived from it without
-cancellation (``remainder_map``).  A sampled M_g member is drawn as a spec
-(``draw_Mg_member``), whose degree-2 part needs no form.
+cancellation (``remainder_map``).
 
 ``second_coeff`` extracts the second-order Taylor data at the origin through
 Cauchy integrals discretized as 64-point DFTs on circles (a mixed coefficient
@@ -169,22 +170,18 @@ class FlatForm:
 
     def quadratic(self, n: int) -> np.ndarray:
         """The degree-2 part as an (n, n, n) array: Q[c, a, b] (a <= b) is the
-        coefficient of z_a z_b in component c (``quadratic_part``)."""
-        return quadratic_part(n, self.disc, self.monomials)
-
-
-def quadratic_part(n: int, disc, monomials) -> np.ndarray:
-    """The degree-2 part of a form's disc blocks, each adding
-    g'(0) (W @ Lmat).z * z, and its degree-2 monomials."""
-    Q = np.zeros((n, n, n), dtype=complex)
-    c, a = np.indices((n, n))
-    for g, lmat, w in disc:
-        v = df.g_prime0(g) * (w @ lmat)
-        Q[c, np.minimum(a, c), np.maximum(a, c)] += v[a]
-    for idx, coef, comp in monomials:
-        if idx.shape[1] == 2:
-            np.add.at(Q, (np.asarray(comp, dtype=int), idx.min(axis=1), idx.max(axis=1)), coef)
-    return Q
+        coefficient of z_a z_b in component c.  A disc block adds
+        g'(0) (W @ Lmat).z * z, a degree-2 monomial its coefficient."""
+        Q = np.zeros((n, n, n), dtype=complex)
+        c, a = np.indices((n, n))
+        for g, lmat, w in self.disc:
+            v = df.g_prime0(g) * (w @ lmat)
+            Q[c, np.minimum(a, c), np.maximum(a, c)] += v[a]
+        for idx, coef, comp in self.monomials:
+            if idx.shape[1] == 2:
+                np.add.at(Q, (np.asarray(comp, dtype=int), idx.min(axis=1), idx.max(axis=1)),
+                          coef)
+        return Q
 
 
 class _Lowering:
@@ -219,8 +216,10 @@ class _Lowering:
             for key, c, i in zip(idx.tolist(), coef, comp):
                 self.add_term(i, tuple(key), w * c)
 
-    def parts(self):
-        """(disc, monomials): a block per g, nonzero terms grouped by degree."""
+    def form(self) -> FlatForm:
+        """The sum as a FlatForm: a disc block per g, nonzero terms grouped
+        by degree, and a linear part that is w0 times the identity (maybe
+        zero) kept as the scalar ``w0``."""
         disc = tuple((g, np.concatenate([lmat for lmat, _ in blocks]),
                       np.concatenate([w for _, w in blocks]))
                      for g, blocks in self.disc.items())
@@ -228,20 +227,16 @@ class _Lowering:
         for (comp, idx), c in self.terms.items():
             if c != 0:
                 by_degree.setdefault(len(idx), []).append((comp, idx, c))
-        monomials = []
-        for d, group in sorted(by_degree.items()):
-            monomials.append((np.array([t[1] for t in group], dtype=int).reshape(len(group), d),
-                              np.array([t[2] for t in group], dtype=complex),
-                              tuple(t[0] for t in group)))
-        return disc, tuple(monomials)
-
-    def form(self) -> FlatForm:
+        monomials = tuple((np.array([t[1] for t in group], dtype=int).reshape(len(group), d),
+                           np.array([t[2] for t in group], dtype=complex),
+                           tuple(t[0] for t in group))
+                          for d, group in sorted(by_degree.items()))
         lin, w0 = self.lin, complex(self.lin[0, 0])
-        if np.array_equal(lin, w0 * np.eye(self.n)):  # w0 times the identity, maybe zero
+        if np.array_equal(lin, w0 * np.eye(self.n)):
             lin, w0 = None, (w0 or None)
         else:
             w0 = None
-        return FlatForm(w0, lin, *self.parts())
+        return FlatForm(w0, lin, disc, monomials)
 
 
 # ---------------------------------------------------------------------------
@@ -777,23 +772,18 @@ def draw_Mg_member(dom: bg.BallGeometry, rng: np.random.Generator, k: int,
 def random_Mg_member(g: df.DiscFunction, dom: bg.BallGeometry, spec: tuple,
                      rows: np.ndarray) -> CompositeMap:
     """The generator of a ``draw_Mg_member`` spec, u = points[k] taking the
-    functional ``rows[k]``."""
-    return convex_combination(
-        [identity_map(dom) if b is None else disc_multiple_map(g, rows[b], dom)
-         if isinstance(b, int) else canonical_field(g, dom, *b) for b in spec[0]], spec[1])
-
-
-def member_quadratic(g: df.DiscFunction, dom: bg.BallGeometry, spec: tuple,
-                     rows: np.ndarray) -> np.ndarray:
-    """``random_Mg_member(g, dom, spec, rows).form.quadratic(dom.n)`` with no
-    form: the blocks' degree-2 parts, a row for g(l_u(z))*z and one z_j^2 e_i
-    term for a canonical field, summed as ``convex_combination`` sums them."""
+    functional ``rows[k]``, lowered straight to its form.  A block of weight
+    w adds w I (identity or canonical field), the disc row of g(l_u(z))*z
+    with weight w, or a canonical field's one z_j^2 e_i term, in the order
+    and arithmetic of ``convex_combination`` over the blocks' own maps."""
     lowering = _Lowering(dom.n)
     for b, w in zip(*spec):
+        w = complex(w)
         if isinstance(b, int):
-            lowering.disc.setdefault(g, []).append(
-                (rows[b:b + 1], complex(w) * np.ones(1, dtype=complex)))
-        elif b is not None:
-            lowering.add_term(b[0] - 1, (b[1] - 1,) * 2,
-                              complex(w) * complex(b[2] * dom.shear_factor * df.d1(g)))
-    return quadratic_part(dom.n, *lowering.parts())
+            lowering.disc.setdefault(g, []).append((rows[b:b + 1], np.array([w])))
+            continue
+        lowering.lin += w * np.eye(dom.n)
+        if b is not None:
+            i, j, sign = b
+            lowering.add_term(i - 1, (j - 1,) * 2, w * complex(sign * dom.shear_factor * df.d1(g)))
+    return CompositeMap(lowering.form(), dom, normalized=True)

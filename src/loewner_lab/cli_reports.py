@@ -284,9 +284,8 @@ def _run_unbounded_growth(config, g, dom, rng):
 def _run_shear_commute(config, g, dom, rng):
     worst = 0.0
     rows = []
-    _, build = el.sample_Sg0(g, dom, rng, config.pieces, config.N)
-    for k in range(config.N):
-        residual = el.verify_shear_commutes(build(k), i=config.i, j=config.j)
+    for k, schedule in enumerate(el.sample_Sg0(g, dom, rng, config.pieces, config.N)):
+        residual = el.verify_shear_commutes(schedule, i=config.i, j=config.j)
         rows.append({"field": k, "residual": residual})
         worst = max(worst, residual)
     passed = worst < config.tolerance if config.tolerance < 1e-3 else worst < 1e-5
@@ -306,10 +305,11 @@ _RUNNERS = {
 }
 
 
-def run_experiment(config: ExperimentConfig) -> ReportEnvelope:
+def run_experiment(config: ExperimentConfig, checked=None) -> ReportEnvelope:
     """Dispatch one experiment; numerical-instability errors become a failed
-    envelope instead of an exception."""
-    g, dom = config.validate()
+    envelope instead of an exception.  ``checked`` is the (g, dom) that
+    ``config.validate()`` returned, if the caller has validated already."""
+    g, dom = checked or config.validate()
     rng = np.random.default_rng(int(config.seed))
     start = time.perf_counter()
     try:
@@ -394,7 +394,10 @@ def config_from_args(args) -> ExperimentConfig:
     base = {}
     if args.config:
         with open(args.config) as handle:
-            base = json.load(handle)
+            try:
+                base = json.load(handle)
+            except ValueError as exc:  # malformed JSON or text that is not UTF-8
+                raise UsageError(f"config: not a JSON file: {exc}") from exc
     if not isinstance(base, dict):
         raise UsageError("config: must be a JSON object")
     experiment = args.command.replace("-", "_")
@@ -431,11 +434,11 @@ def main(argv=None) -> int:
         out = config.out or f"{config.experiment}_report.json"
         # an unwritable --out is a usage error, not a failed bound; a missing
         # directory is found before the run, other write failures after it
-        config.validate()
+        checked = config.validate()
         parent = Path(out).parent
         if not (parent.is_dir() and os.access(parent, os.W_OK)):
             raise UsageError(f"out: cannot write into {str(parent)!r}")
-        env = run_experiment(config)
+        env = run_experiment(config, checked)
         emit_report(env, out)
     except (UsageError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

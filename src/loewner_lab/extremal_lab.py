@@ -7,14 +7,13 @@ family plus exact attainment by the closed-form extremal map; reports state
 always included in a scan so its maximum is exact even though random convex
 combinations concentrate away from the extreme points.
 
-A run draws its sampled maps in one batch (``sample_Sg0``), as the member
-specs of their schedules, and scores each by its jet: the exact quadratic
-part -sum_k (e^{-t_k} - e^{-t_{k+1}}) Q_k of the parametric limit
-(``lf.limit_quadratic``), summed from the specs with no form.  Every
-``ORACLE_STRIDE``-th sample, sample #0 first, is also built, its schedule's
-quadratic part checked bit for bit against the jet, and flowed and DFT'd as
-a cross-check; a differing jet, a gap above ``ORACLE_TOL``, or a flow that
-fails, is a numerical instability (exit 3).
+A run draws its sampled maps in one batch (``sample_Sg0``), as their
+schedules, and scores each by the exact quadratic part
+-sum_k (e^{-t_k} - e^{-t_{k+1}}) Q_k of its parametric limit
+(``lf.parametric_quadratic``), read off the forms of the schedule's
+generators.  Every ``ORACLE_STRIDE``-th sample, sample #0 first, is also
+flowed and DFT'd as a cross-check; a gap above ``ORACLE_TOL``, or a flow
+that fails, is a numerical instability (exit 3).
 Reports record ``oracle_checks`` (the cross-checked samples) and
 ``oracle_gap`` (their largest |exact - ODE|, 0.0 when there are none).  The
 canonical and sharp parametric maps are scored exactly too, and each
@@ -30,7 +29,7 @@ coefficient is mixed (2, 1) of f.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -88,15 +87,14 @@ class BoundReport:
 
 
 def sample_Sg0(g: df.DiscFunction, dom: bg.BallGeometry, rng: np.random.Generator,
-               pieces: int, count: int) -> Tuple[np.ndarray, Callable[[int], lf.HerglotzField]]:
-    """``count`` random maps of S_g^0 as (jets, build), drawn one after
+               pieces: int, count: int) -> List[lf.HerglotzField]:
+    """``count`` random maps of S_g^0 as their schedules, drawn one after
     another, so a batch is its one-draw calls bit for bit and in RNG state.
     A map is a schedule of ``pieces`` generators on consecutive intervals,
     each a convex combination of 1 to 3 known M_g members
-    (``carath.draw_Mg_member``).  Its jet is summed from the specs
-    (``carath.member_quadratic``); ``build(s)`` makes draw s's schedule,
-    and a quadratic part that is not ``jets[s]`` bit for bit raises
-    NumericalInstabilityError.
+    (``carath.draw_Mg_member``).  Every draw is made before any member is
+    lowered to its form (``carath.random_Mg_member``), so all unit points
+    take their functionals in one call.
     """
     if pieces < 1:
         raise DomainError("need at least one schedule piece")
@@ -106,19 +104,8 @@ def sample_Sg0(g: df.DiscFunction, dom: bg.BallGeometry, rng: np.random.Generato
     L, owner = (bg.support_functionals(dom, np.concatenate(points)) if points else
                 (np.empty((0, dom.n), dtype=complex), np.empty(0, dtype=int)))
     rows = L[np.unique(owner, return_index=True)[1]]  # each point's first, as if alone
-    times = lf.SEGMENT_DT * np.arange(pieces)  # ``lf.make_field``'s breakpoints
-    jets = np.empty((count,) + (dom.n,) * 3, dtype=complex)
-    for s, draw in enumerate(draws):
-        jets[s] = lf.limit_quadratic(
-            times, [carath.member_quadratic(g, dom, spec, rows) for spec in draw])
-
-    def build(s: int) -> lf.HerglotzField:
-        schedule = lf.make_field([carath.random_Mg_member(g, dom, spec, rows)
-                                  for spec in draws[s]], dom)
-        if not np.array_equal(lf.parametric_quadratic(schedule), jets[s]):
-            raise NumericalInstabilityError(f"draw #{s}: schedule and jet differ")
-        return schedule
-    return jets, build
+    return [lf.make_field([carath.random_Mg_member(g, dom, spec, rows) for spec in draw], dom)
+            for draw in draws]
 
 
 def _exact_coeffs(jet: np.ndarray, requests, fmap=None):
@@ -181,11 +168,10 @@ def scan_support(g: df.DiscFunction, dom: bg.BallGeometry, i: int, j: int, N: in
     label = f"Sg0_sample[pieces={pieces}]"
     gaps = []
 
-    jets, build = sample_Sg0(g, dom, rng, pieces, N)
-    for s, jet in enumerate(jets):
-        fmap = (lf.parametric_holmap(build(s), ode_tol=SAMPLER_ODE_TOL, label=label)
+    for s, schedule in enumerate(sample_Sg0(g, dom, rng, pieces, N)):
+        fmap = (lf.parametric_holmap(schedule, ode_tol=SAMPLER_ODE_TOL, label=label)
                 if s % ORACLE_STRIDE == 0 else None)
-        coeffs, _, gap = _exact_coeffs(jet, axis, fmap)
+        coeffs, _, gap = _exact_coeffs(lf.parametric_quadratic(schedule), axis, fmap)
         if gap is not None:
             gaps.append(gap)
         entries.append((f"{label}#{s}", float(coeffs[requests[0]].real)))
@@ -248,11 +234,10 @@ def verify_gprime_bounds(g: df.DiscFunction, dom: bg.BallGeometry, N: int,
 
     label = f"Sg0_sample[pieces={pieces}]"
     gaps = []
-    jets, build = sample_Sg0(g, dom, rng, pieces, N)
-    for s, jet in enumerate(jets):
-        fmap = (lf.parametric_holmap(build(s), ode_tol=SAMPLER_ODE_TOL, label=label)
+    for s, schedule in enumerate(sample_Sg0(g, dom, rng, pieces, N)):
+        fmap = (lf.parametric_holmap(schedule, ode_tol=SAMPLER_ODE_TOL, label=label)
                 if s % ORACLE_STRIDE == 0 else None)
-        coeffs, _, gap = _exact_coeffs(jet, requests, fmap)
+        coeffs, _, gap = _exact_coeffs(lf.parametric_quadratic(schedule), requests, fmap)
         if gap is not None:
             gaps.append(gap)
         for (a, b, kind), val in coeffs.items():

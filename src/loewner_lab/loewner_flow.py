@@ -237,18 +237,13 @@ def parametric_quadratic(field: HerglotzField) -> np.ndarray:
     With h = z + Q_k(z) on [t_k, t_{k+1}) (the last segment runs to
     infinity), v = e^{-t} z + w with (e^t w)' = -e^{-t} Q_k(z) + O(|z|^3), so
 
-        Q_f = -sum_k (e^{-t_k} - e^{-t_{k+1}}) Q_k    (``limit_quadratic``).
+        Q_f = -sum_k (e^{-t_k} - e^{-t_{k+1}}) Q_k.
     """
-    return limit_quadratic(field.times, [h.form.quadratic(field.domain.n) for h in field.maps])
-
-
-def limit_quadratic(times: Sequence[float], parts: Sequence[np.ndarray]) -> np.ndarray:
-    """Q_f of generators with quadratic parts ``parts`` from ``times`` on."""
-    decay = np.exp(-np.asarray(times))
+    decay = np.exp(-np.asarray(field.times))
     weights = decay - np.append(decay[1:], 0.0)
-    Q = np.zeros_like(parts[0])
-    for w, part in zip(weights, parts):
-        Q -= w * part
+    Q = np.zeros((field.domain.n,) * 3, dtype=complex)
+    for w, h in zip(weights, field.maps):
+        Q -= w * h.form.quadratic(field.domain.n)
     return Q
 
 

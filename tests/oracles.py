@@ -50,8 +50,8 @@ def leaving_form(dom: bg.BallGeometry, k: int) -> carath.PolynomialMap:
 
 def random_member(g, dom: bg.BallGeometry, rng: np.random.Generator,
                   k: int) -> carath.CompositeMap:
-    """A random convex combination of k building blocks, drawn and built as
-    ``extremal_lab.sample_Sg0`` draws and builds one schedule piece."""
+    """A random convex combination of k building blocks, drawn and lowered as
+    ``extremal_lab.sample_Sg0`` draws and lowers one schedule piece."""
     points = []
     spec = carath.draw_Mg_member(dom, rng, k, points)
     L, owner = bg.support_functionals(dom, np.concatenate([np.empty((0, dom.n)), *points]))
@@ -60,6 +60,5 @@ def random_member(g, dom: bg.BallGeometry, rng: np.random.Generator,
 
 
 def sampled_schedule(g, dom: bg.BallGeometry, rng: np.random.Generator, pieces: int):
-    """One draw of ``extremal_lab.sample_Sg0``, built as its schedule."""
-    _, build = el.sample_Sg0(g, dom, rng, pieces, 1)
-    return build(0)
+    """One draw of ``extremal_lab.sample_Sg0``."""
+    return el.sample_Sg0(g, dom, rng, pieces, 1)[0]

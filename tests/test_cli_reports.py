@@ -472,6 +472,31 @@ def test_cli_rejects_an_unknown_config_key(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("body", [b"{bad", b'{"seed": "\xff"}'], ids=["json", "utf8"])
+def test_cli_malformed_config_file_is_a_usage_error(body, tmp_path, capsys):
+    # a decoding error used to end the run with a traceback and exit 1,
+    # which reads as a bound violation
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(body)
+    code, out = run_cli(tmp_path, "report", "scan", "--config", str(cfg), "--seed", "1")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: config: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_validates_a_config_once(tmp_path, monkeypatch):
+    calls, real = [], cli.ExperimentConfig.validate
+
+    def validate(self):
+        calls.append(self.experiment)
+        return real(self)
+
+    monkeypatch.setattr(cli.ExperimentConfig, "validate", validate)
+    code, _ = run_cli(tmp_path, "certify", "certify", "--seed", "1", "--n", "10")
+    assert code == 0 and calls == ["certify"]
+
+
 def test_cli_bad_number_in_a_fresh_process(tmp_path):
     # the process itself: exit code 2 and no traceback on stderr
     proc = subprocess.run([sys.executable, "-m", "loewner_lab", "certify", "--seed", "7",

@@ -58,10 +58,9 @@ def test_sample_Sg0_determinism_and_bound():
     for drawn, ref in zip(field.maps, maps, strict=True):
         assert drawn.describe() == ref.describe()
         assert np.array_equal(drawn.values(Z), ref.values(Z))
-    jets, build = el.sample_Sg0(g, P2, np.random.default_rng(5), 2, 3)
-    for s, jet in enumerate(jets):
-        assert abs(jet[0, 1, 1]) <= bound + 1e-6
-        assert abs(L12(lf.parametric_holmap(build(s)))) <= bound + 1e-6
+    for schedule in el.sample_Sg0(g, P2, np.random.default_rng(5), 2, 3):
+        assert abs(lf.parametric_quadratic(schedule)[0, 1, 1]) <= bound + 1e-6
+        assert abs(L12(lf.parametric_holmap(schedule))) <= bound + 1e-6
 
 
 def test_one_dimensional_ball_draws_are_not_the_identity():
@@ -70,11 +69,12 @@ def test_one_dimensional_ball_draws_are_not_the_identity():
     # flowed draw's coefficient agrees with its jet
     E1 = bg.euclidean(1)
     g = df.moebius()
-    jets, build = el.sample_Sg0(g, E1, np.random.default_rng(0), 3, 50)
+    schedules = el.sample_Sg0(g, E1, np.random.default_rng(0), 3, 50)
+    jets = np.stack([lf.parametric_quadratic(schedule) for schedule in schedules])
     assert np.count_nonzero(np.any(jets != 0, axis=(1, 2, 3))) >= 40
     for s in range(0, 50, 8):
         assert abs(jets[s, 0, 0, 0]) <= abs(df.g_prime0(g)) + 1e-12  # |a_2| <= |g'(0)|
-        fmap = lf.parametric_holmap(build(s), ode_tol=el.SAMPLER_ODE_TOL)
+        fmap = lf.parametric_holmap(schedules[s], ode_tol=el.SAMPLER_ODE_TOL)
         _, _, gap = el._exact_coeffs(jets[s], [(1, 1, carath.PURE)], fmap)
         assert gap <= el.ORACLE_TOL
 
@@ -83,8 +83,8 @@ def test_sampling_certifies_nothing(monkeypatch):
     # (carath.draw_Mg_member): drawing a schedule runs no certificate.
     # A scan, gprime or shear-commute run draws all its samples in one
     # sample_Sg0 call, which the benchmark tracer times as
-    # extremal_lab.sample_Sg0, and builds the schedule of a draw it flows
-    # only: scan and gprime the checked draws #0, #8, ..., shear-commute all
+    # extremal_lab.sample_Sg0, and which builds the schedule of every draw;
+    # scan and gprime flow the checked draws #0, #8, ..., shear-commute all
     certified, drawn, sampled = [], [], []
     real_certify, real_make, real_sample = carath.certify_Mg, lf.make_field, el.sample_Sg0
 
@@ -104,13 +104,13 @@ def test_sampling_certifies_nothing(monkeypatch):
     monkeypatch.setattr(lf, "make_field", make_field)
     monkeypatch.setattr(el, "sample_Sg0", sample_Sg0)
     report = el.scan_support(df.moebius(), P2, 1, 2, N=9, rng=np.random.default_rng(8))
-    assert report.passed and report.oracle_checks == len(drawn) == 2
+    assert report.passed and report.oracle_checks == 2 and len(drawn) == 9
     assert sampled == ["polydisc"]
     report = el.verify_gprime_bounds(df.moebius(), E2, N=3, rng=np.random.default_rng(8))
-    assert report.passed and report.oracle_checks == 1 and len(drawn) == 3
+    assert report.passed and report.oracle_checks == 1 and len(drawn) == 12
     assert sampled == ["polydisc", "euclidean"]
     env = cli.run_experiment(cli.ExperimentConfig(experiment="shear_commute", seed=3, N=2))
-    assert env.passed and len(drawn) == 5 and sampled == ["polydisc", "euclidean", "polydisc"]
+    assert env.passed and len(drawn) == 14 and sampled == ["polydisc", "euclidean", "polydisc"]
     assert certified == []
 
 
@@ -197,28 +197,22 @@ def test_bound_report_json():
     assert blob["violations"] == []
 
 
-def expanding_samples(dom, count, built):
-    """``sample_Sg0``'s (jets, build) for ``count`` draws of a schedule whose
-    flow leaves the ball from z_2 = -0.4, on the e_2 circles of radius 0.4
-    that scan and gprime take coefficients on; ``built`` gets the index of
-    each draw whose schedule is built."""
-    schedule = lf.autonomous_field(leaving_form(dom, 2), dom)
-
-    def build(s):
-        built.append(s)
-        return schedule
-    return np.stack([lf.parametric_quadratic(schedule)] * count), build
+def expanding_samples(dom, count):
+    """``sample_Sg0``'s list for ``count`` draws of a schedule whose flow
+    leaves the ball from z_2 = -0.4, on the e_2 circles of radius 0.4 that
+    scan and gprime take coefficients on."""
+    return [lf.autonomous_field(leaving_form(dom, 2), dom)] * count
 
 
 @pytest.mark.parametrize("command", ["scan", "gprime"])
 def test_flow_failure_of_a_checked_draw_exits_3(command, monkeypatch, tmp_path, capsys):
     # a sampled map is its schedule: a checked draw whose flow fails ends the
     # run as a numerical instability, it is not silently redrawn
-    draws, built = [], []
+    draws = []
 
     def sample(g, dom, rng, pieces, count):
         draws.append(count)
-        return expanding_samples(dom, count, built)
+        return expanding_samples(dom, count)
 
     monkeypatch.setattr(el, "sample_Sg0", sample)
     out = tmp_path / "report.json"
@@ -228,8 +222,8 @@ def test_flow_failure_of_a_checked_draw_exits_3(command, monkeypatch, tmp_path, 
     assert "ball exit" in report["payload"]["error"]
     assert "Traceback" not in capsys.readouterr().err
     # sample #0 is the checked draw: it is drawn once, in the run's one
-    # sample_Sg0 call, and nothing is built or drawn after its flow fails
-    assert draws == [2] and built == [0]
+    # sample_Sg0 call, and nothing is drawn after its flow fails
+    assert draws == [2]
 
 
 def test_two_radius_disagreement_is_not_resampled(monkeypatch, tmp_path):
@@ -277,10 +271,9 @@ def test_sampled_flows_do_not_fail(dom):
     for g in (df.moebius(), df.starlike_order(0.7), df.almost_starlike(0.4),
               df.strongly_starlike(0.5)):
         for pieces in (1, 3):
-            jets, build = el.sample_Sg0(g, dom, np.random.default_rng(pieces), pieces, 4)
-            for s, jet in enumerate(jets):
-                fmap = lf.parametric_holmap(build(s), ode_tol=el.SAMPLER_ODE_TOL)
-                _, _, gap = el._exact_coeffs(jet, requests, fmap)
+            for schedule in el.sample_Sg0(g, dom, np.random.default_rng(pieces), pieces, 4):
+                fmap = lf.parametric_holmap(schedule, ode_tol=el.SAMPLER_ODE_TOL)
+                _, _, gap = el._exact_coeffs(lf.parametric_quadratic(schedule), requests, fmap)
                 assert gap <= el.ORACLE_TOL, (df.describe(g), pieces)
 
 
@@ -309,10 +302,10 @@ def test_only_every_eighth_sample_is_flowed(monkeypatch):
 
 
 def test_oracle_disagreement_exits_3(monkeypatch, tmp_path, capsys):
-    # shifts every exact quadratic part, of a sampled draw's jet and of its
-    # schedule alike, so the draw is built and its flow disagrees with it
-    real = lf.limit_quadratic
-    monkeypatch.setattr(lf, "limit_quadratic", lambda times, parts: real(times, parts) + 1e-6)
+    # shifts every exact quadratic part, so the flow of sampled draw #0
+    # disagrees with its jet
+    real = lf.parametric_quadratic
+    monkeypatch.setattr(lf, "parametric_quadratic", lambda field: real(field) + 1e-6)
     out = tmp_path / "scan.json"
     assert cli.main(["scan", "--seed", "1", "--n", "1", "--out", str(out)]) == 3
     report = json.loads(out.read_text())
@@ -459,37 +452,72 @@ CATALOG = (df.moebius(), df.starlike_order(0.7), df.almost_starlike(0.4),
                          ids=lambda d: f"{d.kind}-{d.n}")
 def test_a_batch_of_draws_is_its_draws_one_by_one(dom, pieces):
     # a scan draws all its samples in one call: the batch leaves the stream
-    # where N one-draw calls leave it and gives their jets bit for bit, and
-    # each jet, read off the specs, is the exact quadratic part of the
-    # schedule built from them
+    # where N one-draw calls leave it and gives their schedules, whose
+    # values and exact quadratic parts agree bit for bit
+    Z = np.random.default_rng(0).standard_normal((3, dom.n)) * 0.1 + 0j
     for k, g in enumerate(CATALOG):
         batch_rng, loop_rng = (np.random.default_rng(100 + k) for _ in range(2))
-        jets, build = el.sample_Sg0(g, dom, batch_rng, pieces, 6)
+        batch = el.sample_Sg0(g, dom, batch_rng, pieces, 6)
         singles = [el.sample_Sg0(g, dom, loop_rng, pieces, 1)[0] for _ in range(6)]
         assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
         assert np.array_equal(batch_rng.random(4), loop_rng.random(4))
-        assert jets.shape == (6, dom.n, dom.n, dom.n)
-        for s, single in enumerate(singles):
-            assert np.array_equal(jets[s].view(float), single[0].view(float))
-            schedule = build(s)
-            assert len(schedule.maps) == pieces
+        assert len(batch) == 6
+        for schedule, single in zip(batch, singles, strict=True):
+            assert len(schedule.maps) == pieces and schedule.times == single.times
             assert np.array_equal(lf.parametric_quadratic(schedule).view(float),
-                                  jets[s].view(float))
+                                  lf.parametric_quadratic(single).view(float))
+            for h, ref in zip(schedule.maps, single.maps, strict=True):
+                assert np.array_equal(h.values(Z).view(float), ref.values(Z).view(float))
 
 
-def test_a_scan_builds_only_the_draws_it_flows(monkeypatch, tmp_path):
+def reference_member(g, dom, spec, rows):
+    """A drawn member built from its blocks' own maps, the identity,
+    g(l_u(z))*z and the canonical field, summed by ``convex_combination``."""
+    return carath.convex_combination(
+        [carath.identity_map(dom) if b is None else carath.disc_multiple_map(g, rows[b], dom)
+         if isinstance(b, int) else carath.canonical_field(g, dom, *b) for b in spec[0]],
+        spec[1])
+
+
+def raw(x):
+    """dtype, shape and bytes of an array or scalar, or None."""
+    return None if x is None else (np.asarray(x).dtype, np.shape(x), np.asarray(x).tobytes())
+
+
+@pytest.mark.parametrize("pieces", [1, 3])
+@pytest.mark.parametrize("dom", [P2, bg.polydisc(3), bg.euclidean(1), E2, bg.euclidean(3), SP],
+                         ids=lambda d: f"{d.kind}-{d.n}")
+def test_a_lowered_member_is_its_blocks_combination_bit_for_bit(dom, pieces):
+    # random_Mg_member lowers a spec straight to its form, with the order and
+    # arithmetic of convex_combination over the blocks' own maps
+    for k, g in enumerate(CATALOG):
+        rng, points = np.random.default_rng(200 + k), []
+        specs = [carath.draw_Mg_member(dom, rng, int(rng.integers(1, 4)), points)
+                 for _ in range(6 * pieces)]
+        L, owner = bg.support_functionals(dom, np.concatenate([np.empty((0, dom.n)), *points]))
+        rows = L[np.unique(owner, return_index=True)[1]]
+        for spec in specs:
+            got, ref = (f(g, dom, spec, rows).form
+                        for f in (carath.random_Mg_member, reference_member))
+            assert (raw(got.w0), raw(got.lin)) == (raw(ref.w0), raw(ref.lin))
+            assert len(got.disc) == len(ref.disc)
+            for (g1, lmat, w), (g2, ref_lmat, ref_w) in zip(got.disc, ref.disc):
+                assert g1 is g2 and (raw(lmat), raw(w)) == (raw(ref_lmat), raw(ref_w))
+            assert len(got.monomials) == len(ref.monomials)
+            for (idx, coef, comp), (ref_idx, ref_coef, ref_comp) in zip(got.monomials,
+                                                                        ref.monomials):
+                assert (raw(idx), raw(coef), comp) == (raw(ref_idx), raw(ref_coef), ref_comp)
+            assert raw(got.quadratic(dom.n)) == raw(ref.quadratic(dom.n))
+
+
+def test_a_scan_builds_each_draw_from_its_replayed_specs(monkeypatch):
     # the draws of a scan, replayed one member spec at a time from the same
     # stream: per piece a block count, then each block, then the weights
     rng, points = np.random.default_rng(2), []
     draws = [[carath.draw_Mg_member(SP, rng, int(rng.integers(1, 4)), points)
               for _ in range(3)] for _ in range(17)]
-    built, members, functional_calls, forms = [], [], [], []
-    real_make, real_member = lf.make_field, carath.random_Mg_member
-    real_functionals, real_form = bg.support_functionals, carath.FlatForm
-
-    def make_field(*args):
-        built.append(args[0])
-        return real_make(*args)
+    members, functional_calls = [], []
+    real_member, real_functionals = carath.random_Mg_member, bg.support_functionals
 
     def random_Mg_member(*args):
         members.append(args[2])
@@ -499,40 +527,14 @@ def test_a_scan_builds_only_the_draws_it_flows(monkeypatch, tmp_path):
         functional_calls.append(len(Z))
         return real_functionals(dom, Z)
 
-    def flat_form(*args, **kwargs):
-        forms.append(args)
-        return real_form(*args, **kwargs)
-
-    monkeypatch.setattr(lf, "make_field", make_field)
     monkeypatch.setattr(carath, "random_Mg_member", random_Mg_member)
     monkeypatch.setattr(bg, "support_functionals", support_functionals)
-    monkeypatch.setattr(carath, "FlatForm", flat_form)
-    g = df.moebius()
-    # drawing builds no form, and takes all unit points' rows in one call
-    el.sample_Sg0(g, SP, np.random.default_rng(2), 3, 17)
-    assert forms == [] and built == [] and members == []
-    assert functional_calls == [len(points)] and len(points) > 1
-    functional_calls.clear()
-    # the scan builds the members of draws 0, 8 and 16, and nothing else
-    report = el.scan_support(g, SP, 1, 2, N=17, rng=np.random.default_rng(2))
+    # the scan takes all unit points' rows in one call and lowers every
+    # member spec it draws, in order
+    report = el.scan_support(df.moebius(), SP, 1, 2, N=17, rng=np.random.default_rng(2))
     assert report.passed and report.oracle_checks == 3
-    assert functional_calls == [len(points)] and len(built) == 3
-    expected = draws[0] + draws[8] + draws[16]
-    assert len(members) == len(expected) == 9
+    assert functional_calls == [len(points)] and len(points) > 1
+    expected = [spec for draw in draws for spec in draw]
+    assert len(members) == len(expected) == 51
     for (blocks, weights), (ref_blocks, ref_weights) in zip(members, expected):
         assert blocks == ref_blocks and np.array_equal(weights, ref_weights)
-
-    # a checked draw whose jet is not its schedule's quadratic part exits 3
-    real_sample = el.sample_Sg0
-
-    def corrupted(*args):
-        jets, build = real_sample(*args)
-        jets[8, 0, 1, 1] += 1e-12
-        return jets, build
-
-    monkeypatch.setattr(el, "sample_Sg0", corrupted)
-    out = tmp_path / "scan.json"
-    assert cli.main(["scan", "--n", "17", "--seed", "1", "--out", str(out)]) == 3
-    report = json.loads(out.read_text())
-    assert report["instability"] is True and report["pass"] is False
-    assert "draw #8" in report["payload"]["error"] and "jet" in report["payload"]["error"]
