@@ -406,7 +406,7 @@ def _check_pair(dom: bg.BallGeometry, i: int, j: int):
 
 def _reconcile(c_main: complex, c_check: complex, what: str) -> complex:
     gap = abs(c_main - c_check)
-    if gap > 1e-4:
+    if not gap <= 1e-4:
         raise NumericalInstabilityError(
             f"{what}: coefficient estimates disagree by {gap:.3e} between radii"
         )

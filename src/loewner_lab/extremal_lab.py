@@ -122,7 +122,7 @@ def _exact_coeffs(jet: np.ndarray, requests, fmap=None):
         return exact, None, None
     ode = carath.second_coeff_bundle(fmap, requests)
     gap = max(abs(exact[key] - ode[key]) for key in exact)
-    if gap > ORACLE_TOL:
+    if not gap <= ORACLE_TOL:
         raise NumericalInstabilityError(
             f"{fmap.describe()}: exact and ODE coefficients disagree by {gap:.3e}")
     return exact, ode, gap

@@ -6,8 +6,9 @@ then trivial, breakpoints integrate exactly (they are forced step
 boundaries), and convex combinations inside each segment already give a rich
 sampling family.  The integrator is the embedded Dormand-Prince 8(5,3) pair
 (DOP853), controlled at a relative tolerance, with the step size carried
-across breakpoints.  A flow on [s, t] runs in compactified time
-d = e^{-(tau - s)}, from 1 down to e^{-(t - s)}, on w = e^{tau - s} v:
+across breakpoints; it works in place on real views of its stages, with the
+roundings of plain complex arithmetic.  A flow on [s, t] runs in compactified
+time d = e^{-(tau - s)}, from 1 down to e^{-(t - s)}, on w = e^{tau - s} v:
 dw/dd = R(d w)/d^2 with R = h - id, evaluated as (R(d w)/d)/d so that d^2
 never underflows.  For a normalized h, R(x) = O(|x|^2) (``carath.remainder_map``,
 free of cancellation), so the right-hand side stays bounded down to d = 0 and
@@ -130,62 +131,75 @@ class FlowResult:
     horizon_used: float
 
 
-def _stage_sum(a: np.ndarray, K: np.ndarray, shape) -> np.ndarray:
-    """sum_i a_i k_i for a real coefficient row (or rows) over the first stages
-    of the flat stage array K, viewed as reals."""
-    return (a @ K[:a.shape[-1]].view(float)).view(complex).reshape(shape)
-
-
 def _integrate_segment(rem, dom, w, d0, d1, tol, step):
     """Flow w from d = d0 down to d1 under dw/dd = (R(d w)/d)/d, R = ``rem``,
     trying ``step`` first; returns w(d1) and the controller's next step.
 
     The remaining distance r = d - d1 is tracked instead of d, so the last
     stage lands on d1 exactly (d1 may sit far below the rounding of d0).
+
+    Stage i, R(x_i)/d_i/d_i, is row i of one (12, *w.shape) complex array K
+    written through its real view Kf, and each stage sum is one real matmul
+    into the buffer S.  The stages are those of the flow in the increasing
+    variable d0 - d negated, so a stage point is d (w - ds S) and the update
+    w - ds S: negation flips every rounded product and sum exactly.  numpy
+    divides a complex by a real as both parts times the reciprocal, so all
+    complex-by-real arithmetic runs on real views with the same roundings.
+    The results are those of plain complex arithmetic, but for the sign of
+    an exact zero.
     """
     if not w.size:
         return w, step
+    shape, nodes = w.shape, _DOP_C.tolist()
+    wf = w.reshape(-1).view(float)
+    K = np.empty((12, *shape), dtype=complex)
+    Kf = K.reshape(12, -1).view(float)
+    S = np.empty(Kf.shape[1])
     r = d0 - d1
-    norms_prev = np.asarray(bg.norm(dom, d0 * w))
-    K = np.empty((12, w.size), dtype=complex)
-    need_first = True
-    # K holds dw/d(-d), the stages of a flow in the increasing variable d0 - d
+    norms_prev = np.asarray(bg.norm(dom, (wf * d0).view(complex).reshape(shape)))
+    # an accepted step ends at the next step's first stage, and a rejected
+    # attempt keeps its own
+    first = 0
     while r > 0.0:
         ds = min(step, r)
-        # an accepted step ends at the next step's first stage, and a
-        # rejected attempt keeps its own
-        if need_first:
-            d = d1 + r
-            K[0] = -(rem.values(d * w) / d / d).ravel()
-            need_first = False
-        for i in range(1, 12):
-            d = d1 + (r - _DOP_C[i] * ds)
-            x = d * (w + ds * _stage_sum(_DOP_A[i], K, w.shape))
-            K[i] = -(rem.values(x) / d / d).ravel()
+        for i in range(first, 12):
+            d = d1 + (r - nodes[i] * ds)
+            np.matmul(_DOP_A[i], Kf[:i], out=S)
+            S *= ds
+            x = wf - S
+            x *= d
+            inv = 1.0 / d
+            # a fresh x for every call: R may keep it
+            R = rem.values(x.view(complex).reshape(shape))
+            np.multiply(R.reshape(-1).view(float), inv, out=Kf[i])
+            Kf[i] *= inv
+        first = 1
         # per-row relative error of w (so of v = d w); DOP853 damps the
         # 5th-order estimate by the 3rd-order one, e5^2 / sqrt(e5^2 + 0.01 e3^2)
-        row_scale = np.maximum(np.max(np.abs(w), axis=-1), 1e-30)
-        e5, e3 = np.max(np.abs(_stage_sum(_DOP_E, K, (2, *w.shape))), axis=-1) / row_scale
+        row_scale = np.maximum(bg._row_max(np.abs(wf.view(complex).reshape(shape))), 1e-30)
+        E = np.matmul(_DOP_E, Kf).view(complex).reshape(2, *shape)
+        e5, e3 = bg._row_max(np.abs(E)) / row_scale
         denom = np.sqrt(e5 * e5 + 0.01 * e3 * e3)
         rel = ds * float(np.max(np.divide(e5 * e5, denom, out=np.zeros_like(e5),
                                           where=denom > 0)))
         if rel <= tol:
-            w = w + ds * _stage_sum(_DOP_B, K, w.shape)
-            need_first = True
+            np.matmul(_DOP_B, Kf, out=S)
+            S *= ds
+            wf = wf - S
+            first = 0
             r = r - ds
-            d = d1 + r
-            norms = np.asarray(bg.norm(dom, d * w))
-            if np.any(norms > norms_prev + _NORM_GROWTH_TOL) or np.any(norms >= 1.0):
-                raise FlowInstabilityError(
-                    "trajectory norm increased beyond tolerance (ball exit)"
-                )
+            norms = np.asarray(bg.norm(dom, (wf * (d1 + r)).view(complex).reshape(shape)))
+            # a NaN norm fails the growth test
+            if not np.all(norms <= norms_prev + _NORM_GROWTH_TOL) or np.any(norms >= 1.0):
+                raise FlowInstabilityError("trajectory norm increased beyond tolerance "
+                                           "or is not finite (ball exit)")
             norms_prev = norms
         factor = 0.9 * (tol / max(rel, 1e-300)) ** 0.125
         step = ds * min(5.0, max(0.2, factor))
         # an accepted step that ended the segment is never too small
         if r > 0.0 and step < _MIN_STEP * (d1 + r):
             raise FlowInstabilityError("step size underflow in the flow integrator")
-    return w, step
+    return wf.view(complex).reshape(shape), step
 
 
 def flow(field: HerglotzField, z, s: float, t: float, tol: float = 1e-10) -> FlowResult:
@@ -194,19 +208,20 @@ def flow(field: HerglotzField, z, s: float, t: float, tol: float = 1e-10) -> Flo
     Adaptive Dormand-Prince 8(5,3) at relative tolerance ``tol``, applied to
     w = e^{tau - s} v in d = e^{-(tau - s)} (module docstring); schedule
     breakpoints are forced step boundaries, and the step size goes on across
-    them.  The trajectory must stay in the open ball with nonincreasing norm (up to
-    1e-9 per step), else the integrator aborts with ``FlowInstabilityError``,
-    as it does on step-size underflow.  A span t - s longer than MAX_SEGMENT
-    raises ``DomainError`` before any step.  An empty (0, n) batch returns
-    at once.
+    them.  The trajectory must stay finite and in the open ball with
+    nonincreasing norm (up to 1e-9 per step), else the integrator aborts with
+    ``FlowInstabilityError``, as it does on step-size underflow.  A start
+    that is not finite or not in the open ball, and a span t - s longer than
+    MAX_SEGMENT, raise ``DomainError`` before any step.  An empty (0, n)
+    batch returns at once.
     """
     if t < s or s < 0.0:
         raise DomainError("flow needs 0 <= s <= t")
     z = np.asarray(z, dtype=complex)
     single = z.ndim == 1
     w = z[None, :].copy() if single else z.copy()
-    if np.any(np.asarray(bg.norm(field.domain, w)) >= 1.0):
-        raise DomainError("initial point outside the open unit ball")
+    if not np.all(np.asarray(bg.norm(field.domain, w)) < 1.0):
+        raise DomainError("initial point outside the open unit ball or not finite")
     if t - s > MAX_SEGMENT:
         raise DomainError(f"flow span of length {t - s:g} exceeds the limit {MAX_SEGMENT:g} "
                           "(e^-(t-s) must stay a normal double); flow in shorter calls")

@@ -1,16 +1,23 @@
 """What only the tests use: a difference Jacobian for maps known only by
 their values and the normalization check f(0) = 0, Df(0) = I (the two
 oracles), a normalized form whose flow leaves the ball, one random M_g
-member of a chosen number of blocks and one sampled schedule."""
+member of a chosen number of blocks, one sampled schedule, four catalog g,
+and the DOP853 segment kernel in plain complex arithmetic, whose floats
+the in-place kernel of ``loewner_flow`` must return."""
 
 import numpy as np
 
 from loewner_lab import ball_geometry as bg
 from loewner_lab import carath
+from loewner_lab import disc_functions as df
 from loewner_lab import extremal_lab as el
-from loewner_lab.errors import DomainError
+from loewner_lab import loewner_flow as lf
+from loewner_lab.errors import DomainError, FlowInstabilityError
 
 _FD_STEP = 1e-5
+#: one g of each ``disc_functions`` family
+CATALOG = (df.moebius(), df.starlike_order(0.7), df.almost_starlike(0.4),
+           df.strongly_starlike(0.5))
 
 
 def fd_jacobian(f, Z):
@@ -62,3 +69,52 @@ def random_member(g, dom: bg.BallGeometry, rng: np.random.Generator,
 def sampled_schedule(g, dom: bg.BallGeometry, rng: np.random.Generator, pieces: int):
     """One draw of ``extremal_lab.sample_Sg0``."""
     return el.sample_Sg0(g, dom, rng, pieces, 1)[0]
+
+
+def _stage_sum(a: np.ndarray, K: np.ndarray, shape) -> np.ndarray:
+    """sum_i a_i k_i for a real coefficient row (or rows) over the first stages
+    of the flat stage array K, viewed as reals."""
+    return (a @ K[:a.shape[-1]].view(float)).view(complex).reshape(shape)
+
+
+def reference_segment(rem, dom, w, d0, d1, tol, step):
+    """``loewner_flow._integrate_segment`` in complex arithmetic: a fresh
+    array per operation, K holding dw/d(-d), the stages of a flow in the
+    increasing variable d0 - d."""
+    if not w.size:
+        return w, step
+    r = d0 - d1
+    norms_prev = np.asarray(bg.norm(dom, d0 * w))
+    K = np.empty((12, w.size), dtype=complex)
+    need_first = True
+    while r > 0.0:
+        ds = min(step, r)
+        if need_first:
+            d = d1 + r
+            K[0] = -(rem.values(d * w) / d / d).ravel()
+            need_first = False
+        for i in range(1, 12):
+            d = d1 + (r - lf._DOP_C[i] * ds)
+            x = d * (w + ds * _stage_sum(lf._DOP_A[i], K, w.shape))
+            K[i] = -(rem.values(x) / d / d).ravel()
+        row_scale = np.maximum(np.max(np.abs(w), axis=-1), 1e-30)
+        e5, e3 = np.max(np.abs(_stage_sum(lf._DOP_E, K, (2, *w.shape))), axis=-1) / row_scale
+        denom = np.sqrt(e5 * e5 + 0.01 * e3 * e3)
+        rel = ds * float(np.max(np.divide(e5 * e5, denom, out=np.zeros_like(e5),
+                                          where=denom > 0)))
+        if rel <= tol:
+            w = w + ds * _stage_sum(lf._DOP_B, K, w.shape)
+            need_first = True
+            r = r - ds
+            d = d1 + r
+            norms = np.asarray(bg.norm(dom, d * w))
+            if np.any(norms > norms_prev + lf._NORM_GROWTH_TOL) or np.any(norms >= 1.0):
+                raise FlowInstabilityError(
+                    "trajectory norm increased beyond tolerance (ball exit)"
+                )
+            norms_prev = norms
+        factor = 0.9 * (tol / max(rel, 1e-300)) ** 0.125
+        step = ds * min(5.0, max(0.2, factor))
+        if r > 0.0 and step < lf._MIN_STEP * (d1 + r):
+            raise FlowInstabilityError("step size underflow in the flow integrator")
+    return w, step

@@ -10,7 +10,7 @@ from loewner_lab import disc_functions as df
 from loewner_lab import extremal_lab as el
 from loewner_lab import loewner_flow as lf
 from loewner_lab.errors import DomainError, FlowInstabilityError, NumericalInstabilityError
-from oracles import leaving_form, random_member, sampled_schedule
+from oracles import CATALOG, leaving_form, random_member, sampled_schedule
 
 P2 = bg.polydisc(2)
 E2 = bg.euclidean(2)
@@ -443,8 +443,14 @@ def test_gprime_flows_one_sharp_map(dom, monkeypatch):
     assert 0.0 < report.canonical_gap <= 1e-9
 
 
-CATALOG = (df.moebius(), df.starlike_order(0.7), df.almost_starlike(0.4),
-           df.strongly_starlike(0.5))
+def test_a_nan_coefficient_fails_both_cross_checks():
+    # a NaN gap is not > tol: both gap tests must read "not <= tol"
+    nan_map = carath.BlackBoxMap(lambda Z: np.full(Z.shape, np.nan), P2, normalized=True)
+    with pytest.raises(NumericalInstabilityError, match="disagree by nan"):
+        carath.second_coeff(nan_map, 1, 1, carath.PURE)
+    nan_jet = np.full((2, 2, 2), np.nan, dtype=complex)
+    with pytest.raises(NumericalInstabilityError):
+        el._exact_coeffs(nan_jet, [(1, 1, carath.PURE)], carath.identity_map(P2))
 
 
 @pytest.mark.parametrize("pieces", [1, 3])

@@ -7,11 +7,12 @@ from loewner_lab import disc_functions as df
 from loewner_lab import extremal_lab as el
 from loewner_lab import loewner_flow as lf
 from loewner_lab.errors import DomainError, FlowInstabilityError, NumericalInstabilityError
-from oracles import (assert_normalized, fd_jacobian, leaving_form, random_member,
-                     sampled_schedule)
+from oracles import (CATALOG, assert_normalized, fd_jacobian, leaving_form, random_member,
+                     reference_segment, sampled_schedule)
 
 P2 = bg.polydisc(2)
 E2 = bg.euclidean(2)
+SP = bg.spectral2()
 
 
 def identity_field(dom):
@@ -87,6 +88,26 @@ def test_flow_domain_errors():
         lf.flow(field, np.array([0.1, 0.2], complex), 1.0, 0.5)
     with pytest.raises(DomainError):
         lf.flow(field, np.array([1.0, 0.0], complex), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("dom", [P2, E2, SP], ids=lambda d: d.kind)
+def test_flow_refuses_a_non_finite_start(dom):
+    # a NaN norm is not >= 1: the start test must read "not < 1"
+    z = np.full(dom.n, 0.1, dtype=complex)
+    for bad in (np.nan, complex(0.1, np.nan)):
+        z[0] = bad
+        with pytest.raises(DomainError, match="not finite"):
+            lf.flow(identity_field(dom), z, 0.0, 1.0)
+
+
+def test_a_non_finite_stage_aborts_the_flow(monkeypatch):
+    # every call after the first step returns NaN: the error norm masks NaN
+    # rows and accepts, and the first NaN norm must abort
+    remainder = carath.remainder_map
+    monkeypatch.setattr(carath, "remainder_map",
+                        lambda h: CountingMap(remainder(h), spoil=range(13, 10**4), by=np.nan))
+    with pytest.raises(FlowInstabilityError, match="not finite"):
+        lf.flow(shear_field(df.moebius(), P2), [0.3, 0.1], 0.0, 1.0)
 
 
 def test_flow_piecewise_schedule_composes_segments():
@@ -420,18 +441,18 @@ def test_koebe_closed_form_matches_quadrature(g, beta):
 
 class CountingMap(carath.HolMap):
     """Delegates to ``inner``, counts ``values`` calls and keeps their
-    points; the calls numbered in ``spoil`` (from 1) return a perturbed
-    value."""
+    points; the calls numbered in ``spoil`` (from 1) return the value plus
+    ``by``."""
 
-    def __init__(self, inner, spoil=()):
+    def __init__(self, inner, spoil=(), by=0.1):
         self.inner, self.domain, self.normalized = inner, inner.domain, True
-        self.calls, self.spoil, self.points = 0, set(spoil), []
+        self.calls, self.spoil, self.by, self.points = 0, set(spoil), by, []
 
     def values(self, Z):
         self.calls += 1
         self.points.append(Z)
         out = self.inner.values(Z)
-        return out + 0.1 if self.calls in self.spoil else out
+        return out + self.by if self.calls in self.spoil else out
 
     def stage_ds(self, w):
         """The d of each call, for a flow whose w stays put: a stage at d
@@ -492,6 +513,60 @@ def test_flow_carries_the_step_across_breakpoints(monkeypatch):
     assert [c.calls for c in counters] == [24, 12]
     assert [counters[0].stage_ds(y)[k] for k in (0, 12)] == pytest.approx([1.0, 0.9])
     assert counters[1].stage_ds(y)[0] == pytest.approx(np.exp(-0.7))
+
+
+def same_segment(got, want):
+    """Equal endpoints, part by part as floats (an exact zero may differ in
+    sign alone), and equal next steps."""
+    return np.array_equal(got[0].view(float), want[0].view(float)) and got[1] == want[1]
+
+
+def both_kernels(monkeypatch):
+    """The list of (endpoint, step) of every segment ``flow`` integrates,
+    each checked against ``oracles.reference_segment``, the kernel in plain
+    complex arithmetic, on the same segment."""
+    kernel, checked = lf._integrate_segment, []
+
+    def both(*args):
+        got, want = kernel(*args), reference_segment(*args)
+        assert same_segment(got, want)
+        checked.append(got)
+        return got
+
+    monkeypatch.setattr(lf, "_integrate_segment", both)
+    return checked
+
+
+@pytest.mark.parametrize("dom", [P2, bg.polydisc(3), E2, SP], ids=lambda d: f"{d.kind}-{d.n}")
+def test_kernel_matches_the_complex_reference_on_report_flows(dom, monkeypatch):
+    # the limits a report flows, on the DFT circles it flows them on: a 1- and
+    # a 3-piece sampled schedule and g(z1)z, for every catalog g
+    checked = both_kernels(monkeypatch)
+    requests = [(1, 1, carath.PURE), (1, 2, carath.MIXED)]
+    for k, g in enumerate(CATALOG):
+        rng = np.random.default_rng(300 + k)
+        fields = [sampled_schedule(g, dom, rng, pieces) for pieces in (1, 3)]
+        sharp = carath.disc_multiple_map(g, np.eye(dom.n)[0], dom)
+        for field in (*fields, lf.autonomous_field(sharp, dom)):
+            carath.second_coeff_bundle(lf.parametric_holmap(field), requests)
+    assert len(checked) == 5 * len(CATALOG)
+
+
+def test_kernel_matches_the_reference_through_rejections_and_on_no_points():
+    # spoiled stages reject attempts, whose retries keep their first stage
+    rem = carath.remainder_map(carath.canonical_field(df.moebius(), P2, 1, 2, 1))
+    y = np.array([[0.3 + 0.1j, -0.2j], [0.1, 0.4 - 0.3j]])
+    plain = CountingMap(rem)
+    spoiled, spoiled_ref = (CountingMap(rem, spoil={6, 30}) for _ in range(2))
+    reference_segment(plain, P2, y, 1.0, 0.01, 1e-10, 0.1)
+    got = lf._integrate_segment(spoiled, P2, y, 1.0, 0.01, 1e-10, 0.1)
+    want = reference_segment(spoiled_ref, P2, y, 1.0, 0.01, 1e-10, 0.1)
+    assert spoiled.calls == spoiled_ref.calls > plain.calls
+    assert same_segment(got, want)
+    empty = np.zeros((0, 2), dtype=complex)
+    for kernel in (lf._integrate_segment, reference_segment):
+        end, step = kernel(CountingMap(rem), P2, empty, 1.0, 0.01, 1e-10, 0.1)
+        assert end.shape == (0, 2) and step == 0.1
 
 
 def test_flow_and_limit_of_an_empty_batch_are_empty():
