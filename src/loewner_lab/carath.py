@@ -128,7 +128,7 @@ class FlatForm:
     shifted: bool = False
 
     def _disc_factor(self, g: df.DiscFunction, lz: np.ndarray) -> np.ndarray:
-        return df.minus_one(g, lz) if self.shifted else df._eval_raw(g, lz)
+        return df._minus_one(g, lz) if self.shifted else df._eval_raw(g, lz)
 
     def values(self, Z: np.ndarray) -> np.ndarray:
         out = None

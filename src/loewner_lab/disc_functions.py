@@ -106,18 +106,23 @@ def _eval_raw(g: DiscFunction, zeta):
         return np.exp(g.alpha * np.log(w))
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def minus_one(g: DiscFunction, zeta):
     """g(zeta) - 1 in closed forms without cancellation as zeta -> 0; strongly
     starlike uses (1-z)/(1+z) = e^{-2 artanh z}, since numpy's complex log1p
     loses the real part of tiny arguments."""
+    return _minus_one(g, zeta)
+
+
+def _minus_one(g: DiscFunction, zeta):
+    """``minus_one`` under the caller's error state (the flow sets it per segment)."""
     z = np.asarray(zeta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if g.family in (MOEBIUS, STARLIKE_ORDER):
-            beta = _beta(g)
-            return -(1.0 + beta) * z / (1.0 + beta * z)
-        if g.family == ALMOST_STARLIKE:
-            return -(1.0 + _beta(g)) * z / (1.0 + z)
-        return np.expm1(-2.0 * g.alpha * np.arctanh(z))
+    if g.family in (MOEBIUS, STARLIKE_ORDER):
+        beta = _beta(g)
+        return -(1.0 + beta) * z / (1.0 + beta * z)
+    if g.family == ALMOST_STARLIKE:
+        return -(1.0 + _beta(g)) * z / (1.0 + z)
+    return np.expm1(-2.0 * g.alpha * np.arctanh(z))
 
 
 def evaluate(g: DiscFunction, zeta):

@@ -5,15 +5,16 @@ Time-dependent generator schedules are piecewise constant: measurability is
 then trivial, breakpoints integrate exactly (they are forced step
 boundaries), and convex combinations inside each segment already give a rich
 sampling family.  The integrator is the embedded Dormand-Prince 8(5,3) pair
-(DOP853), controlled at a relative tolerance, with the step size carried
-across breakpoints; it works in place on real views of its stages, with the
-roundings of plain complex arithmetic.  A flow on [s, t] runs in compactified
-time d = e^{-(tau - s)}, from 1 down to e^{-(t - s)}, on w = e^{tau - s} v:
-dw/dd = R(d w)/d^2 with R = h - id, evaluated as (R(d w)/d)/d so that d^2
-never underflows.  For a normalized h, R(x) = O(|x|^2) (``carath.remainder_map``,
-free of cancellation), so the right-hand side stays bounded down to d = 0 and
-the parametric limit lim e^t v is the endpoint of one flow over a finite
-d-interval.
+(DOP853), with Gustafsson's predictive step control at a relative tolerance,
+the step size carried across breakpoints and the control's history and
+numpy's error state set per segment; it works in place on real views of its
+stages, with the roundings of plain complex arithmetic.  A flow on [s, t]
+runs in compactified time d = e^{-(tau - s)}, from 1 down to e^{-(t - s)},
+on w = e^{tau - s} v: dw/dd = R(d w)/d^2 with R = h - id, evaluated as
+(R(d w)/d)/d so that d^2 never underflows.  For a normalized h,
+R(x) = O(|x|^2) (``carath.remainder_map``, free of cancellation), so the
+right-hand side stays bounded down to d = 0 and the parametric limit
+lim e^t v is the endpoint of one flow over a finite d-interval.
 """
 
 from __future__ import annotations
@@ -131,6 +132,7 @@ class FlowResult:
     horizon_used: float
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _integrate_segment(rem, dom, w, d0, d1, tol, step):
     """Flow w from d = d0 down to d1 under dw/dd = (R(d w)/d)/d, R = ``rem``,
     trying ``step`` first; returns w(d1) and the controller's next step.
@@ -147,6 +149,10 @@ def _integrate_segment(rem, dom, w, d0, d1, tol, step):
     complex-by-real arithmetic runs on real views with the same roundings.
     The results are those of plain complex arithmetic, but for the sign of
     an exact zero.
+
+    From a segment's second accepted step on, the step factor is the lesser of
+    the I-controller's and Gustafsson's predictive one (Hairer & Wanner II,
+    sec. IV.8), whose (ds, err) history, like numpy's error state, is per segment.
     """
     if not w.size:
         return w, step
@@ -159,7 +165,7 @@ def _integrate_segment(rem, dom, w, d0, d1, tol, step):
     norms_prev = np.asarray(bg.norm(dom, (wf * d0).view(complex).reshape(shape)))
     # an accepted step ends at the next step's first stage, and a rejected
     # attempt keeps its own
-    first = 0
+    first, last = 0, None
     while r > 0.0:
         ds = min(step, r)
         for i in range(first, 12):
@@ -182,6 +188,7 @@ def _integrate_segment(rem, dom, w, d0, d1, tol, step):
         denom = np.sqrt(e5 * e5 + 0.01 * e3 * e3)
         rel = ds * float(np.max(np.divide(e5 * e5, denom, out=np.zeros_like(e5),
                                           where=denom > 0)))
+        factor = 0.9 * (tol / max(rel, 1e-300)) ** 0.125
         if rel <= tol:
             np.matmul(_DOP_B, Kf, out=S)
             S *= ds
@@ -194,7 +201,10 @@ def _integrate_segment(rem, dom, w, d0, d1, tol, step):
                 raise FlowInstabilityError("trajectory norm increased beyond tolerance "
                                            "or is not finite (ball exit)")
             norms_prev = norms
-        factor = 0.9 * (tol / max(rel, 1e-300)) ** 0.125
+            err = max(rel / tol, 1e-10)
+            if last is not None:
+                factor = min(factor, 0.9 * (ds / last[0]) * (last[1] / err ** 2) ** 0.125)
+            last = ds, max(err, 1e-2)
         step = ds * min(5.0, max(0.2, factor))
         # an accepted step that ended the segment is never too small
         if r > 0.0 and step < _MIN_STEP * (d1 + r):

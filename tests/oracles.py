@@ -86,7 +86,7 @@ def reference_segment(rem, dom, w, d0, d1, tol, step):
     r = d0 - d1
     norms_prev = np.asarray(bg.norm(dom, d0 * w))
     K = np.empty((12, w.size), dtype=complex)
-    need_first = True
+    need_first, last = True, None
     while r > 0.0:
         ds = min(step, r)
         if need_first:
@@ -102,6 +102,7 @@ def reference_segment(rem, dom, w, d0, d1, tol, step):
         denom = np.sqrt(e5 * e5 + 0.01 * e3 * e3)
         rel = ds * float(np.max(np.divide(e5 * e5, denom, out=np.zeros_like(e5),
                                           where=denom > 0)))
+        factor = 0.9 * (tol / max(rel, 1e-300)) ** 0.125
         if rel <= tol:
             w = w + ds * _stage_sum(lf._DOP_B, K, w.shape)
             need_first = True
@@ -113,7 +114,12 @@ def reference_segment(rem, dom, w, d0, d1, tol, step):
                     "trajectory norm increased beyond tolerance (ball exit)"
                 )
             norms_prev = norms
-        factor = 0.9 * (tol / max(rel, 1e-300)) ** 0.125
+            # the predictive factor from the segment's second accepted step on
+            err = rel / tol
+            if last is not None:
+                factor = min(factor, 0.9 * (ds / last[0])
+                             * (last[1] / max(err, 1e-10) ** 2) ** 0.125)
+            last = ds, max(err, 1e-2)
         step = ds * min(5.0, max(0.2, factor))
         if r > 0.0 and step < lf._MIN_STEP * (d1 + r):
             raise FlowInstabilityError("step size underflow in the flow integrator")

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from loewner_lab import disc_functions as df
 from loewner_lab.errors import DomainError
+from oracles import CATALOG
 
 ALPHA_GRID = [round(0.05 * k, 2) for k in range(1, 20)]
 
@@ -115,6 +117,18 @@ def test_minus_one_is_g_minus_one_without_cancellation(g):
     tiny = 10.0 ** rng.uniform(-300, -10, 400) * np.exp(2j * np.pi * rng.random(400))
     linear = df.g_prime0(g) * tiny
     assert np.all(np.abs(df.minus_one(g, tiny) - linear) <= 1e-10 * np.abs(linear))
+
+
+@pytest.mark.parametrize("g", CATALOG, ids=df.describe)
+def test_minus_one_owns_its_error_state_at_the_pole(g):
+    # the flow integrator evaluates the unguarded form under its own error
+    # state; the public one still divides by zero quietly at the pole
+    pole = -1.0 / df._beta(g) if g.family in (df.MOEBIUS, df.STARLIKE_ORDER) else -1.0
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = df.minus_one(g, np.array([pole], dtype=complex))
+    assert not np.all(np.isfinite(value)) and np.geterr() == before
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -553,8 +555,9 @@ def test_kernel_matches_the_complex_reference_on_report_flows(dom, monkeypatch):
 
 
 def test_kernel_matches_the_reference_through_rejections_and_on_no_points():
-    # spoiled stages reject attempts, whose retries keep their first stage
-    rem = carath.remainder_map(carath.canonical_field(df.moebius(), P2, 1, 2, 1))
+    # spoiled stages reject attempts, whose retries keep their first stage;
+    # on the sharp field g(z1)z the predictive factor sets most later steps
+    rem = carath.remainder_map(carath.disc_multiple_map(df.moebius(), np.eye(2)[0], P2))
     y = np.array([[0.3 + 0.1j, -0.2j], [0.1, 0.4 - 0.3j]])
     plain = CountingMap(rem)
     spoiled, spoiled_ref = (CountingMap(rem, spoil={6, 30}) for _ in range(2))
@@ -567,6 +570,55 @@ def test_kernel_matches_the_reference_through_rejections_and_on_no_points():
     for kernel in (lf._integrate_segment, reference_segment):
         end, step = kernel(CountingMap(rem), P2, empty, 1.0, 0.01, 1e-10, 0.1)
         assert end.shape == (0, 2) and step == 0.1
+
+
+#: (g, domain, most RHS calls) of each gprime sharp flow, parametric[g(z1)z],
+#: on its DFT circles; the I-controller alone took 235, 152 and 95 calls,
+#: rejecting 5, 4 and 1 attempts, as its error constant grew about 3x a step
+SHARP_FLOWS = [(df.moebius(), P2, 191), (df.starlike_order(0.3), E2, 119),
+               (df.strongly_starlike(0.5), SP, 107)]
+
+
+@pytest.mark.parametrize("g,dom,most", SHARP_FLOWS, ids=["P2", "E2", "spectral2"])
+def test_sharp_gprime_flows_reject_at_most_one_attempt(g, dom, most, monkeypatch):
+    # one norm per accepted step, and one each at the flow's and the
+    # segment's start; an accepted attempt costs 12 calls, a rejected one 11
+    counters, norms, norm = counting_remainders(monkeypatch), [], bg.norm
+    monkeypatch.setattr(bg, "norm", lambda *args: norms.append(1) or norm(*args))
+    sharp = lf.autonomous_field(carath.disc_multiple_map(g, np.eye(dom.n)[0], dom), dom)
+    requests = [(1, 1, carath.PURE)] + [(2, 1, carath.MIXED)] * (dom.rank >= 2)
+    carath.second_coeff_bundle(lf.parametric_holmap(sharp), requests)
+    [calls] = [c.calls for c in counters]
+    accepted = len(norms) - 2
+    rejected, rest = divmod(calls - 12 * accepted, 11)
+    assert calls <= most and rest == 0 and rejected <= 1
+
+
+def test_the_step_history_resets_at_every_breakpoint(monkeypatch):
+    # a 3-piece flow takes the calls of its segments run one by one, each
+    # handed only the point and the step the last one ended with
+    field = sampled_schedule(df.moebius(), P2, np.random.default_rng(30), 3)
+    Z = ball_points(P2, np.random.default_rng(31), 16)
+    bounds = [*field.times, lf.HORIZON]
+    w, step, alone = Z.copy(), lf.FIRST_STEP, []
+    for h, a, b in zip(field.maps, bounds, bounds[1:]):
+        rem = CountingMap(carath.remainder_map(h))
+        w, step = lf._integrate_segment(rem, P2, w, math.exp(-a), math.exp(-b), 1e-10, step)
+        alone.append(rem.calls)
+    counters = counting_remainders(monkeypatch)
+    lf.flow(field, Z, 0.0, lf.HORIZON)
+    assert [c.calls for c in counters] == alone and len(alone) == 3
+
+
+def test_flow_leaves_the_callers_error_state_alone():
+    # the kernel ignores division by zero for its whole segment and restores
+    # the caller's state on return and on a raise
+    before = np.geterr()
+    lf.flow(shear_field(df.moebius(), P2), [0.3, 0.1], 0.0, 1.0)
+    assert np.geterr() == before
+    with pytest.raises(FlowInstabilityError):
+        lf.flow(lf.autonomous_field(leaving_form(P2, 1), P2), [-0.5, 0.2j], 0.0, 1.0)
+    assert np.geterr() == before
 
 
 def test_flow_and_limit_of_an_empty_batch_are_empty():
