@@ -25,13 +25,13 @@ Cauchy integrals discretized as 64-point DFTs on circles (a mixed coefficient
 from the two circles through e_p + e_q and e_p - e_q), with a dual-radius
 consistency check.  ``certify_Mg`` tests, on deterministic tori and by
 Monte-Carlo sampling, that all supporting values l_z(h(z))/||z|| of a
-normalized map lie in the image g(U).  It streams its points
-(``certification_blocks``) in blocks of ``CERTIFY_BLOCK`` rows: seeded sphere
-samples on a radius ladder, the polydisc edge samples, then the frame tori,
-one torus at a time from a phase grid built once.  Each block is drawn,
-evaluated by ``h.values`` and certified before the next is drawn, and neither
-the rows nor the certificate depend on the block size
-(``certification_points`` is the concatenation of the blocks).
+normalized map lie in g(U).  It streams its points (``certification_blocks``)
+in blocks of ``CERTIFY_BLOCK`` rows: seeded sphere samples, the polydisc edge
+samples, then the frame tori, one torus at a time from a phase grid built
+once; at radius 0.999 alone for a map with an array form (minimum principle),
+on a radius ladder for a black box, which may have a pole in the ball.  Each
+block is drawn, evaluated by ``h.values`` and certified before the next is
+drawn, and neither the rows nor the certificate depend on the block size.
 ``certify_values`` folds given values the same way.  Support values come from
 ``ball_geometry.support_values``, in closed form on every geometry; no step
 calls LAPACK's SVD.  Each support value's signed margin is computed once per
@@ -61,10 +61,9 @@ from .errors import (
 PURE = "pure"
 MIXED = "mixed"
 
-#: radii used for the random certification samples
+#: radii of the certification points of a black box (``certify_Mg``)
 RADIUS_LADDER = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999)
-#: radii and per-axis phase count of the deterministic certification tori
-TORUS_RADII = (0.9, 0.99, 0.999)
+#: per-axis phase count of the deterministic certification tori
 TORUS_PHASES = 64
 #: rows that certification draws, evaluates and certifies at once (the blocks of
 #: ``certification_blocks``, and the slices ``certify_values`` takes), so its
@@ -597,7 +596,7 @@ class MgCertificate:
         return out
 
 
-def _torus_blocks(dom: bg.BallGeometry, radii=TORUS_RADII, phases: int = TORUS_PHASES):
+def _torus_blocks(dom: bg.BallGeometry, radii, phases: int = TORUS_PHASES):
     """Deterministic sample tori where the quadratic fields are extremal: one
     (phases**2, n) block per radius and coordinate pair, built as it is taken
     from the phase grid of ``_torus_phases``.
@@ -614,12 +613,11 @@ def _torus_blocks(dom: bg.BallGeometry, radii=TORUS_RADII, phases: int = TORUS_P
     else:
         w1 = w2 = 1.0
         pairs = list(itertools.combinations([k - 1 for k in dom.frame_coords], 2))
-    for rho in radii:
-        for i, j in pairs:
-            Z = np.zeros((ea.size, dom.n), dtype=complex)
-            Z[:, i] = rho * w1 * ea
-            Z[:, j] = rho * w2 * eb
-            yield Z
+    for rho, (i, j) in itertools.product(radii, pairs):
+        Z = np.zeros((ea.size, dom.n), dtype=complex)
+        Z[:, i] = rho * w1 * ea
+        Z[:, j] = rho * w2 * eb
+        yield Z
 
 
 @functools.lru_cache(maxsize=None)
@@ -636,37 +634,39 @@ def _torus_phases(phases: int):
     return grid
 
 
-def _on_ladder(blocks):
-    """The blocks with row k of their concatenation scaled by
-    ``RADIUS_LADDER[k % 11]``, in place: the real and imaginary parts of a
-    row, as one float view, times its radius (no complex product)."""
-    ladder, start = np.asarray(RADIUS_LADDER), 0
+def _on_ladder(blocks, radii):
+    """The blocks with row k of their concatenation times
+    ``radii[k % len(radii)]``, in place on the float view (no complex product)."""
+    start = 0
     for Z in blocks:
         parts = Z.view(np.float64)
-        parts *= ladder[np.arange(start, start + len(Z)) % ladder.size][:, None]
+        for k, rho in enumerate(radii):
+            parts[(k - start) % len(radii)::len(radii)] *= rho
         start += len(Z)
         yield Z
 
 
-def certification_blocks(dom: bg.BallGeometry, N: int, rng: np.random.Generator):
+def certification_blocks(dom: bg.BallGeometry, N: int, rng: np.random.Generator, radii):
     """The points of a certification run, drawn and yielded in blocks of at
-    most ``CERTIFY_BLOCK`` rows: N sphere samples scaled onto the radius
-    ladder, then on the polydisc max(N // 10, 8) edge samples on the same
-    ladder, then the tori of ``_torus_blocks``.  The rows, and the state
+    most ``CERTIFY_BLOCK`` rows: N sphere samples scaled onto ``radii`` in
+    turn, then on the polydisc max(N // 10, 8) edge samples the same way, then
+    the tori of ``_torus_blocks`` at the last three radii (0.999 alone for a
+    form, the ladder for a black box: ``certify_Mg``).  The rows, and the state
     ``rng`` is left in, do not depend on the block size."""
     if N > 0:
-        yield from _on_ladder(bg.sphere_blocks(dom, rng, N, CERTIFY_BLOCK))
+        yield from _on_ladder(bg.sphere_blocks(dom, rng, N, CERTIFY_BLOCK), radii)
         if dom.kind == bg.POLYDISC:
             yield from _on_ladder(bg.polydisc_edge_blocks(dom, rng, max(N // 10, 8),
-                                                          CERTIFY_BLOCK))
-    for torus in _torus_blocks(dom):
+                                                          CERTIFY_BLOCK), radii)
+    for torus in _torus_blocks(dom, radii[-3:]):
         for start in range(0, len(torus), CERTIFY_BLOCK):
             yield torus[start:start + CERTIFY_BLOCK]
 
 
-def certification_points(dom: bg.BallGeometry, N: int, rng: np.random.Generator) -> np.ndarray:
+def certification_points(dom: bg.BallGeometry, N: int, rng: np.random.Generator,
+                         radii=RADIUS_LADDER) -> np.ndarray:
     """All points of ``certification_blocks`` as one array."""
-    blocks = list(certification_blocks(dom, N, rng))
+    blocks = list(certification_blocks(dom, N, rng, radii))
     if not blocks:
         raise DomainError("no certification points requested (N = 0, no tori)")
     return np.concatenate(blocks)
@@ -680,13 +680,12 @@ def _certify_blocks(blocks, g: df.DiscFunction, dom: bg.BallGeometry,
     (its first such functional), so no verdict depends on the blocking."""
     lows, failures, indeterminate, used = [], [], 0, 0
     for Z, H in blocks:
-        if len(Z):
-            low, failure, unsure = _block_verdict(Z, H, g, dom, eps)
-            lows.append(low)
-            if failure:
-                failures.append(failure)
-            indeterminate += unsure
-            used += len(Z)
+        low, failure, unsure = _block_verdict(Z, H, g, dom, eps)
+        lows.append(low)
+        if failure:
+            failures.append(failure)
+        indeterminate += unsure
+        used += len(Z)
     if not used:
         raise DomainError("certification needs a nonempty point set")
     witness = failures[int(np.argmin([w["margin"] for w in failures]))] if failures else None
@@ -733,12 +732,16 @@ def certify_Mg(h: HolMap, g: df.DiscFunction, dom: bg.BallGeometry, N: int,
     ``h.values`` and certified before the next is drawn, so no step holds
     the whole point set.  Indeterminate verdicts (values w within Euclidean
     distance eps*max(1, |w|) of the boundary) are recorded but do not fail
-    the certificate.
+    the certificate.  A map with an array form takes radius 0.999 alone: on
+    each complex line its support value is holomorphic, its margin to the
+    convex g(U) superharmonic, and least on the outer circle (minimum
+    principle).  A black box keeps the ladder: it may have a pole in the ball.
     """
     if not h.normalized:
         raise DomainError("certification needs a normalized map")
     rng = np.random.default_rng(0) if rng is None else rng
-    blocks = certification_blocks(dom, N, rng)
+    radii = RADIUS_LADDER if h.form is None else RADIUS_LADDER[-1:]
+    blocks = certification_blocks(dom, N, rng, radii)
     return _certify_blocks(((Z, h.values(Z)) for Z in blocks), g, dom, eps)
 
 

@@ -74,9 +74,9 @@ class ExperimentConfig:
             if not isinstance(getattr(self, name), dict):
                 raise UsageError(f"{name}: must be a JSON object")
         if self.alphas is not None and not (
-                isinstance(self.alphas, list)
+                isinstance(self.alphas, list) and self.alphas
                 and all(_is_real(a) and math.isfinite(a) for a in self.alphas)):
-            raise UsageError("alphas: must be a list of finite reals")
+            raise UsageError("alphas: must be a nonempty list of finite reals")
         if self.out is not None and not isinstance(self.out, str):
             raise UsageError("out: must be a path")
         if not 0 <= self.seed < 2**64:
@@ -103,14 +103,18 @@ class ExperimentConfig:
         if self.N < 0:
             raise UsageError("N: must be nonnegative")
         # residuals over no points are no evidence (scan, gprime and certify
-        # still check their fixed maps or tori at N = 0)
-        if self.N < 1 and self.experiment in ("flow_check", "shear_commute"):
+        # still check their fixed maps or tori at N = 0, and so does the chain
+        # check of unbounded_growth, but E^1 has no torus)
+        if self.N < 1 and (self.experiment in ("flow_check", "shear_commute")
+                           or (self.experiment == "unbounded_growth" and dom.n == 1)):
             raise UsageError(f"N: {self.experiment} needs at least one sample")
         if self.pieces < 1:
             raise UsageError("pieces: must be positive")
         for name in ("eps", "tolerance"):
             if not (_is_real(getattr(self, name)) and 0 < getattr(self, name) < math.inf):
                 raise UsageError(f"{name}: must be finite and positive")
+        if self.experiment == "shear_commute" and self.tolerance >= 1e-3:
+            raise UsageError("tolerance: shear_commute takes a tolerance below 1e-3")
         if not (_is_real(self.sign) and self.sign in (1, -1)):
             raise UsageError("sign: must be +1 or -1")
         if not (_is_real(self.coefficient_scale) and math.isfinite(self.coefficient_scale)):
@@ -162,10 +166,13 @@ def dumps_canonical(obj) -> str:
 
 
 def _family_grid(config: ExperimentConfig):
-    """(alpha, g) for each alpha of the table's grid; moebius has no alpha."""
+    """(alpha, g) for each alpha of the table's grid; moebius has no alpha,
+    and an alpha or alpha grid given to it is a usage error."""
     family = config.g_spec.get("family", "moebius")
     if family == df.MOEBIUS:
-        return [(None, df.moebius())]
+        if config.alphas is not None:
+            raise UsageError("alphas: moebius takes no alpha")
+        return [(None, df.DiscFunction(family, config.g_spec.get("alpha")))]
     return [(a, df.DiscFunction(family, a)) for a in config.alphas or _DEFAULT_ALPHAS]
 
 
@@ -288,7 +295,7 @@ def _run_shear_commute(config, g, dom, rng):
         residual = el.verify_shear_commutes(schedule, i=config.i, j=config.j)
         rows.append({"field": k, "residual": residual})
         worst = max(worst, residual)
-    passed = worst < config.tolerance if config.tolerance < 1e-3 else worst < 1e-5
+    passed = worst < config.tolerance
     return ({"rows": rows, "max_residual": worst}, passed,
             f"max commutation residual {worst:.3e}")
 

@@ -2,8 +2,10 @@
 their values and the normalization check f(0) = 0, Df(0) = I (the two
 oracles), a normalized form whose flow leaves the ball, one random M_g
 member of a chosen number of blocks, one sampled schedule, four catalog g,
-and the DOP853 segment kernel in plain complex arithmetic, whose floats
-the in-place kernel of ``loewner_flow`` must return."""
+the DOP853 segment kernel in plain complex arithmetic, whose floats the
+in-place kernel of ``loewner_flow`` must return, and the support values and
+image margins of a map on a complex line, computed without
+``ball_geometry`` and ``disc_functions``."""
 
 import numpy as np
 
@@ -124,3 +126,71 @@ def reference_segment(rem, dom, w, d0, d1, tol, step):
         if r > 0.0 and step < lf._MIN_STEP * (d1 + r):
             raise FlowInstabilityError("step size underflow in the flow integrator")
     return w, step
+
+
+# ---------------------------------------------------------------------------
+# support values on a complex line
+
+
+def _matrix(z):
+    """A spectral2 point as its 2x2 matrix (coordinates E11, E22, E12, E21)."""
+    return np.array([[z[0], z[2]], [z[3], z[1]]])
+
+
+def domain_norm(dom: bg.BallGeometry, z) -> float:
+    """||z||: np.linalg.norm, the largest modulus, or the top singular value
+    of np.linalg.svd."""
+    if dom.kind == bg.EUCLIDEAN:
+        return float(np.linalg.norm(z))
+    if dom.kind == bg.POLYDISC:
+        return float(np.max(np.abs(z)))
+    return float(np.linalg.svd(_matrix(z), compute_uv=False)[0])
+
+
+def line_functional(dom: bg.BallGeometry, u) -> np.ndarray:
+    """The coefficient row of a norm-one functional l with l(u) = ||u|| = 1:
+    conj(u) on the Euclidean ball, the conjugate phase of the largest
+    coordinate on the polydisc, and W -> x^H W y for the top singular pair
+    (x, y) of np.linalg.svd on spectral2."""
+    if dom.kind == bg.EUCLIDEAN:
+        return np.conj(u)
+    if dom.kind == bg.POLYDISC:
+        row = np.zeros(dom.n, dtype=complex)
+        k = int(np.argmax(np.abs(u)))
+        row[k] = np.conj(u[k]) / abs(u[k])
+        return row
+    left, _, right = np.linalg.svd(_matrix(u))
+    m = np.outer(np.conj(left[:, 0]), np.conj(right[0]))
+    return np.array([m[0, 0], m[1, 1], m[0, 1], m[1, 0]])
+
+
+def image_margin(g, w) -> np.ndarray:
+    """Signed distance from w to the boundary of g(U), positive inside: the
+    half-plane Re w > 0 (moebius) or Re w > alpha (almost_starlike), the disc
+    |w - c| < c with c = 1/(2 alpha) (starlike_order), and for
+    strongly_starlike the sector |arg w| < alpha pi/2, through the distance
+    to its nearer boundary ray."""
+    w = np.asarray(w, dtype=complex)
+    if g.family == df.MOEBIUS:
+        return w.real
+    if g.family == df.ALMOST_STARLIKE:
+        return w.real - g.alpha
+    if g.family == df.STARLIKE_ORDER:
+        c = 1.0 / (2.0 * g.alpha)
+        return c - np.abs(w - c)
+    half = g.alpha * np.pi / 2.0
+    to_ray = []
+    for side in (1.0, -1.0):
+        turned = w * np.exp(-1j * side * half)  # the ray along the positive axis
+        to_ray.append(np.where(turned.real > 0.0, np.abs(turned.imag), np.abs(turned)))
+    inside = np.abs(np.angle(w)) < half
+    return np.where(inside, 1.0, -1.0) * np.minimum(*to_ray)
+
+
+def circle_margins(g, h, u, row, radii, phases: int = 64) -> np.ndarray:
+    """The least margin of p(zeta) = l(h(zeta u))/zeta, l the functional of
+    ``row``, over ``phases`` equally spaced points of each circle
+    |zeta| = r, one per radius."""
+    zeta = np.multiply.outer(np.asarray(radii), np.exp(2j * np.pi * np.arange(phases) / phases))
+    p = (h.values(zeta.reshape(-1, 1) * u) @ row) / zeta.ravel()
+    return image_margin(g, p).reshape(zeta.shape).min(axis=1)

@@ -249,15 +249,15 @@ def test_spectral_support_values_take_one_gram_evaluation(monkeypatch):
     assert np.allclose(values, 1.0, rtol=0, atol=1e-12) and len(values) == len(Z) + 5
     # a whole certification: one Gram per sphere block in the draw (which
     # normalizes it) and one per block in support_values, of its rows that
-    # are not frame-diagonal (none on the frame tori, in blocks of 700 rows
-    # too)
+    # are not frame-diagonal (none on the frame torus, which a map with an
+    # array form takes at radius 0.999 alone, in blocks of 700 rows too)
     calls.clear()
     monkeypatch.setattr(carath, "CERTIFY_BLOCK", 700)
     g = df.strongly_starlike(0.5)
     cert = carath.certify_Mg(carath.canonical_field(g, dom, 1, 2, 1), g, dom, 2000,
                              rng=np.random.default_rng(61))
     assert cert.passed
-    torus_blocks = len(carath.TORUS_RADII) * -(-carath.TORUS_PHASES ** 2 // 700)
+    torus_blocks = -(-carath.TORUS_PHASES ** 2 // 700)
     assert calls == [700, 700, 700, 700, 600, 600] + [0] * torus_blocks
 
 

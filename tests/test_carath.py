@@ -14,7 +14,15 @@ from loewner_lab.errors import (
     ReducedPrecisionWarning,
     UnsupportedError,
 )
-from oracles import assert_normalized, fd_jacobian, random_member
+from oracles import (
+    assert_normalized,
+    circle_margins,
+    domain_norm,
+    fd_jacobian,
+    image_margin,
+    line_functional,
+    random_member,
+)
 
 P2 = bg.polydisc(2)
 P3 = bg.polydisc(3)
@@ -420,6 +428,8 @@ def test_certify_values_rejects_an_empty_point_set_and_missing_values():
 CERTIFY_CASES = [(P3, df.moebius()), (E2, df.starlike_order(0.3)),
                  (SP, df.strongly_starlike(0.5))]
 CERTIFY_IDS = ["polydisc3", "euclidean2", "spectral2"]
+#: the radii ``certify_Mg`` certifies a map with an array form at
+FORM_RADII = (0.999,)
 
 
 def certify_fields(g, dom):
@@ -431,11 +441,11 @@ def certify_fields(g, dom):
 
 
 def sampled_then_coarse_tori(dom, N, rng, phases):
-    """The sphere (and edge) rows of a certification run, without its tori,
-    then the tori at ``phases`` phases per axis."""
-    Z = carath.certification_points(dom, N, rng)
-    sampled = Z[:len(Z) - sum(len(t) for t in carath._torus_blocks(dom))]
-    return np.vstack([sampled, *carath._torus_blocks(dom, phases=phases)])
+    """The sphere (and edge) rows of a form's certification run, without its
+    tori, then its tori at ``phases`` phases per axis."""
+    Z = carath.certification_points(dom, N, rng, FORM_RADII)
+    sampled = Z[:len(Z) - sum(len(t) for t in carath._torus_blocks(dom, FORM_RADII))]
+    return np.vstack([sampled, *carath._torus_blocks(dom, FORM_RADII, phases=phases)])
 
 
 def certificate_bits(cert):
@@ -474,7 +484,8 @@ def test_certify_takes_each_support_values_margin_once(monkeypatch, dom, g):
     # one signed-margin evaluation per certified block, on all of its
     # support values; the verdicts are decided from those very margins
     monkeypatch.setattr(carath, "CERTIFY_BLOCK", 1500)
-    blocks = [len(Z) for Z in carath.certification_blocks(dom, 4000, np.random.default_rng(3))]
+    blocks = [len(Z) for Z in carath.certification_blocks(dom, 4000, np.random.default_rng(3),
+                                                          FORM_RADII)]
     margins, given = [], []
     margin, classify = df.boundary_margin, df.classify
     monkeypatch.setattr(df, "boundary_margin",
@@ -516,8 +527,8 @@ def traced_peak(fn):
 
 
 def test_certify_values_peak_memory_stays_within_a_few_blocks(monkeypatch):
-    # the 80 864-point polydisc(3) set of a certify run peaks at 1.8 MB in
-    # blocks, and at 9.3 MB when it is taken as one block
+    # the 80 864-point polydisc(3) set of a black box's certify run peaks at
+    # 1.8 MB in blocks, and at 9.3 MB when it is taken as one block
     dom, g = P3, df.moebius()
     Z = carath.certification_points(dom, 40_000, np.random.default_rng(1))
     assert len(Z) == 80_864
@@ -529,8 +540,10 @@ def test_certify_values_peak_memory_stays_within_a_few_blocks(monkeypatch):
 
 
 def two_step_certificate(h, g, dom, N, rng):
-    """The whole-set reference: every point drawn, then every value."""
-    Z = carath.certification_points(dom, N, rng)
+    """The whole-set reference: every point drawn, then every value; a map
+    with an array form on the top rung alone, a black box on the ladder."""
+    Z = carath.certification_points(dom, N, rng,
+                                    carath.RADIUS_LADDER if h.form is None else FORM_RADII)
     return carath.certify_values(h.values(Z), g, dom, Z)
 
 
@@ -549,7 +562,7 @@ def assert_streamed_matches_reference(monkeypatch, h, g, dom, N, seed):
 def coarse_tori(monkeypatch):
     # the 8-phase tori keep the one-row blocks few; both paths take them
     tori = carath._torus_blocks
-    monkeypatch.setattr(carath, "_torus_blocks", lambda dom: tori(dom, phases=8))
+    monkeypatch.setattr(carath, "_torus_blocks", lambda dom, radii: tori(dom, radii, phases=8))
 
 
 @pytest.mark.parametrize("dom,g", CERTIFY_CASES, ids=CERTIFY_IDS)
@@ -560,9 +573,12 @@ def test_streamed_certificate_matches_the_two_step_reference(monkeypatch, dom, g
         monkeypatch.setattr(carath, "CERTIFY_BLOCK", block)
     if block is not None and block < 100:
         coarse_tori(monkeypatch)
+    # each field as a form (top rung alone) and as a black box (the ladder)
+    maps = [m for h in certify_fields(g, dom)
+            for m in (h, carath.BlackBoxMap(h.values, dom, normalized=True))]
     verdicts = [assert_streamed_matches_reference(monkeypatch, h, g, dom, N, 83).passed
-                for h in certify_fields(g, dom)]
-    assert verdicts == [True, True, False]
+                for h in maps]
+    assert verdicts == [True, True, True, True, False, False]
 
 
 @pytest.mark.parametrize("scale", [np.nan, np.inf])
@@ -575,7 +591,7 @@ def test_non_finite_support_values_fail_the_certificate(monkeypatch, dom, g, sca
     cert = assert_streamed_matches_reference(monkeypatch, h, g, dom, 500, 7)
     assert not cert.passed and cert.worst_margin == -np.inf
     assert cert.witness["margin"] == -np.inf and not np.isfinite(cert.witness["value"])
-    Z = carath.certification_points(dom, 500, np.random.default_rng(7))
+    Z = carath.certification_points(dom, 500, np.random.default_rng(7), FORM_RADII)
     vals, owner = bg.support_values(dom, Z, h.values(Z))
     row = owner[~np.isfinite(vals)].min()
     assert np.array_equal(cert.witness["z"], Z[row])
@@ -586,7 +602,7 @@ def test_non_finite_support_values_fail_the_certificate(monkeypatch, dom, g, sca
 def test_certify_Mg_peak_memory_stays_within_a_few_blocks():
     # the bound is the one of certify_values above, fixed before measuring;
     # the streamed polydisc(3) run at N = 40 000 holds a few blocks, the
-    # whole-set path holds the 80 864 points, their values and the draws
+    # whole-set path holds the 56 288 points, their values and the draws
     dom, g = P3, df.moebius()
     h = certify_fields(g, dom)[2]
     carath._torus_phases(carath.TORUS_PHASES)  # built once, before measuring
@@ -595,6 +611,95 @@ def test_certify_Mg_peak_memory_stays_within_a_few_blocks():
                                                  rng=np.random.default_rng(1))) <= bound
     assert traced_peak(lambda: two_step_certificate(h, g, dom, 40_000,
                                                     np.random.default_rng(1))) > bound
+
+
+# ---------------------------------------------------------------------------
+# where certification looks: the top rung for a form, the ladder for a black box
+
+
+LINE_FAMILIES = (df.moebius(), df.starlike_order(0.3), df.almost_starlike(0.4),
+                 df.strongly_starlike(0.5))
+
+
+def test_image_margin_oracle_agrees_with_boundary_margin():
+    rng = np.random.default_rng(91)
+    w = 3.0 * (rng.standard_normal(2000) + 1j * rng.standard_normal(2000))
+    for g in LINE_FAMILIES:
+        assert np.max(np.abs(image_margin(g, w) - df.boundary_margin(g, w))) < 1e-12
+
+
+@pytest.mark.parametrize("dom", [P2, P3, E2, bg.euclidean(3), SP],
+                         ids=["polydisc2", "polydisc3", "euclidean2", "euclidean3", "spectral2"])
+def test_line_margins_never_rise_from_one_ladder_rung_to_the_next(dom):
+    # the minimum principle that lets a map with an array form be certified
+    # at 0.999 alone: on a complex line zeta u, p(zeta) = l_u(h(zeta u))/zeta
+    # is holomorphic and its margin to the convex g(U) superharmonic, so its
+    # least value over a circle never rises with the radius.  Canonical
+    # fields in M_g and outside it (scales 1.05, 1.5), and sampled members
+    rng = np.random.default_rng(92)
+    exps = tuple(2 if k == 1 else 0 for k in range(dom.n))
+    for g in LINE_FAMILIES:
+        field = carath.canonical_field(g, dom, 1, 2, 1)
+        maps = [carath.scale_term(field, 1, exps, s) for s in (1.0, 1.05, 1.5)]
+        maps += [random_member(g, dom, rng, 3) for _ in range(3)]
+        for h in maps:
+            for _ in range(4):
+                z = rng.standard_normal(dom.n) + 1j * rng.standard_normal(dom.n)
+                u = z / domain_norm(dom, z)
+                row = line_functional(dom, u)
+                assert abs(row @ u - 1.0) < 1e-12
+                lows = circle_margins(g, h, u, row, carath.RADIUS_LADDER)
+                assert np.all(np.diff(lows) <= 1e-12), (h.describe(), lows)
+
+
+#: the radius ladder of a black box: its samples cycle all eleven rungs and
+#: its tori take the top three
+BLACK_BOX_LADDER = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999)
+
+
+@pytest.mark.parametrize("dom,g", CERTIFY_CASES, ids=CERTIFY_IDS)
+def test_a_form_is_certified_at_0999_alone_and_a_black_box_on_the_ladder(dom, g):
+    N, seen = 2000, []
+    h = certify_fields(g, dom)[0]
+    values = h.values
+    h.values = lambda Z: seen.append(Z.copy()) or values(Z)
+    carath.certify_Mg(h, g, dom, N, rng=np.random.default_rng(5))
+    Z = np.concatenate(seen)
+    tori = sum(len(t) for t in carath._torus_blocks(dom, FORM_RADII))
+    assert len(Z) == N + (N // 10 if dom.kind == bg.POLYDISC else 0) + tori
+    assert max(abs(domain_norm(dom, z) - 0.999) for z in Z) < 1e-15
+    seen.clear()
+    box = carath.BlackBoxMap(h.values, dom, normalized=True)
+    carath.certify_Mg(box, g, dom, N, rng=np.random.default_rng(5))
+    ladder = carath.certification_points(dom, N, np.random.default_rng(5), BLACK_BOX_LADDER)
+    assert np.concatenate(seen).tobytes() == ladder.tobytes()
+    assert carath.RADIUS_LADDER == BLACK_BOX_LADDER
+
+
+def face_map(c):
+    """z + c z1 z2 E12 on spectral2.  At z = rho diag(e^{ia}, e^{ib}) the
+    face functional of x = (1, e^{i phi})/sqrt(2) takes the value
+    1 + (c rho / 2) e^{i(a + phi)}, so for moebius the map is in M_g exactly
+    when c <= 2."""
+    terms = {(k + 1, tuple(int(a == k) for a in range(4))): 1.0 for k in range(4)}
+    terms[(3, (1, 1, 0, 0))] = c
+    return carath.PolynomialMap(terms, SP, normalized=True, label=f"face[{c}]")
+
+
+def test_certify_fails_a_face_map_that_the_lower_rungs_diluted():
+    # the ladder spread the N samples over eleven radii and passed c = 2.2
+    # (margin +0.074); all of them at 0.999 find a violation
+    cert = carath.certify_Mg(face_map(2.2), df.moebius(), SP, 40_000,
+                             rng=np.random.default_rng(1))
+    assert not cert.passed and cert.worst_margin < 0
+
+
+@pytest.mark.xfail(strict=True, reason="spectral2 certification tests no face functional at "
+                                       "scaled unitaries (ROADMAP item 1)")
+def test_certify_fails_a_face_map_just_outside_Mg():
+    cert = carath.certify_Mg(face_map(2.05), df.moebius(), SP, 40_000,
+                             rng=np.random.default_rng(1))
+    assert not cert.passed
 
 
 def test_random_members_certify():

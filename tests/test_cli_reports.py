@@ -11,6 +11,7 @@ import pytest
 from loewner_lab import ball_geometry as bg
 from loewner_lab import cli_reports as cli
 from loewner_lab import disc_functions as df
+from loewner_lab import extremal_lab as el
 from loewner_lab import loewner_flow as lf
 from loewner_lab.errors import DegenerateFunctionalError, NumericalInstabilityError
 
@@ -119,6 +120,13 @@ def test_a_table_spells_each_float_alike_in_csv_and_json(tmp_path):
 #: The three gprime reports were rewritten (``canonical_gap`` only, each still
 #: below 1e-15) once the DOP853 step control became predictive: the sharp
 #: flow takes other steps and its round-off moved.
+#: The six certify reports were rewritten (``samples_used`` only) once a map
+#: with an array form was certified at radius 0.999 alone: its samples moved
+#: onto that radius and its tori at 0.9 and 0.99 went, so each report counts
+#: fewer points (euclidean 26576 -> 10192, polydisc 39064 -> 14488,
+#: spectral2 14288 -> 6096); every margin, witness and verdict held bit for
+#: bit, and the black-box chain check of unbounded-growth_euclidean kept its
+#: bytes.
 #: A change that alters these bytes must say so in CHANGES.md.  A file is
 #: named <subcommand>_<label>.
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -366,9 +374,13 @@ def test_cli_usage_error_exit_code(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("command", ["flow-check", "shear-commute"])
-def test_cli_zero_samples_is_usage_error(command, tmp_path, capsys):
-    code, out = run_cli(tmp_path, "empty", command, "--seed", "1", "--n", "0")
+# unbounded-growth certifies its chain on the tori at N = 0, but E^1 has none
+@pytest.mark.parametrize("command,args", [
+    ("flow-check", []), ("shear-commute", []),
+    ("unbounded-growth", ["--domain", "euclidean", "--dim", "1"])],
+    ids=["flow-check", "shear-commute", "unbounded-growth-E1"])
+def test_cli_zero_samples_is_usage_error(command, args, tmp_path, capsys):
+    code, out = run_cli(tmp_path, "empty", command, "--seed", "1", "--n", "0", *args)
     assert code == 2
     err = capsys.readouterr().err
     assert "usage error: N:" in err and "Traceback" not in err
@@ -560,6 +572,13 @@ def test_cli_unwritable_out_fails_before_the_run(tmp_path, monkeypatch, capsys):
     # an alpha outside the family's range is found before the run, not in it
     ("d1-table", {"seed": 1, "alphas": [1.5], "g": {"family": "starlike_order"}}, "g_spec"),
     ("a0-table", {"seed": 1, "alphas": [0.0], "g": {"family": "strongly_starlike"}}, "g_spec"),
+    # a table would write its default grid, or moebius its one row, while
+    # echoing an empty grid or an alpha it never used
+    ("d1-table", {"seed": 1, "alphas": [], "g": {"family": "starlike_order"}}, "alphas"),
+    ("a0-table", {"seed": 1, "alphas": [0.3], "g": {"family": "moebius"}}, "alphas"),
+    ("d1-table", {"seed": 1, "g": {"family": "moebius", "alpha": 0.3}}, "g_spec"),
+    # shear-commute judges max_residual < tolerance, and no looser than 1e-3
+    ("shear-commute", {"seed": 1, "N": 1, "tolerance": 1e-2}, "tolerance"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_config_file_of_the_wrong_type_is_a_usage_error(command, config, key, tmp_path,
                                                         monkeypatch, capsys):
@@ -571,6 +590,14 @@ def test_config_file_of_the_wrong_type_is_a_usage_error(command, config, key, tm
     assert err.startswith(f"usage error: {key}: ")
     assert "Traceback" not in err
     assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
+@pytest.mark.parametrize("residual,passed", [(5e-5, True), (2e-4, False)])
+def test_shear_commute_judges_at_the_given_tolerance(residual, passed, monkeypatch):
+    monkeypatch.setattr(el, "verify_shear_commutes", lambda schedule, i, j: residual)
+    config = cli.ExperimentConfig(experiment="shear_commute", seed=1, N=1, tolerance=1e-4)
+    env = cli.run_experiment(config)
+    assert env.passed is passed and env.payload["max_residual"] == residual
 
 
 def test_zero_samples_allowed_where_fixed_maps_are_checked():
@@ -604,8 +631,8 @@ def test_cli_config_file_and_overrides(tmp_path):
     assert header.split(",")[0] == "alpha"
     # flag overrides beat the config file
     code, out2 = run_cli(tmp_path, "tbl2", "d1-table", "--config", str(cfg),
-                         "--family", "moebius")
-    assert json.loads(out2.read_text())["config"]["g_spec"]["family"] == "moebius"
+                         "--family", "starlike_order")
+    assert json.loads(out2.read_text())["config"]["g_spec"]["family"] == "starlike_order"
     # mismatched subcommand is a usage error
     assert cli.main(["a0-table", "--config", str(cfg)]) == 2
 
