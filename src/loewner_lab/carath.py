@@ -23,7 +23,9 @@ cancellation (``remainder_map``).
 ``second_coeff`` extracts the second-order Taylor data at the origin through
 Cauchy integrals discretized as 64-point DFTs on circles (a mixed coefficient
 from the two circles through e_p + e_q and e_p - e_q), with a dual-radius
-consistency check.  ``certify_Mg`` tests, on deterministic tori and by
+consistency check.  The circles come from ``dft_circles`` and each DFT from
+``circle_dft``, which a caller that knows its map's symmetries may use on
+fewer circles.  ``certify_Mg`` tests, on deterministic tori and by
 Monte-Carlo sampling, that all supporting values l_z(h(z))/||z|| of a
 normalized map lie in g(U).  It streams its points (``certification_blocks``)
 in blocks of ``CERTIFY_BLOCK`` rows: seeded sphere samples, the polydisc edge
@@ -75,6 +77,10 @@ CERTIFY_BLOCK = 8192
 
 #: radii of the Cauchy DFT circles: the value, then the consistency check
 DFT_RADII = (0.4, 0.2)
+#: points per Cauchy DFT circle
+DFT_POINTS = 64
+_THETA = 2.0 * np.pi * np.arange(DFT_POINTS) / DFT_POINTS
+_CIRCLE, _PHASE = np.exp(1j * _THETA), np.exp(-2j * _THETA)
 
 
 # ---------------------------------------------------------------------------
@@ -439,53 +445,54 @@ def quadratic_coeffs(Q: np.ndarray, requests) -> dict:
     return out
 
 
+def dft_circles(directions, n: int) -> np.ndarray:
+    """The Cauchy circles r e^{i theta} (e_p + s e_q), or r e^{i theta} e_p
+    when q is None, one per (p, q, s) in ``directions``: 64 points at each
+    radius of DFT_RADII, stacked direction by direction."""
+    blocks = []
+    for p, q, s in directions:
+        for r in DFT_RADII:
+            Z = np.zeros((DFT_POINTS, n), dtype=complex)
+            Z[:, p - 1] = r * _CIRCLE
+            if q is not None:
+                Z[:, q - 1] = s * r * _CIRCLE
+            blocks.append(Z)
+    return np.vstack(blocks)
+
+
+def circle_dft(vals: np.ndarray, k: int, comp: int) -> list:
+    """The coefficient of zeta^2 in zeta -> f_comp(zeta u) on the k-th
+    direction u of ``dft_circles``, one per radius of DFT_RADII: the 64-point
+    Cauchy DFT of ``vals`` (f at those circles) over each radius's rows."""
+    circles = vals[:, comp - 1].reshape(-1, len(DFT_RADII), DFT_POINTS)[k]
+    return [complex((col * _PHASE).mean() / r**2) for col, r in zip(circles, DFT_RADII)]
+
+
 def second_coeff_bundle(f: HolMap, requests) -> dict:
     """Extract several second-order coefficients from one batched evaluation.
 
     ``requests`` is an iterable of (i, j, kind).  All circles (128 points per
-    pure axis, 256 per mixed pair) go into a single ``values`` call, which
-    matters for black-box maps whose evaluation integrates an ODE.
+    pure axis, 256 per mixed pair, from ``dft_circles``) go into a single
+    ``values`` call, which matters for black-box maps whose evaluation
+    integrates an ODE; ``circle_dft`` reads each circle back.
     """
-    n = f.domain.n
-    requests = _check_requests(requests, n)
-
-    m_axis = 64
-    theta_axis = 2.0 * np.pi * np.arange(m_axis) / m_axis
-    circle = np.exp(1j * theta_axis)
-
+    requests = _check_requests(requests, f.domain.n)
     axes = sorted({j for i, j, kind in requests if kind == PURE})
     pairs = sorted({tuple(sorted((i, j))) for i, j, kind in requests if kind == MIXED})
-    # one circle r e^{i theta} u per direction u = e_p + s e_q (e_p if q is None)
     directions = [(j, None, 1.0) for j in axes]
     directions += [(p, q, s) for p, q in pairs for s in (1.0, -1.0)]
-
-    blocks, layout = [], {}
-    for p, q, s in directions:
-        for r in DFT_RADII:
-            Z = np.zeros((m_axis, n), dtype=complex)
-            Z[:, p - 1] = r * circle
-            if q is not None:
-                Z[:, q - 1] = s * r * circle
-            layout[(p, q, s, r)] = len(blocks) * m_axis
-            blocks.append(Z)
-    vals = f.values(np.vstack(blocks))
-
-    phase_axis = np.exp(-2j * theta_axis)
-
-    def dft(comp, p, q, s, r):
-        k0 = layout[(p, q, s, r)]
-        return complex((vals[k0:k0 + m_axis, comp - 1] * phase_axis).mean() / r**2)
+    at = {d: k for k, d in enumerate(directions)}
+    vals = f.values(dft_circles(directions, f.domain.n))
 
     out = {}
     for i, j, kind in requests:
-        got = []
-        for r in DFT_RADII:
-            if kind == PURE:
-                got.append(dft(i, j, None, 1.0, r))
-            else:
-                p, q = sorted((i, j))
-                got.append((dft(i, p, q, 1.0, r) - dft(i, p, q, -1.0, r)) / 2)
-        out[(i, j, kind)] = _reconcile(got[0], got[1], f"{kind}({i},{j})")
+        if kind == PURE:
+            got = circle_dft(vals, at[(j, None, 1.0)], i)
+        else:
+            p, q = sorted((i, j))
+            plus, minus = (circle_dft(vals, at[(p, q, s)], i) for s in (1.0, -1.0))
+            got = [(c_plus - c_minus) / 2 for c_plus, c_minus in zip(plus, minus)]
+        out[(i, j, kind)] = _reconcile(*got, f"{kind}({i},{j})")
     return out
 
 

@@ -166,13 +166,16 @@ def dumps_canonical(obj) -> str:
 
 
 def _family_grid(config: ExperimentConfig):
-    """(alpha, g) for each alpha of the table's grid; moebius has no alpha,
-    and an alpha or alpha grid given to it is a usage error."""
+    """(alpha, g) for each alpha of the table's grid, which comes from
+    ``alphas`` alone; moebius has no alpha, and an alpha or alpha grid given
+    to it is a usage error, as is an alpha in ``g_spec`` of any family."""
     family = config.g_spec.get("family", "moebius")
     if family == df.MOEBIUS:
         if config.alphas is not None:
             raise UsageError("alphas: moebius takes no alpha")
         return [(None, df.DiscFunction(family, config.g_spec.get("alpha")))]
+    if config.g_spec.get("alpha") is not None:
+        raise UsageError("g_spec: a table takes no alpha; give its grid as alphas")
     return [(a, df.DiscFunction(family, a)) for a in config.alphas or _DEFAULT_ALPHAS]
 
 

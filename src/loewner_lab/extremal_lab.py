@@ -23,7 +23,10 @@ f-(z) = -f+(-z), so a flow of the minus map would only repeat the plus
 map's gap.  ``verify_gprime_bounds`` flows ``parametric[g(z1)z]`` alone:
 g(z_2) z is g(z_1) z conjugated by the swap P of z_1 and z_2, so
 ``parametric[g(z2)z]`` is P f P for that one limit f, and its mixed (1, 2)
-coefficient is mixed (2, 1) of f.
+coefficient is mixed (2, 1) of f.  That flow runs on one DFT circle: every
+unitary fixing e_1, diag(1, e^{i phi}) on (z_1, z_2) (right multiplication
+on the spectral ball), commutes with g(z_1) z, so the circle through
+e_1 + e_2 carries both the pure (1, 1) and the mixed (2, 1) coefficient.
 """
 
 from __future__ import annotations
@@ -108,19 +111,20 @@ def sample_Sg0(g: df.DiscFunction, dom: bg.BallGeometry, rng: np.random.Generato
             for draw in draws]
 
 
-def _exact_coeffs(jet: np.ndarray, requests, fmap=None):
+def _exact_coeffs(jet: np.ndarray, requests, fmap=None, dft=None):
     """(exact, ode, gap) for a parametric limit with quadratic part ``jet``.
 
     ``exact`` is {(i, j, kind): value} read off ``jet``
     (``carath.quadratic_coeffs``).  Given the flowed limit ``fmap``, ``ode``
-    is its flowed and DFT'd table and ``gap`` the largest |exact - ode|; a
-    gap above ``ORACLE_TOL`` raises NumericalInstabilityError, and a failed
-    flow raises FlowInstabilityError.  Without ``fmap`` both are None.
+    is its flowed table ``dft(fmap, requests)`` (``second_coeff_bundle`` by
+    default) and ``gap`` the largest |exact - ode|; a gap above
+    ``ORACLE_TOL`` raises NumericalInstabilityError, and a failed flow raises
+    FlowInstabilityError.  Without ``fmap`` both are None.
     """
     exact = carath.quadratic_coeffs(jet, requests)
     if fmap is None:
         return exact, None, None
-    ode = carath.second_coeff_bundle(fmap, requests)
+    ode = (dft or carath.second_coeff_bundle)(fmap, requests)
     gap = max(abs(exact[key] - ode[key]) for key in exact)
     if not gap <= ORACLE_TOL:
         raise NumericalInstabilityError(
@@ -215,8 +219,14 @@ def verify_gprime_bounds(g: df.DiscFunction, dom: bg.BallGeometry, N: int,
     flowed, once, for its pure (1, 1) and mixed (2, 1) coefficients: the
     limit of g(z_2) z is P f P for the swap P of z_1 and z_2, so
     ``parametric[g(z2)z]``'s mixed (1, 2) coefficient, exact and flowed, is
-    f's mixed (2, 1).  ``canonical_gap`` is that one flow's gap and the
-    attainment gap reads its flowed values.
+    f's mixed (2, 1).  The flow runs on the circle zeta (e_1 + e_2) alone, at
+    both DFT radii (zeta e_1 on the rank-1 Euclidean ball): the unitaries
+    diag(1, e^{i phi}) on (z_1, z_2) fix e_1 and commute with g(z_1) z, so
+    f_1 does not depend on z_2 and f_2 is z_2 times a function of z_1.
+    Component 1 there gives pure (1, 1) and component 2 mixed (2, 1), bit
+    for bit the values of the three circles zeta e_1 and zeta (e_1 +- e_2).
+    ``canonical_gap`` is that one flow's gap and the attainment gap reads
+    its flowed values.
 
     On the rank-1 Euclidean ball only the diagonal coefficients are covered
     by the supporting-functional argument, so mixed checks are restricted to
@@ -248,9 +258,15 @@ def verify_gprime_bounds(g: df.DiscFunction, dom: bg.BallGeometry, N: int,
              ("g(z2)z", (1, 2, carath.MIXED), (2, 1, carath.MIXED))][:dom.rank]
     flowed = [key for _, _, key in sharp]
     sharp_field = lf.autonomous_field(carath.disc_multiple_map(g, np.eye(dom.n)[0], dom), dom)
+
+    def one_circle(f, keys):
+        vals = f.values(carath.dft_circles([(1, 2 if dom.rank >= 2 else None, 1.0)], dom.n))
+        return {(i, j, kind): carath._reconcile(*carath.circle_dft(vals, 0, i), f"{kind}({i},{j})")
+                for i, j, kind in keys}
+
     exact, ode, canonical_gap = _exact_coeffs(
         lf.parametric_quadratic(sharp_field), flowed,
-        lf.parametric_holmap(sharp_field, label="parametric[g(z1)z]"))
+        lf.parametric_holmap(sharp_field, label="parametric[g(z1)z]"), one_circle)
     for name, (i, j, kind), key in sharp:
         entries.append((f"parametric[{name}]:{kind}({i},{j})", float(abs(exact[key]))))
     attain_gap = max(abs(abs(ode[key]) - bound) for key in flowed)

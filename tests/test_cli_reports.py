@@ -577,6 +577,9 @@ def test_cli_unwritable_out_fails_before_the_run(tmp_path, monkeypatch, capsys):
     ("d1-table", {"seed": 1, "alphas": [], "g": {"family": "starlike_order"}}, "alphas"),
     ("a0-table", {"seed": 1, "alphas": [0.3], "g": {"family": "moebius"}}, "alphas"),
     ("d1-table", {"seed": 1, "g": {"family": "moebius", "alpha": 0.3}}, "g_spec"),
+    ("d1-table", {"seed": 1, "g": {"family": "starlike_order", "alpha": 0.3}}, "g_spec"),
+    ("a0-table", {"seed": 1, "alphas": [0.2], "g": {"family": "strongly_starlike", "alpha": 0.5}},
+     "g_spec"),
     # shear-commute judges max_residual < tolerance, and no looser than 1e-3
     ("shear-commute", {"seed": 1, "N": 1, "tolerance": 1e-2}, "tolerance"),
 ], ids=lambda v: v if isinstance(v, str) else None)

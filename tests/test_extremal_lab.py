@@ -428,18 +428,41 @@ def test_swapped_sharp_map_reads_the_mixed_coefficient_of_the_first(g, dom):
     assert abs(exact_first[swapped]) == abs(df.g_prime0(g))
 
 
+@pytest.mark.parametrize("dom", [P2, bg.polydisc(3), SP], ids=lambda d: f"{d.kind}-{d.n}")
+def test_one_sharp_circle_reads_the_three_circle_coefficients(dom, monkeypatch):
+    # the reason verify_gprime_bounds flows g(z_1) z on the circle through
+    # e_1 + e_2 alone: every unitary fixing e_1 commutes with it, so f_1 does
+    # not depend on z_2 and f_2 is z_2 times a function of z_1.  Its (1, 1)
+    # and (2, 1) values equal the e_1 and e_1 +- e_2 circles' bit for bit
+    sharp, real_exact = [], el._exact_coeffs
+
+    def exact_coeffs(jet, requests, fmap=None, dft=None):
+        exact, ode, gap = real_exact(jet, requests, fmap, dft)
+        if fmap is not None and fmap.describe() == "parametric[g(z1)z]":
+            sharp.append((fmap, ode))
+        return exact, ode, gap
+
+    monkeypatch.setattr(el, "_exact_coeffs", exact_coeffs)
+    for g in CATALOG:
+        el.verify_gprime_bounds(g, dom, N=0, rng=np.random.default_rng(3))
+        fmap, ode = sharp.pop()
+        assert list(ode) == [(1, 1, carath.PURE), (2, 1, carath.MIXED)]
+        assert ode == carath.second_coeff_bundle(fmap, list(ode)), df.describe(g)
+
+
 @pytest.mark.parametrize("dom", [P2, bg.polydisc(3), SP, E2], ids=lambda d: f"{d.kind}-{d.n}")
 def test_gprime_flows_one_sharp_map(dom, monkeypatch):
     calls, real_map = [], lf.parametric_map
 
     def parametric_map(*args, **kwargs):
-        calls.append(args[0])
+        calls.append(len(args[1]))
         return real_map(*args, **kwargs)
 
     monkeypatch.setattr(lf, "parametric_map", parametric_map)
     report = el.verify_gprime_bounds(df.moebius(), dom, N=0, rng=np.random.default_rng(3))
     assert report.passed, report.violations
-    assert len(calls) == 1
+    # one circle at both DFT radii: e_1 + e_2 on rank >= 2, e_1 on E2
+    assert calls == [128]
     assert 0.0 < report.canonical_gap <= 1e-9
 
 
