@@ -34,6 +34,10 @@ from .errors import DomainError, FlowInstabilityError
 _NORM_GROWTH_TOL = 1e-9
 #: smallest step, as a time step: a step ds in d at d spans ds/d in time
 _MIN_STEP = 1e-12
+#: a remainder r <= _STRETCH * step is taken in one step of length r, not as
+#: a full step and a sliver; a rejected attempt retries at under 0.9 of its
+#: length, and 1.1 * 0.9 < 1, so a stretched length is never tried twice
+_STRETCH = 1.1
 #: longest span [s, t] ``flow`` integrates in one call: d = e^{-(t - s)} must
 #: stay a normal double (it underflows past t - s ~ 708)
 MAX_SEGMENT = 700.0
@@ -167,7 +171,7 @@ def _integrate_segment(rem, dom, w, d0, d1, tol, step):
     # attempt keeps its own
     first, last = 0, None
     while r > 0.0:
-        ds = min(step, r)
+        ds = r if r <= _STRETCH * step else step
         for i in range(first, 12):
             d = d1 + (r - nodes[i] * ds)
             np.matmul(_DOP_A[i], Kf[:i], out=S)

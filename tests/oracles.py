@@ -51,10 +51,13 @@ def assert_normalized(f, tol_value: float = 1e-12, tol_jac: float = 1e-8):
 
 
 def leaving_form(dom: bg.BallGeometry, k: int) -> carath.PolynomialMap:
-    """The normalized form z + 4 z_k^2 e_k.  Its flow has z_k' = -(z_k + 4 z_k^2),
-    which carries every real z_k < -1/4 out of the ball (at (-0.5, 0.2i) on
-    the bidisc, k = 1, and at z_k = -0.4 on a DFT circle of radius 0.4)."""
-    return carath._quadratic_field(dom, k, k, 4.0, f"z + 4 z_{k}^2 e_{k}")
+    """The normalized form z + c z_k^2 e_k, c = 2 / (r + r') for the DFT radii
+    r > r' (16/3 at 1/4 and 1/8).  Its flow has z_k' = -(z_k + c z_k^2), which
+    carries every real z_k < -1/c, midway between the radii, out of the ball:
+    at (-0.5, 0.2i) on the bidisc, k = 1, and at z_k = -r on the larger DFT
+    circle, while the smaller one stays in."""
+    c = 2.0 / sum(carath.DFT_RADII)
+    return carath._quadratic_field(dom, k, k, c, f"z + {c:g} z_{k}^2 e_{k}")
 
 
 def random_member(g, dom: bg.BallGeometry, rng: np.random.Generator,
@@ -90,7 +93,7 @@ def reference_segment(rem, dom, w, d0, d1, tol, step):
     K = np.empty((12, w.size), dtype=complex)
     need_first, last = True, None
     while r > 0.0:
-        ds = min(step, r)
+        ds = r if r <= lf._STRETCH * step else step
         if need_first:
             d = d1 + r
             K[0] = -(rem.values(d * w) / d / d).ravel()

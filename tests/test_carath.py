@@ -15,6 +15,7 @@ from loewner_lab.errors import (
     UnsupportedError,
 )
 from oracles import (
+    CATALOG,
     assert_normalized,
     circle_margins,
     domain_norm,
@@ -278,14 +279,53 @@ def test_quadratic_coeffs_validates_requests():
         carath.quadratic_coeffs(Q, [(1, 3, carath.PURE)])
 
 
+@pytest.mark.parametrize("dom", [P2, P3, E2, bg.euclidean(3), SP],
+                         ids=lambda d: f"{d.kind}-{d.n}")
+def test_circle_reads_scale_exactly_with_the_radius(dom, monkeypatch):
+    # the DFT radii are powers of two, so each circle point, r^d and the
+    # division by r^2 are exact: on every circle a homogeneous degree-d part
+    # reads exactly r^(d - 2) times its DFT on the unit circle.  A quadratic
+    # part reads one float at both radii, and so does z + c z_j^2 e_i (F_ij+
+    # in a scan): its gap in the two-radius check is exactly 0
+    n, rng = dom.n, np.random.default_rng(41)
+    directions = [(j, None, 1.0) for j in range(1, n + 1)]
+    directions += [(p, q, s) for p, q in itertools.combinations(range(1, n + 1), 2)
+                   for s in (1.0, -1.0)]
+    Z = carath.dft_circles(directions, n)
+    with monkeypatch.context() as patch:
+        patch.setattr(carath, "DFT_RADII", (1.0,))
+        Z1 = carath.dft_circles(directions, n)
+    for degree in (2, 3, 4):
+        terms = {(comp, exps): 0.2 * complex(rng.standard_normal(), rng.standard_normal())
+                 for comp in range(1, n + 1)
+                 for exps in itertools.product(range(degree + 1), repeat=n)
+                 if sum(exps) == degree}
+        f = carath.PolynomialMap(terms, dom)
+        vals, unit = f.values(Z), f.values(Z1)
+        for k, comp in itertools.product(range(len(directions)), range(1, n + 1)):
+            read = (unit[k * carath.DFT_POINTS:(k + 1) * carath.DFT_POINTS, comp - 1]
+                    * carath._PHASE).mean()
+            want = [read * r ** (degree - 2) for r in carath.DFT_RADII]
+            assert carath.circle_dft(vals, k, comp) == want, (degree, directions[k], comp)
+    i, j = dom.frame_coords[:2] if dom.rank >= 2 else (1, 2)
+    axis = carath.dft_circles([(j, None, 1.0)], n)
+    for g, sign in itertools.product(CATALOG, (1, -1)):
+        main, check = carath.circle_dft(carath.canonical_field(g, dom, i, j, sign).values(axis),
+                                        0, i)
+        assert main == check
+
+
 def test_second_coeff_instability_detected():
+    # a z_2^2 term that only the larger DFT circle meets
+    cut = sum(carath.DFT_RADII) / 2
+
     def broken(Z):
         out = Z.copy()
-        out[:, 0] += np.where(np.abs(Z[:, 1]) > 0.3, Z[:, 1] ** 2, 0.0)
+        out[:, 0] += np.where(np.abs(Z[:, 1]) > cut, Z[:, 1] ** 2, 0.0)
         return out
 
     f = carath.BlackBoxMap(broken, P2, normalized=True)
-    with pytest.raises(NumericalInstabilityError):
+    with pytest.raises(NumericalInstabilityError, match="between radii"):
         carath.second_coeff(f, 1, 2, carath.PURE)
 
 

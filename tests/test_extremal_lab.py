@@ -199,8 +199,8 @@ def test_bound_report_json():
 
 def expanding_samples(dom, count):
     """``sample_Sg0``'s list for ``count`` draws of a schedule whose flow
-    leaves the ball from z_2 = -0.4, on the e_2 circles of radius 0.4 that
-    scan and gprime take coefficients on."""
+    leaves the ball from z_2 = -DFT_RADII[0], on the circles of that radius
+    that scan and gprime take coefficients on."""
     return [lf.autonomous_field(leaving_form(dom, 2), dom)] * count
 
 
@@ -227,9 +227,12 @@ def test_flow_failure_of_a_checked_draw_exits_3(command, monkeypatch, tmp_path, 
 
 
 def test_two_radius_disagreement_is_not_resampled(monkeypatch, tmp_path):
+    # a z_2^2 term that only the larger DFT circle meets
+    cut = sum(carath.DFT_RADII) / 2
+
     def broken(Z):
         out = Z.copy()
-        out[:, 0] += np.where(np.abs(Z[:, 1]) > 0.3, Z[:, 1] ** 2, 0.0)
+        out[:, 0] += np.where(np.abs(Z[:, 1]) > cut, Z[:, 1] ** 2, 0.0)
         return out
 
     draws, built, real, real_make = [], [], el.sample_Sg0, lf.make_field
@@ -248,14 +251,15 @@ def test_two_radius_disagreement_is_not_resampled(monkeypatch, tmp_path):
     monkeypatch.setattr(lf, "parametric_holmap",
                         lambda field, **kwargs: carath.BlackBoxMap(broken, field.domain,
                                                                    normalized=True))
-    with pytest.raises(NumericalInstabilityError) as info:
+    with pytest.raises(NumericalInstabilityError, match="between radii") as info:
         el.scan_support(df.moebius(), P2, 1, 2, N=1, rng=np.random.default_rng(0))
     assert not isinstance(info.value, FlowInstabilityError)
     # one draw, drawn once and built once: no second sample replaces it
     assert draws == [1] and len(built) == 1
     out = tmp_path / "scan.json"
     assert cli.main(["scan", "--seed", "1", "--n", "1", "--out", str(out)]) == 3
-    assert json.loads(out.read_text())["instability"] is True
+    report = json.loads(out.read_text())
+    assert report["instability"] is True and "between radii" in report["payload"]["error"]
 
 
 @pytest.mark.parametrize("dom", [P2, bg.polydisc(3), E2, bg.euclidean(3), SP],

@@ -199,7 +199,7 @@ def test_flow_and_limit_match_the_flow_check_closed_forms():
 
 
 def test_flow_leaving_the_ball_raises_flow_instability():
-    # h = z + 4 z_1^2 e_1 pushes z_1 = -0.5 outward; the norm check on
+    # h = z + (16/3) z_1^2 e_1 pushes z_1 = -0.5 outward; the norm check on
     # v = d w catches it, in a flow and in a parametric limit
     field = lf.autonomous_field(leaving_form(P2, 1), P2)
     with pytest.raises(FlowInstabilityError, match="ball exit"):
@@ -517,6 +517,28 @@ def test_flow_carries_the_step_across_breakpoints(monkeypatch):
     assert counters[1].stage_ds(y)[0] == pytest.approx(np.exp(-0.7))
 
 
+def test_a_last_step_within_a_tenth_of_the_step_is_taken_whole():
+    # the identity's remainder is 0, so w stays put and every step is
+    # accepted, the controller proposing 5x the step it took.  From d = 1 to
+    # 0.375 with 0.1 first, the rest 0.525 is within 1.1 x 0.5 of the
+    # proposal: one step of 0.525 ends the segment, not 0.5 and a 0.025 sliver
+    zero = carath.remainder_map(carath.identity_map(P2))
+    y = np.array([[0.3 + 0.1j, -0.2j]])
+    for kernel in (lf._integrate_segment, reference_segment):
+        plain = CountingMap(zero)
+        kernel(plain, P2, y, 1.0, 0.375, 1e-10, 0.1)
+        assert plain.calls == 24
+        assert [plain.stage_ds(y)[k] for k in (12, 23)] == pytest.approx([0.9, 0.375], abs=1e-15)
+        # a spoiled sixth stage rejects the stretched attempt; the retry is
+        # shorter than the rest (its last stage, at d1 + r - ds, lies above
+        # d1), so it is never stretched again, and the segment ends
+        spoiled = CountingMap(zero, spoil={18})
+        end, _ = kernel(spoiled, P2, y, 1.0, 0.375, 1e-10, 0.1)
+        retry_end = spoiled.stage_ds(y)[34]
+        assert 0.375 < retry_end < 0.9 and spoiled.stage_ds(y)[-1] == pytest.approx(0.375)
+        assert np.array_equal(end, y)
+
+
 def same_segment(got, want):
     """Equal endpoints, part by part as floats (an exact zero may differ in
     sign alone), and equal next steps."""
@@ -573,10 +595,14 @@ def test_kernel_matches_the_reference_through_rejections_and_on_no_points():
 
 
 #: (g, domain, most RHS calls) of each gprime sharp flow, parametric[g(z1)z],
-#: on its DFT circles; the I-controller alone took 235, 152 and 95 calls,
-#: rejecting 5, 4 and 1 attempts, as its error constant grew about 3x a step
-SHARP_FLOWS = [(df.moebius(), P2, 191), (df.starlike_order(0.3), E2, 119),
-               (df.strongly_starlike(0.5), SP, 107)]
+#: on its DFT circles.  On circles of radius 0.4 and 0.2 the I-controller
+#: alone took 235, 152 and 95 calls, rejecting 5, 4 and 1 attempts, as its
+#: error constant grew about 3x a step, and the predictive one 191, 119 and
+#: 107.  At radii 1/4 and 1/8 the flow's singularity, at |d| = 1/(4|b(z1)|)
+#: for Koebe's b, lies 2.5x further out, and a last step within 1.1x of the
+#: proposed one is taken whole
+SHARP_FLOWS = [(df.moebius(), P2, 107), (df.starlike_order(0.3), E2, 71),
+               (df.strongly_starlike(0.5), SP, 60)]
 
 
 @pytest.mark.parametrize("g,dom,most", SHARP_FLOWS, ids=["P2", "E2", "spectral2"])
@@ -749,7 +775,7 @@ def test_make_field_lays_generators_on_consecutive_segments():
 
 
 def test_flow_aborts_on_norm_growth():
-    # z_1' = -(z_1 + 4 z_1^2) grows from -0.3, to about -0.306 at t = 0.1;
+    # z_1' = -(z_1 + (16/3) z_1^2) grows from -0.3, to about -0.320 at t = 0.1;
     # the monitor must abort at the first growth, deep inside the ball
     field = lf.autonomous_field(leaving_form(P2, 1), P2)
     with pytest.raises(NumericalInstabilityError):
