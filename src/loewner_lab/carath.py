@@ -23,11 +23,12 @@ cancellation (``remainder_map``).
 ``second_coeff`` extracts the second-order Taylor data at the origin through
 Cauchy integrals discretized as 64-point DFTs on circles (a mixed coefficient
 from the two circles through e_p + e_q and e_p - e_q), with a dual-radius
-consistency check at radii 1/4 and 1/8 (``DFT_RADII``).  Small circles cost
+consistency check at radii 1/8 and 1/16 (``DFT_RADII``).  Small circles cost
 nothing in accuracy: a term of degree 66 aliases in at O(r^64), and rounding
 costs about eps/r.  They save flow steps: a parametric limit's flow is
-singular near |d| = 1/(4|b(z)|) for Koebe's b, 0.56 at |z| = 1/4 against 0.225
-at 0.4.  The circles come from ``dft_circles`` and each DFT from
+singular near |d| = 1/(4|b(z)|) for Koebe's b, 1.53 at |z| = 1/8, outside the
+unit d-disc the flow runs in, against 0.56 at 1/4.  The circles come from
+``dft_circles`` and each DFT from
 ``circle_dft``, which a caller that knows its map's symmetries may use on
 fewer circles.  ``certify_Mg`` tests, on deterministic tori and by
 Monte-Carlo sampling, that all supporting values l_z(h(z))/||z|| of a
@@ -84,8 +85,9 @@ CERTIFY_BLOCK = 8192
 #: polynomial map reads the same float at both radii.  Aliasing is O(r^64) and
 #: rounding about eps/r (Bornemann, Found. Comput. Math. 11, 2011).  A flowed
 #: limit's step length tracks the distance to its singularities, which for
-#: Koebe's z/(1 - z)^2 lie at |d| = 1/(4|b(z)|): 0.56 at r = 1/4, 0.225 at 0.4.
-DFT_RADII = (0.25, 0.125)
+#: Koebe's z/(1 - z)^2 lie at |d| = 1/(4|b(z)|): 1.53 at r = 1/8, outside the
+#: unit d-disc, against 0.56 at 1/4 and 0.225 at 0.4.
+DFT_RADII = (0.125, 0.0625)
 #: points per Cauchy DFT circle
 DFT_POINTS = 64
 _THETA = 2.0 * np.pi * np.arange(DFT_POINTS) / DFT_POINTS

@@ -154,7 +154,10 @@ def scan_support(g: df.DiscFunction, dom: bg.BallGeometry, i: int, j: int, N: in
     of these cross-checks and their largest gap.  So is ``parametric[h+]``,
     always (``canonical_gap``); ``parametric[h-]`` is scored exactly and not
     flowed, since on the e_j circle its flow is the plus flow negated, bit
-    for bit.  The closed-form maps go through the DFT.
+    for bit.  The closed-form maps are scored exactly from their forms
+    (``FlatForm.quadratic``), as the parametric ones are, so F_ij+ ties
+    ``parametric[h-]`` at the bound bit for bit and is named, being listed
+    first; F_ij+'s DFT read is the attainment check.
 
     What the scan shows is that the code is right, not that the theorem is.
     The quadratic part of a sampled map is minus a convex combination of its
@@ -180,15 +183,14 @@ def scan_support(g: df.DiscFunction, dom: bg.BallGeometry, i: int, j: int, N: in
             gaps.append(gap)
         entries.append((f"{label}#{s}", float(coeffs[requests[0]].real)))
 
-    def coeff(f):
-        return float(carath.second_coeff(f, i, j, carath.PURE).real)
+    def exact(f):
+        return float(carath.quadratic_coeffs(f.form.quadratic(dom.n), requests)[requests[0]].real)
 
     f_plus = support_map(g, dom, i, j, +1)
     f_minus = support_map(g, dom, i, j, -1)
-    plus_val = coeff(f_plus)
-    entries.append((f_plus.describe(), plus_val))
-    entries.append((f_minus.describe(), coeff(f_minus)))
-    entries.append(("identity", coeff(carath.identity_map(dom))))
+    entries.append((f_plus.describe(), exact(f_plus)))
+    entries.append((f_minus.describe(), exact(f_minus)))
+    entries.append(("identity", exact(carath.identity_map(dom))))
     h_plus, h_minus = (lf.autonomous_field(carath.canonical_field(g, dom, i, j, sign), dom)
                        for sign in (+1, -1))
     plus, _, canonical_gap = _exact_coeffs(
@@ -200,7 +202,7 @@ def scan_support(g: df.DiscFunction, dom: bg.BallGeometry, i: int, j: int, N: in
 
     best = max(entries, key=lambda e: e[1])
     violations = [(name, val) for name, val in entries if val > bound + tolerance]
-    attained = abs(plus_val - bound)
+    attained = abs(float(carath.second_coeff(f_plus, i, j, carath.PURE).real) - bound)
     if attained > _ATTAIN_TOL:
         violations.append(("attainment-gap:" + f_plus.describe(), attained))
     return BoundReport((i, j, carath.PURE), bound, best[1], best[0],

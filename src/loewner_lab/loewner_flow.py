@@ -6,15 +6,19 @@ then trivial, breakpoints integrate exactly (they are forced step
 boundaries), and convex combinations inside each segment already give a rich
 sampling family.  The integrator is the embedded Dormand-Prince 8(5,3) pair
 (DOP853), with Gustafsson's predictive step control at a relative tolerance,
-the step size carried across breakpoints and the control's history and
-numpy's error state set per segment; it works in place on real views of its
-stages, with the roundings of plain complex arithmetic.  A flow on [s, t]
-runs in compactified time d = e^{-(tau - s)}, from 1 down to e^{-(t - s)},
-on w = e^{tau - s} v: dw/dd = R(d w)/d^2 with R = h - id, evaluated as
-(R(d w)/d)/d so that d^2 never underflows.  For a normalized h,
+a first attempt over the whole first segment, the step size carried across
+breakpoints and the control's history and numpy's error state set per
+segment; it works in place on real views of its stages, with the roundings
+of plain complex arithmetic, and sums each step into w with Kahan's
+compensation.  A flow on [s, t] runs in compactified time d = e^{-(tau - s)},
+from 1 down to e^{-(t - s)}, on w = e^{tau - s} v: dw/dd = R(d w)/d^2 with
+R = h - id, evaluated as (R(d w)/d)/d so that d^2 never underflows.  For a normalized h,
 R(x) = O(|x|^2) (``carath.remainder_map``, free of cancellation), so the
 right-hand side stays bounded down to d = 0 and the parametric limit
-lim e^t v is the endpoint of one flow over a finite d-interval.
+lim e^t v is the endpoint of one flow over a finite d-interval.  On a
+sharp limit's DFT circles that right-hand side is singular only outside the
+unit d-disc (``carath.DFT_RADII``), so the first attempt tries the whole
+segment, and the controller shortens it if the error estimate rejects it.
 """
 
 from __future__ import annotations
@@ -43,8 +47,6 @@ _STRETCH = 1.1
 MAX_SEGMENT = 700.0
 #: length of each ``make_field`` segment
 SEGMENT_DT = 0.5
-#: step in d the first attempt of a flow tries
-FIRST_STEP = 0.1
 #: ``parametric_map`` scales the flow to t = HORIZON by e^HORIZON; the tail
 #: beyond it is O(e^-HORIZON) = 4e-18 relative
 HORIZON = 40.0
@@ -136,7 +138,7 @@ class FlowResult:
     horizon_used: float
 
 
-@np.errstate(divide="ignore", invalid="ignore")
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _integrate_segment(rem, dom, w, d0, d1, tol, step):
     """Flow w from d = d0 down to d1 under dw/dd = (R(d w)/d)/d, R = ``rem``,
     trying ``step`` first; returns w(d1) and the controller's next step.
@@ -152,11 +154,18 @@ def _integrate_segment(rem, dom, w, d0, d1, tol, step):
     divides a complex by a real as both parts times the reciprocal, so all
     complex-by-real arithmetic runs on real views with the same roundings.
     The results are those of plain complex arithmetic, but for the sign of
-    an exact zero.
+    an exact zero.  An accepted update w - ds S is summed with Kahan's
+    compensation (Higham, Accuracy and Stability of Numerical Algorithms,
+    sec. 4.3): ``comp`` carries what the rounding of w dropped into the next
+    update, so round-off does not grow with the number of steps, and the
+    segment returns w + comp.
 
     From a segment's second accepted step on, the step factor is the lesser of
     the I-controller's and Gustafsson's predictive one (Hairer & Wanner II,
     sec. IV.8), whose (ds, err) history, like numpy's error state, is per segment.
+    That state ignores division by zero (the unguarded g - 1 of a remainder)
+    and overflow, which an attempt across a blow-up of the flow meets: its
+    error estimate is then not finite, and the attempt is rejected.
     """
     if not w.size:
         return w, step
@@ -170,6 +179,7 @@ def _integrate_segment(rem, dom, w, d0, d1, tol, step):
     # an accepted step ends at the next step's first stage, and a rejected
     # attempt keeps its own
     first, last = 0, None
+    comp = np.zeros_like(wf)
     while r > 0.0:
         ds = r if r <= _STRETCH * step else step
         for i in range(first, 12):
@@ -196,7 +206,10 @@ def _integrate_segment(rem, dom, w, d0, d1, tol, step):
         if rel <= tol:
             np.matmul(_DOP_B, Kf, out=S)
             S *= ds
-            wf = wf - S
+            y = comp - S
+            new = wf + y
+            comp = (wf - new) + y
+            wf = new
             first = 0
             r = r - ds
             norms = np.asarray(bg.norm(dom, (wf * (d1 + r)).view(complex).reshape(shape)))
@@ -213,18 +226,19 @@ def _integrate_segment(rem, dom, w, d0, d1, tol, step):
         # an accepted step that ended the segment is never too small
         if r > 0.0 and step < _MIN_STEP * (d1 + r):
             raise FlowInstabilityError("step size underflow in the flow integrator")
-    return wf.view(complex).reshape(shape), step
+    return (wf + comp).view(complex).reshape(shape), step
 
 
 def flow(field: HerglotzField, z, s: float, t: float, tol: float = 1e-10) -> FlowResult:
     """Solution v(z, s, t) of dv/dtau = -h(v, tau), v(z, s, s) = z.
 
     Adaptive Dormand-Prince 8(5,3) at relative tolerance ``tol``, applied to
-    w = e^{tau - s} v in d = e^{-(tau - s)} (module docstring); schedule
-    breakpoints are forced step boundaries, and the step size goes on across
-    them.  The trajectory must stay finite and in the open ball with
-    nonincreasing norm (up to 1e-9 per step), else the integrator aborts with
-    ``FlowInstabilityError``, as it does on step-size underflow.  A start
+    w = e^{tau - s} v in d = e^{-(tau - s)} (module docstring).  The first
+    attempt spans the first segment; schedule breakpoints are forced step
+    boundaries, and the step size goes on across them.  The trajectory must
+    stay finite and in the open ball with nonincreasing norm (up to 1e-9 per
+    step), else the integrator aborts with ``FlowInstabilityError``, as it
+    does on step-size underflow.  A start
     that is not finite or not in the open ball, and a span t - s longer than
     MAX_SEGMENT, raise ``DomainError`` before any step.  An empty (0, n)
     batch returns at once.
@@ -241,7 +255,8 @@ def flow(field: HerglotzField, z, s: float, t: float, tol: float = 1e-10) -> Flo
                           "(e^-(t-s) must stay a normal double); flow in shorter calls")
 
     bounds = [s, *(tau for tau in field.times if s < tau < t), t]
-    step = FIRST_STEP
+    # an infinite step: the first attempt is the whole first segment
+    step = math.inf
     for a, b in zip(bounds, bounds[1:]):
         rem = carath.remainder_map(field.maps[field.segment(a)])
         w, step = _integrate_segment(rem, field.domain, w, math.exp(s - a), math.exp(s - b),

@@ -52,7 +52,7 @@ def assert_normalized(f, tol_value: float = 1e-12, tol_jac: float = 1e-8):
 
 def leaving_form(dom: bg.BallGeometry, k: int) -> carath.PolynomialMap:
     """The normalized form z + c z_k^2 e_k, c = 2 / (r + r') for the DFT radii
-    r > r' (16/3 at 1/4 and 1/8).  Its flow has z_k' = -(z_k + c z_k^2), which
+    r > r' (32/3 at 1/8 and 1/16).  Its flow has z_k' = -(z_k + c z_k^2), which
     carries every real z_k < -1/c, midway between the radii, out of the ball:
     at (-0.5, 0.2i) on the bidisc, k = 1, and at z_k = -r on the larger DFT
     circle, while the smaller one stays in."""
@@ -91,7 +91,7 @@ def reference_segment(rem, dom, w, d0, d1, tol, step):
     r = d0 - d1
     norms_prev = np.asarray(bg.norm(dom, d0 * w))
     K = np.empty((12, w.size), dtype=complex)
-    need_first, last = True, None
+    need_first, last, comp = True, None, np.zeros_like(w)
     while r > 0.0:
         ds = r if r <= lf._STRETCH * step else step
         if need_first:
@@ -109,7 +109,10 @@ def reference_segment(rem, dom, w, d0, d1, tol, step):
                                           where=denom > 0)))
         factor = 0.9 * (tol / max(rel, 1e-300)) ** 0.125
         if rel <= tol:
-            w = w + ds * _stage_sum(lf._DOP_B, K, w.shape)
+            y = comp + ds * _stage_sum(lf._DOP_B, K, w.shape)
+            new = w + y
+            comp = (w - new) + y
+            w = new
             need_first = True
             r = r - ds
             d = d1 + r
@@ -128,7 +131,7 @@ def reference_segment(rem, dom, w, d0, d1, tol, step):
         step = ds * min(5.0, max(0.2, factor))
         if r > 0.0 and step < lf._MIN_STEP * (d1 + r):
             raise FlowInstabilityError("step size underflow in the flow integrator")
-    return w, step
+    return w + comp, step
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,14 @@ def test_a_table_spells_each_float_alike_in_csv_and_json(tmp_path):
 #: radial map's diagonal coefficient and two scan maxima (by 1 and 2 ulp)
 #: moved, each by at most 9e-16; every verdict, attaining map, sample count
 #: and cross-check count held, and the six certify reports kept their bytes.
+#: The same ten were rewritten once the circles moved to radii 1/8 and 1/16,
+#: a flow's first attempt spanned its first segment and each step was summed
+#: into w with Kahan's compensation: ODE gaps, residuals, the summaries that
+#: print them and the radial map's imaginary diagonal part moved, each by
+#: less than 1.8e-15, and scan_spectral2's maximum fell 2 ulp to the exact
+#: bound, F_12+ now being scored from its form; every verdict, attaining
+#: map, sample count and cross-check count held, and the six certify
+#: reports kept their bytes.
 #: A change that alters these bytes must say so in CHANGES.md.  A file is
 #: named <subcommand>_<label>.
 GOLDEN = Path(__file__).parent / "data" / "golden"

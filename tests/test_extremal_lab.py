@@ -352,6 +352,19 @@ def test_canonical_maps_are_scored_exactly_and_cross_checked(dom):
     assert gprime.attaining_map_id == "parametric[g(z1)z]:pure(1,1)"
 
 
+@pytest.mark.parametrize("dom", [P2, bg.polydisc(3), E2, bg.euclidean(3), SP],
+                         ids=lambda d: f"{d.kind}-{d.n}")
+def test_the_closed_form_map_is_named_at_the_exact_bound(dom):
+    # F_12+ and parametric[h-] are both scored from their quadratic parts,
+    # so they tie at the bound bit for bit and F_12+, listed first, is named;
+    # a DFT read of F_12+ would race parametric[h-] by an ulp either way
+    for g in CATALOG:
+        report = el.scan_support(g, dom, 1, 2, N=0, rng=np.random.default_rng(4))
+        assert report.passed, report.violations
+        assert report.attaining_map_id == f"F_12[{df.describe(g)}]+"
+        assert report.empirical_max == report.theoretical_bound
+
+
 def canonical_parametric(g, dom, sign):
     h_field = lf.autonomous_field(carath.canonical_field(g, dom, 1, 2, sign), dom)
     return h_field, lf.parametric_holmap(h_field, ode_tol=el.SAMPLER_ODE_TOL)

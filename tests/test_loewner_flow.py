@@ -103,11 +103,12 @@ def test_flow_refuses_a_non_finite_start(dom):
 
 
 def test_a_non_finite_stage_aborts_the_flow(monkeypatch):
-    # every call after the first step returns NaN: the error norm masks NaN
-    # rows and accepts, and the first NaN norm must abort
+    # every call after the first stage returns NaN: the error norm masks NaN
+    # rows and accepts the attempt, which spans the segment, and the first
+    # NaN norm must abort
     remainder = carath.remainder_map
     monkeypatch.setattr(carath, "remainder_map",
-                        lambda h: CountingMap(remainder(h), spoil=range(13, 10**4), by=np.nan))
+                        lambda h: CountingMap(remainder(h), spoil=range(2, 10**4), by=np.nan))
     with pytest.raises(FlowInstabilityError, match="not finite"):
         lf.flow(shear_field(df.moebius(), P2), [0.3, 0.1], 0.0, 1.0)
 
@@ -199,7 +200,7 @@ def test_flow_and_limit_match_the_flow_check_closed_forms():
 
 
 def test_flow_leaving_the_ball_raises_flow_instability():
-    # h = z + (16/3) z_1^2 e_1 pushes z_1 = -0.5 outward; the norm check on
+    # h = z + (32/3) z_1^2 e_1 pushes z_1 = -0.5 outward; the norm check on
     # v = d w catches it, in a flow and in a parametric limit
     field = lf.autonomous_field(leaving_form(P2, 1), P2)
     with pytest.raises(FlowInstabilityError, match="ball exit"):
@@ -497,24 +498,23 @@ def test_dop853_accounting_reuses_the_accepted_stage():
 
 
 def test_flow_carries_the_step_across_breakpoints(monkeypatch):
-    # the identity's remainder is 0, so every step is accepted and the
-    # controller proposes 5x the step it took.  From d = 1 to 0.6 with 0.1
-    # first: steps 0.1 and 0.3 (0.5 clipped), and 1.5 is handed on
-    zero = CountingMap(carath.remainder_map(carath.identity_map(P2)))
+    # on g(z1) z from (0.3 + 0.1i, -0.2i), the step the first segment [0, 0.7]
+    # hands on, 0.08 in d, is shorter than the next segment [0.7, 1.4], 0.25
+    # in d, so a carried step and a restart spanning the segment differ
     y = np.array([[0.3 + 0.1j, -0.2j]])
-    _, step = lf._integrate_segment(zero, P2, y, 1.0, 0.6, 1e-10, 0.1)
-    assert zero.calls == 24 and step == pytest.approx(1.5)
-    assert [zero.stage_ds(y)[k] for k in (0, 12)] == pytest.approx([1.0, 0.9])
-    # a flow across the breakpoint at 0.7 takes the same two steps to it, the
-    # breakpoint a step boundary, and goes on from the clipped step's
-    # proposal, which reaches t = 1.4 in one step, rather than from 0.1 again
+    h = koebe_field(P2).maps[0]
+    rem = carath.remainder_map(h)
+    first = CountingMap(rem)
+    w, step = lf._integrate_segment(first, P2, y, 1.0, math.exp(-0.7), 1e-10, math.inf)
+    carried, restarted = CountingMap(rem), CountingMap(rem)
+    for counter, start in ((carried, step), (restarted, math.inf)):
+        lf._integrate_segment(counter, P2, w, math.exp(-0.7), math.exp(-1.4), 1e-10, start)
+    assert step < math.exp(-0.7) - math.exp(-1.4) and carried.calls != restarted.calls
+    # a flow across the breakpoint at 0.7 takes the first segment's calls
+    # from a whole-segment attempt, then goes on from the step it handed on
     counters = counting_remainders(monkeypatch)
-    ident = carath.identity_map(P2)
-    piecewise = lf.HerglotzField((0.0, 0.7), (ident, ident), P2)
-    lf.flow(piecewise, y, 0.0, 1.4)
-    assert [c.calls for c in counters] == [24, 12]
-    assert [counters[0].stage_ds(y)[k] for k in (0, 12)] == pytest.approx([1.0, 0.9])
-    assert counters[1].stage_ds(y)[0] == pytest.approx(np.exp(-0.7))
+    lf.flow(lf.HerglotzField((0.0, 0.7), (h, h), P2), y, 0.0, 1.4)
+    assert [c.calls for c in counters] == [first.calls, carried.calls]
 
 
 def test_a_last_step_within_a_tenth_of_the_step_is_taken_whole():
@@ -600,9 +600,11 @@ def test_kernel_matches_the_reference_through_rejections_and_on_no_points():
 #: error constant grew about 3x a step, and the predictive one 191, 119 and
 #: 107.  At radii 1/4 and 1/8 the flow's singularity, at |d| = 1/(4|b(z1)|)
 #: for Koebe's b, lies 2.5x further out, and a last step within 1.1x of the
-#: proposed one is taken whole
-SHARP_FLOWS = [(df.moebius(), P2, 107), (df.starlike_order(0.3), E2, 71),
-               (df.strongly_starlike(0.5), SP, 60)]
+#: proposed one is taken whole: 107, 71 and 60.  At radii 1/8 and 1/16 it
+#: lies 2.7x further out again, outside the unit d-disc, and the first
+#: attempt spans the segment instead of trying 0.1
+SHARP_FLOWS = [(df.moebius(), P2, 59), (df.starlike_order(0.3), E2, 35),
+               (df.strongly_starlike(0.5), SP, 35)]
 
 
 @pytest.mark.parametrize("g,dom,most", SHARP_FLOWS, ids=["P2", "E2", "spectral2"])
@@ -620,13 +622,25 @@ def test_sharp_gprime_flows_reject_at_most_one_attempt(g, dom, most, monkeypatch
     assert calls <= most and rest == 0 and rejected <= 1
 
 
+@pytest.mark.parametrize("g,dom", [(g, dom) for g, dom, _ in SHARP_FLOWS],
+                         ids=["P2", "E2", "spectral2"])
+def test_the_canonical_scan_flow_takes_one_attempt(g, dom, monkeypatch):
+    # parametric[h+] of a scan, on its e_j circle: the remainder c z_j^2 e_i
+    # makes the right-hand side constant in d, so the attempt spanning the
+    # segment from d = 1 to e^-HORIZON is exact and accepted, in 12 calls
+    counters = counting_remainders(monkeypatch)
+    report = el.scan_support(g, dom, 1, 2, N=0, rng=np.random.default_rng(0))
+    assert report.passed and [c.calls for c in counters] == [12]
+
+
 def test_the_step_history_resets_at_every_breakpoint(monkeypatch):
-    # a 3-piece flow takes the calls of its segments run one by one, each
-    # handed only the point and the step the last one ended with
+    # a 3-piece flow takes the calls of its segments run one by one, the
+    # first from an attempt spanning it, each later one handed only the point
+    # and the step the last one ended with
     field = sampled_schedule(df.moebius(), P2, np.random.default_rng(30), 3)
     Z = ball_points(P2, np.random.default_rng(31), 16)
     bounds = [*field.times, lf.HORIZON]
-    w, step, alone = Z.copy(), lf.FIRST_STEP, []
+    w, step, alone = Z.copy(), math.inf, []
     for h, a, b in zip(field.maps, bounds, bounds[1:]):
         rem = CountingMap(carath.remainder_map(h))
         w, step = lf._integrate_segment(rem, P2, w, math.exp(-a), math.exp(-b), 1e-10, step)
@@ -775,7 +789,7 @@ def test_make_field_lays_generators_on_consecutive_segments():
 
 
 def test_flow_aborts_on_norm_growth():
-    # z_1' = -(z_1 + (16/3) z_1^2) grows from -0.3, to about -0.320 at t = 0.1;
+    # z_1' = -(z_1 + (32/3) z_1^2) grows from -0.3, to about -0.390 at t = 0.1;
     # the monitor must abort at the first growth, deep inside the ball
     field = lf.autonomous_field(leaving_form(P2, 1), P2)
     with pytest.raises(NumericalInstabilityError):
