@@ -21,16 +21,20 @@ the remainder h - id that the flow integrates is derived from it without
 cancellation (``remainder_map``).
 
 ``second_coeff`` extracts the second-order Taylor data at the origin through
-Cauchy integrals discretized as 64-point DFTs on circles (a mixed coefficient
+Cauchy integrals discretized as 32-point DFTs on circles (a mixed coefficient
 from the two circles through e_p + e_q and e_p - e_q), with a dual-radius
-consistency check at radii 1/8 and 1/16 (``DFT_RADII``).  Small circles cost
-nothing in accuracy: a term of degree 66 aliases in at O(r^64), and rounding
-costs about eps/r.  They save flow steps: a parametric limit's flow is
-singular near |d| = 1/(4|b(z)|) for Koebe's b, 1.53 at |z| = 1/8, outside the
-unit d-disc the flow runs in, against 0.56 at 1/4.  The circles come from
-``dft_circles`` and each DFT from
-``circle_dft``, which a caller that knows its map's symmetries may use on
-fewer circles.  ``certify_Mg`` tests, on deterministic tori and by
+consistency check at radii 1/32 and 1/64 (``DFT_RADII``).  Small circles cost
+little in accuracy: a term of degree 34 aliases in at O(r^32) = 2^-160, and
+rounding costs about eps/r = 7e-15.  They save flow steps: a parametric
+limit's flow is singular near |d| = 1/(4|b(z)|) for Koebe's b, 961/128 = 7.5
+at |z| = 1/32.  The radii are the largest powers of two at which the flow
+of every sharp gprime limit measured (five domains, moebius and three
+families at five alphas) takes one accepted DOP853 attempt: at 1/8, with
+that singularity at 1.53 and so already outside the unit d-disc the flow
+runs in, such flows took up to 70 RHS calls, and at 1/16 the moebius one on
+the bidisc still took 35.  The circles come from ``dft_circles`` and each
+DFT from ``circle_dft``, which a caller that knows its map's symmetries may
+use on fewer circles.  ``certify_Mg`` tests, on deterministic tori and by
 Monte-Carlo sampling, that all supporting values l_z(h(z))/||z|| of a
 normalized map lie in g(U).  It streams its points (``certification_blocks``)
 in blocks of ``CERTIFY_BLOCK`` rows: seeded sphere samples, the polydisc edge
@@ -82,14 +86,22 @@ CERTIFY_BLOCK = 8192
 
 #: radii of the Cauchy DFT circles: the value, then the consistency check.
 #: Powers of two, so r e^{i theta}, r^2 and the division by it are exact and a
-#: polynomial map reads the same float at both radii.  Aliasing is O(r^64) and
-#: rounding about eps/r (Bornemann, Found. Comput. Math. 11, 2011).  A flowed
-#: limit's step length tracks the distance to its singularities, which for
-#: Koebe's z/(1 - z)^2 lie at |d| = 1/(4|b(z)|): 1.53 at r = 1/8, outside the
-#: unit d-disc, against 0.56 at 1/4 and 0.225 at 0.4.
-DFT_RADII = (0.125, 0.0625)
-#: points per Cauchy DFT circle
-DFT_POINTS = 64
+#: polynomial map reads the same float at both radii.  Aliasing is
+#: O(r^DFT_POINTS) and rounding about eps/r, 7e-15 at 1/32 (Bornemann, Found.
+#: Comput. Math. 11, 2011).  A flowed limit's step length tracks the distance
+#: to its singularities, which for Koebe's z/(1 - z)^2 lie at
+#: |d| = 1/(4|b(z)|): 961/128 = 7.5 at r = 1/32, against 1.53 at 1/8, 0.56 at
+#: 1/4 and 0.225 at 0.4.  Lying outside the unit d-disc was not enough: at
+#: 1/8 the sharp flows on P2, P3, E2, E3 and spectral2 of 16 g (moebius and
+#: three families at five alphas each) took up to 70 RHS calls, and at 1/16
+#: the moebius one on P2 still took 35.  1/32 is the largest power of two at
+#: which every one of them takes one accepted 12-call attempt; a smaller
+#: radius saves no step and rounds worse
+DFT_RADII = (0.03125, 0.015625)
+#: points per Cauchy DFT circle: a term of degree 34 aliases in at
+#: (1/32)^32 = 2^-160, far below rounding, with half the rows of 64 points to
+#: flow
+DFT_POINTS = 32
 _THETA = 2.0 * np.pi * np.arange(DFT_POINTS) / DFT_POINTS
 _CIRCLE, _PHASE = np.exp(1j * _THETA), np.exp(-2j * _THETA)
 
@@ -458,8 +470,8 @@ def quadratic_coeffs(Q: np.ndarray, requests) -> dict:
 
 def dft_circles(directions, n: int) -> np.ndarray:
     """The Cauchy circles r e^{i theta} (e_p + s e_q), or r e^{i theta} e_p
-    when q is None, one per (p, q, s) in ``directions``: 64 points at each
-    radius of DFT_RADII, stacked direction by direction."""
+    when q is None, one per (p, q, s) in ``directions``: DFT_POINTS points at
+    each radius of DFT_RADII, stacked direction by direction."""
     blocks = []
     for p, q, s in directions:
         for r in DFT_RADII:
@@ -473,8 +485,9 @@ def dft_circles(directions, n: int) -> np.ndarray:
 
 def circle_dft(vals: np.ndarray, k: int, comp: int) -> list:
     """The coefficient of zeta^2 in zeta -> f_comp(zeta u) on the k-th
-    direction u of ``dft_circles``, one per radius of DFT_RADII: the 64-point
-    Cauchy DFT of ``vals`` (f at those circles) over each radius's rows."""
+    direction u of ``dft_circles``, one per radius of DFT_RADII: the
+    DFT_POINTS-point Cauchy DFT of ``vals`` (f at those circles) over each
+    radius's rows."""
     circles = vals[:, comp - 1].reshape(-1, len(DFT_RADII), DFT_POINTS)[k]
     return [complex((col * _PHASE).mean() / r**2) for col, r in zip(circles, DFT_RADII)]
 
@@ -482,8 +495,8 @@ def circle_dft(vals: np.ndarray, k: int, comp: int) -> list:
 def second_coeff_bundle(f: HolMap, requests) -> dict:
     """Extract several second-order coefficients from one batched evaluation.
 
-    ``requests`` is an iterable of (i, j, kind).  All circles (128 points per
-    pure axis, 256 per mixed pair, from ``dft_circles``) go into a single
+    ``requests`` is an iterable of (i, j, kind).  All circles (64 points per
+    pure axis, 128 per mixed pair, from ``dft_circles``) go into a single
     ``values`` call, which matters for black-box maps whose evaluation
     integrates an ODE; ``circle_dft`` reads each circle back.
     """
@@ -511,14 +524,14 @@ def second_coeff(f: HolMap, i: int, j: int, kind: str) -> complex:
     """Second-order Taylor data of f at 0.
 
     ``pure`` returns the coefficient of z_j^2 in component i, i.e.
-    (1/2) d^2 f_i / d z_j^2 (0), from a 64-point Cauchy DFT on the circle of
+    (1/2) d^2 f_i / d z_j^2 (0), from a 32-point Cauchy DFT on the circle of
     radius rho = DFT_RADII[0].  ``mixed`` (i != j) returns the coefficient of
     z_i z_j in component i, i.e. d^2 f_i / (d z_i d z_j) (0), from the same
     DFT on the circles rho e^{i theta} (e_i +- e_j), which lie on the 2-torus
     |z_i| = |z_j| = rho.  There the degree-2 part of f_i is
     Q_ii +- Q_ij + Q_jj (Q_ab the coefficient of z_a z_b), so the two DFT
     values c+ and c- give Q_ij = (c+ - c-) / 2, with no term of degree below
-    66 aliased in.  Both kinds are recomputed at DFT_RADII[1]; disagreement
+    34 aliased in.  Both kinds are recomputed at DFT_RADII[1]; disagreement
     beyond 1e-8 triggers a ReducedPrecisionWarning, beyond 1e-4 a
     NumericalInstabilityError.
     """

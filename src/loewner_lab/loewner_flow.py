@@ -16,9 +16,10 @@ R = h - id, evaluated as (R(d w)/d)/d so that d^2 never underflows.  For a norma
 R(x) = O(|x|^2) (``carath.remainder_map``, free of cancellation), so the
 right-hand side stays bounded down to d = 0 and the parametric limit
 lim e^t v is the endpoint of one flow over a finite d-interval.  On a
-sharp limit's DFT circles that right-hand side is singular only outside the
-unit d-disc (``carath.DFT_RADII``), so the first attempt tries the whole
-segment, and the controller shortens it if the error estimate rejects it.
+sharp limit's DFT circles that right-hand side is singular only beyond
+|d| = 7.5 (``carath.DFT_RADII``), so the first attempt tries the whole
+segment, and on every catalog g it is accepted; the controller shortens an
+attempt that the error estimate rejects.
 """
 
 from __future__ import annotations

@@ -7,6 +7,8 @@ in-place kernel of ``loewner_flow`` must return, and the support values and
 image margins of a map on a complex line, computed without
 ``ball_geometry`` and ``disc_functions``."""
 
+from typing import Optional
+
 import numpy as np
 
 from loewner_lab import ball_geometry as bg
@@ -50,13 +52,14 @@ def assert_normalized(f, tol_value: float = 1e-12, tol_jac: float = 1e-8):
         raise DomainError(f"map is not normalized: |Df(0) - I| = {dev:.3e}")
 
 
-def leaving_form(dom: bg.BallGeometry, k: int) -> carath.PolynomialMap:
-    """The normalized form z + c z_k^2 e_k, c = 2 / (r + r') for the DFT radii
-    r > r' (32/3 at 1/8 and 1/16).  Its flow has z_k' = -(z_k + c z_k^2), which
-    carries every real z_k < -1/c, midway between the radii, out of the ball:
-    at (-0.5, 0.2i) on the bidisc, k = 1, and at z_k = -r on the larger DFT
-    circle, while the smaller one stays in."""
-    c = 2.0 / sum(carath.DFT_RADII)
+def leaving_form(dom: bg.BallGeometry, k: int,
+                 c: Optional[float] = None) -> carath.PolynomialMap:
+    """The normalized form z + c z_k^2 e_k.  Its flow has
+    z_k' = -(z_k + c z_k^2), which carries every real z_k < -1/c out of the
+    ball.  c defaults to 2 / (r + r') for the DFT radii r > r' (128/3 at 1/32
+    and 1/64), so -1/c lies midway between the radii: z_k = -r on the larger
+    DFT circle leaves, while the smaller circle stays in."""
+    c = 2.0 / sum(carath.DFT_RADII) if c is None else c
     return carath._quadratic_field(dom, k, k, c, f"z + {c:g} z_{k}^2 e_{k}")
 
 

@@ -202,12 +202,12 @@ def test_mixed_coeff_circles_stay_on_the_torus_bound(dom, pair):
     rho, rho_check = carath.DFT_RADII
     carath.second_coeff(f, *pair, carath.MIXED)
     (points,) = seen
-    assert len(points) == 4 * 64
+    assert len(points) == 4 * carath.DFT_POINTS
     torus_max = np.max(bg.norm(dom, torus_points(dom.n, *pair, rho)[0]))
     assert np.max(bg.norm(dom, points)) <= torus_max * (1 + 1e-15)
     for r in (rho, rho_check):
         on_circles = np.isclose(np.abs(points[:, pair[0] - 1]), r)
-        assert on_circles.sum() == 2 * 64
+        assert on_circles.sum() == 2 * carath.DFT_POINTS
         assert np.allclose(np.abs(points[on_circles][:, pair[1] - 1]), r, atol=1e-15)
 
 
@@ -330,9 +330,13 @@ def test_second_coeff_instability_detected():
 
 
 def test_second_coeff_reduced_precision_warns():
+    # the wobble reads (r^2 - r'^2) / (64 r^2) * 1e-6 = 1.17e-8 between the
+    # DFT radii r > r' = r/2 whatever r is, just above the 1e-8 warning
+    wobble = 1e-6 / (64 * carath.DFT_RADII[0] ** 2)
+
     def wobbly(Z):
         out = Z.copy()
-        out[:, 0] += (1.0 + 1e-6 * np.abs(Z[:, 1]) ** 2) * Z[:, 1] ** 2
+        out[:, 0] += (1.0 + wobble * np.abs(Z[:, 1]) ** 2) * Z[:, 1] ** 2
         return out
 
     f = carath.BlackBoxMap(wobbly, P2, normalized=True)

@@ -143,6 +143,13 @@ def test_a_table_spells_each_float_alike_in_csv_and_json(tmp_path):
 #: bound, F_12+ now being scored from its form; every verdict, attaining
 #: map, sample count and cross-check count held, and the six certify
 #: reports kept their bytes.
+#: Nine of those ten, all but flow-check_polydisc, were rewritten once the
+#: circles moved to radii 1/32 and 1/64 with 32 points each, so that every
+#: catalog sharp flow takes one step: ODE gaps, residuals, the summaries that
+#: print them and the radial map's diagonal coefficient moved, each by at
+#: most 2.2e-15 (rounding grows as eps/r), and every verdict, attaining map,
+#: sample count and cross-check count held; flow-check_polydisc and the six
+#: certify reports kept their bytes.
 #: A change that alters these bytes must say so in CHANGES.md.  A file is
 #: named <subcommand>_<label>.
 GOLDEN = Path(__file__).parent / "data" / "golden"

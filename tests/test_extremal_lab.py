@@ -372,15 +372,13 @@ def canonical_parametric(g, dom, sign):
 
 @pytest.mark.parametrize("dom", [P2, E2, SP], ids=lambda d: d.kind)
 def test_minus_canonical_limit_is_the_negated_plus_limit(dom):
-    # the reason scan_support flows parametric[h+] alone: on the 128 DFT points
-    # of the e_2 circles, f-(z) = -f+(-z) bit for bit.  There only component 1
+    # the reason scan_support flows parametric[h+] alone: on the DFT points of
+    # the e_2 circles, f-(z) = -f+(-z) bit for bit.  There only component 1
     # of f differs from z, and it is even in z, so the scan's ODE coefficients
     # (1, 2) are exact negatives and their gaps are equal floats
     g = df.moebius()
     (plus_field, plus), (minus_field, minus) = (canonical_parametric(g, dom, s) for s in (1, -1))
-    circle = np.exp(2j * np.pi * np.arange(64) / 64)
-    Z = np.zeros((128, dom.n), dtype=complex)
-    Z[:, 1] = np.concatenate([r * circle for r in carath.DFT_RADII])
+    Z = carath.dft_circles([(2, None, 1.0)], dom.n)
     f_minus = lf.parametric_map(minus_field, Z, ode_tol=el.SAMPLER_ODE_TOL)
     f_plus = lf.parametric_map(plus_field, -Z, ode_tol=el.SAMPLER_ODE_TOL)
     assert np.array_equal(f_minus.endpoint, -f_plus.endpoint)
@@ -479,7 +477,7 @@ def test_gprime_flows_one_sharp_map(dom, monkeypatch):
     report = el.verify_gprime_bounds(df.moebius(), dom, N=0, rng=np.random.default_rng(3))
     assert report.passed, report.violations
     # one circle at both DFT radii: e_1 + e_2 on rank >= 2, e_1 on E2
-    assert calls == [128]
+    assert calls == [2 * carath.DFT_POINTS]
     assert 0.0 < report.canonical_gap <= 1e-9
 
 

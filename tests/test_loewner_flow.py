@@ -15,6 +15,13 @@ from oracles import (CATALOG, assert_normalized, fd_jacobian, leaving_form, rand
 P2 = bg.polydisc(2)
 E2 = bg.euclidean(2)
 SP = bg.spectral2()
+#: c of the pure flow tests' leaving form z + c z_1^2 e_1, fixed so that they
+#: do not move with the DFT radii: from z_1 = -0.5, z_1' = -(z_1 + c z_1^2)
+#: leaves the bidisc at t = ln(29/26) = 0.109 and blows up at ln(16/13), and
+#: the monitor fires on the first accepted step, at a finite norm in the ball.
+#: At the DFT default 128/3 that flow blows up at t = 0.048, and its first
+#: step ended on a NaN norm, not at a finite exit
+LEAVING_C = 32 / 3
 
 
 def identity_field(dom):
@@ -199,14 +206,23 @@ def test_flow_and_limit_match_the_flow_check_closed_forms():
     assert np.max(np.abs(res.endpoint - expect)) <= 1e-10
 
 
-def test_flow_leaving_the_ball_raises_flow_instability():
+def monitored_norms(monkeypatch):
+    """The list that the norms of every ``bg.norm`` call go into."""
+    seen, norm = [], bg.norm
+    monkeypatch.setattr(bg, "norm", lambda *args: seen.append(norm(*args)) or seen[-1])
+    return seen
+
+
+def test_flow_leaving_the_ball_raises_flow_instability(monkeypatch):
     # h = z + (32/3) z_1^2 e_1 pushes z_1 = -0.5 outward; the norm check on
-    # v = d w catches it, in a flow and in a parametric limit
-    field = lf.autonomous_field(leaving_form(P2, 1), P2)
-    with pytest.raises(FlowInstabilityError, match="ball exit"):
-        lf.flow(field, np.array([[-0.5, 0.2j]]), 0.0, 1.0)
-    with pytest.raises(FlowInstabilityError, match="ball exit"):
-        lf.parametric_map(field, np.array([[-0.5, 0.2j]]))
+    # v = d w catches it, in a flow and in a parametric limit, at a finite
+    # norm that grew inside the ball
+    field = lf.autonomous_field(leaving_form(P2, 1, LEAVING_C), P2)
+    for run in (lambda z: lf.flow(field, z, 0.0, 1.0), lambda z: lf.parametric_map(field, z)):
+        norms = monitored_norms(monkeypatch)
+        with pytest.raises(FlowInstabilityError, match="ball exit"):
+            run(np.array([[-0.5, 0.2j]]))
+        assert 0.5 < norms[-1][0] < 1.0
 
 
 def test_flow_rejects_a_segment_past_the_underflow_limit():
@@ -284,7 +300,7 @@ def test_parametric_quadratic_closed_forms():
 
 def test_parametric_quadratic_needs_no_flow():
     # read off the forms: exact on a schedule whose flow leaves the ball
-    h = leaving_form(P2, 1)
+    h = leaving_form(P2, 1, LEAVING_C)
     field = lf.HerglotzField((0.0, 0.5), (carath.identity_map(P2), h), P2)
     assert np.allclose(lf.parametric_quadratic(field), -np.exp(-0.5) * h.form.quadratic(2),
                        rtol=1e-15)
@@ -594,36 +610,43 @@ def test_kernel_matches_the_reference_through_rejections_and_on_no_points():
         assert end.shape == (0, 2) and step == 0.1
 
 
-#: (g, domain, most RHS calls) of each gprime sharp flow, parametric[g(z1)z],
-#: on its DFT circles.  On circles of radius 0.4 and 0.2 the I-controller
-#: alone took 235, 152 and 95 calls, rejecting 5, 4 and 1 attempts, as its
-#: error constant grew about 3x a step, and the predictive one 191, 119 and
-#: 107.  At radii 1/4 and 1/8 the flow's singularity, at |d| = 1/(4|b(z1)|)
-#: for Koebe's b, lies 2.5x further out, and a last step within 1.1x of the
-#: proposed one is taken whole: 107, 71 and 60.  At radii 1/8 and 1/16 it
-#: lies 2.7x further out again, outside the unit d-disc, and the first
-#: attempt spans the segment instead of trying 0.1
-SHARP_FLOWS = [(df.moebius(), P2, 59), (df.starlike_order(0.3), E2, 35),
-               (df.strongly_starlike(0.5), SP, 35)]
+#: (g, domain) of three gprime sharp flows, parametric[g(z1)z], on their DFT
+#: circles.  With the moebius g their right-hand side is singular at
+#: |d| = 1/(4|b(z1)|) for Koebe's b, 961/128 = 7.5 at radius 1/32, and the
+#: first attempt, spanning the segment, is accepted.  At radii 1/8 and 1/16,
+#: with that singularity at 1.53, they took 59, 35 and 35 RHS calls
+SHARP_FLOWS = [(df.moebius(), P2), (df.starlike_order(0.3), E2), (df.strongly_starlike(0.5), SP)]
 
 
-@pytest.mark.parametrize("g,dom,most", SHARP_FLOWS, ids=["P2", "E2", "spectral2"])
-def test_sharp_gprime_flows_reject_at_most_one_attempt(g, dom, most, monkeypatch):
-    # one norm per accepted step, and one each at the flow's and the
-    # segment's start; an accepted attempt costs 12 calls, a rejected one 11
-    counters, norms, norm = counting_remainders(monkeypatch), [], bg.norm
-    monkeypatch.setattr(bg, "norm", lambda *args: norms.append(1) or norm(*args))
+@pytest.mark.parametrize("g,dom", SHARP_FLOWS, ids=["P2", "E2", "spectral2"])
+def test_sharp_gprime_flows_take_one_attempt(g, dom, monkeypatch):
+    # an accepted attempt costs 12 calls and a rejected one 11, so 12 calls
+    # are one accepted attempt and no rejected one
+    counters = counting_remainders(monkeypatch)
     sharp = lf.autonomous_field(carath.disc_multiple_map(g, np.eye(dom.n)[0], dom), dom)
     requests = [(1, 1, carath.PURE)] + [(2, 1, carath.MIXED)] * (dom.rank >= 2)
     carath.second_coeff_bundle(lf.parametric_holmap(sharp), requests)
-    [calls] = [c.calls for c in counters]
-    accepted = len(norms) - 2
-    rejected, rest = divmod(calls - 12 * accepted, 11)
-    assert calls <= most and rest == 0 and rejected <= 1
+    assert [c.calls for c in counters] == [12]
 
 
-@pytest.mark.parametrize("g,dom", [(g, dom) for g, dom, _ in SHARP_FLOWS],
-                         ids=["P2", "E2", "spectral2"])
+@pytest.mark.parametrize("dom", [P2, bg.polydisc(3), E2, bg.euclidean(3), SP],
+                         ids=["P2", "P3", "E2", "E3", "spectral2"])
+def test_every_catalog_sharp_flow_takes_one_step(dom, monkeypatch):
+    # gprime at N = 0 flows its sharp map alone, on one circle at both DFT
+    # radii: for every catalog g one accepted 12-call attempt spans the
+    # segment, and the flowed coefficients match the exact ones to rounding
+    # (3.3e-15 at most over these five domains and 16 g: moebius and three
+    # families at five alphas each)
+    counters = counting_remainders(monkeypatch)
+    for g in (*CATALOG, df.starlike_order(0.3)):
+        counters.clear()
+        report = el.verify_gprime_bounds(g, dom, N=0, rng=np.random.default_rng(0))
+        assert report.passed, report.violations
+        assert [c.calls for c in counters] == [12], df.describe(g)
+        assert report.canonical_gap <= 1e-14, df.describe(g)
+
+
+@pytest.mark.parametrize("g,dom", SHARP_FLOWS, ids=["P2", "E2", "spectral2"])
 def test_the_canonical_scan_flow_takes_one_attempt(g, dom, monkeypatch):
     # parametric[h+] of a scan, on its e_j circle: the remainder c z_j^2 e_i
     # makes the right-hand side constant in d, so the attempt spanning the
@@ -657,7 +680,7 @@ def test_flow_leaves_the_callers_error_state_alone():
     lf.flow(shear_field(df.moebius(), P2), [0.3, 0.1], 0.0, 1.0)
     assert np.geterr() == before
     with pytest.raises(FlowInstabilityError):
-        lf.flow(lf.autonomous_field(leaving_form(P2, 1), P2), [-0.5, 0.2j], 0.0, 1.0)
+        lf.flow(lf.autonomous_field(leaving_form(P2, 1, LEAVING_C), P2), [-0.5, 0.2j], 0.0, 1.0)
     assert np.geterr() == before
 
 
@@ -788,12 +811,15 @@ def test_make_field_lays_generators_on_consecutive_segments():
     assert field.maps == tuple(maps)
 
 
-def test_flow_aborts_on_norm_growth():
+def test_flow_aborts_on_norm_growth(monkeypatch):
     # z_1' = -(z_1 + (32/3) z_1^2) grows from -0.3, to about -0.390 at t = 0.1;
     # the monitor must abort at the first growth, deep inside the ball
-    field = lf.autonomous_field(leaving_form(P2, 1), P2)
+    field = lf.autonomous_field(leaving_form(P2, 1, LEAVING_C), P2)
+    norms = monitored_norms(monkeypatch)
     with pytest.raises(NumericalInstabilityError):
         lf.flow(field, np.array([-0.3, 0.0], complex), 0.0, 0.1)
+    # the start is checked, then the segment's start, then the one step
+    assert len(norms) == 3 and 0.3 < norms[-1][0] <= 0.391
 
 
 def test_field_refuses_a_generator_without_an_array_form():
